@@ -213,16 +213,6 @@ def chain_dimension(chain: Chain) -> int:
     return ks.pop() if ks else -2
 
 
-def chain_to_vector(K: CliqueComplex, k: int, chain: Chain) -> list[Fraction]:
-    vec = [Fraction(0)] * K.dim_size(k)
-    idx = K.index[k]
-    for s, c in chain.items():
-        if s not in idx:
-            raise DimensionError(f"{s!r} is not a {k}-simplex of the complex")
-        vec[idx[s]] = Fraction(c)
-    return vec
-
-
 def vector_to_chain(K: CliqueComplex, k: int, vec) -> Chain:
     sims = K.simplices(k)
     return {sims[i]: Fraction(v) for i, v in enumerate(vec) if v != 0}

@@ -23,7 +23,14 @@ from math import gcd
 
 import numpy as np
 
-from .complexes import Chain, CliqueComplex, Simplex, clique_complex, merge_sign
+from .complexes import (
+    Chain,
+    CliqueComplex,
+    Simplex,
+    clique_complex,
+    merge_sign,
+    sort_with_sign,
+)
 from .errors import (
     GraphFormatError,
     HomologyLabError,
@@ -235,21 +242,9 @@ def push_chain(chain: Chain, relation: Relation, pos: dict[str, int]) -> Chain:
         mapped = tuple(relation[v] for v in sigma)
         if len(set(mapped)) != len(mapped):
             continue
-        srt, sign = _sort_sign(mapped, pos)
+        srt, sign = sort_with_sign(mapped, pos)
         out[srt] = out.get(srt, Fraction(0)) + cof * sign
     return {s: v for s, v in out.items() if v}
-
-
-def _sort_sign(vertices: tuple[str, ...], pos: dict[str, int]) -> tuple[Simplex, int]:
-    vs = list(vertices)
-    sign = 1
-    for i in range(1, len(vs)):
-        j = i
-        while j > 0 and pos.get(vs[j], vs[j]) < pos.get(vs[j - 1], vs[j - 1]):
-            vs[j], vs[j - 1] = vs[j - 1], vs[j]
-            sign = -sign
-            j -= 1
-    return tuple(vs), sign
 
 
 # -- native K constructions ----------------------------------------------------

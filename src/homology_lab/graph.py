@@ -121,8 +121,11 @@ def parse_graph(text: str) -> WeightedGraph:
         raise GraphFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise GraphFormatError("expected an object with a 'vertices' key")
+    vertices, edges = doc["vertices"], doc.get("edges", [])
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise GraphFormatError("'vertices' and 'edges' must be lists")
     weights: dict[str, int] = {}
-    for entry in doc["vertices"]:
+    for entry in vertices:
         if not isinstance(entry, dict) or "id" not in entry:
             raise GraphFormatError(f"bad vertex entry: {entry!r}")
         vid = entry["id"]
@@ -135,10 +138,12 @@ def parse_graph(text: str) -> WeightedGraph:
             raise GraphFormatError(f"vertex {vid!r} has invalid weight exponent {w!r}")
         weights[vid] = w
     seen: set[Edge] = set()
-    for pair in doc.get("edges", ()):
+    for pair in edges:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise GraphFormatError(f"bad edge entry: {pair!r}")
         u, v = pair
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise GraphFormatError(f"edge endpoints must be strings: {pair!r}")
         if u not in weights or v not in weights:
             raise GraphFormatError(f"edge ({u!r}, {v!r}) has undeclared endpoint")
         if u == v:

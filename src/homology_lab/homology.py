@@ -16,7 +16,7 @@ import scipy.sparse.linalg
 
 from . import rational
 from .complexes import Chain, CliqueComplex, chain_dimension, vector_to_chain
-from .errors import DimensionError, GapAmbiguityError, NotACycleError
+from .errors import DimensionError, GapAmbiguityError, HomologyLabError, NotACycleError
 from .operators import boundary, coboundary, laplacian
 
 DENSE_EIG_CAP = 4000
@@ -53,7 +53,8 @@ def betti(K: CliqueComplex, k: int, reduced: bool = True) -> int:
     if not reduced and k == -1:
         return 0
     b = c_k - r_k - r_low
-    assert b >= 0
+    if b < 0:
+        raise HomologyLabError(f"negative betti number {b} in dimension {k}")
     return b
 
 

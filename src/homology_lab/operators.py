@@ -10,6 +10,8 @@ is the transpose of the coboundary.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -165,7 +167,7 @@ class MonomialMatrix:
         for r, row in rows.items():
             denom = 1
             for v in row.values():
-                denom = denom * v.denominator // _gcd(denom, v.denominator)
+                denom = denom * v.denominator // gcd(denom, v.denominator)
             out[r] = {c: int(v * denom) for c, v in row.items()}
         return out
 
@@ -174,12 +176,6 @@ class MonomialMatrix:
         for (r, _c) in self.entries:
             counts[r] = counts.get(r, 0) + 1
         return max(counts.values(), default=0)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- chain-complex operators -------------------------------------------------

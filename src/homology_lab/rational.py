@@ -1,10 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
-Ranks are computed by fraction-free elimination over the integers (two-row
-cross-multiplication updates with per-row content reduction, a Bareiss-style
-scheme adapted to sparse rows); solutions and nullspaces use Fraction
-arithmetic.  Pivots are chosen by a Markowitz-type fill heuristic: these
-boundary-style matrices are very sparse and stay so under good pivoting.
+Ranks and persistence pivots are computed by fraction-free elimination over
+the integers (two-row cross-multiplication updates with per-row content
+reduction, a Bareiss-style scheme adapted to sparse rows); solutions and
+nullspaces use Fraction arithmetic.  Rank pivots are chosen by a
+Markowitz-type fill heuristic: these boundary-style matrices are very sparse
+and stay so under good pivoting.
 """
 
 from __future__ import annotations
@@ -82,6 +83,44 @@ def rank_int(rows: Iterable[Mapping[int, int]]) -> int:
             else:
                 del live[r]
     return rank
+
+
+def column_pivots(cols: Iterable[Mapping[int, int]]) -> list[int | None]:
+    """Pivot row of each integer column after reducing against earlier ones.
+
+    Columns are taken in the given order.  While a column's pivot (its
+    smallest nonzero row) is the pivot of an earlier reduced column, that
+    column is eliminated from it by a fraction-free integer update.  Zero
+    columns get None.  This is the standard persistence reduction, exact
+    over Q.
+    """
+    by_pivot: IntRows = {}  # pivot row -> reduced column
+    out: list[int | None] = []
+    for col in cols:
+        cur = {r: int(v) for r, v in col.items() if v}
+        while cur:
+            low = min(cur)
+            other = by_pivot.get(low)
+            if other is None:
+                break
+            g = gcd(other[low], cur[low])
+            p, v = other[low] // g, cur[low] // g
+            new = {r: p * x for r, x in cur.items()}
+            for r, y in other.items():
+                w = new.get(r, 0) - v * y
+                if w:
+                    new[r] = w
+                else:
+                    del new[r]
+            _content_reduce(new)
+            cur = new
+        if cur:
+            low = min(cur)
+            by_pivot[low] = cur
+            out.append(low)
+        else:
+            out.append(None)
+    return out
 
 
 class Eliminator:
@@ -227,12 +266,3 @@ def nullspace(
                 vec[c0] = -s
         basis.append(vec)
     return basis
-
-
-def in_image(
-    rows_by_col: Mapping[int, Mapping[int, Fraction]],
-    nrows: int,
-    b: Mapping[int, Fraction],
-) -> Optional[FracVec]:
-    """Witness x with A x = b, or None."""
-    return solve(rows_by_col, nrows, b)

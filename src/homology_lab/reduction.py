@@ -11,7 +11,8 @@ threshold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
 from .complexes import CliqueComplex, clique_complex
 from .errors import GraphFormatError, ScheduleError, UnsupportedStateError
 from .gadgets import GadgetBlueprint, IntegerState, gadget, glue
@@ -58,14 +59,20 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
         raise GraphFormatError("expected an object with 'n' and 'terms'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise GraphFormatError(f"bad qubit count {n!r}")
+    if not isinstance(doc["terms"], list):
+        raise GraphFormatError("'terms' must be a list")
     terms = []
     for entry in doc["terms"]:
+        if not isinstance(entry, dict):
+            raise GraphFormatError(f"bad term entry {entry!r}")
         support = entry.get("support")
         amps = entry.get("amps")
         if not isinstance(support, list) or not isinstance(amps, dict):
             raise GraphFormatError(f"bad term entry {entry!r}")
+        if any(not isinstance(q, int) or isinstance(q, bool) for q in support):
+            raise GraphFormatError(f"support {support!r} must list qubit indices")
         for z, a in amps.items():
             if not isinstance(a, int) or isinstance(a, bool):
                 raise GraphFormatError(
@@ -90,16 +97,13 @@ def _relabel_support(bp: GadgetBlueprint, support: tuple[int, ...]) -> GadgetBlu
             return f"q{mapping[local]}.{rest}"
         return v
 
-    return GadgetBlueprint(
-        m=bp.m,
-        state=bp.state,
+    return replace(
+        bp,
         support=tuple(q + 1 for q in support),
         boundary_vertices=tuple(sorted(rename(v) for v in bp.boundary_vertices)),
-        added_weights=bp.added_weights,
         added_edges=frozenset(
             tuple(sorted((rename(u), rename(v)))) for u, v in bp.added_edges
         ),
-        center=bp.center,
         boundary_edges=frozenset(
             tuple(sorted((rename(u), rename(v)))) for u, v in bp.boundary_edges
         ),
@@ -113,17 +117,13 @@ def _namespace(bp: GadgetBlueprint, prefix: str) -> GadgetBlueprint:
     def rename(v: str) -> str:
         return f"{prefix}{v}" if v in added else v
 
-    return GadgetBlueprint(
-        m=bp.m,
-        state=bp.state,
-        support=bp.support,
-        boundary_vertices=bp.boundary_vertices,
+    return replace(
+        bp,
         added_weights=tuple(sorted((rename(v), e) for v, e in bp.added_weights)),
         added_edges=frozenset(
             tuple(sorted((rename(u), rename(v)))) for u, v in bp.added_edges
         ),
         center=rename(bp.center),
-        boundary_edges=bp.boundary_edges,
     )
 
 
@@ -147,16 +147,7 @@ def pad(bp: GadgetBlueprint, n: int, base: WeightedGraph | None = None) -> Gadge
     for g in bp.added_vertex_names:
         for v in outside:
             new_edges.add((g, v) if g < v else (v, g))
-    return GadgetBlueprint(
-        m=bp.m,
-        state=bp.state,
-        support=bp.support,
-        boundary_vertices=bp.boundary_vertices,
-        added_weights=bp.added_weights,
-        added_edges=frozenset(new_edges),
-        center=bp.center,
-        boundary_edges=bp.boundary_edges,
-    )
+    return replace(bp, added_edges=frozenset(new_edges))
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,28 @@
 """Spectral sequence of the vertex-weight filtration, over exact rationals.
 
 The filtration U_l^k is the span of the k-simplices carrying at least l
-weighted vertices; it is coordinate-aligned, so subspaces are index sets.
-Page entries are computed from their Z/B description
+weighted vertices.  It is coordinate-aligned and d-compatible (d^k maps U_l^k
+into U_l^{k+1}), so over a field the filtered complex splits into interval
+pairs (Basu-Parida, "Spectral sequences, exact couples and persistent
+homology of filtrations", Expo. Math. 2017).  The pairs come from one
+persistence reduction of d^k at lam := 1 per degree: columns in descending
+level, each column's pivot its nonzero row at the lowest level.  A pair of a
+k-simplex at level a with a (k+1)-simplex at level b >= a survives at both
+ends up to page b - a, and unpaired simplices survive every page:
 
-    Z_{j,l}^k = U_l^k  intersect  (d^k)^{-1}(U_{l+j}^{k+1})
-    B_{j,l}^k = U_l^k  intersect  d^{k-1}(U_{l-j}^{k-1})
-    e_{j,l}^k = Z_{j,l}^k / (B_{j-1,l}^k + Z_{j-1,l+1}^k)
+    e_{j,l}^k = #{unpaired k-simplices at level l}
+              + #{pair ends at (k, l) with gap b - a >= j}
 
-with all ranks and kernels over Q at lam := 1; the lambda-grading is carried
-entirely by the filtration index.  The Forman comparison checks the page
-dimensions against numeric eigenvalue-decay classes from spectra.sweep.
+The lambda-grading is carried entirely by the filtration index.  The Forman
+comparison checks the page dimensions against numeric eigenvalue-decay
+classes from spectra.sweep: a pair of gap r is a branch decaying like
+lam^(2r) (Forman, "Witten-Morse theory for cell complexes", Topology 1998).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import inf
 
 from . import rational
 from .complexes import CliqueComplex
@@ -25,11 +31,9 @@ from .homology import betti
 from .operators import coboundary
 from .spectra import DEFAULT_GRID, BranchTable, sweep
 
-FracVec = dict[int, Fraction]
-
 
 class Filtration:
-    """Index-set filtration of a built clique complex by weight exponent."""
+    """Weight filtration of a built clique complex and its persistence pairs."""
 
     def __init__(self, K: CliqueComplex):
         if not K.complete:
@@ -42,21 +46,36 @@ class Filtration:
             exps = [K.weight_exponent(s) for s in K.simplices(k)]
             self.exponents[k] = exps
             self.lmax[k] = max(exps, default=-1)
-        self._d_cols: dict[int, dict[int, FracVec]] = {}
         self._check_compatibility()
+        # pairs[k]: (sigma in C^k, tau in C^{k+1}) index pairs; _gap[k][i] is
+        # the level gap of simplex i's pair, inf when it is unpaired
+        self.pairs: dict[int, list[tuple[int, int]]] = {}
+        self._gap = {k: [inf] * len(exps) for k, exps in self.exponents.items()}
+        for k in range(-1, self.kmax):
+            self.pairs[k] = self._reduce(k)
+            for s, t in self.pairs[k]:
+                gap = self.exponents[k + 1][t] - self.exponents[k][s]
+                self._gap[k][s] = self._gap[k + 1][t] = gap
 
-    def _d_by_col(self, k: int) -> dict[int, FracVec]:
-        """d^k at lam := 1 as {col: {row: value}}; zero map above the top."""
-        if k in self._d_cols:
-            return self._d_cols[k]
-        if k >= self.kmax or k < -1:
-            cols: dict[int, FracVec] = {}
-        else:
-            cols = {}
-            for (r, c), v in coboundary(self.K, k).evaluate_exact(Fraction(1)).items():
+    def _reduce(self, k: int) -> list[tuple[int, int]]:
+        """Persistence pairs of d^k from one column reduction in level order."""
+        lo, hi = self.exponents[k], self.exponents[k + 1]
+        cols: dict[int, dict[int, int]] = {}
+        for r, row in coboundary(self.K, k).int_rows_at_one().items():
+            for c, v in row.items():
                 cols.setdefault(c, {})[r] = v
-        self._d_cols[k] = cols
-        return cols
+        # Each C^k is ordered by (level, index) descending, whether its
+        # simplices are columns of d^k or rows of d^{k-1}; one order per
+        # degree makes every simplex an end of at most one pair.  Columns run
+        # in that order and rows are numbered in its reverse, so the smallest
+        # number, at the lowest level, is the pivot.
+        row_at = sorted(range(len(hi)), key=lambda r: (hi[r], r))
+        number = {r: i for i, r in enumerate(row_at)}
+        order = sorted(cols, key=lambda c: (lo[c], c), reverse=True)
+        pivots = rational.column_pivots(
+            {number[r]: v for r, v in cols[c].items()} for c in order
+        )
+        return [(c, row_at[p]) for c, p in zip(order, pivots) if p is not None]
 
     def level(self, k: int, l: int) -> frozenset[int]:
         """Index set of U_l^k; full space for l <= 0, empty above lmax."""
@@ -71,91 +90,17 @@ class Filtration:
         for k in range(-1, self.kmax):
             exps_hi = self.exponents[k + 1]
             exps_lo = self.exponents[k]
-            for c, col in self._d_by_col(k).items():
-                for r in col:
-                    if exps_hi[r] < exps_lo[c]:
-                        raise HomologyLabError(
-                            "filtration is not d-compatible (implementation bug)"
-                        )
-
-    # -- subspace machinery ------------------------------------------------
-
-    def z_basis(self, k: int, l: int, j: int) -> list[FracVec]:
-        """Basis of Z_{j,l}^k as sparse vectors in C^k coordinates."""
-        cols = self.level(k, l)
-        if not cols:
-            return []
-        forbidden = self._forbidden_rows(k, l + j)
-        rows: dict[int, FracVec] = {}
-        d_cols = self._d_by_col(k)
-        for c in cols:
-            for r, v in d_cols.get(c, {}).items():
-                if r in forbidden:
-                    rows.setdefault(r, {})[c] = v
-        return rational.nullspace(rows.values(), self.K.dim_size(k), cols=sorted(cols))
-
-    def _forbidden_rows(self, k: int, l: int) -> frozenset[int]:
-        """Rows of C^{k+1} outside U_l^{k+1}."""
-        if k + 1 > self.kmax:
-            return frozenset()
-        allowed = self.level(k + 1, l)
-        return frozenset(range(self.K.dim_size(k + 1))) - allowed
-
-    def b_vectors(self, k: int, l: int, j: int) -> list[FracVec]:
-        """Spanning vectors of B_{j,l}^k (not necessarily independent)."""
-        src = self.level(k - 1, l - j)
-        if not src or self.K.dim_size(k) == 0:
-            return []
-        d_cols = self._d_by_col(k - 1)
-        forbidden = frozenset(range(self.K.dim_size(k))) - self.level(k, l)
-        rows: dict[int, FracVec] = {}
-        for c in src:
-            for r, v in d_cols.get(c, {}).items():
-                if r in forbidden:
-                    rows.setdefault(r, {})[c] = v
-        kernel = rational.nullspace(rows.values(), self.K.dim_size(k - 1), cols=sorted(src))
-        out: list[FracVec] = []
-        for w in kernel:
-            img: FracVec = {}
-            for c, coef in w.items():
-                for r, v in d_cols.get(c, {}).items():
-                    acc = img.get(r, Fraction(0)) + coef * v
-                    if acc:
-                        img[r] = acc
-                    elif r in img:
-                        del img[r]
-            if img:
-                out.append(img)
-        return out
-
-    def _assert_in_z(self, vecs: list[FracVec], k: int, l: int, j: int) -> None:
-        cols = self.level(k, l)
-        forbidden = self._forbidden_rows(k, l + j)
-        d_cols = self._d_by_col(k)
-        for v in vecs:
-            if any(c not in cols for c in v):
-                raise HomologyLabError("containment violated: support outside U_l")
-            img: FracVec = {}
-            for c, coef in v.items():
-                for r, x in d_cols.get(c, {}).items():
-                    if r in forbidden:
-                        acc = img.get(r, Fraction(0)) + coef * x
-                        if acc:
-                            img[r] = acc
-                        elif r in img:
-                            del img[r]
-            if img:
-                raise HomologyLabError("containment violated: image escapes U_{l+j}")
+            for r, c in coboundary(self.K, k).entries:
+                if exps_hi[r] < exps_lo[c]:
+                    raise HomologyLabError(
+                        "filtration is not d-compatible (implementation bug)"
+                    )
 
     def e_dim(self, k: int, l: int, j: int) -> int:
-        z = self.z_basis(k, l, j)
-        if not z:
+        """dim e_{j,l}^k: k-simplices at level l unpaired or with gap >= j."""
+        if k < -1 or k > self.kmax:
             return 0
-        b = self.b_vectors(k, l, j - 1)
-        zp = self.z_basis(k, l + 1, j - 1)
-        self._assert_in_z(b + zp, k, l, j)
-        denom_rank = rational.rank_fraction(b + zp, self.K.dim_size(k))
-        return len(z) - denom_rank
+        return sum(1 for e, g in zip(self.exponents[k], self._gap[k]) if e == l and g >= j)
 
 
 def filtration(K: CliqueComplex) -> Filtration:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +100,25 @@ def test_specseq_forman(fixture_dir, capsys):
     assert "forman comparison: PASS" in out
 
 
+GOLDEN = Path(__file__).parent / "golden"
+SPECSEQ_MODES = {
+    "text": ("--k", "1", "--j-max", "4"),
+    "csv": ("--format", "csv", "--k", "1", "--j-max", "4"),
+    "forman": ("--forman", "--k", "1"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SPECSEQ_MODES))
+@pytest.mark.parametrize("name", ["hexagon", "gadget-0"])
+def test_specseq_golden_output(fixture_dir, capsys, name, mode):
+    """stdout is byte-identical to the recorded tables."""
+    code, out, _ = run(
+        capsys, "specseq", str(fixture_dir / f"{name}.json"), *SPECSEQ_MODES[mode]
+    )
+    assert code == 0
+    assert out == (GOLDEN / f"specseq-{name}-{mode}.txt").read_text()
+
+
 def test_reduce_and_decide(tmp_path, capsys):
     ham = tmp_path / "h.json"
     ham.write_text('{"n":1,"terms":[{"support":[0],"amps":{"0":1}}]}')
@@ -129,6 +149,28 @@ def test_reduce_unsupported_term(tmp_path, capsys):
     code, _out, err = run(capsys, "reduce", str(ham))
     assert code == 2
     assert "extension point" in err
+
+
+MALFORMED_INPUTS = {
+    "terms-not-a-list": ("decide", '{"n": 1, "terms": 1}'),
+    "term-not-an-object": ("decide", '{"n": 1, "terms": [1]}'),
+    "support-not-indices": ("decide", '{"n": 1, "terms": [{"support": ["a"], "amps": {"0": 1}}]}'),
+    "qubit-count-bool": ("decide", '{"n": true, "terms": [{"support": [0], "amps": {"0": 1}}]}'),
+    "vertices-not-a-list": ("betti", '{"vertices": 5}'),
+    "edges-not-a-list": ("betti", '{"vertices": [{"id": "a"}], "edges": 5}'),
+    "edge-endpoint-not-a-string": ("betti", '{"vertices": [{"id": "a"}], "edges": [[["x"], "a"]]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_format_error(tmp_path, capsys, case):
+    command, text = MALFORMED_INPUTS[case]
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, _out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_verify_gadget_catalog_name(capsys):

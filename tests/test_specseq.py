@@ -1,8 +1,10 @@
+from homology_lab import rational
 from homology_lab.complexes import clique_complex
 from homology_lab.fixtures import gadget_graph, hexagon
 from homology_lab.gadgets import IntegerState
 from homology_lab.graph import bowtie, octahedron
 from homology_lab.homology import betti
+from homology_lab.operators import coboundary
 from homology_lab.specseq import filtration, forman_compare, page_dims, stabilized_dims
 
 from conftest import built, seeded_graphs
@@ -130,24 +132,60 @@ def test_forman_trivial_on_unweighted():
         assert row.algebraic_dim == betti(K, 1) == 1
 
 
-def test_inclusion_chain_of_z_and_b_spaces():
-    """B_{0,l} <= B_{1,l} <= ... <= Z_{1,l} <= Z_{0,l} as computed subspaces."""
-    from homology_lab import rational
+def _level(K, k, l):
+    """Indices of U_l^k, read off the simplices' weight exponents."""
+    if not -1 <= k <= K.max_dim:
+        return frozenset()
+    return frozenset(i for i, s in enumerate(K.simplices(k)) if K.weight_exponent(s) >= l)
 
-    K = built(hexagon(), 3)
-    F = filtration(K)
-    for k in (0, 1, 2):
-        for l in range(0, F.lmax[k] + 1):
-            dims = []
-            for j in (2, 1, 0):
-                bv = F.b_vectors(k, l, j)
-                dims.append(rational.rank_fraction(bv, K.dim_size(k)))
-            assert dims[2] <= dims[1] <= dims[0]  # B grows with j
-            z1 = F.z_basis(k, l, 1)
-            z0 = F.z_basis(k, l, 0)
-            assert len(z1) <= len(z0)
-            # every B_{0,l} vector lies inside Z_{1,l} (checked exactly)
-            F._assert_in_z(F.b_vectors(k, l, 0), k, l, 1)
+
+def _rank_formula_pages(K, j_max):
+    """e_{j,l}^k from ranks of coordinate submatrices of d, with no pairing.
+
+    z(k,l,j) = dim Z_{j,l}^k and b(k,l,j) = dim B_{j,l}^k, and for j >= 1
+    e_{j,l}^k = z(k,l,j) - b(k,l,j-1) - z(k,l+1,j-1) + b(k,l+1,j).
+    """
+    d = {k: coboundary(K, k).int_rows_at_one() for k in range(-1, K.max_dim)}
+
+    def rank(k, cols, rows_outside=None):
+        if k not in d:
+            return 0
+        return rational.rank_int(
+            {c: v for c, v in row.items() if c in cols}
+            for r, row in d[k].items()
+            if rows_outside is None or r not in rows_outside
+        )
+
+    def z(k, l, j):
+        cols = _level(K, k, l)
+        return len(cols) - rank(k, cols, _level(K, k + 1, l + j))
+
+    def b(k, l, j):
+        cols = _level(K, k - 1, l - j)
+        return rank(k - 1, cols) - rank(k - 1, cols, _level(K, k, l))
+
+    pages = {}
+    for k in range(-1, K.max_dim + 1):
+        lmax = max((K.weight_exponent(s) for s in K.simplices(k)), default=-1)
+        for l in range(0, lmax + 1):
+            pages[(0, k, l)] = len(_level(K, k, l)) - len(_level(K, k, l + 1))
+            for j in range(1, j_max + 1):
+                pages[(j, k, l)] = (
+                    z(k, l, j) - b(k, l, j - 1) - z(k, l + 1, j - 1) + b(k, l + 1, j)
+                )
+    return pages
+
+
+def test_pages_match_rank_formula_oracle():
+    """Pages 0-5 from the pairing equal the Z/B rank formula; one pair per rank."""
+    graphs = [hexagon()] + seeded_graphs(25, 8, wmax=2, seed=21)
+    for g in graphs:
+        K = built(g, g.n_vertices)
+        F = filtration(K)
+        for k, pairs in F.pairs.items():
+            assert len(pairs) == rational.rank_int(coboundary(K, k).int_rows_at_one().values())
+        got = {(j, k, l): d for j in range(6) for (k, l), d in page_dims(F, j).dims.items()}
+        assert got == _rank_formula_pages(K, 5), g
 
 
 def test_bulk_page_identity_for_gadget():
