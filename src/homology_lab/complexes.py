@@ -211,8 +211,3 @@ def chain_dimension(chain: Chain) -> int:
     if len(ks) > 1:
         raise DimensionError(f"mixed-dimension chain: {sorted(ks)}")
     return ks.pop() if ks else -2
-
-
-def vector_to_chain(K: CliqueComplex, k: int, vec) -> Chain:
-    sims = K.simplices(k)
-    return {sims[i]: Fraction(v) for i, v in enumerate(vec) if v != 0}

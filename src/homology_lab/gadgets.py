@@ -209,30 +209,21 @@ def fundamental_cycle(K: CliqueComplex) -> Chain:
     """Generator of the top-dimensional cycle space of a sphere triangulation.
 
     Computed as the kernel of the boundary map restricted to top simplices;
-    must be one-dimensional.  Scaled to coprime integer coefficients.
+    must be one-dimensional.  The kernel vector has coprime integer
+    coefficients.
     """
     top = K.top_dimension()
-    from .operators import boundary  # local import to avoid a cycle
+    from .operators import coboundary  # local import to avoid a cycle
 
-    bnd = boundary(K, top).evaluate_exact(Fraction(1))
-    rows: dict[int, dict[int, Fraction]] = {}
-    for (r, c), v in bnd.items():
-        rows.setdefault(r, {})[c] = v
-    kernel = rational.nullspace(rows.values(), K.dim_size(top))
+    rows = coboundary(K, top - 1).int_rows_at_one()
+    cols = [rows.get(j, {}) for j in range(K.dim_size(top))]
+    kernel = rational.nullspace(cols, K.dim_size(top - 1))
     if len(kernel) != 1:
         raise HomologyLabError(
             f"expected a 1-dimensional top cycle space, got {len(kernel)}"
         )
-    vec = kernel[0]
-    denom = 1
-    for v in vec.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {i: int(v * denom) for i, v in vec.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
     sims = K.simplices(top)
-    return {sims[i]: Fraction(v // g) for i, v in ints.items() if v}
+    return {sims[i]: Fraction(v) for i, v in kernel[0].items()}
 
 
 def push_chain(chain: Chain, relation: Relation, pos: dict[str, int]) -> Chain:
@@ -503,7 +494,7 @@ def fill_cycle(
         raise GraphFormatError(
             "relation must be surjective onto the cycle's vertices"
         )
-    K = clique_complex(k_graph, max_dim=min(k_graph.n_vertices - 1, _kdim_guess(k_graph)))
+    K = clique_complex(k_graph, max_dim=k_graph.n_vertices - 1)
     top = K.top_dimension()
     # verify f(Cl(K)) is exactly the cycle's simplex set
     j_complex = clique_complex(j_graph, max_dim=top + 1)
@@ -561,12 +552,6 @@ def fill_cycle(
         center=CENTER,
         boundary_edges=frozenset(j_graph.edges),
     )
-
-
-def _kdim_guess(g: WeightedGraph) -> int:
-    # small graphs: enumerate until empty; cap at vertex count
-    K = clique_complex(g, max_dim=min(g.n_vertices, 12))
-    return K.top_dimension() + 1
 
 
 def target_cycle_graph(state: IntegerState) -> WeightedGraph:

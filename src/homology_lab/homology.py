@@ -15,9 +15,9 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from . import rational
-from .complexes import Chain, CliqueComplex, chain_dimension, vector_to_chain
+from .complexes import Chain, CliqueComplex, chain_dimension
 from .errors import DimensionError, GapAmbiguityError, HomologyLabError, NotACycleError
-from .operators import boundary, coboundary, laplacian
+from .operators import coboundary, laplacian
 
 DENSE_EIG_CAP = 4000
 
@@ -171,21 +171,17 @@ def is_cycle(K: CliqueComplex, chain: Chain, k: int | None = None) -> bool:
         k = chain_dimension(chain)
     if k <= -1:
         return True
-    bnd = boundary(K, k).evaluate_exact(Fraction(1))
-    cols: dict[int, list[tuple[int, Fraction]]] = {}
-    for (r, c), v in bnd.items():
-        cols.setdefault(c, []).append((r, v))
-    idx = K.index[k]
+    idx = K.index.get(k, {})
+    foreign = [s for s in chain if s not in idx]
+    if foreign:
+        raise DimensionError(f"{foreign[0]!r} is not a {k}-simplex of the complex")
+    # the rows of d^{k-1} at lam := 1 are the columns of boundary_k
+    rows = coboundary(K, k - 1).int_rows_at_one()
     acc: dict[int, Fraction] = {}
     for s, coef in chain.items():
-        j = idx[s]
-        for r, v in cols.get(j, ()):
-            w = acc.get(r, Fraction(0)) + Fraction(coef) * v
-            if w:
-                acc[r] = w
-            elif r in acc:
-                del acc[r]
-    return not acc
+        for r, v in rows.get(idx[s], {}).items():
+            acc[r] = acc.get(r, 0) + coef * v
+    return not any(acc.values())
 
 
 def cycle_is_boundary(
@@ -193,7 +189,8 @@ def cycle_is_boundary(
 ) -> tuple[bool, Chain | None]:
     """Exact test c in im(boundary_{k+1}) over Q, with a preimage witness.
 
-    Raises NotACycleError unless boundary(c) = 0.
+    Raises NotACycleError unless boundary(c) = 0.  The columns of
+    boundary_{k+1} are the rows of d^k.
     """
     if k is None:
         k = chain_dimension(chain)
@@ -201,21 +198,12 @@ def cycle_is_boundary(
         raise NotACycleError("chain has nonzero boundary")
     if k + 1 > K.max_dim:
         raise DimensionError("complex not built to k+1")
-    bnd = boundary(K, k + 1).evaluate_exact(Fraction(1))
-    by_col: dict[int, dict[int, Fraction]] = {}
-    for (r, c), v in bnd.items():
-        by_col.setdefault(c, {})[r] = v
+    rows = coboundary(K, k).int_rows_at_one()
+    cols = [rows.get(j, {}) for j in range(K.dim_size(k + 1))]
     idx = K.index[k]
     b = {idx[s]: Fraction(c) for s, c in chain.items() if c}
-    x = rational.solve(by_col, K.dim_size(k), b)
+    x = rational.solve(cols, K.dim_size(k), b)
     if x is None:
         return False, None
-    witness = vector_to_chain(K, k + 1, _dense(x, K.dim_size(k + 1)))
-    return True, witness
-
-
-def _dense(sparse_vec: dict[int, Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for i, v in sparse_vec.items():
-        out[i] = v
-    return out
+    sims = K.simplices(k + 1)
+    return True, {sims[j]: v for j, v in x.items()}

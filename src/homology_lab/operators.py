@@ -1,7 +1,7 @@
 """Weighted (co)boundary and Laplacian operators as sparse lambda-matrices.
 
-Entries are polynomials in the weight parameter with rational coefficients,
-stored as {exponent: Fraction}.  Boundary and coboundary entries are single
+Entries are polynomials in the weight parameter with integer coefficients,
+stored as {exponent: int}.  Boundary and coboundary entries are single
 monomials ``+-lam**e_v``; Laplacian entries are sums of such products.  All
 operators act in the normalized orthonormal simplex basis, so the boundary
 is the transpose of the coboundary.
@@ -9,22 +9,19 @@ is the transpose of the coboundary.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
 import numpy as np
 import scipy.sparse as sp
 
 from .complexes import CliqueComplex, Simplex
 from .errors import DimensionError, GraphFormatError
 
-Poly = dict[int, Fraction]
+Poly = dict[int, int]
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for e, c in b.items():
-        w = out.get(e, Fraction(0)) + c
+        w = out.get(e, 0) + c
         if w:
             out[e] = w
         elif e in out:
@@ -37,7 +34,7 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2
-            w = out.get(e, Fraction(0)) + c1 * c2
+            w = out.get(e, 0) + c1 * c2
             if w:
                 out[e] = w
             elif e in out:
@@ -49,12 +46,8 @@ def poly_eval_float(a: Poly, lam: float) -> float:
     return float(sum(float(c) * lam**e for e, c in a.items()))
 
 
-def poly_eval_exact(a: Poly, lam: Fraction) -> Fraction:
-    return sum((c * lam**e for e, c in a.items()), Fraction(0))
-
-
 class MonomialMatrix:
-    """Sparse matrix of lambda-polynomials with exact rational coefficients."""
+    """Sparse matrix of lambda-polynomials with integer coefficients."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -63,7 +56,7 @@ class MonomialMatrix:
         self.cols = cols
         self.entries: dict[tuple[int, int], Poly] = entries or {}
 
-    def add_monomial(self, r: int, c: int, coeff: Fraction, exponent: int) -> None:
+    def add_monomial(self, r: int, c: int, coeff: int, exponent: int) -> None:
         if coeff == 0:
             return
         key = (r, c)
@@ -71,7 +64,7 @@ class MonomialMatrix:
         if cur is None:
             self.entries[key] = {exponent: coeff}
         else:
-            w = cur.get(exponent, Fraction(0)) + coeff
+            w = cur.get(exponent, 0) + coeff
             if w:
                 cur[exponent] = w
             else:
@@ -145,31 +138,14 @@ class MonomialMatrix:
     def evaluate_dense(self, lam: float) -> np.ndarray:
         return self.evaluate(lam).toarray()
 
-    def evaluate_exact(self, lam: Fraction) -> dict[tuple[int, int], Fraction]:
-        if not 0 < lam <= 1:
-            raise GraphFormatError(f"lambda must be in (0, 1], got {lam}")
-        out = {}
-        for k, p in self.entries.items():
-            v = poly_eval_exact(p, lam)
-            if v:
-                out[k] = v
-        return out
-
     def int_rows_at_one(self) -> dict[int, dict[int, int]]:
-        """Rows of the lam := 1 specialization scaled to integers."""
+        """Rows of the lam := 1 specialization: each entry's coefficient sum."""
         rows: dict[int, dict[int, int]] = {}
-        scale: dict[int, int] = {}
         for (r, c), p in self.entries.items():
-            v = poly_eval_exact(p, Fraction(1))
+            v = sum(p.values())
             if v:
                 rows.setdefault(r, {})[c] = v
-        out: dict[int, dict[int, int]] = {}
-        for r, row in rows.items():
-            denom = 1
-            for v in row.values():
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-            out[r] = {c: int(v * denom) for c, v in row.items()}
-        return out
+        return rows
 
     def row_nnz_max(self) -> int:
         counts: dict[int, int] = {}
@@ -209,7 +185,7 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
                 p += 1
             tau = sigma[:p] + (v,) + sigma[p:]
             out.add_monomial(
-                index_up[tau], j, Fraction((-1) ** p), K.graph.exponent(v)
+                index_up[tau], j, (-1) ** p, K.graph.exponent(v)
             )
     K._matrix_cache[key] = out
     return out
@@ -281,10 +257,10 @@ def laplacian_entry(K: CliqueComplex, k: int, sigma: Simplex, tau: Simplex) -> P
         out: Poly = {}
         for u in K.up_vertices(sigma):
             e = 2 * g.exponent(u)
-            out[e] = out.get(e, Fraction(0)) + 1
+            out[e] = out.get(e, 0) + 1
         for v in sigma:
             e = 2 * g.exponent(v)
-            out[e] = out.get(e, Fraction(0)) + 1
+            out[e] = out.get(e, 0) + 1
         return {e: c for e, c in out.items() if c}
     shared = set(sigma) & set(tau)
     if len(shared) != k:
@@ -295,7 +271,7 @@ def laplacian_entry(K: CliqueComplex, k: int, sigma: Simplex, tau: Simplex) -> P
     if K.has(union):
         return {}
     s = (-1) ** (sigma.index(v_sigma) + tau.index(v_tau))
-    return {g.exponent(v_sigma) + g.exponent(v_tau): Fraction(s)}
+    return {g.exponent(v_sigma) + g.exponent(v_tau): s}
 
 
 def _bits_to_simplex(K: CliqueComplex, bits: str) -> tuple[Simplex, bool]:
@@ -341,12 +317,13 @@ def write_coordinate_text(M: MonomialMatrix, fh) -> None:
     """Coordinate dump: one line per monomial term.
 
     Format: ``row col coeff_num coeff_den exponent`` (0-based indices),
-    preceded by a header line ``rows cols nnz``.
+    preceded by a header line ``rows cols nnz``.  Coefficients are integers,
+    so ``coeff_den`` is always 1.
     """
     terms = []
     for (r, c), p in sorted(M.entries.items()):
         for e, q in sorted(p.items()):
-            terms.append((r, c, q.numerator, q.denominator, e))
+            terms.append((r, c, q, 1, e))
     fh.write(f"{M.rows} {M.cols} {len(terms)}\n")
     for r, c, n, d, e in terms:
         fh.write(f"{r} {c} {n} {d} {e}\n")

@@ -72,10 +72,10 @@ class Filtration:
         row_at = sorted(range(len(hi)), key=lambda r: (hi[r], r))
         number = {r: i for i, r in enumerate(row_at)}
         order = sorted(cols, key=lambda c: (lo[c], c), reverse=True)
-        pivots = rational.column_pivots(
+        reduced = rational.reduce_columns(
             {number[r]: v for r, v in cols[c].items()} for c in order
         )
-        return [(c, row_at[p]) for c, p in zip(order, pivots) if p is not None]
+        return [(c, row_at[min(col)]) for c, col in zip(order, reduced) if col]
 
     def level(self, k: int, l: int) -> frozenset[int]:
         """Index set of U_l^k; full space for l <= 0, empty above lmax."""

@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import settings
@@ -22,6 +23,35 @@ def built(graph: WeightedGraph, max_dim: int) -> CliqueComplex:
 @pytest.fixture
 def build():
     return built
+
+
+# -- independent exact rank ----------------------------------------------------
+
+
+def dense_rank(rows) -> int:
+    """Rank over Q of sparse integer rows {col: value}, by dense elimination.
+
+    A test oracle that shares no code with homology_lab.rational: the rows are
+    expanded to dense lists and eliminated column by column with integer
+    two-row updates, each result divided by its content.
+    """
+    rows = [dict(r) for r in rows]
+    cols = sorted({c for r in rows for c, v in r.items() if v})
+    m = [[r.get(c, 0) for c in cols] for r in rows]
+    rank = 0
+    for j in range(len(cols)):
+        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][j]:
+                row = [p[j] * x - m[i][j] * y for x, y in zip(m[i], p)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        rank += 1
+    return rank
 
 
 # -- random graph generation ---------------------------------------------------

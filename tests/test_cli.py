@@ -7,10 +7,18 @@ from homology_lab.cli import main
 from homology_lab.fixtures import write_fixtures
 
 
+HAMILTONIANS = {
+    "h-1q-no": '{"n":1,"terms":[{"support":[0],"amps":{"0":1}},{"support":[0],"amps":{"1":1}}]}',
+    "h-2q-yes": '{"n":2,"terms":[{"support":[0,1],"amps":{"00":1,"11":-1}}]}',
+}
+
+
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fixtures")
-    write_fixtures(str(d), ["bowtie", "hexagon", "octahedron-3", "gadget-0"])
+    write_fixtures(str(d), ["bowtie", "hexagon", "octahedron-3", "gadget-0", "gadget-00-minus-11"])
+    for name, text in HAMILTONIANS.items():
+        (d / f"{name}.json").write_text(text)
     return d
 
 
@@ -24,7 +32,7 @@ def test_fixtures_command(tmp_path, capsys):
     code, out, _ = run(capsys, "fixtures", "--out", str(tmp_path), "--which", "bowtie")
     assert code == 0
     path = out.strip()
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     assert len(doc["vertices"]) == 7
     assert len(doc["edges"]) == 8
 
@@ -117,6 +125,33 @@ def test_specseq_golden_output(fixture_dir, capsys, name, mode):
     )
     assert code == 0
     assert out == (GOLDEN / f"specseq-{name}-{mode}.txt").read_text()
+
+
+# golden name -> argv; "@name" is the fixture or Hamiltonian file of that name
+GOLDEN_RUNS = {
+    **{
+        f"betti-{name}": ("betti", f"@{name}", "--k", "all")
+        for name in ["bowtie", "hexagon", "octahedron-3", "gadget-0", "gadget-00-minus-11"]
+    },
+    "verify-gadget-2x0-minus-1": ("verify-gadget", '{"0": 2, "1": -1}'),
+    "verify-gadget-00-minus-11": ("verify-gadget", '{"00": 1, "11": -1}'),
+    "verify-gadget-Hclock1": ("verify-gadget", "Hclock1"),
+    "decide-1q-no": ("decide", "@h-1q-no"),
+    "decide-2q-yes": ("decide", "@h-2q-yes"),
+    "spectrum-gadget-0-grid": ("spectrum", "@gadget-0", "--k", "1", "--grid", "default"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_cli_golden_output(fixture_dir, capsys, name):
+    """stdout is byte-identical to the output recorded before the integer core."""
+    argv = [
+        str(fixture_dir / f"{a[1:]}.json") if a.startswith("@") else a
+        for a in GOLDEN_RUNS[name]
+    ]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_reduce_and_decide(tmp_path, capsys):

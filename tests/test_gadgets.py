@@ -294,6 +294,13 @@ def test_filled_cycle_bounds_and_others_do_not():
     target = target_chain(st, K)
     ok, witness = cycle_is_boundary(K, target, 1)
     assert ok and witness
+    # the witness's boundary, from the face rule, is the target chain exactly
+    bd = {}
+    for tau, c in witness.items():
+        for i in range(len(tau)):
+            face = tau[:i] + tau[i + 1 :]
+            bd[face] = bd.get(face, 0) + (-1) ** i * c
+    assert {s: v for s, v in bd.items() if v} == target
     # the orthogonal combination |0> + |1> stays non-bounding
     plus = target_chain(IntegerState.from_dict(1, {"0": 1, "1": 1}), K)
     ok2, _ = cycle_is_boundary(K, plus, 1)

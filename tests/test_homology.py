@@ -209,6 +209,17 @@ def test_non_cycle_is_rejected():
         cycle_is_boundary(K, {edge: Fraction(1)}, 1)
 
 
+def test_foreign_simplex_is_dimension_error():
+    K = built(bowtie(), 2)
+    foreign = {("zz", "a"): Fraction(1)}
+    with pytest.raises(DimensionError):
+        is_cycle(K, foreign, 1)
+    with pytest.raises(DimensionError):
+        cycle_is_boundary(K, foreign, 1)
+    with pytest.raises(DimensionError):
+        is_cycle(K, {("a2", "a3", "a4", "x"): Fraction(1)})  # above max_dim
+
+
 def test_filled_loop_becomes_boundary_in_gadget_complex():
     g = gadget_graph(IntegerState.from_dict(1, {"0": 1}))
     K = built(g, 3)

@@ -38,15 +38,15 @@ def test_augmentation_of_edge_graph():
     g = make_graph({"a": 0, "b": 0}, [("a", "b")])
     d = coboundary(built(g, 1), -1)
     assert d.rows == 2 and d.cols == 1
-    assert d.entry(0, 0) == {0: Fraction(1)}
-    assert d.entry(1, 0) == {0: Fraction(1)}
+    assert d.entry(0, 0) == {0: 1}
+    assert d.entry(1, 0) == {0: 1}
 
 
 def test_weighted_augmentation():
     g = make_graph({"a": 1, "b": 0}, [])
     d = coboundary(built(g, 1), -1)
-    assert d.entry(0, 0) == {1: Fraction(1)}  # lam^1 on the weighted vertex
-    assert d.entry(1, 0) == {0: Fraction(1)}
+    assert d.entry(0, 0) == {1: 1}  # lam^1 on the weighted vertex
+    assert d.entry(1, 0) == {0: 1}
 
 
 def test_bowtie_top_coboundary_is_zero_map():
@@ -70,15 +70,12 @@ def test_boundary_of_vertex_is_weighted_empty_simplex():
     g = make_graph({"a": 1, "b": 0}, [])
     K = built(g, 1)
     b = boundary(K, 0)
-    assert b.entry(0, K.index[0][("a",)]) == {1: Fraction(1)}
+    assert b.entry(0, K.index[0][("a",)]) == {1: 1}
 
 
 def test_boundary_of_bowtie_loop_is_zero():
     K = built(bowtie(), 2)
-    b = boundary(K, 1).evaluate_exact(Fraction(1))
-    cols = {}
-    for (r, c), v in b.items():
-        cols.setdefault(c, {})[r] = v
+    cols = boundary(K, 1).transpose().int_rows_at_one()
     loop = [("a3", "x"), ("a2", "a3"), ("a2", "a4"), ("a4", "x")]
     signs = [-1, -1, 1, 1]  # traversal x -> a3 -> a2 -> a4 -> x
     acc = {}
@@ -154,16 +151,14 @@ def test_laplacian_respects_join_splitting():
     lhs = laplacian(K, k).evaluate_dense(lam) @ as_vec(K, k, emb)
     Lpsi = laplacian(KL, i).evaluate_dense(lam) @ as_vec(KL, i, psi)
     Lphi = laplacian(KR, j).evaluate_dense(lam) @ as_vec(KR, j, phi)
-    from homology_lab.complexes import vector_to_chain
-
     t1 = kunneth_embed(
-        {s: Fraction(x).limit_denominator(10**12) for s, x in vector_to_chain(KL, i, Lpsi).items()},
+        {s: Fraction(x).limit_denominator(10**12) for s, x in zip(KL.simplices(i), Lpsi)},
         phi,
         into=K,
     )
     t2 = kunneth_embed(
         psi,
-        {s: Fraction(x).limit_denominator(10**12) for s, x in vector_to_chain(KR, j, Lphi).items()},
+        {s: Fraction(x).limit_denominator(10**12) for s, x in zip(KR.simplices(j), Lphi)},
         into=K,
     )
     rhs = as_vec(K, k, t1) + as_vec(K, k, t2)
@@ -211,9 +206,14 @@ def test_lower_adjacent_not_upper_entry():
 
 def test_evaluate_identity_and_arithmetic():
     m = MonomialMatrix(1, 1)
-    m.add_monomial(0, 0, Fraction(3, 2), 2)
-    assert m.evaluate(1.0)[0, 0] == 1.5
-    assert m.evaluate_exact(Fraction(1, 2))[(0, 0)] == Fraction(3, 8)
+    m.add_monomial(0, 0, 3, 2)
+    m.add_monomial(0, 0, -1, 0)
+    assert m.entry(0, 0) == {2: 3, 0: -1}
+    assert m.evaluate(1.0)[0, 0] == 2.0
+    assert m.evaluate(0.5)[0, 0] == -0.25
+    assert m.int_rows_at_one() == {0: {0: 2}}
+    m.add_monomial(0, 0, 1, 0)
+    assert m.entry(0, 0) == {2: 3}
     with pytest.raises(GraphFormatError):
         m.evaluate(0.0)
     with pytest.raises(GraphFormatError):
@@ -269,11 +269,11 @@ def test_embedded_entry_rejects_bad_length():
 
 def test_coordinate_dump_format():
     m = MonomialMatrix(2, 2)
-    m.add_monomial(0, 1, Fraction(-1), 1)
-    m.add_monomial(1, 0, Fraction(1, 3), 0)
+    m.add_monomial(0, 1, -1, 1)
+    m.add_monomial(1, 0, 3, 0)
     buf = io.StringIO()
     write_coordinate_text(m, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "2 2 2"
     assert lines[1] == "0 1 -1 1 1"
-    assert lines[2] == "1 0 1 3 0"
+    assert lines[2] == "1 0 3 1 0"

@@ -1,4 +1,3 @@
-from homology_lab import rational
 from homology_lab.complexes import clique_complex
 from homology_lab.fixtures import gadget_graph, hexagon
 from homology_lab.gadgets import IntegerState
@@ -7,7 +6,7 @@ from homology_lab.homology import betti
 from homology_lab.operators import coboundary
 from homology_lab.specseq import filtration, forman_compare, page_dims, stabilized_dims
 
-from conftest import built, seeded_graphs
+from conftest import built, dense_rank, seeded_graphs
 
 
 def test_trivial_filtration_on_unweighted_complex():
@@ -150,7 +149,7 @@ def _rank_formula_pages(K, j_max):
     def rank(k, cols, rows_outside=None):
         if k not in d:
             return 0
-        return rational.rank_int(
+        return dense_rank(
             {c: v for c, v in row.items() if c in cols}
             for r, row in d[k].items()
             if rows_outside is None or r not in rows_outside
@@ -183,7 +182,7 @@ def test_pages_match_rank_formula_oracle():
         K = built(g, g.n_vertices)
         F = filtration(K)
         for k, pairs in F.pairs.items():
-            assert len(pairs) == rational.rank_int(coboundary(K, k).int_rows_at_one().values())
+            assert len(pairs) == dense_rank(coboundary(K, k).int_rows_at_one().values())
         got = {(j, k, l): d for j in range(6) for (k, l), d in page_dims(F, j).dims.items()}
         assert got == _rank_formula_pages(K, 5), g
 
