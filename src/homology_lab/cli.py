@@ -14,7 +14,7 @@ import sys
 
 from . import fixtures as fixtures_mod
 from .complexes import clique_complex
-from .errors import HomologyLabError, UsageError
+from .errors import GraphFormatError, HomologyLabError, UsageError
 from .gadgets import IntegerState, catalog, gadget, glue
 from .graph import parse_graph, qubit_graph
 from .homology import betti, betti_table, euler_characteristic
@@ -146,7 +146,10 @@ def cmd_betti(args) -> int:
             print(f"euler characteristic: {chi.unreduced} (reduced {chi.reduced})")
             print(f"witten index |reduced euler|: {abs(chi.reduced)}")
         return 0
-    k = int(args.k)
+    try:
+        k = int(args.k)
+    except ValueError as exc:
+        raise UsageError(f"--k must be an integer or 'all', got {args.k!r}") from exc
     K = _complex_for(g, k, args.max_dim, args.cap)
     print(betti(K, k, reduced=reduced))
     return 0
@@ -253,8 +256,10 @@ def cmd_verify_gadget(args) -> int:
             raise UsageError(
                 f"{args.state!r} is neither a catalog name ({', '.join(sorted(cat))}) nor JSON"
             ) from exc
+        if not isinstance(amps, dict) or not amps:
+            raise GraphFormatError(f"inline state must be a nonempty JSON object, got {amps!r}")
         m = args.m if args.m is not None else len(next(iter(amps)))
-        state = IntegerState.from_dict(m, {z: int(a) for z, a in amps.items()})
+        state = IntegerState.from_dict(m, amps)
     print(f"state: {state.label()} on m={state.m} qubits")
     bp = gadget(state)  # raises on any internal verification failure
     print(f"gadget: {len(bp.added_vertex_names)} added vertices, "

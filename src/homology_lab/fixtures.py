@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import UsageError
 from .gadgets import IntegerState, fill_cycle, gadget, glue
 from .graph import WeightedGraph, bowtie, graph_to_json, make_graph, octahedron, qubit_graph
 from .reduction import Hamiltonian, reduce_hamiltonian
@@ -39,10 +40,6 @@ def single_gadget_graph(m: int, amps: tuple[tuple[str, int], ...]) -> WeightedGr
 
 def gadget_graph(state: IntegerState) -> WeightedGraph:
     return single_gadget_graph(state.m, state.amps)
-
-
-def zero_state(m: int = 1) -> IntegerState:
-    return IntegerState.from_dict(m, {"0" * m: 1})
 
 
 def named_fixtures() -> dict[str, WeightedGraph]:
@@ -87,7 +84,8 @@ def write_fixtures(directory: str, names: list[str] | None = None) -> list[str]:
     if names:
         missing = [n for n in names if n not in fixtures]
         if missing:
-            raise KeyError(f"unknown fixtures: {missing}")
+            known = ", ".join(sorted(fixtures))
+            raise UsageError(f"unknown fixtures: {missing}; known: {known}")
         fixtures = {n: fixtures[n] for n in names}
     os.makedirs(directory, exist_ok=True)
     written = []

@@ -67,8 +67,8 @@ class IntegerState:
                 raise GraphFormatError(f"bad bitstring {z!r} for m={self.m}")
             if z in seen:
                 raise GraphFormatError(f"duplicate bitstring {z!r}")
-            if not isinstance(a, int) or a == 0:
-                raise GraphFormatError(f"amplitude for {z!r} must be a nonzero integer")
+            if not isinstance(a, int) or isinstance(a, bool) or a == 0:
+                raise GraphFormatError(f"amplitude {a!r} for {z!r} must be a nonzero integer")
             seen.add(z)
             g = gcd(g, abs(a))
         if not self.amps:
@@ -84,10 +84,6 @@ class IntegerState:
 
     def amp_map(self) -> dict[str, int]:
         return dict(self.amps)
-
-    @property
-    def n_terms(self) -> int:
-        return sum(abs(a) for _z, a in self.amps)
 
     def label(self) -> str:
         parts = []
@@ -174,7 +170,6 @@ def apply_f(K: CliqueComplex, relation: Relation) -> WeightedGraph:
     missing = [v for v in K.graph.vertices if v not in relation]
     if missing:
         raise GraphFormatError(f"relation must be total; missing {missing[:4]}")
-    targets = {relation[v] for v in K.graph.vertices}
     weights = {}
     for v in K.graph.vertices:
         t = relation[v]
@@ -309,31 +304,8 @@ def _build_ring_1q(state: IntegerState, copies):
     return graph, relation, order
 
 
-def _square_mids(z: str, cidx: int) -> tuple[str, str, str, str]:
-    """Cyclic square of mid vertices adjacent to both x vertices."""
-    l1 = "a" if z[0] == "0" else "b"
-    l2 = "a" if z[1] == "0" else "b"
-    return (
-        _mid(1, l1, 3, cidx),
-        _mid(2, l2, 3, cidx),
-        _mid(1, l1, 4, cidx),
-        _mid(2, l2, 4, cidx),
-    )
-
-
-def _ring_2q_attachments(copies) -> list[tuple[int, int, int, int]]:
-    """Per-copy dummy attachment: (rotation, reflection, twist1, twist2).
-
-    A copy carrying a negative amplitude attaches its dummy square mirror
-    wise, which reverses its orientation relative to the ring.
-    """
-    return [(0, 1 if sign < 0 else 0, 0, 0) for (_z, sign, _c) in copies]
-
-
-def _build_ring_2q(state: IntegerState, copies, attachments=None):
+def _build_ring_2q(state: IntegerState, copies):
     n = len(copies)
-    if attachments is None:
-        attachments = _ring_2q_attachments(copies)
     x1, x2 = "q1.x", "q2.x"
     pairs = [(f"x{2 * j + 1}", f"x{2 * j + 2}") for j in range(n)]
     weights: dict[str, int] = {x1: 0, x2: 0}
@@ -349,10 +321,8 @@ def _build_ring_2q(state: IntegerState, copies, attachments=None):
             edges.add((u, v) if u < v else (v, u))
 
     seen: dict[tuple[int, str], int] = {}
-    for j, (z, _sign, _cidx) in enumerate(copies):
+    for j, (z, sign, _cidx) in enumerate(copies):
         letters = ("a" if z[0] == "0" else "b", "a" if z[1] == "0" else "b")
-        rot, ref, tw1, tw2 = attachments[j]
-        twist = {1: tw1, 2: tw2}
         mids: dict[int, dict[int, str]] = {}
         for q in (1, 2):
             occ = seen.get((q, letters[q - 1]), 0)
@@ -362,8 +332,7 @@ def _build_ring_2q(state: IntegerState, copies, attachments=None):
                 v = _mid(q, letters[q - 1], i, occ)
                 mids[q][i] = v
                 weights[v] = 0
-                base_i = i if i == 2 or not twist[q] else (7 - i)
-                relation[v] = f"q{q}.{letters[q - 1]}{base_i}"
+                relation[v] = f"q{q}.{letters[q - 1]}{i}"
         # basis-cycle edges minus the removed [x1 x2] edge
         for q, xq in ((1, x1), (2, x2)):
             add_edge(xq, mids[q][3])
@@ -376,8 +345,9 @@ def _build_ring_2q(state: IntegerState, copies, attachments=None):
             add_edge(mids[1][i], x2)
             add_edge(mids[2][i], x1)
         # dummy square: this copy's pair and the next copy's pair sit on
-        # opposite edges; the attachment map sends slot i to a mid-square
-        # edge, rotated and possibly reflected per the orientation rule
+        # opposite edges; slot i attaches to a mid-square edge, mirrored
+        # for a negative amplitude, which reverses the copy's orientation
+        # relative to the ring
         pj, pn = pairs[j], pairs[(j + 1) % n]
         slots = [pj[0], pn[0], pn[1], pj[1]]
         square = (mids[1][3], mids[2][3], mids[1][4], mids[2][4])
@@ -386,7 +356,7 @@ def _build_ring_2q(state: IntegerState, copies, attachments=None):
             add_edge(d, slots[(i + 1) % 4])
             add_edge(d, x1)
             add_edge(d, x2)
-            e = (rot + i) % 4 if not ref else (rot - i) % 4
+            e = i if sign > 0 else -i % 4
             add_edge(d, square[e])
             add_edge(d, square[(e + 1) % 4])
     dummies = [d for p in pairs for d in p]

@@ -65,9 +65,6 @@ class WeightedGraph:
 
     # -- accessors ---------------------------------------------------------
 
-    def position(self, v: str) -> int:
-        return self._pos[v]
-
     def exponent(self, v: str) -> int:
         return self.exponents[self._pos[v]]
 

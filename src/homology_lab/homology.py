@@ -3,6 +3,9 @@
 Betti numbers are computed from exact coboundary ranks over the rationals at
 lam := 1 (weights never change the homology).  Cohomology and homology Betti
 numbers agree since coefficients form a field; torsion is out of scope.
+
+``eigensolve`` is the package's one eigensolver dispatch: every numeric
+spectrum, here and in ``spectra``, comes from it.
 """
 
 from __future__ import annotations
@@ -16,10 +19,48 @@ import scipy.sparse.linalg
 
 from . import rational
 from .complexes import Chain, CliqueComplex, chain_dimension
-from .errors import DimensionError, GapAmbiguityError, HomologyLabError, NotACycleError
+from .errors import (
+    DimensionError,
+    GapAmbiguityError,
+    GraphFormatError,
+    HomologyLabError,
+    NotACycleError,
+)
 from .operators import coboundary, laplacian
 
 DENSE_EIG_CAP = 4000
+
+
+def eigensolve(L, count: int | None = None, vectors: bool = False):
+    """Ascending eigenvalues, clipped at 0, of an evaluated sparse Laplacian.
+
+    The matrix is symmetrized as (L + L^T)/2.  ``count=None`` asks for the
+    whole spectrum and always solves densely; a count of smallest eigenpairs
+    switches to shift-invert Lanczos (sigma = 0) above DENSE_EIG_CAP, and
+    below it the dense solve still returns the whole spectrum.  With
+    ``vectors`` the result is ``(values, vectors)`` with eigenvectors as
+    columns.  An eigenvalue below -1e-9 means the matrix is not positive
+    semidefinite and raises.
+    """
+    S = (L + L.T) / 2.0
+    if count is None or S.shape[0] <= DENSE_EIG_CAP:
+        if vectors:
+            vals, vecs = scipy.linalg.eigh(S.toarray())
+        else:
+            vals, vecs = scipy.linalg.eigvalsh(S.toarray()), None
+    else:
+        out = scipy.sparse.linalg.eigsh(
+            S, k=count, sigma=0.0, which="LM", return_eigenvectors=vectors
+        )
+        vals, vecs = out if vectors else (out, None)
+        order = np.argsort(vals)  # Lanczos leaves its eigenpairs unordered
+        vals = vals[order]
+        if vectors:
+            vecs = vecs[:, order]
+    if vals.size and vals.min() < -1e-9:
+        raise GraphFormatError(f"Laplacian numerically indefinite: {vals.min()}")
+    vals = np.clip(vals, 0.0, None)
+    return (vals, vecs) if vectors else vals
 
 
 def coboundary_rank(K: CliqueComplex, k: int) -> int:
@@ -133,17 +174,7 @@ def harmonic_basis(
     if n == 0:
         return HarmonicBasis(k, lam, np.zeros((0, 0)), 0.0, np.zeros(0))
     L = laplacian(K, k).evaluate(lam)
-    if n <= DENSE_EIG_CAP:
-        dense = L.toarray()
-        dense = (dense + dense.T) / 2.0
-        vals, vecs = scipy.linalg.eigh(dense)
-    else:
-        want = min(b + 8, n - 1)
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            (L + L.T) * 0.5, k=want, sigma=0.0, which="LM"
-        )
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = eigensolve(L, min(b + 8, n - 1), vectors=True)
     if tol is None:
         norm = abs(L).sum(axis=1).max() if L.nnz else 1.0
         tol = 1e-8 * max(float(norm), 1.0)

@@ -1,5 +1,10 @@
 """Numeric spectra of weighted Laplacians and lambda-sweep branch analysis.
 
+Every eigensolve goes through ``homology.eigensolve``.  Full spectra
+(``spectrum``, ``sweep``, ``pairing_check``) are dense; ``spectrum`` refuses
+dimensions above DENSE_EIG_CAP, while ``lambda_min`` switches to shift-invert
+Lanczos there.
+
 A sweep tracks eigenvalue branches across a geometric lambda grid (matched
 by sorted index), fits a log-log slope per branch, and classifies branches
 into even decay-exponent classes; branches that vanish to working precision
@@ -8,37 +13,18 @@ at every grid point are classified as exact kernel.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .complexes import CliqueComplex
 from .errors import BranchMatchingError, DimensionError, GraphFormatError
-from .homology import DENSE_EIG_CAP, betti
+from .homology import DENSE_EIG_CAP, betti, eigensolve
 from .operators import laplacian, laplacian_down, laplacian_up
 
 DEFAULT_GRID = (0.3, 0.25, 0.2, 0.15, 0.1)
 KERNEL_FLOOR = 1e-13
 SLOPE_TOL = 0.5
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HOMOLOGY_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _sym_eigvals(dense: np.ndarray) -> np.ndarray:
-    dense = (dense + dense.T) / 2.0
-    vals = scipy.linalg.eigvalsh(dense)
-    if vals.size and vals.min() < -1e-9:
-        raise GraphFormatError(f"Laplacian numerically indefinite: {vals.min()}")
-    return np.clip(vals, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -60,7 +46,7 @@ def spectrum(K: CliqueComplex, k: int, lam: float, zero_tol: float = 1e-10) -> S
         raise DimensionError(
             f"dim C^{k} = {n} exceeds the dense cap; use lambda_min for extremal values"
         )
-    vals = _sym_eigvals(laplacian(K, k).evaluate_dense(lam))
+    vals = eigensolve(laplacian(K, k).evaluate(lam))
     mult = int((vals < zero_tol).sum())
     return SpectrumReport(k, lam, vals, float(vals[0]), mult, zero_tol)
 
@@ -69,17 +55,9 @@ def lambda_min(K: CliqueComplex, k: int, lam: float, exact_zero: bool = True) ->
     """Smallest Laplacian eigenvalue; exact 0 when the Betti number is positive."""
     if exact_zero and betti(K, k) >= 1:
         return 0.0
-    n = K.dim_size(k)
-    if n == 0:
+    if K.dim_size(k) == 0:
         return 0.0
-    if n <= DENSE_EIG_CAP:
-        return float(_sym_eigvals(laplacian(K, k).evaluate_dense(lam))[0])
-    L = laplacian(K, k).evaluate(lam)
-    L = (L + L.T) * 0.5
-    vals = scipy.sparse.linalg.eigsh(
-        L, k=1, sigma=0.0, which="LM", return_eigenvectors=False
-    )
-    return float(max(vals[0], 0.0))
+    return float(eigensolve(laplacian(K, k).evaluate(lam), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -148,17 +126,7 @@ def sweep(
     if n == 0:
         return BranchTable(k, grid, np.zeros((0, len(grid))), (), (), slope_tol)
     L = laplacian(K, k)
-
-    def one(lam: float) -> np.ndarray:
-        return _sym_eigvals(L.evaluate_dense(lam))
-
-    workers = min(_threads(), len(grid))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(one, grid))
-    else:
-        columns = [one(lam) for lam in grid]
-    traj = np.stack(columns, axis=1)  # (branch, grid)
+    traj = np.stack([eigensolve(L.evaluate(lam)) for lam in grid], axis=1)  # branch x grid
     lams = np.array(grid)
     slopes: list[float | None] = []
     classes: list[str] = []
@@ -219,8 +187,8 @@ def pairing_check(K: CliqueComplex, lam: float = 1.0, rel_tol: float = 1e-8) -> 
     for k in range(-1, top):
         up = laplacian_up(K, k)
         down_next = laplacian_down(K, k + 1)
-        pos_up = _positive(_sym_eigvals(up.evaluate_dense(lam)))
-        pos_down = _positive(_sym_eigvals(down_next.evaluate_dense(lam)))
+        pos_up = _positive(eigensolve(up.evaluate(lam)))
+        pos_down = _positive(eigensolve(down_next.evaluate(lam)))
         if len(pos_up) != len(pos_down):
             return PairingReport(
                 lam,

@@ -10,6 +10,10 @@ from homology_lab.fixtures import write_fixtures
 HAMILTONIANS = {
     "h-1q-no": '{"n":1,"terms":[{"support":[0],"amps":{"0":1}},{"support":[0],"amps":{"1":1}}]}',
     "h-2q-yes": '{"n":2,"terms":[{"support":[0,1],"amps":{"00":1,"11":-1}}]}',
+    # all four 2-qubit basis projectors: no ground state, E below double precision
+    "h-2q-inconclusive": '{"n":2,"terms":[{"support":[0,1],"amps":{"00":1}},'
+    '{"support":[0,1],"amps":{"01":1}},{"support":[0,1],"amps":{"10":1}},'
+    '{"support":[0,1],"amps":{"11":1}}]}',
 }
 
 
@@ -26,6 +30,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def with_files(fixture_dir, argv):
+    """Replace each "@name" argument by the fixture file of that name."""
+    return [str(fixture_dir / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
 
 
 def test_fixtures_command(tmp_path, capsys):
@@ -139,17 +148,18 @@ GOLDEN_RUNS = {
     "decide-1q-no": ("decide", "@h-1q-no"),
     "decide-2q-yes": ("decide", "@h-2q-yes"),
     "spectrum-gadget-0-grid": ("spectrum", "@gadget-0", "--k", "1", "--grid", "default"),
+    "spectrum-gadget-0-lambda-text": ("spectrum", "@gadget-0", "--k", "1", "--lambda", "0.5"),
+    "spectrum-gadget-0-lambda-csv": (
+        "spectrum", "@gadget-0", "--k", "1", "--lambda", "0.5", "--format", "csv"
+    ),
+    "decide-2q-inconclusive": ("decide", "@h-2q-inconclusive"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_cli_golden_output(fixture_dir, capsys, name):
-    """stdout is byte-identical to the output recorded before the integer core."""
-    argv = [
-        str(fixture_dir / f"{a[1:]}.json") if a.startswith("@") else a
-        for a in GOLDEN_RUNS[name]
-    ]
-    code, out, _ = run(capsys, *argv)
+    """stdout is byte-identical to the output recorded before each refactor."""
+    code, out, _ = run(capsys, *with_files(fixture_dir, GOLDEN_RUNS[name]))
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
@@ -194,6 +204,9 @@ MALFORMED_INPUTS = {
     "vertices-not-a-list": ("betti", '{"vertices": 5}'),
     "edges-not-a-list": ("betti", '{"vertices": [{"id": "a"}], "edges": 5}'),
     "edge-endpoint-not-a-string": ("betti", '{"vertices": [{"id": "a"}], "edges": [[["x"], "a"]]}'),
+    "amplitude-float": ("decide", '{"n": 1, "terms": [{"support": [0], "amps": {"0": 1.5}}]}'),
+    "amplitude-string": ("decide", '{"n": 1, "terms": [{"support": [0], "amps": {"0": "3"}}]}'),
+    "amplitude-bool": ("decide", '{"n": 1, "terms": [{"support": [0], "amps": {"0": true}}]}'),
 }
 
 
@@ -219,6 +232,33 @@ def test_verify_gadget_inline_singlet(capsys):
     assert code == 0
     assert "betti_3 = 3 (expected 3) PASS" in out
     assert out.strip().endswith("PASS")
+
+
+# case -> (argv, exit code); "@name" is the fixture file of that name
+REJECTED_ARGS = {
+    "betti-k-not-an-integer": (("betti", "@bowtie", "--k", "x"), 1),
+    "inline-state-list": (("verify-gadget", "[1]"), 2),
+    "inline-state-empty": (("verify-gadget", "{}"), 2),
+    "inline-amplitude-word": (("verify-gadget", '{"0": "x"}'), 2),
+    "inline-amplitude-float": (("verify-gadget", '{"0": 1.5}'), 2),
+    "inline-amplitude-string": (("verify-gadget", '{"0": "3"}'), 2),
+    "inline-amplitude-bool": (("verify-gadget", '{"0": true}'), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_ARGS))
+def test_bad_arguments_fail_without_traceback(fixture_dir, capsys, case):
+    argv, want = REJECTED_ARGS[case]
+    code, out, err = run(capsys, *with_files(fixture_dir, argv))
+    assert code == want
+    assert err.startswith("usage error: " if want == 1 else "error: ")
+    assert "PASS" not in out
+
+
+def test_unknown_fixture_is_usage_error(tmp_path, capsys):
+    code, _out, err = run(capsys, "fixtures", "--out", str(tmp_path), "--which", "bogus")
+    assert code == 1
+    assert "unknown fixtures: ['bogus']" in err
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
+from homology_lab import homology
 from homology_lab.errors import GraphFormatError
 from homology_lab.fixtures import gadget_graph, hexagon
 from homology_lab.gadgets import IntegerState
 from homology_lab.graph import bowtie, complement, octahedron, relabel, unweighted
+from homology_lab.homology import harmonic_basis
+from homology_lab.reduction import Hamiltonian, reduce_hamiltonian
 from homology_lab.spectra import (
     DEFAULT_GRID,
     lambda_min,
@@ -99,9 +104,26 @@ def test_pairing_includes_empty_level():
     assert rep.counts[-1] >= 1  # the augmentation pairs with vertex modes
 
 
-def test_sweep_honors_thread_env(monkeypatch):
-    monkeypatch.setenv("HOMOLOGY_LAB_THREADS", "2")
-    g = gadget_graph(IntegerState.from_dict(1, {"0": 1}))
-    K = built(g, 2)
-    table = sweep(K, 1)
-    assert table.count_class("kernel") == 1  # identical result, parallel path
+def test_shift_invert_branch_agrees_with_dense(monkeypatch):
+    """Above the dense cap, lambda_min and harmonic_basis use shift-invert."""
+    H = Hamiltonian(1, tuple(((0,), IntegerState.from_dict(1, {z: 1})) for z in "01"))
+    no = built(reduce_hamiltonian(H).graph, 2)  # betti_1 = 0: nonsingular
+    yes = built(gadget_graph(IntegerState.from_dict(1, {"0": 1})), 2)  # betti_1 = 1
+    dense_min = lambda_min(no, 1, 0.5, exact_zero=False)
+    dense_hb = harmonic_basis(yes, 1, 0.5)
+
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["sigma"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    monkeypatch.setattr(homology, "DENSE_EIG_CAP", 10)
+    assert min(no.dim_size(1), yes.dim_size(1)) > 10
+    assert lambda_min(no, 1, 0.5, exact_zero=False) == pytest.approx(dense_min, rel=1e-8)
+    hb = harmonic_basis(yes, 1, 0.5)
+    assert calls == [0.0, 0.0]
+    assert hb.dimension == dense_hb.dimension == 1
+    assert scipy.linalg.subspace_angles(hb.basis, dense_hb.basis).max() < 1e-6
