@@ -252,7 +252,7 @@ def cmd_verify_gadget(args) -> int:
     else:
         try:
             amps = json.loads(args.state)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise UsageError(
                 f"{args.state!r} is neither a catalog name ({', '.join(sorted(cat))}) nor JSON"
             ) from exc

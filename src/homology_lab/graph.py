@@ -116,6 +116,8 @@ def parse_graph(text: str) -> WeightedGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphFormatError("malformed JSON: nested too deeply") from exc
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise GraphFormatError("expected an object with a 'vertices' key")
     vertices, edges = doc["vertices"], doc.get("edges", [])

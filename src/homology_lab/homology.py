@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from . import rational
@@ -36,22 +37,36 @@ def eigensolve(L, count: int | None = None, vectors: bool = False):
 
     The matrix is symmetrized as (L + L^T)/2.  ``count=None`` asks for the
     whole spectrum and always solves densely; a count of smallest eigenpairs
-    switches to shift-invert Lanczos (sigma = 0) above DENSE_EIG_CAP, and
-    below it the dense solve still returns the whole spectrum.  With
-    ``vectors`` the result is ``(values, vectors)`` with eigenvectors as
-    columns.  An eigenvalue below -1e-9 means the matrix is not positive
-    semidefinite and raises.
+    switches to shift-invert Lanczos (sigma = 0, from a fixed start vector)
+    above DENSE_EIG_CAP, and below it the dense solve still returns the
+    whole spectrum.  A dense solve runs once per connected block of the
+    matrix (``_dense_by_block``).  With ``vectors`` the result is
+    ``(values, vectors)`` with eigenvectors as columns.  An eigenvalue below
+    -1e-9 means the matrix is not positive semidefinite and raises.
     """
-    S = (L + L.T) / 2.0
-    if count is None or S.shape[0] <= DENSE_EIG_CAP:
-        if vectors:
-            vals, vecs = scipy.linalg.eigh(S.toarray())
-        else:
-            vals, vecs = scipy.linalg.eigvalsh(S.toarray()), None
+    S = L + L.T
+    S.data *= 0.5  # the same bits as (L + L.T) / 2, one sparse pass fewer
+    n = S.shape[0]
+    if count is None or n <= DENSE_EIG_CAP:
+
+        def solve(A):
+            return scipy.linalg.eigh(A) if vectors else (scipy.linalg.eigvalsh(A), None)
+
+        vals, vecs = _dense_by_block(S, solve, vectors)
     else:
-        out = scipy.sparse.linalg.eigsh(
-            S, k=count, sigma=0.0, which="LM", return_eigenvectors=vectors
-        )
+        # a fixed start vector: ARPACK would otherwise seed from OS entropy
+        v0 = np.random.default_rng(0).standard_normal(n)
+        try:
+            out = scipy.sparse.linalg.eigsh(
+                S, k=count, sigma=0.0, which="LM", v0=v0, return_eigenvectors=vectors
+            )
+        except RuntimeError as exc:
+            if "singular" not in str(exc):
+                raise
+            raise HomologyLabError(
+                f"shift-invert at sigma=0 cannot factor the {n}x{n} Laplacian, "
+                f"which has a kernel ({exc})"
+            ) from exc
         vals, vecs = out if vectors else (out, None)
         order = np.argsort(vals)  # Lanczos leaves its eigenpairs unordered
         vals = vals[order]
@@ -61,6 +76,44 @@ def eigensolve(L, count: int | None = None, vectors: bool = False):
         raise GraphFormatError(f"Laplacian numerically indefinite: {vals.min()}")
     vals = np.clip(vals, 0.0, None)
     return (vals, vecs) if vectors else vals
+
+
+def _dense_by_block(S, solve, vectors: bool):
+    """Whole ascending spectrum of symmetric sparse S, solved block by block.
+
+    Up to a permutation, S is the direct sum of the blocks that the connected
+    components of its sparsity pattern span: the union of the block spectra
+    is its spectrum, and a block eigenvector padded with zeros is one of its
+    eigenvectors.  ``solve`` maps a dense block to (values, vectors or
+    None).  A matrix of one block is solved whole and unpermuted.  Rows
+    with no off-diagonal entry are 1x1 blocks; they are solved together as
+    one diagonal block, whose spectrum is the same.
+    """
+    # S's pattern is symmetric, so its strong components are its connected
+    # components; the strong search skips the transpose the weak one builds
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(S, connection="strong")
+    if n_blocks <= 1:
+        return solve(S.toarray())
+    n = S.shape[0]
+    # isolated rows form one diagonal block: one solve for all, not one each
+    labels[np.bincount(labels)[labels] == 1] = n_blocks
+    rows = np.argsort(labels, kind="stable")  # grouped by block, ascending in each
+    P = S[rows][:, rows]  # block diagonal: each block a square P[s:e, s:e]
+    sizes = np.bincount(labels)
+    sizes = sizes[sizes > 0]
+    ends = np.cumsum(sizes)
+    spans = list(zip(ends - sizes, ends))
+    solved = [solve(P[s:e, s:e].toarray()) for s, e in spans]
+    merged = np.concatenate([w for w, _ in solved])
+    order = np.argsort(merged, kind="stable")
+    if not vectors:
+        return merged[order], None
+    col = np.empty(n, dtype=np.intp)  # sorted position of each merged eigenpair
+    col[order] = np.arange(n)
+    X = np.zeros((n, n))
+    for (s, e), (_, V) in zip(spans, solved):
+        X[np.ix_(rows[s:e], col[s:e])] = V
+    return merged[order], X
 
 
 def coboundary_rank(K: CliqueComplex, k: int) -> int:

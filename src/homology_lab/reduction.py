@@ -56,6 +56,8 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphFormatError("malformed JSON: nested too deeply") from exc
     if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
         raise GraphFormatError("expected an object with 'n' and 'terms'")
     n = doc["n"]

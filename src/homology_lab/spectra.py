@@ -1,9 +1,10 @@
 """Numeric spectra of weighted Laplacians and lambda-sweep branch analysis.
 
 Every eigensolve goes through ``homology.eigensolve``.  Full spectra
-(``spectrum``, ``sweep``, ``pairing_check``) are dense; ``spectrum`` refuses
-dimensions above DENSE_EIG_CAP, while ``lambda_min`` switches to shift-invert
-Lanczos there.
+(``spectrum``, ``sweep``, ``pairing_check``) are dense, solved one connected
+block of the Laplacian at a time; ``spectrum`` refuses dimensions above
+DENSE_EIG_CAP, while ``lambda_min`` switches to shift-invert Lanczos (from a
+fixed start vector) there.
 
 A sweep tracks eigenvalue branches across a geometric lambda grid (matched
 by sorted index), fits a log-log slope per branch, and classifies branches

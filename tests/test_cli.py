@@ -14,13 +14,16 @@ HAMILTONIANS = {
     "h-2q-inconclusive": '{"n":2,"terms":[{"support":[0,1],"amps":{"00":1}},'
     '{"support":[0,1],"amps":{"01":1}},{"support":[0,1],"amps":{"10":1}},'
     '{"support":[0,1],"amps":{"11":1}}]}',
+    # above DENSE_EIG_CAP: the NO certificate comes from shift-invert Lanczos
+    "h-3q-no": '{"n":3,"terms":[{"support":[0],"amps":{"0":1}},{"support":[0],"amps":{"1":1}}]}',
 }
 
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fixtures")
-    write_fixtures(str(d), ["bowtie", "hexagon", "octahedron-3", "gadget-0", "gadget-00-minus-11"])
+    names = ["bowtie", "hexagon", "octahedron-3", "gadget-0", "gadget-00-minus-11"]
+    write_fixtures(str(d), names + ["qubit-2", "two-gadgets-1q"])
     for name, text in HAMILTONIANS.items():
         (d / f"{name}.json").write_text(text)
     return d
@@ -153,6 +156,12 @@ GOLDEN_RUNS = {
         "spectrum", "@gadget-0", "--k", "1", "--lambda", "0.5", "--format", "csv"
     ),
     "decide-2q-inconclusive": ("decide", "@h-2q-inconclusive"),
+    "decide-3q-no": ("decide", "@h-3q-no"),
+    # Laplacians of several connected blocks, solved block by block
+    "spectrum-qubit-2-k2-grid": ("spectrum", "@qubit-2", "--k", "2", "--grid", "default"),
+    "spectrum-two-gadgets-1q-k2-lambda-0.1": (
+        "spectrum", "@two-gadgets-1q", "--k", "2", "--lambda", "0.1"
+    ),
 }
 
 
@@ -243,6 +252,7 @@ REJECTED_ARGS = {
     "inline-amplitude-float": (("verify-gadget", '{"0": 1.5}'), 2),
     "inline-amplitude-string": (("verify-gadget", '{"0": "3"}'), 2),
     "inline-amplitude-bool": (("verify-gadget", '{"0": true}'), 2),
+    "inline-state-nested-too-deeply": (("verify-gadget", "[" * 3000), 1),
 }
 
 

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from homology_lab.complexes import clique_complex
 from homology_lab.errors import DimensionError, NotACycleError
@@ -31,7 +33,7 @@ from homology_lab.homology import (
 )
 from homology_lab.operators import boundary, coboundary
 
-from conftest import built, seeded_graphs
+from conftest import built, dense_rank, graphs, seeded_graphs
 
 K3 = complement(unweighted(["a", "b", "c"]))
 
@@ -70,6 +72,43 @@ def test_exact_ranks_match_float_oracle():
         K = clique_complex(g, min(g.n_vertices, 6))
         for k in range(-1, K.max_dim):
             assert betti(K, k) == float_rank_betti(K, k)
+
+
+def brute_force_betti(g) -> dict[int, int]:
+    """Reduced Betti numbers over Q from every vertex subset of the graph.
+
+    An oracle that uses nothing from complexes, operators or rational: a
+    clique is a vertex subset whose pairs are all edges, the boundary of a
+    sorted clique drops each vertex in turn with sign (-1)^position, the
+    empty clique is the one (-1)-simplex, and ranks come from dense_rank.
+    """
+    def is_clique(c):
+        return all(g.has_edge(u, v) for u, v in combinations(c, 2))
+
+    dims = range(-1, g.n_vertices)
+    cliques = {d: [c for c in combinations(g.vertices, d + 1) if is_clique(c)] for d in dims}
+    index = {d: {c: i for i, c in enumerate(cs)} for d, cs in cliques.items()}
+
+    def boundary_rank(d):  # of boundary: C_d -> C_{d-1}
+        if d <= -1 or d >= g.n_vertices:
+            return 0
+        faces = index[d - 1]
+        return dense_rank(
+            {faces[c[:i] + c[i + 1 :]]: (-1) ** i for i in range(len(c))} for c in cliques[d]
+        )
+
+    return {d: len(cliques[d]) - boundary_rank(d) - boundary_rank(d + 1) for d in dims}
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_vertices=8))
+@example(octahedron(3))  # betti_2 = 1
+@example(octahedron(4))  # betti_3 = 1, 8 vertices
+def test_betti_table_matches_brute_force(g):
+    table = betti_table(clique_complex(g, g.n_vertices))
+    oracle = brute_force_betti(g)
+    assert table.as_dict() == {k: oracle[k] for k in table.ks}
+    assert all(b == 0 for k, b in oracle.items() if k not in table.ks)
 
 
 def test_unreduced_betti_zero_dimension():

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from homology_lab import homology
-from homology_lab.errors import GraphFormatError
-from homology_lab.fixtures import gadget_graph, hexagon
+from homology_lab.complexes import clique_complex
+from homology_lab.errors import GraphFormatError, HomologyLabError
+from homology_lab.fixtures import gadget_graph, hexagon, named_fixtures
 from homology_lab.gadgets import IntegerState
-from homology_lab.graph import bowtie, complement, octahedron, relabel, unweighted
-from homology_lab.homology import harmonic_basis
+from homology_lab.graph import bowtie, complement, make_graph, octahedron, relabel, unweighted
+from homology_lab.homology import betti, eigensolve, harmonic_basis
+from homology_lab.operators import laplacian
 from homology_lab.reduction import Hamiltonian, reduce_hamiltonian
 from homology_lab.spectra import (
     DEFAULT_GRID,
@@ -18,7 +22,7 @@ from homology_lab.spectra import (
     sweep,
 )
 
-from conftest import built
+from conftest import built, seeded_graphs
 
 K3 = complement(unweighted(["a", "b", "c"]))
 
@@ -127,3 +131,142 @@ def test_shift_invert_branch_agrees_with_dense(monkeypatch):
     assert calls == [0.0, 0.0]
     assert hb.dimension == dense_hb.dimension == 1
     assert scipy.linalg.subspace_angles(hb.basis, dense_hb.basis).max() < 1e-6
+
+
+def test_shift_invert_is_reproducible(monkeypatch):
+    """A fixed start vector gives the same bits on every call."""
+    H = Hamiltonian(1, tuple(((0,), IntegerState.from_dict(1, {z: 1})) for z in "01"))
+    no = built(reduce_hamiltonian(H).graph, 2)
+    monkeypatch.setattr(homology, "DENSE_EIG_CAP", 10)
+    first = lambda_min(no, 1, 0.5, exact_zero=False)
+    assert lambda_min(no, 1, 0.5, exact_zero=False) == first
+
+
+def test_singular_shift_invert_factor_is_a_library_error(monkeypatch):
+    """sigma = 0 cannot factor a Laplacian with a kernel; say so, not SciPy."""
+    g = seeded_graphs(40, 9, wmax=2)[0]
+    K = clique_complex(g, 5)
+    assert betti(K, 1) == 1 and K.dim_size(1) > 10
+    monkeypatch.setattr(homology, "DENSE_EIG_CAP", 10)
+    with pytest.raises(HomologyLabError, match="has a kernel"):
+        harmonic_basis(K, 1, lam=1.0)
+
+
+# -- dense spectra, solved per connected block ----------------------------------
+
+
+def _fixture_blocks():
+    """Evaluated Laplacians of fixtures, each one connected block."""
+    cases = [
+        (bowtie(), 1, 0.5),
+        (gadget_graph(IntegerState.from_dict(1, {"0": 1})), 2, 0.3),
+        (hexagon(), 1, 1.0),
+        (octahedron(1), 0, 0.7),
+        (bowtie(), -1, 1.0),
+        (hexagon(), -1, 0.5),
+    ]
+    parts = [laplacian(built(g, k + 1), k).evaluate(lam) for g, k, lam in cases]
+    for part in parts:
+        assert scipy.sparse.csgraph.connected_components(part)[0] == 1
+    return parts
+
+
+def _shuffled_direct_sum(parts, seed=0):
+    """The direct sum of the parts, rows and columns permuted alike."""
+    S = sp.block_diag(parts, format="csr")
+    perm = np.random.default_rng(seed).permutation(S.shape[0])
+    return S[perm][:, perm]
+
+
+def _dense_sym(S):
+    A = S.toarray()
+    return (A + A.T) / 2.0
+
+
+def test_dense_solve_runs_once_per_block(monkeypatch):
+    parts = _fixture_blocks()
+    S = _shuffled_direct_sum(parts)
+    sizes = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(scipy.linalg, name)
+
+        def spy(a, *args, _real=real, **kwargs):
+            sizes.append(a.shape)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, spy)
+    eigensolve(S)
+    eigensolve(S, vectors=True)
+    # one call per block of size >= 2, and one for all 1x1 blocks together
+    singles = sum(p.shape[0] == 1 for p in parts)
+    want = [p.shape[0] for p in parts if p.shape[0] > 1] + [singles]
+    assert singles >= 2
+    assert sorted(sizes) == sorted([(m, m) for m in want] * 2)
+
+
+def test_block_spectrum_matches_whole_matrix():
+    S = _shuffled_direct_sum(_fixture_blocks())
+    A = _dense_sym(S)
+    scale = max(1.0, np.linalg.norm(A, 2))
+    whole = np.clip(scipy.linalg.eigvalsh(A), 0.0, None)
+    assert np.abs(eigensolve(S) - whole).max() <= 1e-12 * scale
+    vals, X = eigensolve(S, vectors=True)
+    assert np.abs(vals - whole).max() <= 1e-12 * scale
+    assert np.abs(X.T @ X - np.eye(len(vals))).max() <= 1e-10
+    assert np.linalg.norm(A @ X - X * vals, 2) <= 1e-10 * scale
+
+
+def test_empty_and_diagonal_matrices():
+    empty = sp.csr_matrix((0, 0))
+    assert eigensolve(empty).shape == (0,)
+    vals, X = eigensolve(empty, vectors=True)
+    assert vals.shape == (0,) and X.shape == (0, 0)
+    D = sp.diags([3.0, 0.0, 1.5, 2.0]).tocsr()
+    assert eigensolve(D).tolist() == [0.0, 1.5, 2.0, 3.0]
+    vals, X = eigensolve(D, vectors=True)
+    assert vals.tolist() == [0.0, 1.5, 2.0, 3.0]
+    assert np.array_equal(X, np.eye(4)[:, [1, 2, 3, 0]])
+
+
+def test_harmonic_basis_of_disjoint_union_adds_betti():
+    parts = [bowtie(), octahedron(2), gadget_graph(IntegerState.from_dict(1, {"0": 1}))]
+    weights, edges = {}, []
+    for i, g in enumerate(parts):
+        h = relabel(g, {v: f"p{i}.{v}" for v in g.vertices})
+        weights.update(h.weight_map())
+        edges.extend(h.edges)
+    K = built(make_graph(weights, edges), 2)
+    L = laplacian(K, 1).evaluate(0.5)
+    assert scipy.sparse.csgraph.connected_components(L)[0] >= len(parts)
+    hb = harmonic_basis(K, 1, 0.5)
+    assert hb.dimension == sum(betti(built(g, 2), 1) for g in parts) == 4
+    assert np.linalg.norm(L @ hb.basis) <= hb.tol
+
+
+# fixture Laplacians of several connected blocks: every spectrum CLI run whose
+# output moved in the last digits when dense solves went block by block
+MULTI_BLOCK_CASES = [
+    ("octahedron-3", 1),
+    ("octahedron-4", 1),
+    ("octahedron-4", 2),
+    ("qubit-2", 1),
+    ("qubit-2", 2),
+    ("two-gadgets-1q", 2),
+]
+
+
+@pytest.mark.parametrize("name,k", MULTI_BLOCK_CASES)
+def test_multi_block_fixtures_agree_with_whole_matrix(monkeypatch, name, k):
+    K = built(named_fixtures()[name], k + 1)
+    blocks = sweep(K, k)
+    L = laplacian(K, k)
+    scale = max([1.0] + [np.linalg.norm(_dense_sym(L.evaluate(x)), 2) for x in DEFAULT_GRID])
+    # one component seen everywhere: the whole-matrix solve
+    monkeypatch.setattr(
+        scipy.sparse.csgraph,
+        "connected_components",
+        lambda S, **_: (1, np.zeros(S.shape[0], dtype=np.int32)),
+    )
+    whole = sweep(K, k)
+    assert blocks.classes == whole.classes
+    assert np.abs(blocks.trajectories - whole.trajectories).max() <= 1e-12 * scale
