@@ -32,14 +32,14 @@ from .operators import coboundary, laplacian
 DENSE_EIG_CAP = 4000
 
 
-def eigensolve(L, count: int | None = None, vectors: bool = False):
+def eigensolve(L, count: int | None = None, vectors: bool = False, sigma: float = 0.0):
     """Ascending eigenvalues, clipped at 0, of an evaluated sparse Laplacian.
 
     The matrix is symmetrized as (L + L^T)/2.  ``count=None`` asks for the
     whole spectrum and always solves densely; a count of smallest eigenpairs
-    switches to shift-invert Lanczos (sigma = 0, from a fixed start vector)
-    above DENSE_EIG_CAP, and below it the dense solve still returns the
-    whole spectrum.  A dense solve runs once per connected block of the
+    switches to shift-invert Lanczos about ``sigma`` (from a fixed start
+    vector) above DENSE_EIG_CAP, and below it the dense solve still returns
+    the whole spectrum.  A dense solve runs once per connected block of the
     matrix (``_dense_by_block``).  With ``vectors`` the result is
     ``(values, vectors)`` with eigenvectors as columns.  An eigenvalue below
     -1e-9 means the matrix is not positive semidefinite and raises.
@@ -58,13 +58,13 @@ def eigensolve(L, count: int | None = None, vectors: bool = False):
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
             out = scipy.sparse.linalg.eigsh(
-                S, k=count, sigma=0.0, which="LM", v0=v0, return_eigenvectors=vectors
+                S, k=count, sigma=sigma, which="LM", v0=v0, return_eigenvectors=vectors
             )
         except RuntimeError as exc:
             if "singular" not in str(exc):
                 raise
             raise HomologyLabError(
-                f"shift-invert at sigma=0 cannot factor the {n}x{n} Laplacian, "
+                f"shift-invert at sigma={sigma:g} cannot factor the {n}x{n} Laplacian, "
                 f"which has a kernel ({exc})"
             ) from exc
         vals, vecs = out if vectors else (out, None)
@@ -227,10 +227,11 @@ def harmonic_basis(
     if n == 0:
         return HarmonicBasis(k, lam, np.zeros((0, 0)), 0.0, np.zeros(0))
     L = laplacian(K, k).evaluate(lam)
-    vals, vecs = eigensolve(L, min(b + 8, n - 1), vectors=True)
     if tol is None:
         norm = abs(L).sum(axis=1).max() if L.nnz else 1.0
         tol = 1e-8 * max(float(norm), 1.0)
+    # L has a kernel here, singular at sigma = 0: L + tol I is positive definite
+    vals, vecs = eigensolve(L, min(b + 8, n - 1), vectors=True, sigma=-tol)
     low = (vals > tol / 10) & (vals < tol)
     high = (vals >= tol) & (vals < tol * 10)
     if low.any() and high.any():

@@ -1,13 +1,19 @@
 """Weighted (co)boundary and Laplacian operators as sparse lambda-matrices.
 
 Entries are polynomials in the weight parameter with integer coefficients,
-stored as {exponent: int}.  Boundary and coboundary entries are single
-monomials ``+-lam**e_v``; Laplacian entries are sums of such products.  All
-operators act in the normalized orthonormal simplex basis, so the boundary
-is the transpose of the coboundary.
+stored as integer terms ``coeff * lam**exponent``.  From its terms an
+operator derives its exponent slices, integer sparse matrices M_e with the
+operator equal to sum_e lam**e M_e.  Boundary and coboundary entries are
+single monomials ``+-lam**e_v``; a Laplacian is a sum of sparse integer
+products of slices, never a symbolic product of entries.  All operators act
+in the normalized orthonormal simplex basis, so the boundary is the
+transpose of the coboundary.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,119 +24,118 @@ from .errors import DimensionError, GraphFormatError
 Poly = dict[int, int]
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for e, c in b.items():
-        w = out.get(e, 0) + c
-        if w:
-            out[e] = w
-        elif e in out:
-            del out[e]
-    return out
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            w = out.get(e, 0) + c1 * c2
-            if w:
-                out[e] = w
-            elif e in out:
-                del out[e]
-    return out
-
-
 def poly_eval_float(a: Poly, lam: float) -> float:
     return float(sum(float(c) * lam**e for e, c in a.items()))
 
 
 class MonomialMatrix:
-    """Sparse matrix of lambda-polynomials with integer coefficients."""
+    """Sparse matrix of lambda-polynomials with integer coefficients.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``terms`` is a read-only int64 array of rows (row, col, coeff, exponent),
+    sorted by (row, col, exponent), one row per monomial and no zero
+    coefficient.  The constructor takes such quadruples in any order, as
+    rows or flat, sums repeated monomials and drops the ones that cancel.
+    The exponent slices, derived on the first product or evaluation, and the
+    ``entries`` view are kept alongside.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Poly] | None = None):
+    __slots__ = ("rows", "cols", "terms", "_slices", "_entries")
+
+    def __init__(self, rows: int, cols: int, terms=()):
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], Poly] = entries or {}
+        t = np.array(terms, dtype=np.int64).reshape(-1, 4)
+        if len(t) > 1:
+            t = t[np.lexsort((t[:, 3], t[:, 1], t[:, 0]))]
+            first = np.ones(len(t), dtype=bool)
+            first[1:] = (t[1:, [0, 1, 3]] != t[:-1, [0, 1, 3]]).any(axis=1)
+            if not first.all():  # sum the repeats of a monomial into its first row
+                starts = np.flatnonzero(first)
+                sums = np.add.reduceat(t[:, 2], starts)
+                t = t[starts]
+                t[:, 2] = sums
+        t = t[t[:, 2] != 0]
+        t.flags.writeable = False
+        self.terms = t
+        self._slices: dict[int, sp.csr_matrix] | None = None
+        self._entries: dict[tuple[int, int], Poly] | None = None
 
-    def add_monomial(self, r: int, c: int, coeff: int, exponent: int) -> None:
-        if coeff == 0:
-            return
-        key = (r, c)
-        cur = self.entries.get(key)
-        if cur is None:
-            self.entries[key] = {exponent: coeff}
-        else:
-            w = cur.get(exponent, 0) + coeff
-            if w:
-                cur[exponent] = w
-            else:
-                del cur[exponent]
-                if not cur:
-                    del self.entries[key]
+    @classmethod
+    def _from_slices(cls, rows: int, cols: int, pairs) -> "MonomialMatrix":
+        """The sum of lam**e M over (e, M) pairs of integer sparse matrices."""
+        summed: dict[int, sp.csr_matrix] = {}
+        for e, M in pairs:
+            summed[e] = summed[e] + M if e in summed else M
+        terms = [np.zeros((0, 4), dtype=np.int64)]
+        for e, M in summed.items():
+            r = np.repeat(np.arange(rows), np.diff(M.indptr))
+            terms.append(np.column_stack([r, M.indices, M.data, np.full(M.nnz, e)]))
+        out = cls(rows, cols, np.concatenate(terms))
+        out._slices = dict(sorted(summed.items()))
+        return out
+
+    def _exponent_slices(self) -> dict[int, sp.csr_matrix]:
+        """exponent e -> integer CSR M_e, ascending in e."""
+        if self._slices is None:
+            r, c, v, e = self.terms.T
+            self._slices = {}
+            for x in sorted(set(e.tolist())):
+                pick = e == x  # still sorted by (row, col): the CSR layout
+                indptr = np.zeros(self.rows + 1, dtype=np.int64)
+                np.cumsum(np.bincount(r[pick], minlength=self.rows), out=indptr[1:])
+                self._slices[x] = sp.csr_matrix(
+                    (v[pick], c[pick], indptr), shape=(self.rows, self.cols)
+                )
+        return self._slices
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int], Poly]:
+        """Read-only view (row, col) -> {exponent: coeff}, derived from the terms."""
+        if self._entries is None:
+            self._entries = {}
+            for r, c, v, e in self.terms.tolist():
+                self._entries.setdefault((r, c), {})[e] = v
+        return MappingProxyType(self._entries)
 
     def transpose(self) -> "MonomialMatrix":
-        return MonomialMatrix(
-            self.cols, self.rows, {(c, r): dict(p) for (r, c), p in self.entries.items()}
-        )
+        return MonomialMatrix(self.cols, self.rows, self.terms[:, [1, 0, 2, 3]])
 
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
+        """Product as sparse integer products of slices, lam^a M_a lam^b N_b."""
         if self.cols != other.rows:
             raise DimensionError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        by_row: dict[int, list[tuple[int, Poly]]] = {}
-        for (r, c), p in self.entries.items():
-            by_row.setdefault(c, []).append((r, p))
-        out: dict[tuple[int, int], Poly] = {}
-        for (i, j), q in other.entries.items():
-            for r, p in by_row.get(i, ()):
-                key = (r, j)
-                prod = poly_mul(p, q)
-                if key in out:
-                    out[key] = poly_add(out[key], prod)
-                    if not out[key]:
-                        del out[key]
-                else:
-                    out[key] = prod
-        return MonomialMatrix(self.rows, other.cols, {k: v for k, v in out.items() if v})
+        return MonomialMatrix._from_slices(self.rows, other.cols, (
+            (a + b, A @ B)
+            for a, A in self._exponent_slices().items()
+            for b, B in other._exponent_slices().items()
+        ))
 
     def __add__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in addition")
-        out = {k: dict(v) for k, v in self.entries.items()}
-        for k, p in other.entries.items():
-            if k in out:
-                s = poly_add(out[k], p)
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-            else:
-                out[k] = dict(p)
-        return MonomialMatrix(self.rows, self.cols, out)
+        return MonomialMatrix._from_slices(self.rows, self.cols, [
+            *self._exponent_slices().items(), *other._exponent_slices().items()
+        ])
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not len(self.terms)
 
     def entry(self, r: int, c: int) -> Poly:
         return dict(self.entries.get((r, c), {}))
 
     def evaluate(self, lam: float) -> sp.csr_matrix:
-        """Numeric substitution; lam must lie in (0, 1]."""
+        """Numeric substitution sum_e lam**e M_e, ascending in e; lam in (0, 1].
+
+        Each entry has at most two monomials when graph exponents lie in
+        {0, 1}, so its value is the same float however the sum is ordered.
+        """
         if not 0 < lam <= 1:
             raise GraphFormatError(f"lambda must be in (0, 1], got {lam}")
-        data, ri, ci = [], [], []
-        for (r, c), p in self.entries.items():
-            v = poly_eval_float(p, lam)
-            if v != 0.0:
-                data.append(v)
-                ri.append(r)
-                ci.append(c)
-        m = sp.csr_matrix((data, (ri, ci)), shape=(self.rows, self.cols))
+        parts = [M * lam**e for e, M in sorted(self._exponent_slices().items())]
+        m = sum(parts[1:], parts[0]) if parts else sp.csr_matrix((self.rows, self.cols))
+        m.eliminate_zeros()
         if not np.all(np.isfinite(m.data)):
             raise GraphFormatError("non-finite entry after evaluation")
         return m
@@ -140,18 +145,15 @@ class MonomialMatrix:
 
     def int_rows_at_one(self) -> dict[int, dict[int, int]]:
         """Rows of the lam := 1 specialization: each entry's coefficient sum."""
+        r, c, v, _e = self.terms.T
         rows: dict[int, dict[int, int]] = {}
-        for (r, c), p in self.entries.items():
-            v = sum(p.values())
-            if v:
-                rows.setdefault(r, {})[c] = v
+        for i, j, x in zip(r.tolist(), c.tolist(), v.tolist()):
+            row = rows.setdefault(i, {})
+            row[j] = row.get(j, 0) + x
+        if sum(map(len, rows.values())) < len(v):  # the monomials of an entry may cancel
+            rows = {i: {j: x for j, x in row.items() if x} for i, row in rows.items()}
+            return {i: row for i, row in rows.items() if row}
         return rows
-
-    def row_nnz_max(self) -> int:
-        counts: dict[int, int] = {}
-        for (r, _c) in self.entries:
-            counts[r] = counts.get(r, 0) + 1
-        return max(counts.values(), default=0)
 
 
 # -- chain-complex operators -------------------------------------------------
@@ -162,7 +164,8 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
 
     Entry (sigma u {v}, sigma) is (-1)^p lam^{e_v} with p the ascending
     insertion position of v; d^{-1} sends the empty simplex to the weighted
-    sum of the vertices.
+    sum of the vertices.  Assembled row by row, from each (k+1)-simplex's
+    facets.
     """
     if k < -1:
         return MonomialMatrix(K.dim_size(k + 1), 0)
@@ -174,19 +177,13 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
         return cached
     rows = K.dim_size(k + 1)
     cols = K.dim_size(k)
-    out = MonomialMatrix(rows, cols)
-    index_up = K.index[k + 1]
-    pos = K.vertex_pos
-    for j, sigma in enumerate(K.simplices(k)):
-        for v in K.up_vertices(sigma):
-            pv = pos[v]
-            p = 0
-            while p < len(sigma) and pos[sigma[p]] < pv:
-                p += 1
-            tau = sigma[:p] + (v,) + sigma[p:]
-            out.add_monomial(
-                index_up[tau], j, (-1) ** p, K.graph.exponent(v)
-            )
+    terms: list[int] = []  # flat (row, col, coeff, exponent) quadruples
+    index_low = K.index[k]
+    exponent = K.graph.exponent
+    for i, tau in enumerate(K.simplices(k + 1)):
+        for p, v in enumerate(tau):  # the facet of tau without v
+            terms += (i, index_low[tau[:p] + tau[p + 1:]], (-1) ** p, exponent(v))
+    out = MonomialMatrix(rows, cols, terms)
     K._matrix_cache[key] = out
     return out
 
@@ -320,10 +317,6 @@ def write_coordinate_text(M: MonomialMatrix, fh) -> None:
     preceded by a header line ``rows cols nnz``.  Coefficients are integers,
     so ``coeff_den`` is always 1.
     """
-    terms = []
-    for (r, c), p in sorted(M.entries.items()):
-        for e, q in sorted(p.items()):
-            terms.append((r, c, q, 1, e))
-    fh.write(f"{M.rows} {M.cols} {len(terms)}\n")
-    for r, c, n, d, e in terms:
-        fh.write(f"{r} {c} {n} {d} {e}\n")
+    fh.write(f"{M.rows} {M.cols} {len(M.terms)}\n")
+    for r, c, n, e in M.terms.tolist():  # sorted by (row, col, exponent)
+        fh.write(f"{r} {c} {n} 1 {e}\n")

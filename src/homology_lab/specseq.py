@@ -90,7 +90,7 @@ class Filtration:
         for k in range(-1, self.kmax):
             exps_hi = self.exponents[k + 1]
             exps_lo = self.exponents[k]
-            for r, c in coboundary(self.K, k).entries:
+            for r, c, _v, _e in coboundary(self.K, k).terms.tolist():
                 if exps_hi[r] < exps_lo[c]:
                     raise HomologyLabError(
                         "filtration is not d-compatible (implementation bug)"
@@ -155,6 +155,8 @@ class StabilizationReport:
 
 def stabilized_dims(F: Filtration, k: int, j_cap: int | None = None) -> StabilizationReport:
     """Run pages until two consecutive totals agree with the Betti number."""
+    if k not in F.lmax:
+        raise DimensionError(f"dimension {k} is outside the filtration (-1 .. {F.kmax})")
     target = betti(F.K, k)
     if j_cap is None:
         j_cap = max(F.lmax.values(), default=0) + F.kmax + 3

@@ -7,9 +7,10 @@ DENSE_EIG_CAP, while ``lambda_min`` switches to shift-invert Lanczos (from a
 fixed start vector) there.
 
 A sweep tracks eigenvalue branches across a geometric lambda grid (matched
-by sorted index), fits a log-log slope per branch, and classifies branches
-into even decay-exponent classes; branches that vanish to working precision
-at every grid point are classified as exact kernel.
+by sorted index), fits the log-log slopes of all branches in one
+least-squares solve with a column per branch, and classifies branches into
+even decay-exponent classes; branches that vanish to working precision at
+every grid point are classified as exact kernel.
 """
 
 from __future__ import annotations
@@ -95,13 +96,13 @@ class BranchTable:
         return lines
 
 
-def _fit_slope(lams: np.ndarray, vals: np.ndarray) -> tuple[float, np.ndarray]:
+def _fit_slopes(lams: np.ndarray, logy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares slope against log(lams) of each column of logy, with
+    residuals, from one solve with many right-hand sides."""
     logx = np.log(lams)
-    logy = np.log(vals)
     A = np.vstack([logx, np.ones_like(logx)]).T
     coef, *_ = np.linalg.lstsq(A, logy, rcond=None)
-    resid = logy - A @ coef
-    return float(coef[0]), resid
+    return coef[0], logy - A @ coef
 
 
 def sweep(
@@ -129,30 +130,32 @@ def sweep(
     L = laplacian(K, k)
     traj = np.stack([eigensolve(L.evaluate(lam)) for lam in grid], axis=1)  # branch x grid
     lams = np.array(grid)
+    low = traj < KERNEL_FLOOR
+    fitted = ~low.any(axis=1)
+    logy = np.log(traj[fitted]).T  # grid x fitted branch
+    slope, resid = _fit_slopes(lams, logy)
+    # pre-asymptotic contamination: drop the largest-lambda point when its
+    # residual dominates the fit
+    if len(grid) >= 5:
+        drop = np.abs(resid[0]) > 2.0 * (np.abs(resid[1:]).max(axis=0) + 1e-12)
+        slope[drop] = _fit_slopes(lams[1:], logy[1:, drop])[0]
+    fit = np.full(n, np.nan)
+    fit[fitted] = slope
     slopes: list[float | None] = []
     classes: list[str] = []
     problems: list[str] = []
     for i in range(n):
-        vals = traj[i]
-        if (vals < KERNEL_FLOOR).all():
-            slopes.append(None)
-            classes.append("kernel")
-            continue
-        if (vals < KERNEL_FLOOR).any():
-            problems.append(
-                f"branch {i}: eigenvalue underflows at part of the grid: {vals.tolist()}"
-            )
-            slopes.append(None)
-            classes.append("ambiguous")
-            continue
-        s, resid = _fit_slope(lams, vals)
-        # pre-asymptotic contamination: drop the largest-lambda point when
-        # its residual dominates the fit
-        if len(grid) >= 5 and abs(resid[0]) > 2.0 * (np.abs(resid[1:]).max() + 1e-12):
-            s, _ = _fit_slope(lams[1:], vals[1:])
+        s = None if low[i].any() else float(fit[i])
         slopes.append(s)
-        even = round(s / 2.0) * 2
-        if abs(s - even) <= slope_tol and even >= 0:
+        even = 0 if s is None else round(s / 2.0) * 2
+        if low[i].all():
+            classes.append("kernel")
+        elif s is None:
+            problems.append(
+                f"branch {i}: eigenvalue underflows at part of the grid: {traj[i].tolist()}"
+            )
+            classes.append("ambiguous")
+        elif abs(s - even) <= slope_tol and even >= 0:
             classes.append(str(int(even)))
         else:
             problems.append(f"branch {i}: fitted slope {s:.3f} is not near an even integer")

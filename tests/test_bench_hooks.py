@@ -1,8 +1,10 @@
 """The benchmark's tracer wraps library functions by module-level name.
 
 ``bench/tracing.py`` replaces each entry of its ``BOUNDARIES`` table in the
-named module's (or class's) namespace; moving or renaming one of those
-functions breaks traced benchmark runs, so the names are pinned here.
+named module's (or class's) namespace, and its counters read
+``MonomialMatrix.entries``; moving or renaming one of those functions, or
+changing what ``entries`` holds, breaks traced benchmark runs, so both are
+pinned here.
 """
 
 import importlib
@@ -10,14 +12,27 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import scipy.sparse.linalg
+
+from homology_lab import reduction, spectra
+from homology_lab.complexes import CliqueComplex, clique_complex
+from homology_lab.fixtures import gadget_graph
+from homology_lab.gadgets import IntegerState
+from homology_lab.operators import laplacian
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_every_traced_boundary_exists(monkeypatch):
+def load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_boundary_exists(monkeypatch):
+    tracing = load_tracing(monkeypatch)
     missing = []
     for module, owner, attr, _name, _count in tracing.BOUNDARIES:
         target = importlib.import_module(module)
@@ -27,3 +42,61 @@ def test_every_traced_boundary_exists(monkeypatch):
             missing.append(f"{module}.{owner + '.' if owner else ''}{attr}")
     assert tracing.BOUNDARIES
     assert missing == []
+
+
+def bound_functions(tracing):
+    out = []
+    for module, owner, attr, _name, _count in tracing.BOUNDARIES:
+        target = importlib.import_module(module)
+        if owner is not None:
+            target = getattr(target, owner)
+        out.append(vars(target)[attr])
+    return out + [scipy.sparse.linalg.eigsh]
+
+
+def expected_counts(complexes):
+    """Coboundary (row, col) pairs and Laplacian terms, from the library.
+
+    Every coboundary a call builds is cached on its complex, and the tracer
+    counts each once; it counts the terms of every Laplacian it sees built,
+    here the one per complex whose parts are cached.
+    """
+    nnz = terms = 0
+    for K in complexes:
+        for key, M in K._matrix_cache.items():
+            if key[0] == "d":
+                nnz += len({(r, c) for r, c, _v, _e in M.terms.tolist()})
+            elif key[0] == "lap_up":
+                terms += len(laplacian(K, key[1]).terms)
+    return nnz, terms
+
+
+def test_traced_runs_count_terms_and_restore_boundaries(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    before = bound_functions(tracing)
+    built = []
+    init = CliqueComplex.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(CliqueComplex, "__init__", recording_init)
+    g = gadget_graph(IntegerState.from_dict(1, {"0": 1}))
+    H = reduction.Hamiltonian(1, tuple(((0,), IntegerState.from_dict(1, {z: 1})) for z in "01"))
+    runs = {
+        "sweep": lambda: spectra.sweep(clique_complex(g, 2), 1),
+        "decide": lambda: reduction.decide(H),
+    }
+    for name, run in runs.items():
+        built.clear()
+        rec = tracing.Recorder()
+        with tracing.traced(rec):
+            with rec.call(name):
+                run()
+        assert bound_functions(tracing) == before
+        metrics = tracing.pass_metrics(rec.spans)
+        nnz, terms = expected_counts(built)
+        assert nnz > 0 and terms > 0
+        assert metrics["operators.coboundary_nnz"] == nnz, name
+        assert metrics["operators.laplacian_terms"] == terms, name

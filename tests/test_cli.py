@@ -1,10 +1,16 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homology_lab.cli import main
 from homology_lab.fixtures import write_fixtures
+
+from test_parsers import GRAPH_DOCS, mutated, texts
 
 
 HAMILTONIANS = {
@@ -246,6 +252,7 @@ def test_verify_gadget_inline_singlet(capsys):
 # case -> (argv, exit code); "@name" is the fixture file of that name
 REJECTED_ARGS = {
     "betti-k-not-an-integer": (("betti", "@bowtie", "--k", "x"), 1),
+    "specseq-k-below-the-complex": (("specseq", "@hexagon", "--k", "-2"), 2),
     "inline-state-list": (("verify-gadget", "[1]"), 2),
     "inline-state-empty": (("verify-gadget", "{}"), 2),
     "inline-amplitude-word": (("verify-gadget", '{"0": "x"}'), 2),
@@ -274,3 +281,93 @@ def test_unknown_fixture_is_usage_error(tmp_path, capsys):
 def test_unknown_command_is_usage_error(capsys):
     code, _out, err = run(capsys, "frobnicate")
     assert code == 1
+
+
+# -- fuzz of main: every argv ends in exit 0, 1 or 2, never in a traceback -----
+
+FUZZ_OPTIONS = {
+    "--k": ["-2", "-1", "0", "1", "2", "all", "x"],
+    "--lambda": ["0", "0.5", "1", "1.5", "nan", "x"],
+    "--grid": ["default", "0.3,0.2,0.1,0.05", "0.1,0.2,0.3,0.4", "0.3,0.2", "x"],
+    "--max-dim": ["-1", "0", "1", "3", "x"],
+    "--cap": ["0", "3", "1000", "x"],
+    "--format": ["text", "csv", "json", "xml"],
+    "--j-max": ["-1", "0", "2", "x"],
+    "--c": ["0.1", "0", "-1", "nan", "x"],
+    "--g": ["1", "0", "-2", "inf", "x"],
+    "--m": ["0", "1", "2", "x"],
+    "--which": ["bowtie", "hexagon", "bogus"],
+    "--out": ["@out"],
+    "--unreduced": None,
+    "--forman": None,
+}
+GRAPH_OPTIONS = ["--max-dim", "--cap", "--format"]
+FUZZ_COMMANDS = {  # command -> its own options
+    "betti": ["--k", "--unreduced", *GRAPH_OPTIONS],
+    "spectrum": ["--k", "--lambda", "--grid", *GRAPH_OPTIONS],
+    "specseq": ["--k", "--j-max", "--forman", "--grid", *GRAPH_OPTIONS],
+    "reduce": ["--c", "--g", "--out"],
+    "decide": ["--c", "--g"],
+    "verify-gadget": ["--m"],
+    "fixtures": ["--out", "--which"],
+    "frobnicate": [],
+}
+# options a run needs to get past argument checks; left out one time in ten
+FUZZ_REQUIRED = {"spectrum": [["--k", "--lambda"], ["--k", "--grid"]], "fixtures": [["--out"]]}
+
+
+@st.composite
+def one_qubit_hamiltonians(draw):
+    """Small enough that decide runs in milliseconds."""
+    amps = st.dictionaries(st.sampled_from(["0", "1"]), st.integers(-2, 2).filter(bool), min_size=1)
+    terms = [{"support": [0], "amps": draw(amps)} for _ in range(draw(st.integers(0, 2)))]
+    return {"n": 1, "terms": terms}
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """(argv, input text): "@in" names the input file, "@out" a scratch path."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    if command in ("reduce", "decide"):
+        docs = one_qubit_hamiltonians()
+    elif command == "verify-gadget":
+        docs = st.sampled_from([{"0": 1}, {"0": 1, "1": -1}])
+    else:
+        docs = GRAPH_DOCS
+    text = draw(st.one_of(docs.map(json.dumps), texts(docs)))
+    positional = draw(st.sampled_from(
+        [["@in"]] * 6 + [[], ["/nonexistent/in.json"], ["@in", "@in"]]
+    ))
+    if command == "fixtures":
+        positional = []
+    elif command == "verify-gadget" and positional == ["@in"]:
+        positional = [text]
+    argv = [command, *positional]
+    own = st.sampled_from(FUZZ_COMMANDS[command] or sorted(FUZZ_OPTIONS))
+    flags = st.one_of(own, own, own, own, st.sampled_from(sorted(FUZZ_OPTIONS)))
+    required = draw(st.sampled_from(FUZZ_REQUIRED.get(command, [[]])))
+    if not draw(st.sampled_from([True] * 9 + [False])):
+        required = []
+    for flag in required + draw(st.lists(flags, max_size=4)):
+        argv.append(flag)
+        if FUZZ_OPTIONS[flag] is not None:
+            argv.append(draw(st.sampled_from(FUZZ_OPTIONS[flag])))
+    return argv, text
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzz_argvs())
+def test_main_exits_cleanly_on_any_input(fuzz_dir, case):
+    argv, text = case
+    (fuzz_dir / "in.json").write_text(text)
+    paths = {"@in": str(fuzz_dir / "in.json"), "@out": str(fuzz_dir / "out")}
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([paths.get(a, a) for a in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

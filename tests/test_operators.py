@@ -1,5 +1,6 @@
 import io
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +27,10 @@ from homology_lab.operators import (
     laplacian,
     laplacian_entry,
     laplacian_parts,
+    poly_eval_float,
     write_coordinate_text,
 )
+from homology_lab.spectra import DEFAULT_GRID
 
 from conftest import built, graphs, seeded_graphs
 
@@ -166,11 +169,15 @@ def test_laplacian_respects_join_splitting():
 
 
 def test_row_sparsity_bound():
+    # distinct (row, col) pairs of the symbolic terms, not the entries of an
+    # evaluation, where a cancellation would hide one
     for g in seeded_graphs(5, 9, wmax=1, seed=21):
         K = clique_complex(g, min(g.n_vertices, 5))
         for k in range(0, K.max_dim):
             L = laplacian(K, k)
-            assert L.row_nnz_max() <= (k + 2) * g.n_vertices + 1
+            pairs = {(r, c) for r, c, _v, _e in L.terms.tolist()}
+            per_row = Counter(r for r, _c in pairs)
+            assert max(per_row.values(), default=0) <= (k + 2) * g.n_vertices + 1
 
 
 def test_entrywise_formula_matches_assembly():
@@ -182,6 +189,36 @@ def test_entrywise_formula_matches_assembly():
             for a, s in enumerate(sims):
                 for b, t in enumerate(sims):
                     assert laplacian_entry(K, k, s, t) == L.entry(a, b)
+
+
+def _entrywise_polys(K, k):
+    sims = K.simplices(k)
+    return [[laplacian_entry(K, k, s, t) for t in sims] for s in sims]
+
+
+@pytest.mark.parametrize("wmax", [1, 2])
+def test_evaluation_matches_entrywise_sum(wmax):
+    """evaluate(lam) is the matrix of sum c * lam**e, bit for bit at wmax = 1.
+
+    With exponents in {0, 1} an entry has at most two monomials, so the
+    order of its float sum cannot matter; at wmax = 2 a diagonal entry has
+    three, and the sums may differ in the last bits.
+    """
+    for g in seeded_graphs(12, 8, wmax=wmax, seed=41):
+        K = clique_complex(g, min(g.n_vertices, 5))
+        for k in range(-1, K.max_dim):
+            polys = _entrywise_polys(K, k)
+            L = laplacian(K, k)
+            for lam in (*DEFAULT_GRID, 1.0):
+                n = len(polys)
+                want = np.array([[poly_eval_float(p, lam) for p in row] for row in polys])
+                want = want.reshape(n, n)
+                got = L.evaluate(lam).toarray()
+                if wmax == 1:
+                    assert np.array_equal(got, want)
+                else:
+                    norm = np.abs(want).sum(axis=1).max(initial=0.0)
+                    assert np.abs(got - want).max(initial=0.0) <= 8 * np.finfo(float).eps * norm
 
 
 def test_upper_adjacent_entry_is_zero():
@@ -205,15 +242,14 @@ def test_lower_adjacent_not_upper_entry():
 
 
 def test_evaluate_identity_and_arithmetic():
-    m = MonomialMatrix(1, 1)
-    m.add_monomial(0, 0, 3, 2)
-    m.add_monomial(0, 0, -1, 0)
+    m = MonomialMatrix(1, 1, [(0, 0, 3, 2), (0, 0, -1, 0)])
     assert m.entry(0, 0) == {2: 3, 0: -1}
     assert m.evaluate(1.0)[0, 0] == 2.0
     assert m.evaluate(0.5)[0, 0] == -0.25
     assert m.int_rows_at_one() == {0: {0: 2}}
-    m.add_monomial(0, 0, 1, 0)
+    m = MonomialMatrix(1, 1, [(0, 0, 3, 2), (0, 0, -1, 0), (0, 0, 1, 0)])
     assert m.entry(0, 0) == {2: 3}
+    assert MonomialMatrix(1, 1, [(0, 0, 1, 2), (0, 0, -1, 0)]).int_rows_at_one() == {}
     with pytest.raises(GraphFormatError):
         m.evaluate(0.0)
     with pytest.raises(GraphFormatError):
@@ -268,9 +304,7 @@ def test_embedded_entry_rejects_bad_length():
 
 
 def test_coordinate_dump_format():
-    m = MonomialMatrix(2, 2)
-    m.add_monomial(0, 1, -1, 1)
-    m.add_monomial(1, 0, 3, 0)
+    m = MonomialMatrix(2, 2, [(1, 0, 3, 0), (0, 1, -1, 1)])
     buf = io.StringIO()
     write_coordinate_text(m, buf)
     lines = buf.getvalue().strip().splitlines()

@@ -5,9 +5,9 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from homology_lab import homology
+from homology_lab import homology, spectra
 from homology_lab.complexes import clique_complex
-from homology_lab.errors import GraphFormatError, HomologyLabError
+from homology_lab.errors import GapAmbiguityError, GraphFormatError, HomologyLabError
 from homology_lab.fixtures import gadget_graph, hexagon, named_fixtures
 from homology_lab.gadgets import IntegerState
 from homology_lab.graph import bowtie, complement, make_graph, octahedron, relabel, unweighted
@@ -89,6 +89,37 @@ def test_sweep_kernel_count_matches_betti():
         assert sweep(K, 1).count_class("kernel") == betti(K, 1)
 
 
+def _one_branch_fit(lams, vals):
+    logx, logy = np.log(lams), np.log(vals)
+    A = np.vstack([logx, np.ones_like(logx)]).T
+    coef, *_ = np.linalg.lstsq(A, logy, rcond=None)
+    return float(coef[0]), logy - A @ coef
+
+
+def test_sweep_slopes_match_one_fit_per_branch():
+    """The fit of all branches in one solve gives each its own fit's bits."""
+    lams = np.array(DEFAULT_GRID)
+    for name, k in [("gadget-0", 1), ("qubit-2", 2), ("two-gadgets-1q", 2), ("octahedron-4", 2)]:
+        table = sweep(built(named_fixtures()[name], k + 1), k)
+        for vals, slope in zip(table.trajectories, table.slopes):
+            if slope is None:
+                continue
+            want, resid = _one_branch_fit(lams, vals)
+            if abs(resid[0]) > 2.0 * (np.abs(resid[1:]).max() + 1e-12):
+                want, _ = _one_branch_fit(lams[1:], vals[1:])
+            assert slope == want, (name, slope, want)
+    # the refit of dropped branches is the same solve on fewer rows; no
+    # fixture drops a point, so check that solve on arbitrary columns.  The
+    # residuals come from a matrix product instead of one product per
+    # branch, which may round differently in the last bits.
+    vals = np.exp(np.random.default_rng(0).uniform(-30, 0, size=(4, 50)))
+    slopes, resid = spectra._fit_slopes(lams[1:], np.log(vals))
+    for j in range(vals.shape[1]):
+        want, want_resid = _one_branch_fit(lams[1:], vals[:, j])
+        assert slopes[j] == want
+        assert np.abs(resid[:, j] - want_resid).max() <= 8 * np.finfo(float).eps * 30
+
+
 def test_pairing_on_fixtures():
     fixtures = [
         built(bowtie(), 3),
@@ -128,7 +159,7 @@ def test_shift_invert_branch_agrees_with_dense(monkeypatch):
     assert min(no.dim_size(1), yes.dim_size(1)) > 10
     assert lambda_min(no, 1, 0.5, exact_zero=False) == pytest.approx(dense_min, rel=1e-8)
     hb = harmonic_basis(yes, 1, 0.5)
-    assert calls == [0.0, 0.0]
+    assert calls == [0.0, -hb.tol]  # the harmonic solve shifts off the kernel
     assert hb.dimension == dense_hb.dimension == 1
     assert scipy.linalg.subspace_angles(hb.basis, dense_hb.basis).max() < 1e-6
 
@@ -149,7 +180,27 @@ def test_singular_shift_invert_factor_is_a_library_error(monkeypatch):
     assert betti(K, 1) == 1 and K.dim_size(1) > 10
     monkeypatch.setattr(homology, "DENSE_EIG_CAP", 10)
     with pytest.raises(HomologyLabError, match="has a kernel"):
-        harmonic_basis(K, 1, lam=1.0)
+        eigensolve(laplacian(K, 1).evaluate(1.0), 9, vectors=True)
+    assert harmonic_basis(K, 1, lam=1.0).dimension == 1
+
+
+def test_harmonic_basis_above_the_cap_shifts_off_the_kernel(monkeypatch):
+    """Shift-invert at sigma = -tol factors every Laplacian with a kernel."""
+    monkeypatch.setattr(homology, "DENSE_EIG_CAP", 10)
+    shift_inverted = 0
+    for g in seeded_graphs(40, 9, wmax=2):
+        K = clique_complex(g, 3)
+        for k in (0, 1):
+            b = betti(K, k)
+            if b == 0:
+                continue
+            try:
+                hb = harmonic_basis(K, k, lam=1.0)
+            except GapAmbiguityError:
+                continue
+            assert hb.dimension == b
+            shift_inverted += K.dim_size(k) > 10
+    assert shift_inverted >= 6
 
 
 # -- dense spectra, solved per connected block ----------------------------------
