@@ -37,7 +37,7 @@ def main() -> None:
         print(line + ")")
         if dec.harmonic_overlaps:
             for z, row in sorted(dec.harmonic_overlaps.items()):
-                print(f"  overlap with |{z}> cycle: {row}")
+                print(f"  Gram row <{z}|P|w> of the harmonic projector: {row}")
         print()
 
 

@@ -193,6 +193,8 @@ def cmd_specseq(args) -> int:
             print(f"{row.j},{row.algebraic_dim},{row.branch_count},{row.equal}")
         print(f"forman comparison: {'PASS' if rep.ok else 'FAIL'}")
         return 0
+    # a --k outside the filtration is rejected before any page is printed
+    rep = None if args.k is None else stabilized_dims(F, args.k)
     if args.format == "csv":
         print("j,k,l,dim")
         for j in range(0, args.j_max + 1):
@@ -205,8 +207,7 @@ def cmd_specseq(args) -> int:
             for line in page.table_lines():
                 print(line)
             print()
-    if args.k is not None:
-        rep = stabilized_dims(F, args.k)
+    if rep is not None:
         dims = " ".join(f"{j}:{v}" for j, v in sorted(rep.per_page.items()))
         print(f"dim e_j^{args.k}: {dims}")
         print(f"stabilizes to betti={rep.betti} at page {rep.stabilization_page}")

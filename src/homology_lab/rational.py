@@ -14,14 +14,16 @@ content.  Every exact routine is a reading of that one reduction:
   has a zero matrix part, so its tags are a kernel vector.
 
 Inputs are sparse integer columns ``{row: value}``; Fractions appear only in
-the witnesses ``solve`` returns.
+the witnesses ``solve`` returns.  Callers hand in the rows of a coboundary
+d^k as they come: they are the columns of the boundary map, so no exact
+matrix is ever transposed (``rank_int`` reduces them last row first).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Reversible, Sequence
 
 IntVec = dict[int, int]
 
@@ -70,19 +72,14 @@ def reduce_columns(cols: Iterable[Mapping[int, int]]) -> list[IntVec]:
     return out
 
 
-def rank_int(rows: Iterable[Mapping[int, int]]) -> int:
+def rank_int(rows: Reversible[Mapping[int, int]]) -> int:
     """Rank over Q of an integer matrix given as sparse rows.
 
-    The rows are transposed and the columns reduced in descending index,
-    which on coboundary matrices finds pivots with far less fill than
-    ascending order.
+    Each row is reduced as a column, last row first: the rows of d^k are the
+    columns of the boundary map, of the same rank, and this order finds
+    pivots with far less fill than first row first or d^k's own columns.
     """
-    cols: dict[int, IntVec] = {}
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            cols.setdefault(c, {})[i] = v
-    reduced = reduce_columns(cols[c] for c in sorted(cols, reverse=True))
-    return sum(1 for col in reduced if col)
+    return sum(1 for col in reduce_columns(reversed(rows)) if col)
 
 
 def rank_fraction(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> int:

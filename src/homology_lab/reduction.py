@@ -255,7 +255,9 @@ def decide(H: Hamiltonian, g: float = 1.0, c: float = 0.1) -> Decision:
 
 
 def _kernel_overlaps(K: CliqueComplex, k: int, H: Hamiltonian, cap: int = 2000):
-    """Overlap of the numeric harmonic basis with the basis-state cycles.
+    """Gram rows <z|P|w> = (B^T H)(B^T H)^T of the basis-state cycles B under
+    the projector P onto the numeric harmonic space, whatever orthonormal
+    basis H of it the eigensolver returns.
 
     Purely informational evidence; returns None when the complex is too
     large or the numeric kernel is not cleanly separated.
@@ -269,9 +271,9 @@ def _kernel_overlaps(K: CliqueComplex, k: int, H: Hamiltonian, cap: int = 2000):
         hb = harmonic_basis(K, k, lam=0.5)
     except GapAmbiguityError:
         return None
-    mat = basis_state_matrix(K, H.n)
-    overlap = mat.T @ hb.basis
-    return {
-        format(i, f"0{H.n}b"): [round(float(x), 10) for x in overlap[i]]
-        for i in range(overlap.shape[0])
+    overlap = basis_state_matrix(K, H.n).T @ hb.basis
+    gram = overlap @ overlap.T
+    return {  # + 0.0 turns a rounded -0.0 into 0.0
+        format(i, f"0{H.n}b"): [round(float(x), 10) + 0.0 for x in gram[i]]
+        for i in range(gram.shape[0])
     }

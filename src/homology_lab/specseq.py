@@ -5,10 +5,13 @@ weighted vertices.  It is coordinate-aligned and d-compatible (d^k maps U_l^k
 into U_l^{k+1}), so over a field the filtered complex splits into interval
 pairs (Basu-Parida, "Spectral sequences, exact couples and persistent
 homology of filtrations", Expo. Math. 2017).  The pairs come from one
-persistence reduction of d^k at lam := 1 per degree: columns in descending
-level, each column's pivot its nonzero row at the lowest level.  A pair of a
-k-simplex at level a with a (k+1)-simplex at level b >= a survives at both
-ends up to page b - a, and unpaired simplices survive every page:
+persistence reduction per degree of the rows of d^k at lam := 1, read as
+boundary columns with no transpose: (k+1)-simplices in ascending level, each
+column's pivot its face at the highest level.  By persistence duality (de
+Silva, Morozov, Vejdemo-Johansson, "Dualities in persistent (co)homology",
+Inverse Problems 2011) these are the pairs of the coboundary reduction.  A
+pair of a k-simplex at level a with a (k+1)-simplex at level b >= a survives
+at both ends up to page b - a, and unpaired simplices survive every page:
 
     e_{j,l}^k = #{unpaired k-simplices at level l}
               + #{pair ends at (k, l) with gap b - a >= j}
@@ -58,24 +61,17 @@ class Filtration:
                 self._gap[k][s] = self._gap[k + 1][t] = gap
 
     def _reduce(self, k: int) -> list[tuple[int, int]]:
-        """Persistence pairs of d^k from one column reduction in level order."""
+        """Pairs of d^k: its rows reduced as boundary columns in ascending
+        (level, index), faces numbered in reverse so ``min`` is the highest."""
         lo, hi = self.exponents[k], self.exponents[k + 1]
-        cols: dict[int, dict[int, int]] = {}
-        for r, row in coboundary(self.K, k).int_rows_at_one().items():
-            for c, v in row.items():
-                cols.setdefault(c, {})[r] = v
-        # Each C^k is ordered by (level, index) descending, whether its
-        # simplices are columns of d^k or rows of d^{k-1}; one order per
-        # degree makes every simplex an end of at most one pair.  Columns run
-        # in that order and rows are numbered in its reverse, so the smallest
-        # number, at the lowest level, is the pivot.
-        row_at = sorted(range(len(hi)), key=lambda r: (hi[r], r))
-        number = {r: i for i, r in enumerate(row_at)}
-        order = sorted(cols, key=lambda c: (lo[c], c), reverse=True)
+        rows = coboundary(self.K, k).int_rows_at_one()
+        face_at = sorted(range(len(lo)), key=lambda c: (lo[c], c), reverse=True)
+        number = {c: i for i, c in enumerate(face_at)}
+        order = sorted(rows, key=lambda r: (hi[r], r))
         reduced = rational.reduce_columns(
-            {number[r]: v for r, v in cols[c].items()} for c in order
+            {number[c]: v for c, v in rows[r].items()} for r in order
         )
-        return [(c, row_at[min(col)]) for c, col in zip(order, reduced) if col]
+        return [(face_at[min(col)], r) for r, col in zip(order, reduced) if col]
 
     def level(self, k: int, l: int) -> frozenset[int]:
         """Index set of U_l^k; full space for l <= 0, empty above lmax."""

@@ -96,13 +96,12 @@ class BranchTable:
         return lines
 
 
-def _fit_slopes(lams: np.ndarray, logy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares slope against log(lams) of each column of logy, with
-    residuals, from one solve with many right-hand sides."""
+def _fit_slopes(lams: np.ndarray, logy: np.ndarray) -> np.ndarray:
+    """Least-squares slope against log(lams) of each column of logy, from one
+    solve with many right-hand sides."""
     logx = np.log(lams)
     A = np.vstack([logx, np.ones_like(logx)]).T
-    coef, *_ = np.linalg.lstsq(A, logy, rcond=None)
-    return coef[0], logy - A @ coef
+    return np.linalg.lstsq(A, logy, rcond=None)[0][0]
 
 
 def sweep(
@@ -133,12 +132,7 @@ def sweep(
     low = traj < KERNEL_FLOOR
     fitted = ~low.any(axis=1)
     logy = np.log(traj[fitted]).T  # grid x fitted branch
-    slope, resid = _fit_slopes(lams, logy)
-    # pre-asymptotic contamination: drop the largest-lambda point when its
-    # residual dominates the fit
-    if len(grid) >= 5:
-        drop = np.abs(resid[0]) > 2.0 * (np.abs(resid[1:]).max(axis=0) + 1e-12)
-        slope[drop] = _fit_slopes(lams[1:], logy[1:, drop])[0]
+    slope = _fit_slopes(lams, logy)
     fit = np.full(n, np.nan)
     fit[fitted] = slope
     slopes: list[float | None] = []

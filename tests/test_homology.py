@@ -74,6 +74,29 @@ def test_exact_ranks_match_float_oracle():
             assert betti(K, k) == float_rank_betti(K, k)
 
 
+def test_coboundary_rank_reduces_the_rows_last_first(monkeypatch):
+    """The rows of d^k go to the reduction as boundary columns, untransposed."""
+    import homology_lab.rational as rational
+
+    seen = []
+    real = rational.reduce_columns
+
+    def spy(cols):
+        cols = list(cols)
+        seen.append(cols)
+        return real(cols)
+
+    monkeypatch.setattr(rational, "reduce_columns", spy)
+    g = gadget_graph(IntegerState.from_dict(1, {"0": 1, "1": -1}))
+    for k in range(-1, 2):
+        K = clique_complex(g, 3)  # a fresh complex: no cached rank
+        seen.clear()
+        rank = coboundary_rank(K, k)
+        rows = list(coboundary(K, k).int_rows_at_one().values())
+        assert seen == [rows[::-1]]
+        assert rank == dense_rank(rows) > 0
+
+
 def brute_force_betti(g) -> dict[int, int]:
     """Reduced Betti numbers over Q from every vertex subset of the graph.
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -204,12 +206,13 @@ def test_decide_no_on_unsatisfiable():
 def test_decide_yes_on_superposition_projector():
     dec = decide(H_of(1, ([0], {"0": 1, "1": -1})))
     assert dec.answer == "YES"
-    # the surviving harmonic state is the |+> combination: equal overlaps
+    # the surviving harmonic state is the |+> combination: its projector has
+    # equal positive Gram entries <z|P|w> for z, w in {0, 1}
     ov = dec.harmonic_overlaps
     assert ov is not None
-    a, b = ov["0"][0], ov["1"][0]
-    assert abs(abs(a) - abs(b)) < 1e-6
-    assert a * b > 0
+    entries = [ov[z][w] for z in "01" for w in range(2)]
+    assert min(entries) > 0
+    assert max(entries) - min(entries) < 1e-6
 
 
 def test_decide_inconclusive_when_threshold_too_optimistic():
@@ -234,8 +237,29 @@ def test_mixed_locality_terms():
     dec = decide(H)
     assert dec.answer == "YES" and dec.betti == 1
     ov = dec.harmonic_overlaps
-    best = max(ov, key=lambda z: abs(ov[z][0]))
+    best = max(ov, key=lambda z: ov[z][int(z, 2)])
     assert best == "01"
+
+
+def test_overlaps_do_not_depend_on_the_kernel_basis(monkeypatch):
+    """Rotating the harmonic basis by an orthogonal Q leaves the Gram rows."""
+    import homology_lab.reduction as reduction_mod
+
+    H = H_of(2, ([0, 1], {"00": 1, "11": -1}))
+    before = decide(H).harmonic_overlaps
+    rng = np.random.default_rng(7)
+    real = reduction_mod.harmonic_basis
+
+    def rotated(*args, **kwargs):
+        hb = real(*args, **kwargs)
+        Q, _ = np.linalg.qr(rng.standard_normal((hb.basis.shape[1],) * 2))
+        return replace(hb, basis=hb.basis @ Q)
+
+    monkeypatch.setattr(reduction_mod, "harmonic_basis", rotated)
+    after = decide(H).harmonic_overlaps
+    assert sorted(after) == sorted(before) == ["00", "01", "10", "11"]
+    for z in before:
+        assert np.allclose(after[z], before[z], rtol=0, atol=1e-9)
 
 
 def test_two_qubit_unsatisfiable_certifies_with_larger_c():

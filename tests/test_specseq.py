@@ -1,9 +1,10 @@
 from homology_lab.complexes import clique_complex
-from homology_lab.fixtures import gadget_graph, hexagon
+from homology_lab.fixtures import gadget_graph, hexagon, named_fixtures
 from homology_lab.gadgets import IntegerState
 from homology_lab.graph import bowtie, octahedron
 from homology_lab.homology import betti
 from homology_lab.operators import coboundary
+from homology_lab.rational import reduce_columns
 from homology_lab.specseq import filtration, forman_compare, page_dims, stabilized_dims
 
 from conftest import built, dense_rank, seeded_graphs
@@ -185,6 +186,32 @@ def test_pages_match_rank_formula_oracle():
             assert len(pairs) == dense_rank(coboundary(K, k).int_rows_at_one().values())
         got = {(j, k, l): d for j in range(6) for (k, l), d in page_dims(F, j).dims.items()}
         assert got == _rank_formula_pages(K, 5), g
+
+
+def _coboundary_side_pairs(K, k):
+    """Pairs of d^k by reducing its columns: k-simplices in descending
+    (level, index), each column's pivot its coface at the lowest level."""
+    lo = [K.weight_exponent(s) for s in K.simplices(k)]
+    hi = [K.weight_exponent(s) for s in K.simplices(k + 1)]
+    cols = {}
+    for r, row in coboundary(K, k).int_rows_at_one().items():
+        for c, v in row.items():
+            cols.setdefault(c, {})[r] = v
+    row_at = sorted(range(len(hi)), key=lambda r: (hi[r], r))
+    number = {r: i for i, r in enumerate(row_at)}
+    order = sorted(cols, key=lambda c: (lo[c], c), reverse=True)
+    reduced = reduce_columns({number[r]: v for r, v in cols[c].items()} for c in order)
+    return sorted((c, row_at[min(col)]) for c, col in zip(order, reduced) if col)
+
+
+def test_boundary_side_pairs_equal_the_coboundary_side():
+    """Persistence duality: reducing the rows of d^k pairs the same simplices."""
+    graphs = [*named_fixtures().values(), *seeded_graphs(25, 8, wmax=2, seed=21)]
+    for g in graphs:
+        K = built(g, g.n_vertices)
+        F = filtration(K)
+        for k, pairs in F.pairs.items():
+            assert sorted(pairs) == _coboundary_side_pairs(K, k), (g, k)
 
 
 def test_bulk_page_identity_for_gadget():

@@ -93,7 +93,7 @@ def _one_branch_fit(lams, vals):
     logx, logy = np.log(lams), np.log(vals)
     A = np.vstack([logx, np.ones_like(logx)]).T
     coef, *_ = np.linalg.lstsq(A, logy, rcond=None)
-    return float(coef[0]), logy - A @ coef
+    return float(coef[0])
 
 
 def test_sweep_slopes_match_one_fit_per_branch():
@@ -104,20 +104,13 @@ def test_sweep_slopes_match_one_fit_per_branch():
         for vals, slope in zip(table.trajectories, table.slopes):
             if slope is None:
                 continue
-            want, resid = _one_branch_fit(lams, vals)
-            if abs(resid[0]) > 2.0 * (np.abs(resid[1:]).max() + 1e-12):
-                want, _ = _one_branch_fit(lams[1:], vals[1:])
+            want = _one_branch_fit(lams, vals)
             assert slope == want, (name, slope, want)
-    # the refit of dropped branches is the same solve on fewer rows; no
-    # fixture drops a point, so check that solve on arbitrary columns.  The
-    # residuals come from a matrix product instead of one product per
-    # branch, which may round differently in the last bits.
-    vals = np.exp(np.random.default_rng(0).uniform(-30, 0, size=(4, 50)))
-    slopes, resid = spectra._fit_slopes(lams[1:], np.log(vals))
+    # the same solve on arbitrary columns, far from any even slope
+    vals = np.exp(np.random.default_rng(0).uniform(-30, 0, size=(5, 50)))
+    slopes = spectra._fit_slopes(lams, np.log(vals))
     for j in range(vals.shape[1]):
-        want, want_resid = _one_branch_fit(lams[1:], vals[:, j])
-        assert slopes[j] == want
-        assert np.abs(resid[:, j] - want_resid).max() <= 8 * np.finfo(float).eps * 30
+        assert slopes[j] == _one_branch_fit(lams, vals[:, j])
 
 
 def test_pairing_on_fixtures():
