@@ -1,21 +1,23 @@
 """Clique and independence complexes with oriented simplex enumeration.
 
-Simplices are stored once, as tuples strictly ascending in the graph's
-canonical vertex order; the sign of any other vertex ordering is the parity
-of the permutation relative to the ascending representative.  The empty
-simplex () is always present in dimension -1 (reduced convention).
+Simplices are stored once, as tuples of labels strictly ascending in the
+graph's canonical vertex order, which is label order; the sign of any other
+vertex ordering is the parity of the permutation relative to the ascending
+representative.  The empty simplex () is always present in dimension -1
+(reduced convention).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import CapExceededError, DimensionError
 from .graph import WeightedGraph, complement
 
 Simplex = tuple[str, ...]
-Chain = dict[Simplex, Fraction]
+# The library's own chains carry int coefficients; exact witnesses are Fractions.
+Chain = dict[Simplex, int | Fraction]
 
 DEFAULT_CAP = 2_000_000
 
@@ -33,30 +35,28 @@ class CliqueComplex:
         self.graph = graph
         self.max_dim = max_dim
         self.cap = cap
-        pos = {v: i for i, v in enumerate(graph.vertices)}
-        self.vertex_pos = pos
-        # Neighbors strictly after v in canonical order, as sorted tuples.
-        nbrs_after = {
-            v: tuple(sorted((u for u in graph.neighbors(v) if pos[u] > pos[v]), key=pos.get))
-            for v in graph.vertices
-        }
         by_dim: dict[int, list[Simplex]] = {-1: [()]}
         by_dim[0] = [(v,) for v in graph.vertices]
         total = 1 + len(graph.vertices)
         if total > cap:
             raise CapExceededError(0, cap)
         # Ordered DFS extension: candidates of a simplex are the common
-        # neighbors after its last vertex, which keeps output lexicographic.
-        cands: dict[Simplex, tuple[str, ...]] = {(v,): nbrs_after[v] for v in graph.vertices}
+        # neighbors after its last vertex, as a sorted tuple, which keeps
+        # output lexicographic.  Canonical order is label order: a
+        # WeightedGraph keeps its vertices sorted.
+        cands: dict[Simplex, tuple[str, ...]] = {
+            (v,): tuple(sorted(u for u in graph.neighbors(v) if u > v)) for v in graph.vertices
+        }
         for k in range(1, max_dim + 1):
             level: list[Simplex] = []
             new_cands: dict[Simplex, tuple[str, ...]] = {}
             for sigma in by_dim[k - 1]:
-                for w in cands[sigma]:
+                after = cands[sigma]
+                for i, w in enumerate(after):
                     tau = sigma + (w,)
                     level.append(tau)
                     nb_w = graph.neighbors(w)
-                    new_cands[tau] = tuple(u for u in cands[sigma] if pos[u] > pos[w] and u in nb_w)
+                    new_cands[tau] = tuple(u for u in after[i + 1 :] if u in nb_w)
                     total += 1
                     if total > cap:
                         raise CapExceededError(k, cap)
@@ -98,7 +98,7 @@ class CliqueComplex:
         common = self.graph.neighbors(sigma[0])
         for v in sigma[1:]:
             common = common & self.graph.neighbors(v)
-        return tuple(sorted(common, key=self.vertex_pos.get))
+        return tuple(sorted(common))
 
     def counts(self) -> dict[int, int]:
         return {k: len(self.by_dim[k]) for k in sorted(self.by_dim)}
@@ -134,8 +134,8 @@ def independence_complex(g: WeightedGraph, max_dim: int, cap: int = DEFAULT_CAP)
 
 # -- oriented-simplex utilities ----------------------------------------------
 
-def sort_with_sign(vertices: Iterable[str], pos: Mapping[str, int]) -> tuple[Simplex, int]:
-    """Sort into canonical order; returns (tuple, permutation sign).
+def sort_with_sign(vertices: Iterable[str]) -> tuple[Simplex, int]:
+    """Sort into canonical (label) order; returns (tuple, permutation sign).
 
     Sign is 0 when a vertex repeats (the simplex collapses).
     """
@@ -144,7 +144,7 @@ def sort_with_sign(vertices: Iterable[str], pos: Mapping[str, int]) -> tuple[Sim
     # insertion sort, counting swaps; simplices are tiny
     for i in range(1, len(vs)):
         j = i
-        while j > 0 and pos[vs[j]] < pos[vs[j - 1]]:
+        while j > 0 and vs[j] < vs[j - 1]:
             vs[j], vs[j - 1] = vs[j - 1], vs[j]
             sign = -sign
             j -= 1
@@ -154,16 +154,16 @@ def sort_with_sign(vertices: Iterable[str], pos: Mapping[str, int]) -> tuple[Sim
     return tuple(vs), sign
 
 
-def merge_sign(sigma: Simplex, tau: Simplex, pos: Mapping[str, int]) -> tuple[Simplex, int]:
+def merge_sign(sigma: Simplex, tau: Simplex) -> tuple[Simplex, int]:
     """Merge two ascending disjoint simplices; sign is the shuffle parity."""
     out: list[str] = []
     i = j = 0
     inversions = 0
     while i < len(sigma) and j < len(tau):
-        if pos[sigma[i]] < pos[tau[j]]:
+        if sigma[i] < tau[j]:
             out.append(sigma[i])
             i += 1
-        elif pos[sigma[i]] > pos[tau[j]]:
+        elif sigma[i] > tau[j]:
             out.append(tau[j])
             j += 1
             inversions += len(sigma) - i
@@ -185,9 +185,9 @@ def kunneth_embed(
     ``psi`` and ``phi`` are chains on the two factors (simplices keyed by
     their own labels, which must be disjoint and present in the join).  The
     image of a basis pair |sigma> (x) |tau> is the merged simplex with the
-    shuffle-parity sign.  The empty simplex acts as the unit.
+    shuffle-parity sign.  The empty simplex acts as the unit.  Coefficients
+    multiply as given, so integer chains give an integer chain.
     """
-    pos = into.vertex_pos
     out: Chain = {}
     for sigma, c in psi.items():
         if c == 0:
@@ -195,14 +195,14 @@ def kunneth_embed(
         for tau, d in phi.items():
             if d == 0:
                 continue
-            merged, sign = merge_sign(sigma, tau, pos)
+            merged, sign = merge_sign(sigma, tau)
             if sign == 0:
                 raise DimensionError(
                     f"factors share vertices: {sigma!r} and {tau!r}"
                 )
             if not into.has(merged):
                 raise DimensionError(f"{merged!r} is not a simplex of the join")
-            out[merged] = out.get(merged, Fraction(0)) + Fraction(sign) * Fraction(c) * Fraction(d)
+            out[merged] = out.get(merged, 0) + sign * c * d
     return {s: v for s, v in out.items() if v != 0}
 
 

@@ -18,7 +18,6 @@ instead of silently flipping orientations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -39,6 +38,7 @@ from .errors import (
 )
 from .graph import (
     WeightedGraph,
+    graph_to_json,
     induced_subgraph,
     layer_vertex,
     make_graph,
@@ -138,17 +138,16 @@ def basis_chain(K: CliqueComplex, z: str) -> Chain:
     4^m in the orthonormal simplex basis.
     """
     m = len(z)
-    pos = K.vertex_pos
-    chain: Chain = {(): Fraction(1)}
+    chain: Chain = {(): 1}
     for q in range(m):
         loop = _loop_edge_chain(_loop_labels(q + 1, z[q]))
         new: Chain = {}
         for sigma, cof in chain.items():
             for edge, s in loop:
-                merged, ms = merge_sign(sigma, edge, pos)
+                merged, ms = merge_sign(sigma, edge)
                 if ms == 0:
                     raise HomologyLabError("loop vertices collide across qubits")
-                new[merged] = new.get(merged, Fraction(0)) + cof * s * ms
+                new[merged] = new.get(merged, 0) + cof * s * ms
         chain = new
     for sigma in chain:
         if not K.has(sigma):
@@ -208,7 +207,9 @@ def fundamental_cycle(K: CliqueComplex) -> Chain:
     coefficients.
     """
     top = K.top_dimension()
-    from .operators import coboundary  # local import to avoid a cycle
+    # looked up at call time, so a tracer that patches operators.coboundary
+    # (bench/tracing.py) also sees the gadget build's coboundaries
+    from .operators import coboundary
 
     rows = coboundary(K, top - 1).int_rows_at_one()
     cols = [rows.get(j, {}) for j in range(K.dim_size(top))]
@@ -218,18 +219,18 @@ def fundamental_cycle(K: CliqueComplex) -> Chain:
             f"expected a 1-dimensional top cycle space, got {len(kernel)}"
         )
     sims = K.simplices(top)
-    return {sims[i]: Fraction(v) for i, v in kernel[0].items()}
+    return {sims[i]: v for i, v in kernel[0].items()}
 
 
-def push_chain(chain: Chain, relation: Relation, pos: dict[str, int]) -> Chain:
+def push_chain(chain: Chain, relation: Relation) -> Chain:
     """Image of a chain under the vertex identification map (signed)."""
     out: Chain = {}
     for sigma, cof in chain.items():
         mapped = tuple(relation[v] for v in sigma)
         if len(set(mapped)) != len(mapped):
             continue
-        srt, sign = sort_with_sign(mapped, pos)
-        out[srt] = out.get(srt, Fraction(0)) + cof * sign
+        srt, sign = sort_with_sign(mapped)
+        out[srt] = out.get(srt, 0) + cof * sign
     return {s: v for s, v in out.items() if v}
 
 
@@ -417,8 +418,6 @@ class GadgetBlueprint:
         return make_graph(weights, set(self.boundary_edges) | set(self.added_edges))
 
     def to_json(self, indent: int | None = 2) -> str:
-        from .graph import graph_to_json
-
         return graph_to_json(self.standalone_graph(), metadata=self.metadata(), indent=indent)
 
 
@@ -474,7 +473,7 @@ def fill_cycle(
     if image_simplices(K, relation) != j_sims:
         raise HomologyLabError("f(K) does not reproduce the target cycle's simplices")
     if expected_chain is not None:
-        pushed = push_chain(fundamental_cycle(K), relation, j_complex.vertex_pos)
+        pushed = push_chain(fundamental_cycle(K), relation)
         if pushed != expected_chain and pushed != {
             s: -c for s, c in expected_chain.items()
         }:
@@ -539,7 +538,7 @@ def target_chain(state: IntegerState, complex_: CliqueComplex) -> Chain:
     out: Chain = {}
     for z, a in state.amps:
         for s, c in basis_chain(complex_, z).items():
-            w = out.get(s, Fraction(0)) + a * c
+            w = out.get(s, 0) + a * c
             if w:
                 out[s] = w
             elif s in out:

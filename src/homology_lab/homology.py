@@ -30,6 +30,8 @@ from .errors import (
 from .operators import coboundary, laplacian
 
 DENSE_EIG_CAP = 4000
+# harmonic_basis's kernel tolerance, relative to the Laplacian's max row sum
+HARMONIC_TOL = 1e-8
 
 
 def eigensolve(L, count: int | None = None, vectors: bool = False, sigma: float = 0.0):
@@ -164,9 +166,9 @@ class BettiTable:
         return dict(zip(self.ks, self.betti))
 
 
-def betti_table(K: CliqueComplex, up_to: int | None = None, reduced: bool = True) -> BettiTable:
-    top = K.max_dim - 1 if up_to is None else up_to
-    ks = tuple(range(-1 if reduced else 0, top + 1))
+def betti_table(K: CliqueComplex, reduced: bool = True) -> BettiTable:
+    """Betti numbers in every dimension the complex is built to support."""
+    ks = tuple(range(-1 if reduced else 0, K.max_dim))
     return BettiTable(
         ks,
         tuple(K.dim_size(k) for k in ks),
@@ -213,23 +215,21 @@ class HarmonicBasis:
         return self.basis.shape[1]
 
 
-def harmonic_basis(
-    K: CliqueComplex, k: int, lam: float = 1.0, tol: float | None = None
-) -> HarmonicBasis:
+def harmonic_basis(K: CliqueComplex, k: int, lam: float = 1.0) -> HarmonicBasis:
     """Orthonormal numeric basis of the near-kernel of the weighted Laplacian.
 
-    The count is cross-checked against the exact Betti number; eigenvalues
-    within a factor of 10 of the tolerance on both sides raise a
-    gap-ambiguity error instead of guessing.
+    The tolerance is HARMONIC_TOL times the Laplacian's largest absolute row
+    sum (at least 1).  The count is cross-checked against the exact Betti
+    number; eigenvalues within a factor of 10 of the tolerance on both sides
+    raise a gap-ambiguity error instead of guessing.
     """
     n = K.dim_size(k)
     b = betti(K, k)
     if n == 0:
         return HarmonicBasis(k, lam, np.zeros((0, 0)), 0.0, np.zeros(0))
     L = laplacian(K, k).evaluate(lam)
-    if tol is None:
-        norm = abs(L).sum(axis=1).max() if L.nnz else 1.0
-        tol = 1e-8 * max(float(norm), 1.0)
+    norm = abs(L).sum(axis=1).max() if L.nnz else 1.0
+    tol = HARMONIC_TOL * max(float(norm), 1.0)
     # L has a kernel here, singular at sigma = 0: L + tol I is positive definite
     vals, vecs = eigensolve(L, min(b + 8, n - 1), vectors=True, sigma=-tol)
     low = (vals > tol / 10) & (vals < tol)
@@ -262,7 +262,7 @@ def is_cycle(K: CliqueComplex, chain: Chain, k: int | None = None) -> bool:
         raise DimensionError(f"{foreign[0]!r} is not a {k}-simplex of the complex")
     # the rows of d^{k-1} at lam := 1 are the columns of boundary_k
     rows = coboundary(K, k - 1).int_rows_at_one()
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int | Fraction] = {}
     for s, coef in chain.items():
         for r, v in rows.get(idx[s], {}).items():
             acc[r] = acc.get(r, 0) + coef * v
@@ -286,7 +286,7 @@ def cycle_is_boundary(
     rows = coboundary(K, k).int_rows_at_one()
     cols = [rows.get(j, {}) for j in range(K.dim_size(k + 1))]
     idx = K.index[k]
-    b = {idx[s]: Fraction(c) for s, c in chain.items() if c}
+    b = {idx[s]: c for s, c in chain.items() if c}
     x = rational.solve(cols, K.dim_size(k), b)
     if x is None:
         return False, None

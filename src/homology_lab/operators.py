@@ -264,7 +264,7 @@ def laplacian_entry(K: CliqueComplex, k: int, sigma: Simplex, tau: Simplex) -> P
         return {}
     v_sigma = next(v for v in sigma if v not in shared)
     v_tau = next(v for v in tau if v not in shared)
-    union = tuple(sorted(set(sigma) | set(tau), key=K.vertex_pos.get))
+    union = tuple(sorted(set(sigma) | set(tau)))
     if K.has(union):
         return {}
     s = (-1) ** (sigma.index(v_sigma) + tau.index(v_tau))

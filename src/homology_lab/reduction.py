@@ -14,11 +14,13 @@ import json
 from dataclasses import dataclass, replace
 
 from .complexes import CliqueComplex, clique_complex
-from .errors import GraphFormatError, ScheduleError, UnsupportedStateError
-from .gadgets import GadgetBlueprint, IntegerState, gadget, glue
+from .errors import GapAmbiguityError, GraphFormatError, ScheduleError, UnsupportedStateError
+from .gadgets import GadgetBlueprint, IntegerState, basis_state_matrix, gadget, glue
 from .graph import WeightedGraph, graph_to_json, qubit_graph
 from .homology import betti, harmonic_basis
 from .spectra import lambda_min
+
+OVERLAP_CAP = 2000  # largest dim C^k for which decide reports harmonic overlaps
 
 
 @dataclass(frozen=True)
@@ -254,19 +256,16 @@ def decide(H: Hamiltonian, g: float = 1.0, c: float = 0.1) -> Decision:
     return Decision("INCONCLUSIVE", res.k, 0, sched, lm, None)
 
 
-def _kernel_overlaps(K: CliqueComplex, k: int, H: Hamiltonian, cap: int = 2000):
+def _kernel_overlaps(K: CliqueComplex, k: int, H: Hamiltonian):
     """Gram rows <z|P|w> = (B^T H)(B^T H)^T of the basis-state cycles B under
     the projector P onto the numeric harmonic space, whatever orthonormal
     basis H of it the eigensolver returns.
 
-    Purely informational evidence; returns None when the complex is too
-    large or the numeric kernel is not cleanly separated.
+    Purely informational evidence; returns None when dim C^k exceeds
+    OVERLAP_CAP or the numeric kernel is not cleanly separated.
     """
-    if K.dim_size(k) > cap:
+    if K.dim_size(k) > OVERLAP_CAP:
         return None
-    from .errors import GapAmbiguityError
-    from .gadgets import basis_state_matrix
-
     try:
         hb = harmonic_basis(K, k, lam=0.5)
     except GapAmbiguityError:

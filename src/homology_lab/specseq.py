@@ -135,9 +135,7 @@ def page_dims(F: Filtration, j: int) -> Page:
         if F.K.dim_size(k) == 0:
             continue
         for l in range(0, F.lmax[k] + 1):
-            d = F.e_dim(k, l, j)
-            if d or l <= F.lmax[k]:
-                dims[(k, l)] = d
+            dims[(k, l)] = F.e_dim(k, l, j)
     return Page(j, dims)
 
 
@@ -149,13 +147,12 @@ class StabilizationReport:
     betti: int
 
 
-def stabilized_dims(F: Filtration, k: int, j_cap: int | None = None) -> StabilizationReport:
+def stabilized_dims(F: Filtration, k: int) -> StabilizationReport:
     """Run pages until two consecutive totals agree with the Betti number."""
     if k not in F.lmax:
         raise DimensionError(f"dimension {k} is outside the filtration (-1 .. {F.kmax})")
     target = betti(F.K, k)
-    if j_cap is None:
-        j_cap = max(F.lmax.values(), default=0) + F.kmax + 3
+    j_cap = max(F.lmax.values(), default=0) + F.kmax + 3
     per_page: dict[int, int] = {}
     stab = None
     prev = None
@@ -196,10 +193,7 @@ class FormanReport:
 
 
 def forman_compare(
-    K: CliqueComplex,
-    k: int,
-    grid: tuple[float, ...] = DEFAULT_GRID,
-    slope_tol: float = 0.5,
+    K: CliqueComplex, k: int, grid: tuple[float, ...] = DEFAULT_GRID
 ) -> FormanReport:
     """Algebraic page dimensions against numeric decay-exponent counts.
 
@@ -209,12 +203,10 @@ def forman_compare(
     """
     F = filtration(K)
     stab = stabilized_dims(F, k)
-    table = sweep(K, k, grid, slope_tol)
-    j_top = stab.stabilization_page + 1
-    rows = []
-    for j in range(1, j_top + 1):
-        alg = stab.per_page.get(j)
-        if alg is None:
-            alg = sum(F.e_dim(k, l, j) for l in range(0, F.lmax[k] + 1))
-        rows.append(FormanRow(j, alg, table.count_exponent_at_least(2 * j)))
+    table = sweep(K, k, grid)
+    # stabilized_dims has filled per_page through stabilization_page + 1
+    rows = [
+        FormanRow(j, stab.per_page[j], table.count_exponent_at_least(2 * j))
+        for j in range(1, stab.stabilization_page + 2)
+    ]
     return FormanReport(k, tuple(rows), table)

@@ -26,7 +26,9 @@ from .operators import laplacian, laplacian_down, laplacian_up
 
 DEFAULT_GRID = (0.3, 0.25, 0.2, 0.15, 0.1)
 KERNEL_FLOOR = 1e-13
-SLOPE_TOL = 0.5
+SLOPE_TOL = 0.5  # how far a fitted slope may sit from its even decay exponent
+ZERO_TOL = 1e-10  # the zero threshold of a full spectrum's eigenvalues
+PAIRING_TOL = 1e-8  # relative mismatch allowed between paired up/down eigenvalues
 
 
 @dataclass(frozen=True)
@@ -36,21 +38,20 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     lambda_min: float
     near_zero_multiplicity: int
-    zero_tol: float
 
 
-def spectrum(K: CliqueComplex, k: int, lam: float, zero_tol: float = 1e-10) -> SpectrumReport:
+def spectrum(K: CliqueComplex, k: int, lam: float) -> SpectrumReport:
     """Full sorted spectrum of the weighted Laplacian at one lambda."""
     n = K.dim_size(k)
     if n == 0:
-        return SpectrumReport(k, lam, np.zeros(0), 0.0, 0, zero_tol)
+        return SpectrumReport(k, lam, np.zeros(0), 0.0, 0)
     if n > DENSE_EIG_CAP:
         raise DimensionError(
             f"dim C^{k} = {n} exceeds the dense cap; use lambda_min for extremal values"
         )
     vals = eigensolve(laplacian(K, k).evaluate(lam))
-    mult = int((vals < zero_tol).sum())
-    return SpectrumReport(k, lam, vals, float(vals[0]), mult, zero_tol)
+    mult = int((vals < ZERO_TOL).sum())
+    return SpectrumReport(k, lam, vals, float(vals[0]), mult)
 
 
 def lambda_min(K: CliqueComplex, k: int, lam: float, exact_zero: bool = True) -> float:
@@ -69,7 +70,6 @@ class BranchTable:
     trajectories: np.ndarray  # (n_branches, n_grid), ascending branch index
     slopes: tuple[float | None, ...]  # None for exact-kernel branches
     classes: tuple[str, ...]  # "kernel" or str(even exponent)
-    slope_tol: float
 
     @property
     def n_branches(self) -> int:
@@ -104,16 +104,11 @@ def _fit_slopes(lams: np.ndarray, logy: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(A, logy, rcond=None)[0][0]
 
 
-def sweep(
-    K: CliqueComplex,
-    k: int,
-    grid: tuple[float, ...] = DEFAULT_GRID,
-    slope_tol: float = SLOPE_TOL,
-) -> BranchTable:
+def sweep(K: CliqueComplex, k: int, grid: tuple[float, ...] = DEFAULT_GRID) -> BranchTable:
     """Eigenvalue branches over a decreasing lambda grid with fitted slopes.
 
     Branch matching is by sorted index, valid in the absence of crossings; a
-    fitted slope that is not within tolerance of an even integer is reported
+    fitted slope that is not within SLOPE_TOL of an even integer is reported
     as a matching ambiguity rather than silently classified.
     """
     grid = tuple(grid)
@@ -125,7 +120,7 @@ def sweep(
         raise GraphFormatError("sweep grid must be strictly decreasing")
     n = K.dim_size(k)
     if n == 0:
-        return BranchTable(k, grid, np.zeros((0, len(grid))), (), (), slope_tol)
+        return BranchTable(k, grid, np.zeros((0, len(grid))), (), ())
     L = laplacian(K, k)
     traj = np.stack([eigensolve(L.evaluate(lam)) for lam in grid], axis=1)  # branch x grid
     lams = np.array(grid)
@@ -149,14 +144,14 @@ def sweep(
                 f"branch {i}: eigenvalue underflows at part of the grid: {traj[i].tolist()}"
             )
             classes.append("ambiguous")
-        elif abs(s - even) <= slope_tol and even >= 0:
+        elif abs(s - even) <= SLOPE_TOL and even >= 0:
             classes.append(str(int(even)))
         else:
             problems.append(f"branch {i}: fitted slope {s:.3f} is not near an even integer")
             classes.append("ambiguous")
     if problems:
         raise BranchMatchingError("; ".join(problems))
-    return BranchTable(k, grid, traj, tuple(slopes), tuple(classes), slope_tol)
+    return BranchTable(k, grid, traj, tuple(slopes), tuple(classes))
 
 
 @dataclass(frozen=True)
@@ -168,14 +163,14 @@ class PairingReport:
 
     @property
     def paired(self) -> bool:
-        return self.max_mismatch <= 1e-8
+        return self.max_mismatch <= PAIRING_TOL
 
 
-def pairing_check(K: CliqueComplex, lam: float = 1.0, rel_tol: float = 1e-8) -> PairingReport:
+def pairing_check(K: CliqueComplex, lam: float = 1.0) -> PairingReport:
     """Supersymmetric pairing: positive spectra of up/down parts match.
 
     For each level k, the positive eigenvalues of the up Laplacian at k must
-    equal (as multisets, within relative tolerance) the positive eigenvalues
+    equal (as multisets, within relative PAIRING_TOL) the positive eigenvalues
     of the down Laplacian at k+1; this exhausts the positive spectrum into
     doublets, with singlets exactly the harmonic states.
     """
@@ -202,5 +197,5 @@ def pairing_check(K: CliqueComplex, lam: float = 1.0, rel_tol: float = 1e-8) -> 
     return PairingReport(lam, tuple(range(-1, top)), max_mismatch, counts)
 
 
-def _positive(vals: np.ndarray, floor: float = 1e-10) -> np.ndarray:
-    return np.sort(vals[vals > floor])
+def _positive(vals: np.ndarray) -> np.ndarray:
+    return np.sort(vals[vals > ZERO_TOL])

@@ -235,7 +235,7 @@ def test_c10_forman_comparison():
         for amps in ({"0": 1}, {"0": 1, "1": -1})
     ]
     for g in fixtures:
-        rep = forman_compare(built(g, 3), 1, DEFAULT_GRID, slope_tol=0.5)
+        rep = forman_compare(built(g, 3), 1, DEFAULT_GRID)
         if not rep.ok:
             ok = False
     check("10 forman comparison", ok, f"{time.time() - t0:.2f}s")
@@ -245,7 +245,7 @@ def test_c11_scaling_exponents():
     t0 = time.time()
     g = gadget_graph(IntegerState.from_dict(1, {"0": 1}))
     K = built(g, 3)
-    table = sweep(K, 1, DEFAULT_GRID, slope_tol=0.5)
+    table = sweep(K, 1, DEFAULT_GRID)
     bulk_edges = sum(1 for s in K.simplices(1) if "g.center" in s)
     ok = table.count_class("6") == 1 and table.count_class("2") == bulk_edges
     # remaining positive branches decay like Theta(1) within +-0.3

@@ -4,8 +4,15 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homology_lab.complexes import clique_complex, independence_complex, kunneth_embed
+from homology_lab.complexes import (
+    clique_complex,
+    independence_complex,
+    kunneth_embed,
+    merge_sign,
+    sort_with_sign,
+)
 from homology_lab.errors import CapExceededError
 from homology_lab.gadgets import basis_chain
 from homology_lab.graph import (
@@ -93,6 +100,30 @@ def test_face_closure(g):
         for sigma in K.simplices(k):
             for i in range(len(sigma)):
                 assert K.has(sigma[:i] + sigma[i + 1 :])
+
+
+def inversion_parity(vs) -> int:
+    """Sign of the permutation sorting vs, from its inversion count."""
+    return (-1) ** sum(1 for i, u in enumerate(vs) for w in vs[i + 1 :] if u > w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs(max_vertices=8, weighted=True), st.randoms(use_true_random=False))
+def test_canonical_order_is_label_order(g, rng):
+    K = clique_complex(g, min(g.n_vertices, 5))
+    for k in range(-1, K.max_dim + 1):
+        sims = K.simplices(k)
+        assert list(sims) == sorted(sims)
+        for s in sims:
+            assert all(u < w for u, w in zip(s, s[1:]))
+            shuffled = rng.sample(s, len(s))
+            assert sort_with_sign(shuffled) == (s, inversion_parity(shuffled))
+            left = tuple(v for v in s if rng.random() < 0.5)
+            right = tuple(v for v in s if v not in left)
+            assert merge_sign(left, right) == (s, inversion_parity(left + right))
+            if s:  # a repeated vertex collapses the simplex
+                assert sort_with_sign(shuffled + [s[0]])[1] == 0
+                assert merge_sign(s, s[:1])[1] == 0
 
 
 def test_deterministic_enumeration():

@@ -1,10 +1,11 @@
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from homology_lab.complexes import clique_complex
+from homology_lab.complexes import clique_complex, kunneth_embed
 from homology_lab.errors import (
     GraphFormatError,
     OrientationAlignmentError,
@@ -28,7 +29,7 @@ from homology_lab.gadgets import (
     target_chain,
     target_cycle_graph,
 )
-from homology_lab.graph import qubit_graph
+from homology_lab.graph import complement, qubit_graph, unweighted
 from homology_lab.homology import (
     betti,
     betti_table,
@@ -188,9 +189,32 @@ def test_fundamental_cycle_of_octahedron():
     fc = fundamental_cycle(Kc)
     assert len(fc) == 4
     assert all(abs(v) == 1 for v in fc.values())
-    pushed = push_chain(fc, {v: v for v in c.graph.vertices}, Kc.vertex_pos)
+    pushed = push_chain(fc, {v: v for v in c.graph.vertices})
     tgt = basis_chain(built(qubit_graph(1), 2), "0")
     assert pushed == tgt or pushed == {s: -v for s, v in tgt.items()}
+
+
+def test_library_chains_carry_integers():
+    def integer(chain):
+        return chain and all(type(c) is int for c in chain.values())
+
+    K2 = built(qubit_graph(2), 4)
+    assert integer(basis_chain(K2, "01"))
+    state = IntegerState.from_dict(2, {"00": 1, "11": -1})
+    assert integer(target_chain(state, built(target_cycle_graph(state), 4)))
+    c = basis_cycle(1, "0")
+    fc = fundamental_cycle(built(c.graph, 2))
+    assert integer(fc)
+    assert integer(push_chain(fc, {v: v for v in c.graph.vertices}))
+    q1 = basis_chain(built(qubit_graph(1), 2), "0")
+    q2 = {tuple(v.replace("q1.", "q2.") for v in s): x for s, x in q1.items()}
+    joined = kunneth_embed(q1, q2, into=K2)
+    assert integer(joined) and joined == basis_chain(K2, "00")
+    # the exact witness stays rational
+    K3 = built(complement(unweighted(["a", "b", "c"])), 2)
+    ok, witness = cycle_is_boundary(K3, {("b", "c"): 1, ("a", "c"): -1, ("a", "b"): 1}, 1)
+    assert ok and witness == {("a", "b", "c"): 1}
+    assert all(type(v) is Fraction for v in witness.values())
 
 
 def test_push_alignment_failure_is_reported():

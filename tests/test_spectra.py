@@ -16,6 +16,7 @@ from homology_lab.operators import laplacian
 from homology_lab.reduction import Hamiltonian, reduce_hamiltonian
 from homology_lab.spectra import (
     DEFAULT_GRID,
+    SLOPE_TOL,
     lambda_min,
     pairing_check,
     spectrum,
@@ -74,7 +75,7 @@ def test_sweep_classes_on_zero_gadget():
     # every fitted slope lies within tolerance of an even integer
     for s, c in zip(table.slopes, table.classes):
         if c not in ("kernel",):
-            assert abs(s - int(c)) <= table.slope_tol
+            assert abs(s - int(c)) <= SLOPE_TOL
     lines = table.csv_lines()
     assert lines[0].startswith("branch,lam=0.3")
     assert len(lines) == table.n_branches + 1
