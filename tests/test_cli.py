@@ -25,6 +25,9 @@ HAMILTONIANS = {
     '{"support":[0,1],"amps":{"11":1}}]}',
     # above DENSE_EIG_CAP: the NO certificate comes from shift-invert Lanczos
     "h-3q-no": '{"n":3,"terms":[{"support":[0],"amps":{"0":1}},{"support":[0],"amps":{"1":1}}]}',
+    # a two-amplitude term placed on qubits 1 and 2, a 1-local term on qubit 0
+    "h-3q-mixed-support": '{"n":3,"terms":[{"support":[1,2],"amps":{"00":1,"11":-1}},'
+    '{"support":[0],"amps":{"0":1}}]}',
 }
 
 
@@ -171,6 +174,9 @@ GOLDEN_RUNS = {
     "spectrum-two-gadgets-1q-k2-lambda-0.1": (
         "spectrum", "@two-gadgets-1q", "--k", "2", "--lambda", "0.1"
     ),
+    # the reduced graph's JSON: support placement, term prefixes and padding
+    "reduce-2q-yes": ("reduce", "@h-2q-yes"),
+    "reduce-3q-mixed-support": ("reduce", "@h-3q-mixed-support"),
 }
 
 
@@ -180,6 +186,14 @@ def test_cli_golden_output(fixture_dir, capsys, name):
     code, out, _ = run(capsys, *with_files(fixture_dir, GOLDEN_RUNS[name]))
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", ["gadget-00-minus-11", "hexagon", "two-gadgets-1q"])
+def test_fixture_golden_json(tmp_path, capsys, name):
+    """The file ``fixtures`` writes is byte-identical to the recorded one."""
+    code, out, _ = run(capsys, "fixtures", "--out", str(tmp_path), "--which", name)
+    assert code == 0
+    assert Path(out.strip()).read_text() == (GOLDEN / f"fixture-{name}.json").read_text()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -8,6 +8,7 @@ import scipy.linalg
 from homology_lab.complexes import clique_complex, kunneth_embed
 from homology_lab.errors import (
     GraphFormatError,
+    HomologyLabError,
     OrientationAlignmentError,
     UnsupportedStateError,
 )
@@ -29,7 +30,7 @@ from homology_lab.gadgets import (
     target_chain,
     target_cycle_graph,
 )
-from homology_lab.graph import complement, qubit_graph, unweighted
+from homology_lab.graph import complement, make_graph, qubit_graph, unweighted
 from homology_lab.homology import (
     betti,
     betti_table,
@@ -237,6 +238,30 @@ def test_fill_cycle_rejects_non_surjective_relation():
         fill_cycle(target_cycle_graph(st), kg, bad, m=1)
 
 
+def _misses_an_edge():
+    """A 6-path onto the hexagon: the edge h6-h1 has no preimage."""
+    ring = cycle_graph(6)
+    ks = [f"k{i}" for i in range(1, 7)]
+    path = make_graph({k: 0 for k in ks}, [(ks[i], ks[i + 1]) for i in range(5)])
+    return ring, path, {f"k{i}": f"h{i}" for i in range(1, 7)}
+
+
+def _adds_an_edge():
+    """An 8-cycle onto the hexagon whose last two edges both land on h1-h4."""
+    ring = cycle_graph(6)
+    ks = [f"k{i}" for i in range(1, 9)]
+    octagon = make_graph({k: 0 for k in ks}, [(ks[i], ks[(i + 1) % 8]) for i in range(8)])
+    relation = {f"k{i}": f"h{i}" for i in range(1, 7)} | {"k7": "h1", "k8": "h4"}
+    return ring, octagon, relation
+
+
+@pytest.mark.parametrize("case", [_misses_an_edge, _adds_an_edge], ids=["misses", "adds"])
+def test_fill_cycle_rejects_an_image_other_than_the_cycle(case):
+    ring, kg, relation = case()
+    with pytest.raises(HomologyLabError, match="does not reproduce the target cycle"):
+        fill_cycle(ring, kg, relation)
+
+
 # -- full gadgets -----------------------------------------------------------------
 
 
@@ -309,6 +334,22 @@ def test_glue_validations():
     weights["q1.x"] = 1
     with pytest.raises(GraphFormatError):
         glue(make_graph(weights, reweighted.edges), bp)
+
+
+def test_glue_rejects_a_base_without_the_cycle_edges():
+    bp = gadget(IntegerState.from_dict(1, {"0": 1}))
+    base = qubit_graph(1)
+    cut = make_graph(base.weight_map(), base.edges - {("q1.a2", "q1.a3")})
+    with pytest.raises(GraphFormatError, match="missing cycle edges"):
+        glue(cut, bp)
+
+
+def test_glue_rejects_an_added_vertex_already_in_the_base():
+    bp = gadget(IntegerState.from_dict(1, {"0": 1}))
+    base = qubit_graph(1)
+    crowded = make_graph(base.weight_map() | {"g.center": 1}, base.edges)
+    with pytest.raises(GraphFormatError, match="collides with base graph"):
+        glue(crowded, bp)
 
 
 def test_filled_cycle_bounds_and_others_do_not():

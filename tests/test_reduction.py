@@ -82,6 +82,12 @@ def test_pad_adds_all_to_all_edges():
     assert all(any(v.startswith("q2.") for v in e) for e in new)
 
 
+def test_pad_rejects_fewer_qubits_than_the_gadget():
+    bp = gadget(IntegerState.from_dict(2, {"00": 1}))
+    with pytest.raises(GraphFormatError, match="cannot pad"):
+        pad(bp, 1)
+
+
 def test_reduce_single_term_graph():
     res = reduce_hamiltonian(H_of(1, ([0], {"0": 1})))
     assert res.graph.n_vertices == 12
