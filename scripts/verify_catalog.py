@@ -3,7 +3,9 @@
 
 States on one or two qubits are built and checked (sphere triangulation,
 orientation alignment, 2-determined quotient, glued Betti pattern, Witten
-index); larger states are listed as extension points.
+index).  Larger states are listed and skipped: basis states for run time
+(``homology-lab verify-gadget Hclock4`` checks one in about ten seconds),
+superpositions because their gadgets are an extension point.
 """
 
 import time
@@ -17,7 +19,8 @@ from homology_lab.homology import betti_table, euler_characteristic
 def main() -> None:
     for name, state in catalog().items():
         if state.m > 2:
-            print(f"{name:12} {state.label():>28}: m={state.m} (extension point, skipped)")
+            why = "run time" if len(state.amps) == 1 else "extension point"
+            print(f"{name:12} {state.label():>28}: m={state.m} (skipped: {why})")
             continue
         t0 = time.time()
         bp = gadget(state)

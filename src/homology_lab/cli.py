@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import fixtures as fixtures_mod
-from .complexes import clique_complex
+from .complexes import DEFAULT_CAP, clique_complex
 from .errors import GraphFormatError, HomologyLabError, UsageError
 from .gadgets import IntegerState, catalog, gadget, glue
 from .graph import parse_graph, qubit_graph
@@ -67,7 +67,7 @@ def build_parser() -> _Parser:
     b.add_argument("graph", help="graph JSON file or - for stdin")
     b.add_argument("--k", default="all", help="dimension or 'all'")
     b.add_argument("--max-dim", type=int, default=None)
-    b.add_argument("--cap", type=int, default=2_000_000)
+    b.add_argument("--cap", type=int, default=DEFAULT_CAP)
     b.add_argument("--unreduced", action="store_true")
     b.add_argument("--format", choices=["text", "csv", "json"], default="text")
 
@@ -77,7 +77,7 @@ def build_parser() -> _Parser:
     s.add_argument("--lambda", dest="lam", type=float, default=None)
     s.add_argument("--grid", default=None, help="comma-separated decreasing lambdas")
     s.add_argument("--max-dim", type=int, default=None)
-    s.add_argument("--cap", type=int, default=2_000_000)
+    s.add_argument("--cap", type=int, default=DEFAULT_CAP)
     s.add_argument("--format", choices=["text", "csv"], default="text")
 
     q = sub.add_parser("specseq", help="spectral-sequence page tables")
@@ -87,7 +87,7 @@ def build_parser() -> _Parser:
     q.add_argument("--forman", action="store_true", help="compare with sweep exponents")
     q.add_argument("--grid", default=None)
     q.add_argument("--max-dim", type=int, default=None)
-    q.add_argument("--cap", type=int, default=2_000_000)
+    q.add_argument("--cap", type=int, default=DEFAULT_CAP)
     q.add_argument("--format", choices=["text", "csv"], default="text")
 
     r = sub.add_parser("reduce", help="compile a Hamiltonian to a weighted graph")

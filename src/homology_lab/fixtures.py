@@ -28,7 +28,7 @@ def cycle_graph(n: int, prefix: str = "h") -> WeightedGraph:
 def hexagon() -> WeightedGraph:
     """Filled hexagon: thicken a 6-cycle, cone it off, glue back (identity)."""
     ring = cycle_graph(6)
-    bp = fill_cycle(ring, ring, {v: v for v in ring.vertices}, m=1)
+    bp = fill_cycle(ring, ring, {v: v for v in ring.vertices})
     return glue(ring, bp)
 
 

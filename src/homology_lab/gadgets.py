@@ -3,10 +3,11 @@
 The pipeline is generic: build a sphere triangulation K with a vertex
 relation R onto the target cycle, thicken K into a two-layer shell, cone the
 inner layer off with a central vertex, quotient the outer layer through R,
-and glue the result onto the qubit graph.  Native constructions cover 1- and
-2-qubit integer states (rings of cut-open basis cycles glued on shared dummy
-vertices); larger states pass through the same pipeline once a (K, R) pair
-is supplied externally.
+and glue the result onto the qubit graph.  Native constructions cover every
+basis state (K is the cycle itself) and the superpositions on 1 and 2
+qubits (rings of cut-open basis cycles glued on shared dummy vertices);
+superpositions on more qubits pass through the same pipeline once a (K, R)
+pair is supplied externally.
 
 Every construction is verified on the spot: the quotient must be
 2-determined, the quotient image of Cl(K) must equal the target cycle's
@@ -27,7 +28,7 @@ from .complexes import (
     CliqueComplex,
     Simplex,
     clique_complex,
-    merge_sign,
+    kunneth_embed,
     sort_with_sign,
 )
 from .errors import (
@@ -119,39 +120,24 @@ def basis_cycle(m: int, z: str) -> BasisCycle:
     return BasisCycle(z, sub, loops)
 
 
-def _loop_edge_chain(loop: tuple[str, str, str, str]) -> list[tuple[Simplex, int]]:
-    out = []
+def _loop_edge_chain(loop: tuple[str, str, str, str]) -> Chain:
+    out: Chain = {}
     for i in range(4):
         p, q = loop[i], loop[(i + 1) % 4]
-        if p < q:
-            out.append(((p, q), 1))
-        else:
-            out.append(((q, p), -1))
+        out[(p, q) if p < q else (q, p)] = 1 if p < q else -1
     return out
 
 
 def basis_chain(K: CliqueComplex, z: str) -> Chain:
     """Canonical (2m-1)-cycle chain for |z> inside a complex containing it.
 
-    The chain is the iterated join of the per-qubit oriented loop chains,
-    with shuffle-parity signs; coefficients are +-1 and the squared norm is
-    4^m in the orthonormal simplex basis.
+    The chain is the join (``kunneth_embed``) of the per-qubit oriented loop
+    chains, with shuffle-parity signs; coefficients are +-1 and the squared
+    norm is 4^m in the orthonormal simplex basis.
     """
-    m = len(z)
     chain: Chain = {(): 1}
-    for q in range(m):
-        loop = _loop_edge_chain(_loop_labels(q + 1, z[q]))
-        new: Chain = {}
-        for sigma, cof in chain.items():
-            for edge, s in loop:
-                merged, ms = merge_sign(sigma, edge)
-                if ms == 0:
-                    raise HomologyLabError("loop vertices collide across qubits")
-                new[merged] = new.get(merged, 0) + cof * s * ms
-        chain = new
-    for sigma in chain:
-        if not K.has(sigma):
-            raise GraphFormatError(f"basis cycle simplex {sigma!r} missing from complex")
+    for q, bit in enumerate(z, start=1):
+        chain = kunneth_embed(chain, _loop_edge_chain(_loop_labels(q, bit)), into=K)
     return chain
 
 
@@ -258,12 +244,12 @@ def _dummy_key(name: str) -> int:
 def build_K(state: IntegerState) -> tuple[WeightedGraph, Relation, list[str] | None]:
     """Sphere triangulation, identification relation, and thickening order.
 
-    Single basis states take K equal to the cycle itself with the identity
-    relation.  Superpositions on one qubit are rings of cut-open loops glued
-    at shared endpoint vertices; on two qubits, rings of cut-open basis
-    3-cycles glued along shared dummy squares, with two extra closure
-    vertices once four or more copies meet.  States on three or more qubits
-    are an extension point.
+    Single basis states, on any number of qubits, take K equal to the cycle
+    itself with the identity relation.  Superpositions on one qubit are
+    rings of cut-open loops glued at shared endpoint vertices; on two
+    qubits, rings of cut-open basis 3-cycles glued along shared dummy
+    squares, with two extra closure vertices once four or more copies meet.
+    Superpositions on three or more qubits are an extension point.
     """
     m = state.m
     copies = _copy_list(state)
@@ -276,8 +262,9 @@ def build_K(state: IntegerState) -> tuple[WeightedGraph, Relation, list[str] | N
     if m == 2:
         return _build_ring_2q(state, copies)
     raise UnsupportedStateError(
-        f"native gadget constructions cover m in {{1, 2}}; got m={m} "
-        f"(supply an external (K, R) pair through fill_cycle)"
+        f"native gadget constructions cover basis states and superpositions on "
+        f"m in {{1, 2}} qubits; got a superposition on m={m} (extension point: "
+        f"supply an external (K, R) pair through fill_cycle)"
     )
 
 
@@ -383,25 +370,28 @@ def _build_ring_2q(state: IntegerState, copies):
 
 @dataclass(frozen=True)
 class GadgetBlueprint:
-    """Added vertices/edges implementing one filled cycle.
+    """One filled cycle as a graph: the cycle plus the vertices filling it.
 
-    ``boundary_vertices`` (the cycle being glued onto) stay weight-exponent
-    0 and must already exist in the base graph; all added vertices carry
-    exponent 1.
+    Base vertices of ``graph`` keep weight exponent 0 and must already exist
+    in the graph the blueprint is glued onto: the ``boundary_vertices`` of
+    the cycle and, once padded, the qubit copies outside the support.  Every
+    added vertex carries exponent 1, so the exponents tell the parts apart.
     """
 
     m: int
     state: IntegerState | None
-    support: tuple[int, ...]
+    graph: WeightedGraph
     boundary_vertices: tuple[str, ...]
-    added_weights: tuple[tuple[str, int], ...]
-    added_edges: frozenset[tuple[str, str]]
-    center: str
-    boundary_edges: frozenset[tuple[str, str]]
 
     @property
     def added_vertex_names(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.added_weights)
+        g = self.graph
+        return tuple(v for v, e in zip(g.vertices, g.exponents) if e)
+
+    @property
+    def added_edges(self) -> frozenset[tuple[str, str]]:
+        added = set(self.added_vertex_names)
+        return frozenset(e for e in self.graph.edges if e[0] in added or e[1] in added)
 
     def metadata(self) -> dict:
         return {
@@ -412,13 +402,8 @@ class GadgetBlueprint:
             }
         }
 
-    def standalone_graph(self) -> WeightedGraph:
-        """The blueprint as a graph: boundary cycle plus added vertices/edges."""
-        weights = {v: 0 for v in self.boundary_vertices} | dict(self.added_weights)
-        return make_graph(weights, set(self.boundary_edges) | set(self.added_edges))
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return graph_to_json(self.standalone_graph(), metadata=self.metadata(), indent=indent)
+    def to_json(self) -> str:
+        return graph_to_json(self.graph, metadata=self.metadata(), indent=2)
 
 
 def ring_thickening_order(
@@ -446,7 +431,6 @@ def fill_cycle(
     relation: Relation,
     expected_chain: Chain | None = None,
     state: IntegerState | None = None,
-    m: int | None = None,
     order: list[str] | None = None,
 ) -> GadgetBlueprint:
     """Thicken K, cone it off, quotient the outer layer onto the cycle.
@@ -454,24 +438,20 @@ def fill_cycle(
     ``relation`` must be functional on K's vertices and surjective onto the
     cycle's vertex set.  When ``expected_chain`` is given, the pushed
     fundamental cycle of K must equal it exactly up to one global sign.
+    ``order`` steers the thickening's diagonals (``thicken``'s default is
+    label order).
     """
     j0 = set(j_graph.vertices)
-    targets = {relation.get(v) for v in k_graph.vertices}
-    if None in targets:
-        raise GraphFormatError("relation must cover every K vertex")
-    if targets != j0:
+    if {relation.get(v) for v in k_graph.vertices} != j0:
         raise GraphFormatError(
-            "relation must be surjective onto the cycle's vertices"
+            "relation must map K's vertices onto the cycle's vertices"
         )
     K = clique_complex(k_graph, max_dim=k_graph.n_vertices - 1)
     top = K.top_dimension()
-    # verify f(Cl(K)) is exactly the cycle's simplex set
-    j_complex = clique_complex(j_graph, max_dim=top + 1)
-    if j_complex.dim_size(top + 1):
-        raise HomologyLabError("target cycle has simplices above the sphere dimension")
-    j_sims = {s for k in range(-1, top + 1) for s in j_complex.simplices(k)}
-    if image_simplices(K, relation) != j_sims:
-        raise HomologyLabError("f(K) does not reproduce the target cycle's simplices")
+    # apply_f checks that f(Cl(K)) is the clique complex of its image graph,
+    # so equal edges make it exactly the cycle's simplex set
+    if apply_f(K, relation).edges != j_graph.edges:
+        raise HomologyLabError("f(K) does not reproduce the target cycle's edges")
     if expected_chain is not None:
         pushed = push_chain(fundamental_cycle(K), relation)
         if pushed != expected_chain and pushed != {
@@ -482,45 +462,18 @@ def fill_cycle(
             )
     if "center" in k_graph.vertices:
         raise GraphFormatError("K may not use the reserved vertex name 'center'")
-    # thicken and cone
-    thick = thicken(k_graph, order if order is not None else sorted(k_graph.vertices))
-    inner = {layer_vertex(v, 1): f"g.{v}" for v in k_graph.vertices}
-    cone_weights = {v: 0 for v in thick.vertices} | {CENTER: 0}
-    cone_edges = set(thick.edges) | {
-        tuple(sorted((CENTER, layer_vertex(v, 1)))) for v in k_graph.vertices
-    }
-    coned = make_graph(cone_weights, cone_edges)
-    # quotient map on the coned graph
-    mu = {layer_vertex(v, 0): relation[v] for v in k_graph.vertices}
-    mu |= {layer_vertex(v, 1): inner[layer_vertex(v, 1)] for v in k_graph.vertices}
-    mu[CENTER] = CENTER
-    coned_complex = clique_complex(coned, max_dim=top + 2)
-    if coned_complex.dim_size(top + 2):
+    # thicken and cone; the inner layer and the center are the added
+    # vertices, and their exponent 1 survives the quotient
+    added = {layer_vertex(v, 1): f"g.{v}" for v in k_graph.vertices} | {CENTER: CENTER}
+    weights = {layer_vertex(v, 0): 0 for v in k_graph.vertices} | dict.fromkeys(added, 1)
+    edges = set(thicken(k_graph, order).edges)
+    edges |= {(CENTER, layer_vertex(v, 1)) for v in k_graph.vertices}
+    coned = clique_complex(make_graph(weights, edges), max_dim=top + 2)
+    if coned.dim_size(top + 2):
         raise HomologyLabError("coned shell has unexpected high-dimensional cliques")
-    q_graph = apply_f(coned_complex, mu)
-    # split edges into gadget-incident and cycle-internal
-    gadget_vertices = set(inner.values()) | {CENTER}
-    added_edges = set()
-    internal = set()
-    for e in q_graph.edges:
-        if e[0] in gadget_vertices or e[1] in gadget_vertices:
-            added_edges.add(e)
-        else:
-            internal.add(e)
-    if not internal <= set(j_graph.edges):
-        raise HomologyLabError("quotient induced new edges inside the glued cycle")
-    added_weights = tuple(sorted((v, 1) for v in gadget_vertices))
-    mm = m if m is not None else (state.m if state else (top + 1) // 2)
-    return GadgetBlueprint(
-        m=mm,
-        state=state,
-        support=tuple(range(1, mm + 1)),
-        boundary_vertices=tuple(sorted(j0)),
-        added_weights=added_weights,
-        added_edges=frozenset(added_edges),
-        center=CENTER,
-        boundary_edges=frozenset(j_graph.edges),
-    )
+    mu = {layer_vertex(v, 0): relation[v] for v in k_graph.vertices} | added
+    m = state.m if state else (top + 1) // 2
+    return GadgetBlueprint(m, state, apply_f(coned, mu), tuple(sorted(j0)))
 
 
 def target_cycle_graph(state: IntegerState) -> WeightedGraph:
@@ -553,38 +506,30 @@ def gadget(state: IntegerState) -> GadgetBlueprint:
     j_complex = clique_complex(j_graph, max_dim=2 * state.m)
     expected = target_chain(state, j_complex)
     return fill_cycle(
-        j_graph,
-        k_graph,
-        relation,
-        expected_chain=expected,
-        state=state,
-        m=state.m,
-        order=order,
+        j_graph, k_graph, relation, expected_chain=expected, state=state, order=order
     )
 
 
 def glue(base: WeightedGraph, bp: GadgetBlueprint) -> WeightedGraph:
-    """Identify the blueprint's boundary cycle with vertices of the base.
+    """Union of the base graph and the blueprint's graph.
 
-    No edges are induced between base vertices; the boundary vertices must
-    exist in the base with weight exponent 0 and the cycle's internal edges
-    must already be present.
+    The blueprint's exponent-0 vertices must exist in the base with weight
+    exponent 0, the cycle's edges must already be present and the added
+    vertices must be new; no edges are induced between base vertices.
     """
     base_vs = set(base.vertices)
-    for v in bp.boundary_vertices:
-        if v not in base_vs:
-            raise GraphFormatError(f"boundary vertex {v!r} missing from base graph")
-        if base.exponent(v) != 0:
-            raise GraphFormatError(f"boundary vertex {v!r} must have weight exponent 0")
-    if not bp.boundary_edges <= base.edges:
-        missing = sorted(bp.boundary_edges - base.edges)[:4]
-        raise GraphFormatError(f"base graph is missing cycle edges {missing}")
-    for v in bp.added_vertex_names:
-        if v in base_vs:
-            raise GraphFormatError(f"gadget vertex {v!r} collides with base graph")
-    weights = base.weight_map() | dict(bp.added_weights)
-    edges = set(base.edges) | set(bp.added_edges)
-    return make_graph(weights, edges)
+    for v, e in zip(bp.graph.vertices, bp.graph.exponents):
+        if e:
+            if v in base_vs:
+                raise GraphFormatError(f"gadget vertex {v!r} collides with base graph")
+        elif v not in base_vs:
+            raise GraphFormatError(f"base vertex {v!r} missing from base graph")
+        elif base.exponent(v) != 0:
+            raise GraphFormatError(f"base vertex {v!r} must have weight exponent 0")
+    missing = bp.graph.edges - bp.added_edges - base.edges
+    if missing:
+        raise GraphFormatError(f"base graph is missing cycle edges {sorted(missing)[:4]}")
+    return make_graph(base.weight_map() | bp.graph.weight_map(), base.edges | bp.graph.edges)
 
 
 # -- projector catalog ---------------------------------------------------------

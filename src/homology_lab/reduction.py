@@ -2,7 +2,7 @@
 
 A Hamiltonian is a sum of rank-1 projectors onto integer states with stated
 qubit supports.  The reduction builds the n-qubit graph, glues one padded
-gadget per term under a per-term namespace with no cross-gadget edges, and
+gadget per term under a per-term prefix with no cross-gadget edges, and
 decides satisfiability at desk scale: the YES branch is exact homology, the
 NO branch a numeric smallest-eigenvalue certificate against the scheduled
 threshold.
@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass, replace
 
 from .complexes import CliqueComplex, clique_complex
-from .errors import GapAmbiguityError, GraphFormatError, ScheduleError, UnsupportedStateError
+from .errors import GapAmbiguityError, GraphFormatError, ScheduleError
 from .gadgets import GadgetBlueprint, IntegerState, basis_state_matrix, gadget, glue
-from .graph import WeightedGraph, graph_to_json, qubit_graph
+from .graph import WeightedGraph, graph_to_json, make_graph, qubit_graph, relabel
 from .homology import betti, harmonic_basis
 from .spectra import lambda_min
 
@@ -82,71 +82,21 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     return Hamiltonian(n, tuple(terms))
 
 
-# -- padding and namespacing ----------------------------------------------------
+# -- padding -------------------------------------------------------------------
 
 
-def _relabel_support(bp: GadgetBlueprint, support: tuple[int, ...]) -> GadgetBlueprint:
-    """Rewrite local qubit references q{j}. onto the actual support qubits."""
-    mapping = {j + 1: q + 1 for j, q in enumerate(support)}
-
-    def rename(v: str) -> str:
-        if v.startswith("q"):
-            head, _, rest = v.partition(".")
-            local = int(head[1:])
-            return f"q{mapping[local]}.{rest}"
-        return v
-
-    return replace(
-        bp,
-        support=tuple(q + 1 for q in support),
-        boundary_vertices=tuple(sorted(rename(v) for v in bp.boundary_vertices)),
-        added_edges=frozenset(
-            tuple(sorted((rename(u), rename(v)))) for u, v in bp.added_edges
-        ),
-        boundary_edges=frozenset(
-            tuple(sorted((rename(u), rename(v)))) for u, v in bp.boundary_edges
-        ),
-    )
-
-
-def _namespace(bp: GadgetBlueprint, prefix: str) -> GadgetBlueprint:
-    """Prefix the added gadget vertices (boundary references unchanged)."""
-    added = {v for v, _ in bp.added_weights}
-
-    def rename(v: str) -> str:
-        return f"{prefix}{v}" if v in added else v
-
-    return replace(
-        bp,
-        added_weights=tuple(sorted((rename(v), e) for v, e in bp.added_weights)),
-        added_edges=frozenset(
-            tuple(sorted((rename(u), rename(v)))) for u, v in bp.added_edges
-        ),
-        center=rename(bp.center),
-    )
-
-
-def pad(bp: GadgetBlueprint, n: int, base: WeightedGraph | None = None) -> GadgetBlueprint:
+def pad(bp: GadgetBlueprint, n: int) -> GadgetBlueprint:
     """Join the gadget onto the qubit copies outside its support.
 
-    Every gadget vertex gains an edge to every vertex of the n - m
-    non-support qubit copies; the boundary cycle is unchanged.
+    Every added vertex gains an edge to every vertex of the n - m qubit
+    copies the boundary cycle does not touch; the cycle is unchanged.
     """
     if n < bp.m:
         raise GraphFormatError(f"cannot pad an m={bp.m} gadget down to n={n}")
-    if base is None:
-        base = qubit_graph(n)
-    support = set(bp.support)
-    outside = [
-        v
-        for v in base.vertices
-        if int(v.split(".", 1)[0][1:]) not in support
-    ]
-    new_edges = set(bp.added_edges)
-    for g in bp.added_vertex_names:
-        for v in outside:
-            new_edges.add((g, v) if g < v else (v, g))
-    return replace(bp, added_edges=frozenset(new_edges))
+    support = {v.partition(".")[0] for v in bp.boundary_vertices}
+    outside = [v for v in qubit_graph(n).vertices if v.partition(".")[0] not in support]
+    edges = set(bp.graph.edges) | {(g, v) for g in bp.added_vertex_names for v in outside}
+    return replace(bp, graph=make_graph(bp.graph.weight_map() | dict.fromkeys(outside, 0), edges))
 
 
 @dataclass(frozen=True)
@@ -169,22 +119,30 @@ class ReductionResult:
 
 
 def reduce_hamiltonian(H: Hamiltonian) -> ReductionResult:
-    """Qubit graph plus one padded, namespaced gadget per term."""
-    base = qubit_graph(H.n)
-    out = base
+    """Qubit graph plus one padded gadget per term.
+
+    Term i's gadget is placed by one relabeling: its local qubit ``q{j}.``
+    goes to the j-th support qubit and its added vertices take the prefix
+    ``t{i}.``, so gadgets share only qubit-graph vertices and no edge joins
+    two of them.
+    """
+    out = qubit_graph(H.n)
     prefixes = []
     blueprints = []
     for i, (support, state) in enumerate(H.terms, start=1):
-        if state.m > 2:
-            raise UnsupportedStateError(
-                f"term {i} acts on {state.m} qubits; native gadgets cover m <= 2 "
-                "(extension point: supply (K, R) via gadgets.fill_cycle)"
-            )
         bp = gadget(state)
-        bp = _relabel_support(bp, support)
         prefix = f"t{i}."
-        bp = _namespace(bp, prefix)
-        bp = pad(bp, H.n, base)
+        qubit = {f"q{j}": f"q{q + 1}" for j, q in enumerate(support, start=1)}
+        names = {v: prefix + v for v in bp.added_vertex_names}
+        for v in bp.boundary_vertices:
+            head, _, rest = v.partition(".")
+            names[v] = f"{qubit[head]}.{rest}"
+        bp = replace(
+            bp,
+            graph=relabel(bp.graph, names),
+            boundary_vertices=tuple(sorted(names[v] for v in bp.boundary_vertices)),
+        )
+        bp = pad(bp, H.n)
         out = glue(out, bp)
         prefixes.append(prefix)
         blueprints.append(bp)

@@ -73,15 +73,6 @@ class Filtration:
         )
         return [(face_at[min(col)], r) for r, col in zip(order, reduced) if col]
 
-    def level(self, k: int, l: int) -> frozenset[int]:
-        """Index set of U_l^k; full space for l <= 0, empty above lmax."""
-        if k < -1 or k > self.kmax:
-            return frozenset()
-        exps = self.exponents[k]
-        if l <= 0:
-            return frozenset(range(len(exps)))
-        return frozenset(i for i, e in enumerate(exps) if e >= l)
-
     def _check_compatibility(self) -> None:
         for k in range(-1, self.kmax):
             exps_hi = self.exponents[k + 1]
@@ -110,9 +101,6 @@ class Page:
 
     def nonzero(self) -> list[tuple[int, int, int]]:
         return sorted((k, l, d) for (k, l), d in self.dims.items() if d)
-
-    def total(self, k: int) -> int:
-        return sum(d for (kk, _l), d in self.dims.items() if kk == k)
 
     def table_lines(self) -> list[str]:
         lines = [f"page {self.j}  (rows k, cols l; nonzero dims)"]

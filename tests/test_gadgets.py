@@ -14,6 +14,7 @@ from homology_lab.errors import (
 )
 from homology_lab.fixtures import cycle_graph, gadget_graph, hexagon
 from homology_lab.gadgets import (
+    CENTER,
     IntegerState,
     apply_f,
     basis_cycle,
@@ -226,7 +227,7 @@ def test_push_alignment_failure_is_reported():
         IntegerState.from_dict(1, {"0": 1, "1": 1}), clique_complex(jg, 2)
     )
     with pytest.raises(OrientationAlignmentError):
-        fill_cycle(jg, kg, rel, expected_chain=wrong, m=1, order=order)
+        fill_cycle(jg, kg, rel, expected_chain=wrong, order=order)
 
 
 def test_fill_cycle_rejects_non_surjective_relation():
@@ -235,7 +236,7 @@ def test_fill_cycle_rejects_non_surjective_relation():
     bad = dict(rel)
     bad["q1.a2"] = "q1.a3"
     with pytest.raises(GraphFormatError):
-        fill_cycle(target_cycle_graph(st), kg, bad, m=1)
+        fill_cycle(target_cycle_graph(st), kg, bad)
 
 
 def _misses_an_edge():
@@ -268,9 +269,9 @@ def test_fill_cycle_rejects_an_image_other_than_the_cycle(case):
 def test_zero_gadget_blueprint():
     bp = gadget(IntegerState.from_dict(1, {"0": 1}))
     assert len(bp.added_vertex_names) == 5  # four inner vertices plus the center
-    assert bp.center in bp.added_vertex_names
+    assert CENTER in bp.added_vertex_names
     assert set(bp.boundary_vertices) == {"q1.x", "q1.a2", "q1.a3", "q1.a4"}
-    assert all(e == 1 for _v, e in bp.added_weights)
+    assert all(bp.graph.exponent(v) == (v not in bp.boundary_vertices) for v in bp.graph.vertices)
 
 
 def test_two_qubit_basis_gadget_blueprint():
@@ -294,7 +295,7 @@ def test_blueprint_serializes_to_graph_schema():
     bp = gadget(IntegerState.from_dict(1, {"0": 1, "1": -1}))
     text = bp.to_json()
     g = parse_graph(text)  # metadata block is ignored by the parser
-    assert g == bp.standalone_graph()
+    assert g == bp.graph
     doc = json.loads(text)
     assert doc["gadget"]["state"] == {"0": 1, "1": -1}
     assert doc["gadget"]["m"] == 1
@@ -384,7 +385,7 @@ def test_hexagon_fixture_shape():
 
 def test_hexagon_is_gadget_pipeline_output():
     ring = cycle_graph(6)
-    bp = fill_cycle(ring, ring, {v: v for v in ring.vertices}, m=1)
+    bp = fill_cycle(ring, ring, {v: v for v in ring.vertices})
     assert len(bp.added_vertex_names) == 7
 
 

@@ -237,6 +237,19 @@ def test_reduce_rejects_unsupported_locality():
         reduce_hamiltonian(H_of(3, ([0, 1, 2], {"000": 1, "111": 1})))
 
 
+def test_three_local_basis_state_term_reduces():
+    # |011><011| on three qubits leaves the other seven basis states
+    dec = decide(H_of(3, ([0, 1, 2], {"011": 1})))
+    assert dec.answer == "YES" and dec.betti == 7
+
+
+def test_three_local_basis_state_term_in_an_unsatisfiable_sum():
+    H = H_of(3, ([0, 1, 2], {"011": 1}), ([0], {"0": 1}), ([0], {"1": 1}))
+    dec = decide(H)
+    assert dec.answer == "NO"
+    assert dec.lam_min >= dec.schedule.threshold
+
+
 def test_mixed_locality_terms():
     # |00><00| plus |1><1| on qubit 0 leaves exactly the |01> state
     H = H_of(2, ([0, 1], {"00": 1}), ([0], {"1": 1}))

@@ -13,8 +13,7 @@ from conftest import built, dense_rank, seeded_graphs
 def test_trivial_filtration_on_unweighted_complex():
     F = filtration(built(bowtie(), 3))
     for k in range(-1, 2):
-        assert F.level(k, 1) == frozenset()
-        assert len(F.level(k, 0)) == F.K.dim_size(k)
+        assert F.exponents[k] == [0] * F.K.dim_size(k)
 
 
 def test_hexagon_filtration_truncation():
@@ -23,7 +22,7 @@ def test_hexagon_filtration_truncation():
     assert F.lmax[2] == 3  # central triangles carry three gadget vertices
     assert F.lmax[1] == 2
     assert F.lmax[0] == 1
-    assert F.level(2, 3) and not F.level(2, 4)
+    assert 3 in F.exponents[2] and all(e <= 3 for e in F.exponents[2])
 
 
 def test_one_qubit_gadget_has_top_filtration_level():
@@ -31,7 +30,7 @@ def test_one_qubit_gadget_has_top_filtration_level():
     K = built(g, 3)
     F = filtration(K)
     # triangles on three gadget vertices exist (center + inner edge)
-    assert len(F.level(2, 3)) > 0
+    assert any(e >= 3 for e in F.exponents[2])
 
 
 def test_page0_counts_exact_exponents():
