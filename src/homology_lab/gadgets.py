@@ -121,11 +121,8 @@ def basis_cycle(m: int, z: str) -> BasisCycle:
 
 
 def _loop_edge_chain(loop: tuple[str, str, str, str]) -> Chain:
-    out: Chain = {}
-    for i in range(4):
-        p, q = loop[i], loop[(i + 1) % 4]
-        out[(p, q) if p < q else (q, p)] = 1 if p < q else -1
-    return out
+    """The loop traversed in order, each edge signed by its direction."""
+    return dict(sort_with_sign((loop[i], loop[(i + 1) % 4])) for i in range(4))
 
 
 def basis_chain(K: CliqueComplex, z: str) -> Chain:
