@@ -34,7 +34,6 @@ class CliqueComplex:
             raise DimensionError("max_dim must be >= 0")
         self.graph = graph
         self.max_dim = max_dim
-        self.cap = cap
         by_dim: dict[int, list[Simplex]] = {-1: [()]}
         by_dim[0] = [(v,) for v in graph.vertices]
         total = 1 + len(graph.vertices)

@@ -16,10 +16,10 @@ from .graph import WeightedGraph, bowtie, graph_to_json, make_graph, octahedron,
 from .reduction import Hamiltonian, reduce_hamiltonian
 
 
-def cycle_graph(n: int, prefix: str = "h") -> WeightedGraph:
+def cycle_graph(n: int) -> WeightedGraph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    vs = [f"{prefix}{i}" for i in range(1, n + 1)]
+    vs = [f"h{i}" for i in range(1, n + 1)]
     edges = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
     return make_graph({v: 0 for v in vs}, edges)
 
@@ -92,7 +92,7 @@ def write_fixtures(directory: str, names: list[str] | None = None) -> list[str]:
     for name, g in sorted(fixtures.items()):
         path = os.path.join(directory, f"{name}.json")
         with open(path, "w") as fh:
-            fh.write(graph_to_json(g, indent=2))
+            fh.write(graph_to_json(g))
             fh.write("\n")
         written.append(path)
     return written

@@ -19,6 +19,7 @@ instead of silently flipping orientations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 import numpy as np
@@ -37,15 +38,7 @@ from .errors import (
     OrientationAlignmentError,
     UnsupportedStateError,
 )
-from .graph import (
-    WeightedGraph,
-    graph_to_json,
-    induced_subgraph,
-    layer_vertex,
-    make_graph,
-    qubit_graph,
-    thicken,
-)
+from .graph import BOWTIE_LOOPS, WeightedGraph, layer_vertex, make_graph, thicken
 from . import rational
 
 CENTER = "g.center"
@@ -98,29 +91,26 @@ class IntegerState:
 # -- basis cycles --------------------------------------------------------------
 
 
-def _loop_labels(q: int, bit: str) -> tuple[str, str, str, str]:
-    c = "a" if bit == "0" else "b"
-    return (f"q{q}.x", f"q{q}.{c}3", f"q{q}.{c}2", f"q{q}.{c}4")
+def _loop_labels(q: int, bit: str) -> tuple[str, ...]:
+    """Qubit q's bowtie loop for one bit, in traversal order."""
+    return tuple(f"q{q}.{v}" for v in BOWTIE_LOOPS[int(bit)])
 
 
-@dataclass(frozen=True)
-class BasisCycle:
-    z: str
-    graph: WeightedGraph
-    loops: tuple[tuple[str, str, str, str], ...]  # per-qubit traversal order
+def basis_cycle(m: int, z: str) -> WeightedGraph:
+    """The sub-octahedron of qubit_graph(m) carrying basis state |z>.
 
-
-def basis_cycle(m: int, z: str) -> BasisCycle:
-    """The sub-octahedron of qubit_graph(m) carrying basis state |z>."""
+    It is the join of the per-qubit loops: each loop's four edges plus every
+    pair of vertices from two different loops.
+    """
     if len(z) != m or any(c not in "01" for c in z):
         raise GraphFormatError(f"bad bitstring {z!r}")
-    loops = tuple(_loop_labels(q + 1, z[q]) for q in range(m))
-    vs = [v for loop in loops for v in loop]
-    sub = induced_subgraph(qubit_graph(m), vs)
-    return BasisCycle(z, sub, loops)
+    loops = [_loop_labels(q, bit) for q, bit in enumerate(z, start=1)]
+    edges = {(loop[i], loop[(i + 1) % 4]) for loop in loops for i in range(4)}
+    edges |= {(u, v) for a, b in combinations(loops, 2) for u in a for v in b}
+    return make_graph({v: 0 for loop in loops for v in loop}, edges)
 
 
-def _loop_edge_chain(loop: tuple[str, str, str, str]) -> Chain:
+def _loop_edge_chain(loop: tuple[str, ...]) -> Chain:
     """The loop traversed in order, each edge signed by its direction."""
     return dict(sort_with_sign((loop[i], loop[(i + 1) % 4])) for i in range(4))
 
@@ -143,11 +133,11 @@ def basis_chain(K: CliqueComplex, z: str) -> Chain:
 Relation = dict[str, str]
 
 
-def apply_f(K: CliqueComplex, relation: Relation) -> WeightedGraph:
+def apply_f(K: CliqueComplex, relation: Relation) -> CliqueComplex:
     """Quotient a clique complex through a functional vertex relation.
 
-    Returns the quotient graph; raises unless the image simplex set is
-    2-determined, i.e. equals the clique complex of the quotient graph.
+    Returns the clique complex of the quotient graph; raises unless the image
+    simplex set is 2-determined, i.e. equals that complex.
     """
     missing = [v for v in K.graph.vertices if v not in relation]
     if missing:
@@ -161,9 +151,8 @@ def apply_f(K: CliqueComplex, relation: Relation) -> WeightedGraph:
         fu, fv = relation[u], relation[v]
         if fu != fv:
             edges.add((fu, fv) if fu < fv else (fv, fu))
-    q_graph = make_graph(weights, edges)
     image = image_simplices(K, relation)
-    q_complex = clique_complex(q_graph, max_dim=max(K.max_dim, 1))
+    q_complex = clique_complex(make_graph(weights, edges), max_dim=max(K.max_dim, 1))
     actual = {s for k in range(-1, q_complex.max_dim + 1) for s in q_complex.simplices(k)}
     if image != actual:
         extra = sorted(actual - image)[:4]
@@ -171,7 +160,7 @@ def apply_f(K: CliqueComplex, relation: Relation) -> WeightedGraph:
         raise HomologyLabError(
             f"quotient is not 2-determined: extra={extra} missing={miss}"
         )
-    return q_graph
+    return q_complex
 
 
 def image_simplices(K: CliqueComplex, relation: Relation) -> set[Simplex]:
@@ -251,9 +240,8 @@ def build_K(state: IntegerState) -> tuple[WeightedGraph, Relation, list[str] | N
     m = state.m
     copies = _copy_list(state)
     if len(copies) == 1:
-        z = copies[0][0]
-        cyc = basis_cycle(m, z)
-        return cyc.graph, {v: v for v in cyc.graph.vertices}, None
+        cyc = basis_cycle(m, copies[0][0])
+        return cyc, {v: v for v in cyc.vertices}, None
     if m == 1:
         return _build_ring_1q(state, copies)
     if m == 2:
@@ -390,18 +378,6 @@ class GadgetBlueprint:
         added = set(self.added_vertex_names)
         return frozenset(e for e in self.graph.edges if e[0] in added or e[1] in added)
 
-    def metadata(self) -> dict:
-        return {
-            "gadget": {
-                "m": self.m,
-                "state": dict(self.state.amps) if self.state else None,
-                "j0": sorted(self.boundary_vertices),
-            }
-        }
-
-    def to_json(self) -> str:
-        return graph_to_json(self.graph, metadata=self.metadata(), indent=2)
-
 
 def ring_thickening_order(
     k_graph: WeightedGraph, dummies: list[str], reals: list[str]
@@ -426,17 +402,16 @@ def fill_cycle(
     j_graph: WeightedGraph,
     k_graph: WeightedGraph,
     relation: Relation,
-    expected_chain: Chain | None = None,
     state: IntegerState | None = None,
     order: list[str] | None = None,
 ) -> GadgetBlueprint:
     """Thicken K, cone it off, quotient the outer layer onto the cycle.
 
     ``relation`` must be functional on K's vertices and surjective onto the
-    cycle's vertex set.  When ``expected_chain`` is given, the pushed
-    fundamental cycle of K must equal it exactly up to one global sign.
-    ``order`` steers the thickening's diagonals (``thicken``'s default is
-    label order).
+    cycle's vertex set.  When ``state`` is given, the cycle is its target
+    cycle and the pushed fundamental cycle of K must equal its
+    ``target_chain`` exactly up to one global sign.  ``order`` steers the
+    thickening's diagonals (``thicken``'s default is label order).
     """
     j0 = set(j_graph.vertices)
     if {relation.get(v) for v in k_graph.vertices} != j0:
@@ -445,15 +420,15 @@ def fill_cycle(
         )
     K = clique_complex(k_graph, max_dim=k_graph.n_vertices - 1)
     top = K.top_dimension()
-    # apply_f checks that f(Cl(K)) is the clique complex of its image graph,
-    # so equal edges make it exactly the cycle's simplex set
-    if apply_f(K, relation).edges != j_graph.edges:
+    # apply_f checks that f(Cl(K)) is the clique complex J of its image
+    # graph, so equal edges make J exactly the cycle's simplex set
+    J = apply_f(K, relation)
+    if J.graph.edges != j_graph.edges:
         raise HomologyLabError("f(K) does not reproduce the target cycle's edges")
-    if expected_chain is not None:
+    if state is not None:
+        expected = target_chain(state, J)
         pushed = push_chain(fundamental_cycle(K), relation)
-        if pushed != expected_chain and pushed != {
-            s: -c for s, c in expected_chain.items()
-        }:
+        if pushed != expected and pushed != {s: -c for s, c in expected.items()}:
             raise OrientationAlignmentError(
                 "pushed fundamental cycle does not match the amplitude pattern"
             )
@@ -470,7 +445,7 @@ def fill_cycle(
         raise HomologyLabError("coned shell has unexpected high-dimensional cliques")
     mu = {layer_vertex(v, 0): relation[v] for v in k_graph.vertices} | added
     m = state.m if state else (top + 1) // 2
-    return GadgetBlueprint(m, state, apply_f(coned, mu), tuple(sorted(j0)))
+    return GadgetBlueprint(m, state, apply_f(coned, mu).graph, tuple(sorted(j0)))
 
 
 def target_cycle_graph(state: IntegerState) -> WeightedGraph:
@@ -479,8 +454,8 @@ def target_cycle_graph(state: IntegerState) -> WeightedGraph:
     edges: set[tuple[str, str]] = set()
     for z, _a in state.amps:
         cyc = basis_cycle(state.m, z)
-        weights |= {v: 0 for v in cyc.graph.vertices}
-        edges |= set(cyc.graph.edges)
+        weights |= dict.fromkeys(cyc.vertices, 0)
+        edges |= cyc.edges
     return make_graph(weights, edges)
 
 
@@ -498,13 +473,8 @@ def target_chain(state: IntegerState, complex_: CliqueComplex) -> Chain:
 
 def gadget(state: IntegerState) -> GadgetBlueprint:
     """Blueprint implementing the rank-1 projector onto an integer state."""
-    j_graph = target_cycle_graph(state)
     k_graph, relation, order = build_K(state)
-    j_complex = clique_complex(j_graph, max_dim=2 * state.m)
-    expected = target_chain(state, j_complex)
-    return fill_cycle(
-        j_graph, k_graph, relation, expected_chain=expected, state=state, order=order
-    )
+    return fill_cycle(target_cycle_graph(state), k_graph, relation, state, order)
 
 
 def glue(base: WeightedGraph, bp: GadgetBlueprint) -> WeightedGraph:

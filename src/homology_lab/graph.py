@@ -154,15 +154,16 @@ def parse_graph(text: str) -> WeightedGraph:
     return make_graph(weights, seen)
 
 
-def graph_to_json(g: WeightedGraph, metadata: dict | None = None, indent: int | None = None) -> str:
-    """Canonical serialization: vertices and edges sorted lexicographically."""
+def graph_to_json(g: WeightedGraph, metadata: dict | None = None) -> str:
+    """Canonical serialization: vertices and edges sorted lexicographically,
+    indented by 2."""
     doc: dict = {
         "vertices": [{"id": v, "w": g.exponent(v)} for v in g.vertices],
         "edges": [list(e) for e in sorted(g.edges)],
     }
     if metadata:
         doc.update(metadata)
-    return json.dumps(doc, indent=indent, sort_keys=False)
+    return json.dumps(doc, indent=2)
 
 
 # -- constructions ----------------------------------------------------------
@@ -206,13 +207,13 @@ def join(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
     return make_graph(weights, edges)
 
 
-def join_all(graphs: Sequence[WeightedGraph], prefix: str = "q") -> WeightedGraph:
+def join_all(graphs: Sequence[WeightedGraph]) -> WeightedGraph:
     """n-fold join with deterministic per-factor namespacing ``q{i}.``."""
     if not graphs:
         raise GraphFormatError("join_all of zero graphs")
-    out = relabel(graphs[0], {v: f"{prefix}1.{v}" for v in graphs[0].vertices})
+    out = relabel(graphs[0], {v: f"q1.{v}" for v in graphs[0].vertices})
     for i, h in enumerate(graphs[1:], start=2):
-        out = join(out, relabel(h, {v: f"{prefix}{i}.{v}" for v in h.vertices}))
+        out = join(out, relabel(h, {v: f"q{i}.{v}" for v in h.vertices}))
     return out
 
 
@@ -228,16 +229,17 @@ def octahedron(n: int) -> WeightedGraph:
     return join_all([two_points()] * n)
 
 
-_BOWTIE_LOOPS = (("x", "a3", "a2", "a4"), ("x", "b3", "b2", "b4"))
+# the bowtie's two loops in traversal order, for bit 0 and bit 1
+BOWTIE_LOOPS = (("x", "a3", "a2", "a4"), ("x", "b3", "b2", "b4"))
 
 
 def bowtie() -> WeightedGraph:
     """Two square loops sharing the vertex x; the single-qubit graph."""
     edges = []
-    for loop in _BOWTIE_LOOPS:
+    for loop in BOWTIE_LOOPS:
         for i in range(4):
             edges.append((loop[i], loop[(i + 1) % 4]))
-    vs = {v for loop in _BOWTIE_LOOPS for v in loop}
+    vs = {v for loop in BOWTIE_LOOPS for v in loop}
     return unweighted(vs, edges)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from .complexes import CliqueComplex, clique_complex
 from .errors import GapAmbiguityError, GraphFormatError, ScheduleError
 from .gadgets import GadgetBlueprint, IntegerState, basis_state_matrix, gadget, glue
-from .graph import WeightedGraph, graph_to_json, make_graph, qubit_graph, relabel
+from .graph import BOWTIE_LOOPS, WeightedGraph, graph_to_json, make_graph, qubit_graph, relabel
 from .homology import betti, harmonic_basis
 from .spectra import lambda_min
 
@@ -89,12 +89,14 @@ def pad(bp: GadgetBlueprint, n: int) -> GadgetBlueprint:
     """Join the gadget onto the qubit copies outside its support.
 
     Every added vertex gains an edge to every vertex of the n - m qubit
-    copies the boundary cycle does not touch; the cycle is unchanged.
+    copies the boundary cycle does not touch, named as ``qubit_graph(n)``
+    names them; the cycle is unchanged.
     """
     if n < bp.m:
         raise GraphFormatError(f"cannot pad an m={bp.m} gadget down to n={n}")
     support = {v.partition(".")[0] for v in bp.boundary_vertices}
-    outside = [v for v in qubit_graph(n).vertices if v.partition(".")[0] not in support]
+    labels = dict.fromkeys(v for loop in BOWTIE_LOOPS for v in loop)
+    outside = [f"q{j}.{v}" for j in range(1, n + 1) if f"q{j}" not in support for v in labels]
     edges = set(bp.graph.edges) | {(g, v) for g in bp.added_vertex_names for v in outside}
     return replace(bp, graph=make_graph(bp.graph.weight_map() | dict.fromkeys(outside, 0), edges))
 
@@ -115,7 +117,7 @@ class ReductionResult:
                 "terms": list(self.term_prefixes),
             }
         }
-        return graph_to_json(self.graph, metadata=meta, indent=2)
+        return graph_to_json(self.graph, metadata=meta)
 
 
 def reduce_hamiltonian(H: Hamiltonian) -> ReductionResult:

@@ -99,9 +99,6 @@ class Page:
     j: int
     dims: dict[tuple[int, int], int]  # (k, l) -> dim e_{j,l}^k
 
-    def nonzero(self) -> list[tuple[int, int, int]]:
-        return sorted((k, l, d) for (k, l), d in self.dims.items() if d)
-
     def table_lines(self) -> list[str]:
         lines = [f"page {self.j}  (rows k, cols l; nonzero dims)"]
         ks = sorted({k for k, _ in self.dims})

@@ -41,7 +41,14 @@ class SpectrumReport:
 
 
 def spectrum(K: CliqueComplex, k: int, lam: float) -> SpectrumReport:
-    """Full sorted spectrum of the weighted Laplacian at one lambda."""
+    """Full sorted spectrum of the weighted Laplacian at one lambda.
+
+    ``near_zero_multiplicity`` counts the eigenvalues below the absolute
+    ZERO_TOL (1e-10).  It is not the Betti number: at small lambda a gapped
+    eigenvalue can fall below it, as on the 2q four-projector reduction graph
+    (k = 3, betti 0), which reports 4 at lambda = 0.1 for eigenvalues near
+    9.8e-11 and 0 at lambda = 0.5.  Use ``betti`` for the kernel dimension.
+    """
     n = K.dim_size(k)
     if n == 0:
         return SpectrumReport(k, lam, np.zeros(0), 0.0, 0)
@@ -157,7 +164,6 @@ def sweep(K: CliqueComplex, k: int, grid: tuple[float, ...] = DEFAULT_GRID) -> B
 @dataclass(frozen=True)
 class PairingReport:
     lam: float
-    levels: tuple[int, ...]
     max_mismatch: float
     counts: dict = field(default_factory=dict)
 
@@ -184,17 +190,14 @@ def pairing_check(K: CliqueComplex, lam: float = 1.0) -> PairingReport:
         pos_down = _positive(eigensolve(down_next.evaluate(lam)))
         if len(pos_up) != len(pos_down):
             return PairingReport(
-                lam,
-                tuple(range(-1, top)),
-                float("inf"),
-                {"level": k, "up": len(pos_up), "down": len(pos_down)},
+                lam, float("inf"), {"level": k, "up": len(pos_up), "down": len(pos_down)}
             )
         if len(pos_up):
             denom = np.maximum(np.abs(pos_up), 1e-300)
             mism = float(np.max(np.abs(pos_up - pos_down) / denom))
             max_mismatch = max(max_mismatch, mism)
         counts[k] = len(pos_up)
-    return PairingReport(lam, tuple(range(-1, top)), max_mismatch, counts)
+    return PairingReport(lam, max_mismatch, counts)
 
 
 def _positive(vals: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from homology_lab.gadgets import (
     target_chain,
     target_cycle_graph,
 )
-from homology_lab.graph import complement, make_graph, qubit_graph, unweighted
+from homology_lab.graph import complement, induced_subgraph, make_graph, qubit_graph, unweighted
 from homology_lab.homology import (
     betti,
     betti_table,
@@ -81,18 +81,27 @@ def test_catalog_contents():
 
 def test_basis_cycle_single_qubit():
     c0 = basis_cycle(1, "0")
-    assert c0.loops == (("q1.x", "q1.a3", "q1.a2", "q1.a4"),)
-    assert c0.graph.n_vertices == 4 and c0.graph.n_edges == 4
+    assert c0.vertices == ("q1.a2", "q1.a3", "q1.a4", "q1.x")
+    assert c0.n_edges == 4 and all(len(c0.neighbors(v)) == 2 for v in c0.vertices)
+    assert not c0.has_edge("q1.x", "q1.a2")  # the loop is x-a3-a2-a4
     c1 = basis_cycle(1, "1")
-    assert c1.loops == (("q1.x", "q1.b3", "q1.b2", "q1.b4"),)
+    assert c1.vertices == ("q1.b2", "q1.b3", "q1.b4", "q1.x")
 
 
 def test_basis_cycle_two_qubit_is_g4():
     c = basis_cycle(2, "00")
-    assert c.graph.n_vertices == 8
-    K = built(c.graph, 4)
+    assert c.n_vertices == 8
+    K = built(c, 4)
     assert len(K.simplices(3)) == 16  # 2^4 maximal simplices of the 16-cell
     assert len(K.simplices(4)) == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_basis_cycle_is_the_induced_qubit_subgraph(m):
+    q = qubit_graph(m)
+    for i in range(2 ** m):
+        c = basis_cycle(m, format(i, f"0{m}b"))
+        assert c == induced_subgraph(q, c.vertices)
 
 
 def test_basis_chain_properties():
@@ -107,7 +116,7 @@ def test_basis_chain_properties():
 
 def test_build_K_basis_state_is_identity():
     kg, rel, order = build_K(IntegerState.from_dict(1, {"0": 1}))
-    assert kg == basis_cycle(1, "0").graph
+    assert kg == basis_cycle(1, "0")
     assert rel == {v: v for v in kg.vertices}
     assert order is None
 
@@ -155,17 +164,15 @@ def test_unsupported_locality_is_reported():
 def test_apply_f_identity_is_noop():
     kg, rel, _ = build_K(IntegerState.from_dict(1, {"0": 1}))
     K = built(kg, 2)
-    assert apply_f(K, rel) == kg
+    assert apply_f(K, rel).graph == kg
 
 
 def test_apply_f_on_octagon_gives_cycle_simplices():
     st = IntegerState.from_dict(1, {"0": 1, "1": -1})
     kg, rel, _ = build_K(st)
     K = built(kg, 2)
-    q = apply_f(K, rel)
     expect = clique_complex(target_cycle_graph(st), 2)
-    got = clique_complex(q, 2)
-    assert got.by_dim == expect.by_dim
+    assert apply_f(K, rel).by_dim == expect.by_dim
 
 
 def test_quotient_that_breaks_2_determinedness_is_rejected():
@@ -187,11 +194,11 @@ def test_fundamental_cycle_of_octahedron():
     K = built(qubit_graph(1), 2)
     # the whole bowtie complex is not a sphere; use a basis cycle instead
     c = basis_cycle(1, "0")
-    Kc = built(c.graph, 2)
+    Kc = built(c, 2)
     fc = fundamental_cycle(Kc)
     assert len(fc) == 4
     assert all(abs(v) == 1 for v in fc.values())
-    pushed = push_chain(fc, {v: v for v in c.graph.vertices})
+    pushed = push_chain(fc, {v: v for v in c.vertices})
     tgt = basis_chain(built(qubit_graph(1), 2), "0")
     assert pushed == tgt or pushed == {s: -v for s, v in tgt.items()}
 
@@ -205,9 +212,9 @@ def test_library_chains_carry_integers():
     state = IntegerState.from_dict(2, {"00": 1, "11": -1})
     assert integer(target_chain(state, built(target_cycle_graph(state), 4)))
     c = basis_cycle(1, "0")
-    fc = fundamental_cycle(built(c.graph, 2))
+    fc = fundamental_cycle(built(c, 2))
     assert integer(fc)
-    assert integer(push_chain(fc, {v: v for v in c.graph.vertices}))
+    assert integer(push_chain(fc, {v: v for v in c.vertices}))
     q1 = basis_chain(built(qubit_graph(1), 2), "0")
     q2 = {tuple(v.replace("q1.", "q2.") for v in s): x for s, x in q1.items()}
     joined = kunneth_embed(q1, q2, into=K2)
@@ -220,14 +227,11 @@ def test_library_chains_carry_integers():
 
 
 def test_push_alignment_failure_is_reported():
-    st = IntegerState.from_dict(1, {"0": 1, "1": -1})
-    kg, rel, order = build_K(st)
-    jg = target_cycle_graph(st)
-    wrong = target_chain(
-        IntegerState.from_dict(1, {"0": 1, "1": 1}), clique_complex(jg, 2)
-    )
+    """The |0> - |1> sphere pushed onto the cycle is not the |0> + |1> chain."""
+    kg, rel, order = build_K(IntegerState.from_dict(1, {"0": 1, "1": -1}))
+    plus = IntegerState.from_dict(1, {"0": 1, "1": 1})
     with pytest.raises(OrientationAlignmentError):
-        fill_cycle(jg, kg, rel, expected_chain=wrong, order=order)
+        fill_cycle(target_cycle_graph(plus), kg, rel, state=plus, order=order)
 
 
 def test_fill_cycle_rejects_non_surjective_relation():
@@ -274,31 +278,28 @@ def test_zero_gadget_blueprint():
     assert all(bp.graph.exponent(v) == (v not in bp.boundary_vertices) for v in bp.graph.vertices)
 
 
+@pytest.mark.parametrize(
+    "m,amps", [(1, {"0": 1, "1": -1}), (2, {"00": 1})], ids=["1q-two-amplitude", "2q-basis"]
+)
+def test_gadget_enumerates_four_clique_complexes(monkeypatch, m, amps):
+    """K, its quotient J (which also carries the target chain), the coned
+    shell and its quotient: one enumeration each."""
+    import homology_lab.gadgets as gadgets
+
+    calls = []
+
+    def counting(g, max_dim):
+        calls.append(g.n_vertices)
+        return clique_complex(g, max_dim)
+
+    monkeypatch.setattr(gadgets, "clique_complex", counting)
+    gadget(IntegerState.from_dict(m, amps))
+    assert len(calls) == 4
+
+
 def test_two_qubit_basis_gadget_blueprint():
     bp = gadget(IntegerState.from_dict(2, {"00": 1}))
     assert len(bp.added_vertex_names) == 9  # thickened shell interior + center
-
-
-def test_gadget_metadata_block():
-    bp = gadget(IntegerState.from_dict(1, {"0": 1}))
-    meta = bp.metadata()["gadget"]
-    assert meta["m"] == 1
-    assert meta["state"] == {"0": 1}
-    assert sorted(meta["j0"]) == sorted(bp.boundary_vertices)
-
-
-def test_blueprint_serializes_to_graph_schema():
-    import json
-
-    from homology_lab.graph import parse_graph
-
-    bp = gadget(IntegerState.from_dict(1, {"0": 1, "1": -1}))
-    text = bp.to_json()
-    g = parse_graph(text)  # metadata block is ignored by the parser
-    assert g == bp.graph
-    doc = json.loads(text)
-    assert doc["gadget"]["state"] == {"0": 1, "1": -1}
-    assert doc["gadget"]["m"] == 1
 
 
 GADGET_CASES = [
@@ -327,7 +328,7 @@ def test_glued_gadget_homology(m, amps):
 def test_glue_validations():
     bp = gadget(IntegerState.from_dict(1, {"0": 1}))
     with pytest.raises(GraphFormatError):
-        glue(basis_cycle(1, "1").graph, bp)  # missing boundary vertices
+        glue(basis_cycle(1, "1"), bp)  # missing boundary vertices
     from homology_lab.graph import make_graph
 
     reweighted = qubit_graph(1)

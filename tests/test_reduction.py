@@ -88,6 +88,24 @@ def test_pad_rejects_fewer_qubits_than_the_gadget():
         pad(bp, 1)
 
 
+def test_reduce_builds_the_qubit_graph_once(monkeypatch):
+    """Counted wherever a library module holds qubit_graph."""
+    import sys
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return qubit_graph(n)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("homology_lab") and getattr(mod, "qubit_graph", None) is qubit_graph:
+            monkeypatch.setattr(mod, "qubit_graph", counting)
+    H = H_of(3, ([0], {"0": 1}), ([1, 2], {"00": 1, "11": -1}), ([0, 2], {"01": 1}))
+    reduce_hamiltonian(H)
+    assert calls == [3]
+
+
 def test_reduce_single_term_graph():
     res = reduce_hamiltonian(H_of(1, ([0], {"0": 1})))
     assert res.graph.n_vertices == 12
