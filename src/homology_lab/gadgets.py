@@ -364,7 +364,6 @@ class GadgetBlueprint:
     """
 
     m: int
-    state: IntegerState | None
     graph: WeightedGraph
     boundary_vertices: tuple[str, ...]
 
@@ -410,8 +409,9 @@ def fill_cycle(
     ``relation`` must be functional on K's vertices and surjective onto the
     cycle's vertex set.  When ``state`` is given, the cycle is its target
     cycle and the pushed fundamental cycle of K must equal its
-    ``target_chain`` exactly up to one global sign.  ``order`` steers the
-    thickening's diagonals (``thicken``'s default is label order).
+    ``target_chain`` exactly up to one global sign; the blueprint keeps
+    only the state's qubit count.  ``order`` steers the thickening's
+    diagonals (``thicken``'s default is label order).
     """
     j0 = set(j_graph.vertices)
     if {relation.get(v) for v in k_graph.vertices} != j0:
@@ -445,7 +445,7 @@ def fill_cycle(
         raise HomologyLabError("coned shell has unexpected high-dimensional cliques")
     mu = {layer_vertex(v, 0): relation[v] for v in k_graph.vertices} | added
     m = state.m if state else (top + 1) // 2
-    return GadgetBlueprint(m, state, apply_f(coned, mu).graph, tuple(sorted(j0)))
+    return GadgetBlueprint(m, apply_f(coned, mu).graph, tuple(sorted(j0)))
 
 
 def target_cycle_graph(state: IntegerState) -> WeightedGraph:

@@ -169,6 +169,8 @@ GOLDEN_RUNS = {
     ),
     "decide-2q-inconclusive": ("decide", "@h-2q-inconclusive"),
     "decide-3q-no": ("decide", "@h-3q-no"),
+    # above the dense cap: overlap rows from the least-squares projection
+    "decide-3q-yes": ("decide", "@h-3q-mixed-support"),
     # Laplacians of several connected blocks, solved block by block
     "spectrum-qubit-2-k2-grid": ("spectrum", "@qubit-2", "--k", "2", "--grid", "default"),
     "spectrum-two-gadgets-1q-k2-lambda-0.1": (

@@ -1,12 +1,13 @@
-from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from homology_lab.complexes import clique_complex
 from homology_lab.errors import GraphFormatError, ScheduleError, UnsupportedStateError
-from homology_lab.gadgets import IntegerState, gadget, glue
+from homology_lab.gadgets import IntegerState, basis_state_matrix, gadget, glue
 from homology_lab.graph import qubit_graph
-from homology_lab.homology import betti
+from homology_lab.homology import betti, harmonic_basis
 from homology_lab.operators import laplacian_up
 from homology_lab.reduction import (
     Hamiltonian,
@@ -278,25 +279,83 @@ def test_mixed_locality_terms():
     assert best == "01"
 
 
-def test_overlaps_do_not_depend_on_the_kernel_basis(monkeypatch):
-    """Rotating the harmonic basis by an orthogonal Q leaves the Gram rows."""
+def eigenbasis_overlaps(H):
+    """Gram rows <z|P|w> from an eigenbasis of the numeric kernel at 0.5.
+
+    An independent reference for decide's least-squares projection: the
+    harmonic basis comes from ``harmonic_basis`` (dense up to DENSE_EIG_CAP,
+    shift-invert above it), and P = V V^T.
+    """
+    res = reduce_hamiltonian(H)
+    K = clique_complex(res.graph, max_dim=res.k + 1)
+    overlap = basis_state_matrix(K, H.n).T @ harmonic_basis(K, res.k, lam=0.5).basis
+    gram = overlap @ overlap.T
+    return {format(i, f"0{H.n}b"): gram[i] for i in range(gram.shape[0])}
+
+
+def assert_rows_match(rows, reference):
+    assert sorted(rows) == sorted(reference)
+    for z in reference:
+        assert np.allclose(rows[z], reference[z], rtol=0, atol=1e-9), z
+
+
+OVERLAP_CASES = {
+    **{
+        f"2q-{z1}-{z2}": H_of(2, ([0, 1], {z1: 1, z2: -1}))
+        for z1, z2 in combinations(["00", "01", "10", "11"], 2)
+    },
+    # dim C^3 = 840
+    "2q-2x00-plus-11": H_of(2, ([0, 1], {"00": 2, "11": 1})),
+    "2q-00-and-1-on-q0": H_of(2, ([0, 1], {"00": 1}), ([0], {"1": 1})),
+    # dim C^5 = 8,368, above DENSE_EIG_CAP: the reference is shift-invert
+    "3q-0-on-q0-and-00-minus-11-on-q1q2": H_of(
+        3, ([0], {"0": 1}), ([1, 2], {"00": 1, "11": -1})
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERLAP_CASES))
+def test_overlaps_equal_an_eigenbasis_reference(case):
+    H = OVERLAP_CASES[case]
+    dec = decide(H)
+    assert dec.answer == "YES"
+    assert_rows_match(dec.harmonic_overlaps, eigenbasis_overlaps(H))
+
+
+def test_overlaps_fall_back_to_the_eigenbasis_when_the_projection_fails(monkeypatch):
+    """lsqr returning y = 0 leaves B itself, which d^k does not annihilate."""
     import homology_lab.reduction as reduction_mod
 
     H = H_of(2, ([0, 1], {"00": 1, "11": -1}))
-    before = decide(H).harmonic_overlaps
-    rng = np.random.default_rng(7)
+    calls = []
     real = reduction_mod.harmonic_basis
 
-    def rotated(*args, **kwargs):
-        hb = real(*args, **kwargs)
-        Q, _ = np.linalg.qr(rng.standard_normal((hb.basis.shape[1],) * 2))
-        return replace(hb, basis=hb.basis @ Q)
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(reduction_mod, "harmonic_basis", rotated)
-    after = decide(H).harmonic_overlaps
-    assert sorted(after) == sorted(before) == ["00", "01", "10", "11"]
-    for z in before:
-        assert np.allclose(after[z], before[z], rtol=0, atol=1e-9)
+    def no_step(A, b, **_kwargs):
+        return np.zeros(A.shape[1]), 1
+
+    monkeypatch.setattr(reduction_mod, "lsqr", no_step)
+    monkeypatch.setattr(reduction_mod, "harmonic_basis", counted)
+    dec = decide(H)
+    assert calls == [(3,)]
+    assert_rows_match(dec.harmonic_overlaps, eigenbasis_overlaps(H))
+
+
+def test_yes_branch_runs_no_eigensolve(monkeypatch):
+    import homology_lab.homology as homology_mod
+    import homology_lab.spectra as spectra_mod
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("eigensolve called on the YES branch")
+
+    monkeypatch.setattr(homology_mod, "eigensolve", refuse)
+    monkeypatch.setattr(spectra_mod, "eigensolve", refuse)
+    dec = decide(H_of(2, ([0, 1], {"01": 1, "10": 1})))
+    assert dec.answer == "YES"
+    assert dec.harmonic_overlaps["00"] == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_two_qubit_unsatisfiable_certifies_with_larger_c():
