@@ -1,7 +1,7 @@
 """Clique-complex homology, weighted Laplacians, spectral sequences, and
 Hamiltonian-to-graph gadget reductions at desk scale."""
 
-from .complexes import CliqueComplex, clique_complex, independence_complex, kunneth_embed
+from .complexes import CliqueComplex, clique_complex, kunneth_embed
 from .gadgets import (
     GadgetBlueprint,
     IntegerState,
@@ -33,16 +33,13 @@ from .homology import (
     cycle_is_boundary,
     euler_characteristic,
     harmonic_basis,
-    witten_index,
 )
 from .operators import (
     MonomialMatrix,
-    boundary,
     coboundary,
     embedded_entry,
     laplacian,
     laplacian_entry,
-    laplacian_parts,
 )
 from .reduction import (
     Hamiltonian,

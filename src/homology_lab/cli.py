@@ -111,7 +111,8 @@ def _complex_for(graph, k_hint: int | None, max_dim: int | None, cap: int):
     if max_dim is None:
         # build one dimension above the largest needed so chi and pairing close
         max_dim = graph.n_vertices - 1 if k_hint is None else k_hint + 1
-        max_dim = min(max_dim, graph.n_vertices)
+    # no simplex has dimension n or more, so building further adds only empty levels
+    max_dim = min(max_dim, graph.n_vertices)
     return clique_complex(graph, max_dim=max_dim, cap=cap)
 
 
@@ -180,9 +181,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_specseq(args) -> int:
+    if args.j_max < 0:
+        raise UsageError(f"--j-max must be >= 0, got {args.j_max}")
     g = _load_graph(args.graph)
     K = _complex_for(g, None, args.max_dim, args.cap)
-    F = filtration(K)
     if args.forman:
         if args.k is None:
             raise UsageError("--forman needs --k")
@@ -193,6 +195,7 @@ def cmd_specseq(args) -> int:
             print(f"{row.j},{row.algebraic_dim},{row.branch_count},{row.equal}")
         print(f"forman comparison: {'PASS' if rep.ok else 'FAIL'}")
         return 0
+    F = filtration(K)
     # a --k outside the filtration is rejected before any page is printed
     rep = None if args.k is None else stabilized_dims(F, args.k)
     if args.format == "csv":

@@ -1,4 +1,4 @@
-"""Clique and independence complexes with oriented simplex enumeration.
+"""Clique complexes with oriented simplex enumeration.
 
 Simplices are stored once, as tuples of labels strictly ascending in the
 graph's canonical vertex order, which is label order; the sign of any other
@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import CapExceededError, DimensionError
-from .graph import WeightedGraph, complement
+from .graph import WeightedGraph
 
 Simplex = tuple[str, ...]
 # The library's own chains carry int coefficients; exact witnesses are Fractions.
@@ -124,11 +124,6 @@ class CliqueComplex:
 
 def clique_complex(g: WeightedGraph, max_dim: int, cap: int = DEFAULT_CAP) -> CliqueComplex:
     return CliqueComplex(g, max_dim, cap)
-
-
-def independence_complex(g: WeightedGraph, max_dim: int, cap: int = DEFAULT_CAP) -> CliqueComplex:
-    """Clique complex of the complement graph."""
-    return CliqueComplex(complement(g), max_dim, cap)
 
 
 # -- oriented-simplex utilities ----------------------------------------------

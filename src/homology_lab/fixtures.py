@@ -33,13 +33,8 @@ def hexagon() -> WeightedGraph:
 
 
 @lru_cache(maxsize=None)
-def single_gadget_graph(m: int, amps: tuple[tuple[str, int], ...]) -> WeightedGraph:
-    state = IntegerState(m, amps)
-    return glue(qubit_graph(m), gadget(state))
-
-
 def gadget_graph(state: IntegerState) -> WeightedGraph:
-    return single_gadget_graph(state.m, state.amps)
+    return glue(qubit_graph(state.m), gadget(state))
 
 
 def named_fixtures() -> dict[str, WeightedGraph]:

@@ -76,9 +76,6 @@ class IntegerState:
     def from_dict(m: int, amps: dict[str, int]) -> "IntegerState":
         return IntegerState(m, tuple(sorted(amps.items())))
 
-    def amp_map(self) -> dict[str, int]:
-        return dict(self.amps)
-
     def label(self) -> str:
         parts = []
         for z, a in self.amps:

@@ -279,8 +279,3 @@ def thicken(g: WeightedGraph, order: Sequence[str] | None = None) -> WeightedGra
     for v in g.vertices:
         edges.append((layer_vertex(v, 0), layer_vertex(v, 1)))
     return make_graph(weights, edges)
-
-
-def zero_weights(g: WeightedGraph) -> WeightedGraph:
-    """Copy of g with every weight exponent set to 0."""
-    return make_graph({v: 0 for v in g.vertices}, g.edges)

@@ -194,11 +194,6 @@ def euler_characteristic(K: CliqueComplex) -> EulerCharacteristic:
     return EulerCharacteristic(unreduced=chi, reduced=chi - 1)
 
 
-def witten_index(K: CliqueComplex) -> int:
-    """Absolute reduced Euler characteristic (signed homology count)."""
-    return abs(euler_characteristic(K).reduced)
-
-
 # -- numeric harmonic subspace -------------------------------------------------
 
 
@@ -274,7 +269,7 @@ def cycle_is_boundary(
 ) -> tuple[bool, Chain | None]:
     """Exact test c in im(boundary_{k+1}) over Q, with a preimage witness.
 
-    Raises NotACycleError unless boundary(c) = 0.  The columns of
+    Raises NotACycleError unless boundary_k(c) = 0.  The columns of
     boundary_{k+1} are the rows of d^k.
     """
     if k is None:

@@ -119,12 +119,6 @@ class MonomialMatrix:
             *self._exponent_slices().items(), *other._exponent_slices().items()
         ])
 
-    def is_zero(self) -> bool:
-        return not len(self.terms)
-
-    def entry(self, r: int, c: int) -> Poly:
-        return dict(self.entries.get((r, c), {}))
-
     def evaluate(self, lam: float) -> sp.csr_matrix:
         """Numeric substitution sum_e lam**e M_e, ascending in e; lam in (0, 1].
 
@@ -188,13 +182,6 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
     return out
 
 
-def boundary(K: CliqueComplex, k: int) -> MonomialMatrix:
-    """Weighted boundary: the transpose of coboundary(K, k-1)."""
-    if k < 0:
-        return MonomialMatrix(0, K.dim_size(k))
-    return coboundary(K, k - 1).transpose()
-
-
 def laplacian_down(K: CliqueComplex, k: int) -> MonomialMatrix:
     """d^{k-1} followed by its adjoint; needs the complex built to k only."""
     key = ("lap_down", k)
@@ -221,14 +208,8 @@ def laplacian_up(K: CliqueComplex, k: int) -> MonomialMatrix:
     return cached
 
 
-def laplacian_parts(K: CliqueComplex, k: int) -> tuple[MonomialMatrix, MonomialMatrix]:
-    """(down, up) parts whose sum is the Laplacian."""
-    return laplacian_down(K, k), laplacian_up(K, k)
-
-
 def laplacian(K: CliqueComplex, k: int) -> MonomialMatrix:
-    down, up = laplacian_parts(K, k)
-    return down + up
+    return laplacian_down(K, k) + laplacian_up(K, k)
 
 
 # -- entrywise formula and sparse access --------------------------------------
@@ -308,15 +289,3 @@ def embedded_entry(
     if x == y:
         return float(penalty)
     return 0.0
-
-
-def write_coordinate_text(M: MonomialMatrix, fh) -> None:
-    """Coordinate dump: one line per monomial term.
-
-    Format: ``row col coeff_num coeff_den exponent`` (0-based indices),
-    preceded by a header line ``rows cols nnz``.  Coefficients are integers,
-    so ``coeff_den`` is always 1.
-    """
-    fh.write(f"{M.rows} {M.cols} {len(M.terms)}\n")
-    for r, c, n, e in M.terms.tolist():  # sorted by (row, col, exponent)
-        fh.write(f"{r} {c} {n} 1 {e}\n")

@@ -220,7 +220,7 @@ def decide(H: Hamiltonian, g: float = 1.0, c: float = 0.1) -> Decision:
     if b >= 1:
         overlaps = _kernel_overlaps(K, res.k, H)
         return Decision("YES", res.k, b, sched, None, overlaps)
-    lm = lambda_min(K, res.k, sched.lam, exact_zero=False)
+    lm = lambda_min(K, res.k, sched.lam)
     if lm >= sched.threshold:
         return Decision("NO", res.k, 0, sched, lm, None)
     return Decision("INCONCLUSIVE", res.k, 0, sched, lm, None)

@@ -61,9 +61,9 @@ def spectrum(K: CliqueComplex, k: int, lam: float) -> SpectrumReport:
     return SpectrumReport(k, lam, vals, float(vals[0]), mult)
 
 
-def lambda_min(K: CliqueComplex, k: int, lam: float, exact_zero: bool = True) -> float:
+def lambda_min(K: CliqueComplex, k: int, lam: float) -> float:
     """Smallest Laplacian eigenvalue; exact 0 when the Betti number is positive."""
-    if exact_zero and betti(K, k) >= 1:
+    if betti(K, k) >= 1:
         return 0.0
     if K.dim_size(k) == 0:
         return 0.0

@@ -79,6 +79,13 @@ def test_betti_single_k_octahedron(fixture_dir, capsys):
     assert out.strip() == "1"
 
 
+def test_betti_max_dim_above_the_vertex_count_is_clamped(fixture_dir, capsys):
+    """No simplex exists above dimension n - 1, so a larger --max-dim adds nothing."""
+    bowtie = str(fixture_dir / "bowtie.json")
+    clamped = run(capsys, "betti", bowtie, "--k", "all", "--max-dim", "50")
+    assert clamped == run(capsys, "betti", bowtie, "--k", "all", "--max-dim", "7")
+
+
 def test_betti_missing_file_fails_cleanly(capsys):
     code, _out, err = run(capsys, "betti", "/nonexistent/g.json", "--k", "all")
     assert code == 1
@@ -124,12 +131,23 @@ def test_specseq_hexagon(fixture_dir, capsys):
     assert "stabilizes to betti=0 at page 4" in out
 
 
-def test_specseq_forman(fixture_dir, capsys):
+def test_specseq_forman(fixture_dir, capsys, monkeypatch):
+    from homology_lab.specseq import Filtration
+
+    builds = []
+    init = Filtration.__init__
+
+    def counted(self, K):
+        builds.append(K)
+        init(self, K)
+
+    monkeypatch.setattr(Filtration, "__init__", counted)
     code, out, _ = run(
         capsys, "specseq", str(fixture_dir / "gadget-0.json"), "--k", "1", "--forman"
     )
     assert code == 0
     assert "forman comparison: PASS" in out
+    assert len(builds) == 1
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -289,6 +307,7 @@ def test_verify_gadget_inline_singlet(capsys):
 REJECTED_ARGS = {
     "betti-k-not-an-integer": (("betti", "@bowtie", "--k", "x"), 1),
     "specseq-k-below-the-complex": (("specseq", "@hexagon", "--k", "-2"), 2),
+    "specseq-negative-j-max": (("specseq", "@hexagon", "--j-max", "-1"), 1),
     "inline-state-list": (("verify-gadget", "[1]"), 2),
     "inline-state-empty": (("verify-gadget", "{}"), 2),
     "inline-amplitude-word": (("verify-gadget", '{"0": "x"}'), 2),

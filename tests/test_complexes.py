@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from homology_lab.complexes import (
     clique_complex,
-    independence_complex,
     kunneth_embed,
     merge_sign,
     sort_with_sign,
@@ -74,22 +73,13 @@ def test_counts_match_brute_force(g):
 
 def test_independence_complex_of_triangle():
     g = complement(unweighted(["a", "b", "c"]))  # K3
-    K = independence_complex(g, 2)
+    K = clique_complex(complement(g), 2)
     assert K.counts() == {-1: 1, 0: 3, 1: 0, 2: 0}
 
 
 def test_independence_complex_of_empty_graph_is_full_simplex():
-    K = independence_complex(unweighted(["a", "b", "c"]), 2)
+    K = clique_complex(complement(unweighted(["a", "b", "c"])), 2)
     assert len(K.simplices(2)) == 1
-
-
-@settings(max_examples=20, deadline=None)
-@given(graphs(max_vertices=7))
-def test_independence_equals_clique_of_complement(g):
-    md = min(g.n_vertices, 5)
-    a = independence_complex(g, md)
-    b = clique_complex(complement(g), md)
-    assert a.by_dim == b.by_dim
 
 
 @settings(max_examples=10, deadline=None)

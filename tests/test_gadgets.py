@@ -57,17 +57,17 @@ def test_state_validation():
 
 def test_state_gcd_reduction():
     st = IntegerState.from_dict(1, {"0": 2, "1": -4})
-    assert st.amp_map() == {"0": 1, "1": -2}
+    assert dict(st.amps) == {"0": 1, "1": -2}
 
 
 def test_catalog_contents():
     cat = catalog()
     assert len(cat) == 13
-    assert cat["Hclock1"].amp_map() == {"00": 1}
-    assert cat["Hclock2"].amp_map() == {"11": 1}
-    assert cat["Pyth1"].amp_map() == {"011": -5, "100": 4, "101": 3}
-    assert cat["HinHout"].amp_map() == {"011": 1}
-    assert cat["Hclock3456"].amp_map() == {"1100": 1}
+    assert dict(cat["Hclock1"].amps) == {"00": 1}
+    assert dict(cat["Hclock2"].amps) == {"11": 1}
+    assert dict(cat["Pyth1"].amps) == {"011": -5, "100": 4, "101": 3}
+    assert dict(cat["HinHout"].amps) == {"011": 1}
+    assert dict(cat["Hclock3456"].amps) == {"1100": 1}
     for name, st in cat.items():
         g = 0
         for _z, a in st.amps:

@@ -19,7 +19,6 @@ from homology_lab.graph import (
     relabel,
     thicken,
     unweighted,
-    zero_weights,
 )
 from homology_lab.homology import (
     betti,
@@ -29,9 +28,8 @@ from homology_lab.homology import (
     euler_characteristic,
     harmonic_basis,
     is_cycle,
-    witten_index,
 )
-from homology_lab.operators import boundary, coboundary
+from homology_lab.operators import coboundary
 
 from conftest import built, dense_rank, graphs, seeded_graphs
 
@@ -41,7 +39,7 @@ K3 = complement(unweighted(["a", "b", "c"]))
 def float_rank_betti(K, k):
     """Independent oracle: numeric SVD ranks of the coboundary maps."""
     def rank(mat):
-        if mat.rows == 0 or mat.cols == 0 or mat.is_zero():
+        if mat.rows == 0 or mat.cols == 0 or len(mat.terms) == 0:
             return 0
         return np.linalg.matrix_rank(mat.evaluate_dense(1.0))
 
@@ -160,7 +158,7 @@ def test_euler_refuses_truncated_complex():
 
 def test_witten_index_of_single_gadget():
     g = gadget_graph(IntegerState.from_dict(1, {"0": 1}))
-    assert witten_index(built(g, 3)) == 1
+    assert abs(euler_characteristic(built(g, 3)).reduced) == 1
 
 
 def test_euler_rank_nullity_consistency():
@@ -174,7 +172,7 @@ def test_euler_rank_nullity_consistency():
 def test_weights_do_not_change_betti():
     for g in seeded_graphs(10, 7, wmax=1, seed=13):
         K = clique_complex(g, min(g.n_vertices, 6))
-        K0 = clique_complex(zero_weights(g), K.max_dim)
+        K0 = clique_complex(make_graph({v: 0 for v in g.vertices}, g.edges), K.max_dim)
         for k in range(-1, K.max_dim):
             assert betti(K, k) == betti(K0, k)
 

@@ -33,7 +33,7 @@ def test_parse_hamiltonian_examples():
     H2 = parse_hamiltonian(
         '{"n":2,"terms":[{"support":[0,1],"amps":{"00":1,"11":-1}}]}'
     )
-    assert H2.terms[0][1].amp_map() == {"00": 1, "11": -1}
+    assert dict(H2.terms[0][1].amps) == {"00": 1, "11": -1}
 
 
 @pytest.mark.parametrize(
@@ -180,7 +180,7 @@ def test_padded_gadget_low_spectrum_structure():
     """First excited level of a padded gadget: 2^{n-m}-fold, ~lambda^{4m+2}, cycles."""
     import scipy.linalg
 
-    from homology_lab.operators import boundary, laplacian
+    from homology_lab.operators import coboundary, laplacian
 
     H = H_of(2, ([0], {"0": 1}))
     res = reduce_hamiltonian(H)
@@ -198,7 +198,7 @@ def test_padded_gadget_low_spectrum_structure():
     slope = np.log(first[0.2] / first[0.1]) / np.log(0.2 / 0.1)
     assert abs(slope - 6.0) <= 0.5
     # the lifted states are cycles: the boundary annihilates them
-    B = boundary(K, res.k).evaluate(0.1)
+    B = coboundary(K, res.k - 1).transpose().evaluate(0.1)
     assert np.linalg.norm(B @ vecs[0.1]) <= 1e-6
 
 
@@ -356,6 +356,24 @@ def test_yes_branch_runs_no_eigensolve(monkeypatch):
     dec = decide(H_of(2, ([0, 1], {"01": 1, "10": 1})))
     assert dec.answer == "YES"
     assert dec.harmonic_overlaps["00"] == [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("n, projectors", [(1, ["0", "1"]), (2, ["00", "01", "10", "11"])])
+def test_no_branch_ranks_each_coboundary_once(monkeypatch, n, projectors):
+    """lambda_min's Betti check on a NO rung is answered from the rank cache."""
+    from homology_lab import rational
+
+    calls = []
+    rank_int = rational.rank_int
+
+    def counted(rows):
+        calls.append(1)
+        return rank_int(rows)
+
+    monkeypatch.setattr(rational, "rank_int", counted)
+    dec = decide(H_of(n, *((list(range(n)), {z: 1}) for z in projectors)))
+    assert dec.betti == 0 and dec.answer in ("NO", "INCONCLUSIVE")
+    assert len(calls) == 2  # d^k and d^{k-1}, each ranked once
 
 
 def test_two_qubit_unsatisfiable_certifies_with_larger_c():

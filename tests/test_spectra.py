@@ -138,7 +138,7 @@ def test_shift_invert_branch_agrees_with_dense(monkeypatch):
     H = Hamiltonian(1, tuple(((0,), IntegerState.from_dict(1, {z: 1})) for z in "01"))
     no = built(reduce_hamiltonian(H).graph, 2)  # betti_1 = 0: nonsingular
     yes = built(gadget_graph(IntegerState.from_dict(1, {"0": 1})), 2)  # betti_1 = 1
-    dense_min = lambda_min(no, 1, 0.5, exact_zero=False)
+    dense_min = lambda_min(no, 1, 0.5)
     dense_hb = harmonic_basis(yes, 1, 0.5)
 
     calls = []
@@ -151,7 +151,7 @@ def test_shift_invert_branch_agrees_with_dense(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
     monkeypatch.setattr(homology, "DENSE_EIG_CAP", 10)
     assert min(no.dim_size(1), yes.dim_size(1)) > 10
-    assert lambda_min(no, 1, 0.5, exact_zero=False) == pytest.approx(dense_min, rel=1e-8)
+    assert lambda_min(no, 1, 0.5) == pytest.approx(dense_min, rel=1e-8)
     hb = harmonic_basis(yes, 1, 0.5)
     assert calls == [0.0, -hb.tol]  # the harmonic solve shifts off the kernel
     assert hb.dimension == dense_hb.dimension == 1
@@ -163,8 +163,8 @@ def test_shift_invert_is_reproducible(monkeypatch):
     H = Hamiltonian(1, tuple(((0,), IntegerState.from_dict(1, {z: 1})) for z in "01"))
     no = built(reduce_hamiltonian(H).graph, 2)
     monkeypatch.setattr(homology, "DENSE_EIG_CAP", 10)
-    first = lambda_min(no, 1, 0.5, exact_zero=False)
-    assert lambda_min(no, 1, 0.5, exact_zero=False) == first
+    first = lambda_min(no, 1, 0.5)
+    assert lambda_min(no, 1, 0.5) == first
 
 
 def test_singular_shift_invert_factor_is_a_library_error(monkeypatch):
