@@ -20,6 +20,7 @@ from .graph import (
     graph_to_json,
     join,
     join_all,
+    join_factors,
     make_graph,
     octahedron,
     parse_graph,
@@ -33,6 +34,7 @@ from .homology import (
     cycle_is_boundary,
     euler_characteristic,
     harmonic_basis,
+    join_betti,
 )
 from .operators import (
     MonomialMatrix,
@@ -50,6 +52,6 @@ from .reduction import (
     schedule,
 )
 from .specseq import filtration, forman_compare, page_dims, stabilized_dims
-from .spectra import lambda_min, pairing_check, spectrum, sweep
+from .spectra import join_lambda_min, lambda_min, pairing_check, spectrum, sweep
 
 __version__ = "0.1.0"

@@ -71,7 +71,8 @@ class CliqueComplex:
     # -- queries -------------------------------------------------------------
 
     def simplices(self, k: int) -> tuple[Simplex, ...]:
-        if k < -1:
+        """The k-simplices; none below -1, and none above max_dim when complete."""
+        if k < -1 or (k > self.max_dim and self.complete):
             return ()
         try:
             return self.by_dim[k]

@@ -170,12 +170,9 @@ def graph_to_json(g: WeightedGraph, metadata: dict | None = None) -> str:
 
 def complement(g: WeightedGraph) -> WeightedGraph:
     """Same vertices and weights; edge set complemented."""
-    edges = {
-        _edge(u, v)
-        for u, v in combinations(g.vertices, 2)
-        if not g.has_edge(u, v)
-    }
-    return make_graph(g.weight_map(), edges)
+    # vertices are sorted, so each pair already is a sorted edge
+    edges = frozenset(e for e in combinations(g.vertices, 2) if e not in g.edges)
+    return WeightedGraph(g.vertices, g.exponents, edges)
 
 
 def relabel(g: WeightedGraph, mapping: Mapping[str, str]) -> WeightedGraph:
@@ -205,6 +202,29 @@ def join(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
     edges = set(g.edges) | set(h.edges)
     edges.update(_edge(u, v) for u in g.vertices for v in h.vertices)
     return make_graph(weights, edges)
+
+
+def join_factors(g: WeightedGraph) -> tuple[WeightedGraph, ...]:
+    """The factors of g as a join: the subgraphs induced on the connected
+    components of its complement, in the order of their first vertices;
+    ``(g,)`` when g is not a join."""
+    co = complement(g)
+    seen: set[str] = set()
+    parts = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        part, stack = [v], [v]
+        while stack:
+            for u in co.neighbors(stack.pop()) - seen:
+                seen.add(u)
+                part.append(u)
+                stack.append(u)
+        parts.append(part)
+    if len(parts) <= 1:
+        return (g,)
+    return tuple(induced_subgraph(g, part) for part in parts)
 
 
 def join_all(graphs: Sequence[WeightedGraph]) -> WeightedGraph:

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from math import prod
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -137,7 +141,7 @@ def betti(K: CliqueComplex, k: int, reduced: bool = True) -> int:
     """dim H^k as dim C^k - rank d^k - rank d^{k-1}, exact over Q."""
     if k < -1:
         return 0
-    if k + 1 > K.max_dim:
+    if k + 1 > K.max_dim and not K.complete:
         raise DimensionError(f"betti({k}) needs the complex built to {k + 1}")
     c_k = K.dim_size(k)
     if c_k == 0:
@@ -152,6 +156,32 @@ def betti(K: CliqueComplex, k: int, reduced: bool = True) -> int:
     if b < 0:
         raise HomologyLabError(f"negative betti number {b} in dimension {k}")
     return b
+
+
+def join_splits(Ks: Sequence[CliqueComplex], k: int) -> list[tuple[int, ...]]:
+    """Degree splits of C^k of the join of the factors' clique complexes.
+
+    The clique complex of a join is the join of the clique complexes, and
+    its augmented cochain complex is the tensor product of the factors',
+    shifted by one degree per join: C^k(K_1 * ... * K_f) is the direct sum of
+    C^{i_1}(K_1) (x) ... (x) C^{i_f}(K_f) over i_1 + ... + i_f = k - (f - 1),
+    each i_j >= -1.  Returns the splits (i_1, ..., i_f) whose chain groups
+    are all nonempty.  Each factor is complete or built to k.
+    """
+    degrees = [[i for i in range(-1, k + 1) if K.dim_size(i)] for K in Ks]
+    return [s for s in product(*degrees) if sum(s) == k - len(Ks) + 1]
+
+
+def join_betti(Ks: Sequence[CliqueComplex], k: int) -> int:
+    """Reduced Betti number of the join of the factors' complexes, exact.
+
+    Kunneth: beta_k is the sum over ``join_splits`` of the products of the
+    factors' reduced Betti numbers, integer arithmetic on exact ranks.  Each
+    (factor, degree) is asked once, and each factor is complete or built
+    to k + 1.  One factor asks ``betti`` once.
+    """
+    factor_betti = cache(lambda j, i: betti(Ks[j], i))
+    return sum(prod(factor_betti(j, i) for j, i in enumerate(s)) for s in join_splits(Ks, k))
 
 
 @dataclass(frozen=True)

@@ -159,11 +159,12 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
     Entry (sigma u {v}, sigma) is (-1)^p lam^{e_v} with p the ascending
     insertion position of v; d^{-1} sends the empty simplex to the weighted
     sum of the vertices.  Assembled row by row, from each (k+1)-simplex's
-    facets.
+    facets.  On a complete complex C^{k+1} is empty above max_dim - 1, so
+    d^k there is the zero map into it.
     """
     if k < -1:
         return MonomialMatrix(K.dim_size(k + 1), 0)
-    if k + 1 > K.max_dim:
+    if k + 1 > K.max_dim and not K.complete:
         raise DimensionError(f"coboundary {k} needs the complex built to {k + 1}")
     key = ("d", k)
     cached = K._matrix_cache.get(key)
@@ -172,7 +173,7 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
     rows = K.dim_size(k + 1)
     cols = K.dim_size(k)
     terms: list[int] = []  # flat (row, col, coeff, exponent) quadruples
-    index_low = K.index[k]
+    index_low = K.index.get(k)  # None only above max_dim, where no (k+1)-simplex reads it
     exponent = K.graph.exponent
     for i, tau in enumerate(K.simplices(k + 1)):
         for p, v in enumerate(tau):  # the facet of tau without v

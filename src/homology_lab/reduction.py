@@ -19,10 +19,23 @@ from scipy.sparse.linalg import lsqr
 from .complexes import CliqueComplex, clique_complex
 from .errors import GapAmbiguityError, GraphFormatError, ScheduleError
 from .gadgets import GadgetBlueprint, IntegerState, basis_state_matrix, gadget, glue
-from .graph import BOWTIE_LOOPS, WeightedGraph, graph_to_json, make_graph, qubit_graph, relabel
-from .homology import HARMONIC_TOL, betti, harmonic_basis
+from .graph import (
+    BOWTIE_LOOPS,
+    WeightedGraph,
+    graph_to_json,
+    join_factors,
+    make_graph,
+    qubit_graph,
+    relabel,
+)
+from .homology import HARMONIC_TOL, betti, harmonic_basis, join_betti
 from .operators import coboundary
-from .spectra import lambda_min
+from .spectra import join_lambda_min, lambda_min
+
+# bench/tracing.py wraps betti and lambda_min by their names in this module;
+# decide reaches them per factor and degree through join_betti and
+# join_lambda_min
+_TRACED = (betti, lambda_min)
 
 
 @dataclass(frozen=True)
@@ -202,25 +215,35 @@ class Decision:
 def decide(H: Hamiltonian, g: float = 1.0, c: float = 0.1) -> Decision:
     """YES on exact homology; NO with a numeric certificate lam_min >= E.
 
-    The YES branch is purely topological (no tolerance); the NO branch
-    evaluates the weighted Laplacian at the scheduled lambda and compares
-    its smallest eigenvalue against the scheduled threshold.  Thresholds
-    scale like lam**(4m+2): once they sink below what double-precision
-    eigensolves resolve (about 1e-13 relative to the operator norm), the
-    answer degrades honestly to INCONCLUSIVE; a larger c brings the
-    certificate back into numeric range.
+    The reduction graph is split into its join factors (``join_factors``),
+    each factor's clique complex is built as far as degree k needs, and the
+    answer comes from the factors: ``join_betti`` (Kunneth) and
+    ``join_lambda_min``.  A graph of one factor is its own complex.  The
+    YES branch is purely topological (no tolerance); its overlap rows come
+    from the whole complex.  The NO branch evaluates the weighted
+    Laplacians at the scheduled lambda and compares the smallest eigenvalue
+    against the scheduled threshold.  Thresholds scale like lam**(4m+2):
+    once they sink below what double-precision eigensolves resolve (about
+    1e-13 relative to the operator norm), the answer degrades honestly to
+    INCONCLUSIVE; a larger c brings the certificate back into numeric
+    range.
     """
     if not H.terms:
         sched = schedule(g, 1, 1, c)
         return Decision("YES", 2 * H.n - 1, 2 ** H.n, sched, None, None)
     sched = schedule(g, H.t, H.max_locality, c)
     res = reduce_hamiltonian(H)
-    K = clique_complex(res.graph, max_dim=res.k + 1)
-    b = betti(K, res.k)
+    # a factor has no simplex above n - 1, so its complex is complete there
+    Ks = [
+        clique_complex(f, max_dim=min(res.k + 1, f.n_vertices - 1))
+        for f in join_factors(res.graph)
+    ]
+    b = join_betti(Ks, res.k)
     if b >= 1:
+        K = Ks[0] if len(Ks) == 1 else clique_complex(res.graph, max_dim=res.k + 1)
         overlaps = _kernel_overlaps(K, res.k, H)
         return Decision("YES", res.k, b, sched, None, overlaps)
-    lm = lambda_min(K, res.k, sched.lam)
+    lm = join_lambda_min(Ks, res.k, sched.lam)
     if lm >= sched.threshold:
         return Decision("NO", res.k, 0, sched, lm, None)
     return Decision("INCONCLUSIVE", res.k, 0, sched, lm, None)

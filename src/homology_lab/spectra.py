@@ -16,12 +16,14 @@ every grid point are classified as exact kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import Sequence
 
 import numpy as np
 
 from .complexes import CliqueComplex
 from .errors import BranchMatchingError, DimensionError, GraphFormatError
-from .homology import DENSE_EIG_CAP, betti, eigensolve
+from .homology import DENSE_EIG_CAP, betti, eigensolve, join_splits
 from .operators import laplacian, laplacian_down, laplacian_up
 
 DEFAULT_GRID = (0.3, 0.25, 0.2, 0.15, 0.1)
@@ -68,6 +70,21 @@ def lambda_min(K: CliqueComplex, k: int, lam: float) -> float:
     if K.dim_size(k) == 0:
         return 0.0
     return float(eigensolve(laplacian(K, k).evaluate(lam), 1)[0])
+
+
+def join_lambda_min(Ks: Sequence[CliqueComplex], k: int, lam: float) -> float:
+    """Smallest Laplacian eigenvalue of the join of the factors' complexes.
+
+    In the normalized weighted basis the Laplacian of a join is the direct
+    sum, over ``join_splits``, of L_{i_1}(K_1) (x) 1 + ... + 1 (x) L_{i_f}(K_f),
+    so its spectrum is the sums of factor eigenvalues: the minimum over the
+    splits of the sum of the factors' ``lambda_min``, each (factor, degree)
+    solved once.  One factor asks ``lambda_min`` once; an empty C^k gives
+    0.0, as ``lambda_min`` does.
+    """
+    factor_min = cache(lambda j, i: lambda_min(Ks[j], i, lam))
+    sums = (sum(factor_min(j, i) for j, i in enumerate(s)) for s in join_splits(Ks, k))
+    return min(sums, default=0.0)
 
 
 @dataclass(frozen=True)

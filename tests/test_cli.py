@@ -23,8 +23,11 @@ HAMILTONIANS = {
     "h-2q-inconclusive": '{"n":2,"terms":[{"support":[0,1],"amps":{"00":1}},'
     '{"support":[0,1],"amps":{"01":1}},{"support":[0,1],"amps":{"10":1}},'
     '{"support":[0,1],"amps":{"11":1}}]}',
-    # above DENSE_EIG_CAP: the NO certificate comes from shift-invert Lanczos
+    # padded onto two idle qubits: three join factors, the NO from the 17-vertex one
     "h-3q-no": '{"n":3,"terms":[{"support":[0],"amps":{"0":1}},{"support":[0],"amps":{"1":1}}]}',
+    # one join factor above DENSE_EIG_CAP: the NO certificate comes from shift-invert
+    "h-3q-no-unfactorable": '{"n":3,"terms":[{"support":[0],"amps":{"0":1}},'
+    '{"support":[0],"amps":{"1":1}},{"support":[1,2],"amps":{"00":1}}]}',
     # a two-amplitude term placed on qubits 1 and 2, a 1-local term on qubit 0
     "h-3q-mixed-support": '{"n":3,"terms":[{"support":[1,2],"amps":{"00":1,"11":-1}},'
     '{"support":[0],"amps":{"0":1}}]}',
@@ -84,6 +87,13 @@ def test_betti_max_dim_above_the_vertex_count_is_clamped(fixture_dir, capsys):
     bowtie = str(fixture_dir / "bowtie.json")
     clamped = run(capsys, "betti", bowtie, "--k", "all", "--max-dim", "50")
     assert clamped == run(capsys, "betti", bowtie, "--k", "all", "--max-dim", "7")
+
+
+@pytest.mark.parametrize("extra", [(), ("--max-dim", "8")], ids=["derived", "max-dim-8"])
+def test_betti_above_the_top_degree_is_zero(fixture_dir, capsys, extra):
+    """The bowtie has 7 vertices: its complete complex has no 7-simplex."""
+    code, out, err = run(capsys, "betti", str(fixture_dir / "bowtie.json"), "--k", "7", *extra)
+    assert (code, out, err) == (0, "0\n", "")
 
 
 def test_betti_missing_file_fails_cleanly(capsys):
@@ -187,6 +197,7 @@ GOLDEN_RUNS = {
     ),
     "decide-2q-inconclusive": ("decide", "@h-2q-inconclusive"),
     "decide-3q-no": ("decide", "@h-3q-no"),
+    "decide-3q-no-unfactorable": ("decide", "@h-3q-no-unfactorable"),
     # above the dense cap: overlap rows from the least-squares projection
     "decide-3q-yes": ("decide", "@h-3q-mixed-support"),
     # Laplacians of several connected blocks, solved block by block

@@ -1,0 +1,188 @@
+"""Join factorization against the whole complex.
+
+The clique complex of a join is the join of the factors' complexes, so the
+factors' exact Betti numbers give the join's by Kunneth and the factors'
+smallest Laplacian eigenvalues give the join's as a minimum of sums.  The
+whole complex is the oracle: Betti numbers must agree exactly and lambda_min
+within LAMBDA_MIN_ULPS * eps * ||L||, ||L|| the whole Laplacian's largest
+absolute row sum.
+"""
+
+from math import prod
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homology_lab import homology, spectra
+from homology_lab.complexes import clique_complex
+from homology_lab.errors import DimensionError
+from homology_lab.graph import bowtie, join_all, join_factors, make_graph, qubit_graph
+from homology_lab.homology import betti, coboundary_rank, join_betti, join_splits
+from homology_lab.operators import coboundary, laplacian
+from homology_lab.reduction import decide, parse_hamiltonian, reduce_hamiltonian
+from homology_lab.spectra import join_lambda_min, lambda_min, spectrum
+
+from conftest import graphs
+from test_cli import HAMILTONIANS
+from test_reduction import H_of
+
+LAMBDA_MIN_ULPS = 16
+EPS = np.finfo(float).eps
+
+
+def complete(g):
+    return clique_complex(g, max_dim=g.n_vertices - 1)
+
+
+def whole_row_sum(K, k, lam):
+    L = laplacian(K, k).evaluate(lam)
+    return float(abs(L).sum(axis=1).max()) if L.nnz else 0.0
+
+
+def assert_join_matches_whole(splits, K, k, lam):
+    """Each factor list in ``splits`` against the whole complex K in degree k:
+    the convolved chain dimensions, the Betti number and lambda_min."""
+    whole = lambda_min(K, k, lam)
+    bound = LAMBDA_MIN_ULPS * EPS * whole_row_sum(K, k, lam)
+    joined = []
+    for Ks in splits:
+        dims = (prod(Kj.dim_size(i) for Kj, i in zip(Ks, s)) for s in join_splits(Ks, k))
+        assert sum(dims) == K.dim_size(k)
+        assert join_betti(Ks, k) == betti(K, k)
+        joined.append(join_lambda_min(Ks, k, lam))
+        assert abs(joined[-1] - whole) <= bound, (k, whole, joined[-1], bound)
+    return whole, joined
+
+
+# -- join_factors ----------------------------------------------------------------
+
+
+def test_join_factors_of_the_qubit_graph_are_its_bowties():
+    factors = join_factors(qubit_graph(3))
+    assert [f.n_vertices for f in factors] == [7, 7, 7]
+    assert [f.vertices[0] for f in factors] == ["q1.a2", "q2.a2", "q3.a2"]
+    assert all(len(join_factors(f)) == 1 for f in factors)
+
+
+def test_join_factors_of_a_non_join_is_the_graph_itself():
+    g = bowtie()
+    assert join_factors(g) == (g,)
+
+
+def test_join_factors_split_off_a_cone_point():
+    # a triangle is the join of three points; the 4-cycle is the join of two pairs
+    g = make_graph({"a": 1, "b": 0, "c": 0, "d": 0, "e": 0},
+                   [("a", x) for x in "bcde"] + [("b", "c"), ("c", "d"), ("d", "e"), ("e", "b")])
+    factors = join_factors(g)
+    assert [f.vertices for f in factors] == [("a",), ("b", "d"), ("c", "e")]
+    assert factors[0].exponents == (1,)
+    assert all(f.n_edges == 0 for f in factors)
+
+
+# -- the split against the whole complex ---------------------------------------
+
+
+@st.composite
+def factor_lists(draw):
+    """Two graphs of at most 6 vertices or three of at most 4, weight
+    exponents 0-1; a single vertex or a vertex adjacent to all others is a
+    cone point.  At most 12 vertices in all keep the whole complex small."""
+    count = draw(st.sampled_from([2, 3]))
+    return draw(st.lists(graphs(max_vertices=6 if count == 2 else 4, weighted=True),
+                         min_size=count, max_size=count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_lists())
+def test_join_betti_and_lambda_min_match_the_whole_complex(factors):
+    g = join_all(factors)
+    K = complete(g)
+    splits = ([complete(f) for f in factors], [complete(f) for f in join_factors(g)])
+    for k in range(-1, g.n_vertices + 1):
+        assert_join_matches_whole(splits, K, k, 0.3)
+
+
+def reduction_complexes(text):
+    res = reduce_hamiltonian(parse_hamiltonian(text))
+    Ks = [clique_complex(f, max_dim=min(res.k + 1, f.n_vertices - 1))
+          for f in join_factors(res.graph)]
+    return Ks, clique_complex(res.graph, max_dim=res.k + 1), res.k
+
+
+PADDED_2Q_NO = '{"n":2,"terms":[{"support":[0],"amps":{"0":1}},{"support":[0],"amps":{"1":1}}]}'
+
+
+@pytest.mark.parametrize("text,sizes,lam", [
+    (HAMILTONIANS["h-3q-no"], [17, 7, 7], 0.05),
+    (HAMILTONIANS["h-3q-mixed-support"], [45], 0.05),
+    (PADDED_2Q_NO, [17, 7], 0.05),
+], ids=["3q-no", "3q-mixed-support", "2q-padded-no"])
+def test_reduction_graphs_split_as_the_whole_complex(text, sizes, lam):
+    Ks, K, k = reduction_complexes(text)
+    assert [Kj.graph.n_vertices for Kj in Ks] == sizes
+    assert_join_matches_whole([Ks], K, k, lam)
+
+
+def test_3q_no_whole_matrix_value_lies_within_the_bound():
+    """The whole-matrix eigensolve's 1.555664243e-08 and the factors' exact
+    1q value 1.555664141e-08 differ by about 1e-15, inside eps * ||L||."""
+    Ks, K, k = reduction_complexes(HAMILTONIANS["h-3q-no"])
+    whole, [joined] = assert_join_matches_whole([Ks], K, k, 0.05)
+    assert f"{whole:.10g}" == "1.555664243e-08"
+    assert f"{joined:.10g}" == "1.555664141e-08"
+
+
+# -- decide on the factors -------------------------------------------------------
+
+
+def test_padded_4q_no_has_the_3q_lambda_min():
+    terms = (([0], {"0": 1}), ([0], {"1": 1}))
+    four, three = decide(H_of(4, *terms)), decide(H_of(3, *terms))
+    assert [f.n_vertices for f in join_factors(reduce_hamiltonian(H_of(4, *terms)).graph)] == [
+        17, 7, 7, 7
+    ]
+    assert (four.answer, four.k, four.betti) == ("NO", 7, 0)
+    assert four.lam_min == three.lam_min
+
+
+def test_one_factor_asks_betti_and_lambda_min_once(monkeypatch):
+    calls = []
+    for module, name in ((homology, "betti"), (spectra, "lambda_min")):
+        original = getattr(module, name)
+
+        def counted(K, k, *args, _name=name, _original=original):
+            calls.append((_name, K.graph.n_vertices, k))
+            return _original(K, k, *args)
+
+        monkeypatch.setattr(module, name, counted)
+    dec = decide(H_of(1, ([0], {"0": 1}), ([0], {"1": 1})))
+    assert dec.answer == "NO"
+    # lambda_min's own betti check reads spectra's name, not homology's
+    assert calls == [("betti", 17, 1), ("lambda_min", 17, 1)]
+
+
+# -- complete complexes above their top degree ----------------------------------
+
+
+def test_complete_complex_answers_above_its_top_degree():
+    K = complete(bowtie())  # 7 vertices, built to 6: complete, top degree 1
+    assert K.complete and K.simplices(9) == ()
+    assert betti(K, 6) == betti(K, 7) == 0
+    assert coboundary_rank(K, 6) == coboundary_rank(K, 7) == 0
+    assert (coboundary(K, 6).rows, coboundary(K, 6).cols) == (0, 0)
+    assert lambda_min(K, 7, 0.5) == 0.0
+    assert spectrum(K, 7, 0.5).eigenvalues.size == 0
+    assert join_betti([K, K], 3) == 4  # beta_1 * beta_1 of two bowties
+
+
+def test_truncated_complex_still_refuses_above_max_dim():
+    K = clique_complex(bowtie(), max_dim=1)  # has edges at 1, so it may be truncated
+    assert not K.complete
+    with pytest.raises(DimensionError):
+        betti(K, 1)
+    with pytest.raises(DimensionError):
+        coboundary(K, 1)
+    with pytest.raises(DimensionError):
+        join_betti([K], 2)

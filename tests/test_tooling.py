@@ -58,8 +58,6 @@ READ_ONLY_BY_TESTS = {
     "pairing_check": "acceptance criterion 06: supersymmetric pairing of up/down spectra",
     "orthogonal_cycle_span": "acceptance criterion 12: harmonic states span the cycle space",
     "embedded_entry": "acceptance criterion 15: the operator embedded on all vertex subsets",
-    "induced_subgraph": "the reference implementation in the gadget basis-cycle test",
-    "complement": "the tests' complete graphs, and the join split of ROADMAP item 1",
 }
 
 
