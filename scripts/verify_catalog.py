@@ -22,7 +22,7 @@ def main() -> None:
             why = "run time" if len(state.amps) == 1 else "extension point"
             print(f"{name:12} {state.label():>28}: m={state.m} (skipped: {why})")
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         bp = gadget(state)
         g = glue(qubit_graph(state.m), bp)
         K = clique_complex(g, 2 * state.m + 4)
@@ -33,7 +33,7 @@ def main() -> None:
         status = "PASS" if ok and witten == want else "FAIL"
         print(
             f"{name:12} {state.label():>28}: betti pattern {status}, "
-            f"witten index {witten} (expected {want}), {time.time() - t0:.2f}s"
+            f"witten index {witten} (expected {want}), {time.perf_counter() - t0:.2f}s"
         )
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from typing import Sequence
 
 import numpy as np
 
@@ -119,8 +120,13 @@ def basis_chain(K: CliqueComplex, z: str) -> Chain:
     chains, with shuffle-parity signs; coefficients are +-1 and the squared
     norm is 4^m in the orthonormal simplex basis.
     """
+    return _joined_loops(K, range(1, len(z) + 1), z)
+
+
+def _joined_loops(K: CliqueComplex, qubits: Sequence[int], z: str) -> Chain:
+    """The join of the loops of copies ``q{qubits[i]}.`` for the bits z[i]."""
     chain: Chain = {(): 1}
-    for q, bit in enumerate(z, start=1):
+    for q, bit in zip(qubits, z):
         chain = kunneth_embed(chain, _loop_edge_chain(_loop_labels(q, bit)), into=K)
     return chain
 
@@ -525,14 +531,16 @@ def catalog() -> dict[str, IntegerState]:
 # -- harmonic comparison helpers -----------------------------------------------
 
 
-def basis_state_matrix(K: CliqueComplex, m: int) -> np.ndarray:
-    """Columns: normalized basis-cycle chains over C^{2m-1}, one per bitstring."""
+def basis_state_matrix(K: CliqueComplex, qubits: Sequence[int]) -> np.ndarray:
+    """Columns: normalized basis-cycle chains over C^{2m-1} on the m qubit
+    copies ``q{i}.`` for i in ``qubits``, one per bitstring over them in
+    that order."""
+    m = len(qubits)
     k = 2 * m - 1
     n = K.dim_size(k)
     cols = []
     for i in range(2 ** m):
-        z = format(i, f"0{m}b")
-        chain = basis_chain(K, z)
+        chain = _joined_loops(K, qubits, format(i, f"0{m}b"))
         v = np.zeros(n)
         for s, c in chain.items():
             v[K.index[k][s]] = float(c)
@@ -542,7 +550,7 @@ def basis_state_matrix(K: CliqueComplex, m: int) -> np.ndarray:
 
 def orthogonal_cycle_span(K: CliqueComplex, state: IntegerState) -> np.ndarray:
     """Orthonormal basis of span{basis cycles} orthogonal to the state."""
-    mat = basis_state_matrix(K, state.m)
+    mat = basis_state_matrix(K, range(1, state.m + 1))
     amp = np.zeros(2 ** state.m)
     for z, a in state.amps:
         amp[int(z, 2)] = a

@@ -200,8 +200,8 @@ class Decision:
 
     ``lam_min`` is the smallest eigenvalue behind a NO or INCONCLUSIVE; on a
     YES from a reduction, ``harmonic_overlaps`` maps each basis bitstring z
-    to its Gram row <z|P|w> under the harmonic projector P
-    (``_kernel_overlaps``).
+    to its Gram row <z|P|w> under the harmonic projector P, computed factor
+    by factor on the join factors (``_kernel_overlaps``).
     """
 
     answer: str  # YES / NO / INCONCLUSIVE
@@ -218,15 +218,15 @@ def decide(H: Hamiltonian, g: float = 1.0, c: float = 0.1) -> Decision:
     The reduction graph is split into its join factors (``join_factors``),
     each factor's clique complex is built as far as degree k needs, and the
     answer comes from the factors: ``join_betti`` (Kunneth) and
-    ``join_lambda_min``.  A graph of one factor is its own complex.  The
-    YES branch is purely topological (no tolerance); its overlap rows come
-    from the whole complex.  The NO branch evaluates the weighted
-    Laplacians at the scheduled lambda and compares the smallest eigenvalue
-    against the scheduled threshold.  Thresholds scale like lam**(4m+2):
-    once they sink below what double-precision eigensolves resolve (about
-    1e-13 relative to the operator norm), the answer degrades honestly to
-    INCONCLUSIVE; a larger c brings the certificate back into numeric
-    range.
+    ``join_lambda_min``.  A graph of one factor is its own complex; no
+    complex of the whole graph is built.  The YES branch is purely
+    topological (no tolerance); its overlap rows are products of the
+    factors' Gram rows.  The NO branch evaluates the weighted Laplacians at
+    the scheduled lambda and compares the smallest eigenvalue against the
+    scheduled threshold.  Thresholds scale like lam**(4m+2): once they sink
+    below what double-precision eigensolves resolve (about 1e-13 relative
+    to the operator norm), the answer degrades honestly to INCONCLUSIVE; a
+    larger c brings the certificate back into numeric range.
     """
     if not H.terms:
         sched = schedule(g, 1, 1, c)
@@ -240,46 +240,70 @@ def decide(H: Hamiltonian, g: float = 1.0, c: float = 0.1) -> Decision:
     ]
     b = join_betti(Ks, res.k)
     if b >= 1:
-        K = Ks[0] if len(Ks) == 1 else clique_complex(res.graph, max_dim=res.k + 1)
-        overlaps = _kernel_overlaps(K, res.k, H)
-        return Decision("YES", res.k, b, sched, None, overlaps)
+        return Decision("YES", res.k, b, sched, None, _kernel_overlaps(Ks, H.n))
     lm = join_lambda_min(Ks, res.k, sched.lam)
     if lm >= sched.threshold:
         return Decision("NO", res.k, 0, sched, lm, None)
     return Decision("INCONCLUSIVE", res.k, 0, sched, lm, None)
 
 
-def _kernel_overlaps(K: CliqueComplex, k: int, H: Hamiltonian):
+def _kernel_overlaps(Ks: list[CliqueComplex], n: int):
     """Gram rows <z|P|w> = (PB)^T (PB) of the basis-state cycles B under the
-    orthogonal projector P onto the harmonic space ker d^k ∩ ker ∂_k at
-    lambda = 0.5.
+    orthogonal projector P onto the harmonic space at lambda = 0.5, from the
+    join factors ``Ks`` of the reduction graph.
+
+    Each bowtie copy ``q{i}.`` lies in one factor.  A basis cycle is the
+    join of its restrictions to the factors, with no sign since every loop
+    chain has two vertices per simplex; the factors' harmonic spaces and
+    inner products multiply across the join (Kunneth), so
+    G[z, w] = prod_j G_j[z|Q_j, w|Q_j] with Q_j the qubits of factor j and
+    G_j its Gram matrix in degree 2|Q_j| - 1 (``_factor_gram``).  The rows
+    are rounded once, after the product.
+
+    Purely informational evidence; returns None when a factor's fallback
+    finds the numeric kernel not cleanly separated.
+    """
+    zs = [format(i, f"0{n}b") for i in range(2 ** n)]
+    gram = np.ones((2 ** n, 2 ** n))
+    for K in Ks:
+        qubits = sorted({int(v[1 : v.index(".")]) for v in K.graph.vertices if v[0] == "q"})
+        factor = _factor_gram(K, qubits)
+        if factor is None:
+            return None
+        rows = [int("".join(z[q - 1] for q in qubits), 2) for z in zs]
+        gram *= factor[np.ix_(rows, rows)]
+    return {  # + 0.0 turns a rounded -0.0 into 0.0
+        z: [round(float(x), 10) + 0.0 for x in gram[i]] for i, z in enumerate(zs)
+    }
+
+
+def _factor_gram(K: CliqueComplex, qubits: list[int]) -> np.ndarray | None:
+    """Gram matrix (PB)^T (PB) of the basis cycles on ``qubits`` in degree
+    k = 2|qubits| - 1 of the factor complex K, P the orthogonal projector
+    onto ker d^k ∩ ker ∂_k.
 
     B lies on the qubit graph, whose vertices all have exponent 0, so B is a
     cycle at every lambda; by Hodge, ker ∂_k = ker L_k ⊕ im d^{k*}, so
     P B = B - d^{k*} Y with Y the least-squares solution of d^{k*} Y = B.
     The projection is checked: lsqr must stop on a solution, and d^k (P B)
     must vanish to HARMONIC_TOL times d^k's largest absolute row sum.  When
-    it does not, the rows come from an eigenbasis of the numeric kernel.
-
-    Purely informational evidence; returns None when that fallback finds
-    the numeric kernel not cleanly separated.
+    it does not, the Gram matrix comes from an eigenbasis of the factor's
+    numeric kernel, and is None when that kernel is not cleanly separated.
     """
-    B = basis_state_matrix(K, H.n)
+    k = 2 * len(qubits) - 1
+    B = basis_state_matrix(K, qubits)
     D = coboundary(K, k).evaluate(0.5)
     solves = [lsqr(D.T, b, atol=1e-15, btol=1e-15) for b in B.T]
     # istop 0: d^k b = 0 already, so y = 0 solves; 1 and 2: lsqr converged
     converged = all(out[1] in (0, 1, 2) for out in solves)
     R = B - D.T @ np.stack([out[0] for out in solves], axis=1)
-    if converged and abs(D @ R).max() <= HARMONIC_TOL * abs(D).sum(axis=1).max():
-        gram = R.T @ R
-    else:
-        # bench/tracing.py wraps reduction.harmonic_basis, so this call stays
-        try:
-            overlap = B.T @ harmonic_basis(K, k, lam=0.5).basis
-        except GapAmbiguityError:
-            return None
-        gram = overlap @ overlap.T
-    return {  # + 0.0 turns a rounded -0.0 into 0.0
-        format(i, f"0{H.n}b"): [round(float(x), 10) + 0.0 for x in gram[i]]
-        for i in range(gram.shape[0])
-    }
+    # a factor at its top degree has no (k+1)-simplex: d^k has no rows
+    bound = HARMONIC_TOL * abs(D).sum(axis=1).max() if D.nnz else 0.0
+    if converged and abs(D @ R).max(initial=0.0) <= bound:
+        return R.T @ R
+    # bench/tracing.py wraps reduction.harmonic_basis, so this call stays
+    try:
+        overlap = B.T @ harmonic_basis(K, k, lam=0.5).basis
+    except GapAmbiguityError:
+        return None
+    return overlap @ overlap.T

@@ -31,6 +31,8 @@ HAMILTONIANS = {
     # a two-amplitude term placed on qubits 1 and 2, a 1-local term on qubit 0
     "h-3q-mixed-support": '{"n":3,"terms":[{"support":[1,2],"amps":{"00":1,"11":-1}},'
     '{"support":[0],"amps":{"0":1}}]}',
+    # q2 idle: join factors of 33 and 7 vertices, the first holding q1 and q3
+    "h-3q-yes-padded": '{"n":3,"terms":[{"support":[0,2],"amps":{"00":1,"11":-1}}]}',
 }
 
 
@@ -200,6 +202,8 @@ GOLDEN_RUNS = {
     "decide-3q-no-unfactorable": ("decide", "@h-3q-no-unfactorable"),
     # above the dense cap: overlap rows from the least-squares projection
     "decide-3q-yes": ("decide", "@h-3q-mixed-support"),
+    # overlap rows from two join factors, one on the non-contiguous qubits q1, q3
+    "decide-3q-yes-padded": ("decide", "@h-3q-yes-padded"),
     # Laplacians of several connected blocks, solved block by block
     "spectrum-qubit-2-k2-grid": ("spectrum", "@qubit-2", "--k", "2", "--grid", "default"),
     "spectrum-two-gadgets-1q-k2-lambda-0.1": (

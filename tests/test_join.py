@@ -1,11 +1,12 @@
 """Join factorization against the whole complex.
 
 The clique complex of a join is the join of the factors' complexes, so the
-factors' exact Betti numbers give the join's by Kunneth and the factors'
-smallest Laplacian eigenvalues give the join's as a minimum of sums.  The
-whole complex is the oracle: Betti numbers must agree exactly and lambda_min
+factors' exact Betti numbers give the join's by Kunneth, the factors'
+smallest Laplacian eigenvalues give the join's as a minimum of sums, and the
+factors' Gram matrices of basis cycles give the join's as a product.  The
+whole complex is the oracle: Betti numbers must agree exactly, lambda_min
 within LAMBDA_MIN_ULPS * eps * ||L||, ||L|| the whole Laplacian's largest
-absolute row sum.
+absolute row sum, and the rounded overlap rows exactly.
 """
 
 from math import prod
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homology_lab import homology, spectra
+from homology_lab import homology, reduction, spectra
 from homology_lab.complexes import clique_complex
-from homology_lab.errors import DimensionError
+from homology_lab.errors import DimensionError, GapAmbiguityError
 from homology_lab.graph import bowtie, join_all, join_factors, make_graph, qubit_graph
 from homology_lab.homology import betti, coboundary_rank, join_betti, join_splits
 from homology_lab.operators import coboundary, laplacian
@@ -26,7 +27,7 @@ from homology_lab.spectra import join_lambda_min, lambda_min, spectrum
 
 from conftest import graphs
 from test_cli import HAMILTONIANS
-from test_reduction import H_of
+from test_reduction import H_of, assert_rows_match
 
 LAMBDA_MIN_ULPS = 16
 EPS = np.finfo(float).eps
@@ -161,6 +162,93 @@ def test_one_factor_asks_betti_and_lambda_min_once(monkeypatch):
     assert dec.answer == "NO"
     # lambda_min's own betti check reads spectra's name, not homology's
     assert calls == [("betti", 17, 1), ("lambda_min", 17, 1)]
+
+
+# -- YES overlap rows from the factors -------------------------------------------
+
+
+def _idle_3q_yes(idle):
+    """The decide-ladder's 3q-yes shape with the 1-local term inside the pair."""
+    pair = [q for q in range(3) if q != idle]
+    return H_of(3, ([pair[1]], {"1": 1}), (pair, {"01": 1, "10": -1}))
+
+
+YES_CASES = {
+    # q2 idle: the 33-vertex factor holds q1 and q3
+    "3q-yes-padded": (parse_hamiltonian(HAMILTONIANS["h-3q-yes-padded"]), [33, 7]),
+    "3q-yes-idle-q1": (_idle_3q_yes(0), [7, 38]),
+    "3q-yes-idle-q2": (_idle_3q_yes(1), [38, 7]),
+    "3q-yes-idle-q3": (_idle_3q_yes(2), [38, 7]),
+    "4q-yes-padded": (H_of(4, ([0], {"0": 1})), [12, 7, 7, 7]),
+}
+
+
+def whole_overlaps(H):
+    """decide's overlap rows from the complex of the whole reduction graph,
+    taken as a single factor."""
+    res = reduce_hamiltonian(H)
+    return reduction._kernel_overlaps([clique_complex(res.graph, max_dim=res.k + 1)], H.n)
+
+
+@pytest.mark.parametrize("case", sorted(YES_CASES))
+def test_yes_overlap_rows_from_the_factors_equal_the_whole_complex(case):
+    H, sizes = YES_CASES[case]
+    assert [f.n_vertices for f in join_factors(reduce_hamiltonian(H).graph)] == sizes
+    dec = decide(H)
+    assert dec.answer == "YES"
+    assert dec.harmonic_overlaps == whole_overlaps(H)
+
+
+def test_factored_yes_builds_no_whole_complex(monkeypatch):
+    H = YES_CASES["3q-yes-padded"][0]
+    built = []
+    real = reduction.clique_complex
+
+    def recorded(g, *args, **kwargs):
+        built.append(g.n_vertices)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "clique_complex", recorded)
+    assert decide(H).answer == "YES"
+    assert reduce_hamiltonian(H).graph.n_vertices == 40
+    assert built == [33, 7]
+
+
+def stop_code_7(A, b, **_kwargs):
+    """lsqr giving up on its iteration limit."""
+    return np.zeros(A.shape[1]), 7
+
+
+def test_failed_projection_falls_back_to_each_factors_eigenbasis(monkeypatch):
+    H = YES_CASES["3q-yes-padded"][0]
+    oracle = whole_overlaps(H)
+    calls = []
+    real = reduction.harmonic_basis
+
+    def counted(K, k, **kwargs):
+        calls.append((K.graph.n_vertices, k))
+        return real(K, k, **kwargs)
+
+    monkeypatch.setattr(reduction, "lsqr", stop_code_7)
+    monkeypatch.setattr(reduction, "harmonic_basis", counted)
+    dec = decide(H)
+    assert calls == [(33, 3), (7, 1)]
+    assert_rows_match(dec.harmonic_overlaps, oracle)
+
+
+def test_gap_ambiguity_in_one_factor_leaves_no_overlaps(monkeypatch):
+    real = reduction.harmonic_basis
+
+    def ambiguous_bowtie(K, k, **kwargs):
+        if K.graph.n_vertices == 7:
+            raise GapAmbiguityError("forced")
+        return real(K, k, **kwargs)
+
+    monkeypatch.setattr(reduction, "lsqr", stop_code_7)
+    monkeypatch.setattr(reduction, "harmonic_basis", ambiguous_bowtie)
+    dec = decide(YES_CASES["3q-yes-padded"][0])
+    assert (dec.answer, dec.betti) == ("YES", 6)
+    assert dec.harmonic_overlaps is None
 
 
 # -- complete complexes above their top degree ----------------------------------

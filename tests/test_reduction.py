@@ -288,7 +288,8 @@ def eigenbasis_overlaps(H):
     """
     res = reduce_hamiltonian(H)
     K = clique_complex(res.graph, max_dim=res.k + 1)
-    overlap = basis_state_matrix(K, H.n).T @ harmonic_basis(K, res.k, lam=0.5).basis
+    qubits = range(1, H.n + 1)
+    overlap = basis_state_matrix(K, qubits).T @ harmonic_basis(K, res.k, lam=0.5).basis
     gram = overlap @ overlap.T
     return {format(i, f"0{H.n}b"): gram[i] for i in range(gram.shape[0])}
 
