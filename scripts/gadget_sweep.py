@@ -11,6 +11,7 @@ import collections
 import json
 
 from homology_lab.complexes import clique_complex
+from homology_lab.errors import GraphFormatError
 from homology_lab.fixtures import gadget_graph
 from homology_lab.gadgets import IntegerState
 from homology_lab.spectra import DEFAULT_GRID, sweep
@@ -23,8 +24,13 @@ def main() -> None:
     parser.add_argument("--grid", default=None, help="comma-separated decreasing lambdas")
     args = parser.parse_args()
 
-    amps = {z: int(a) for z, a in json.loads(args.state).items()}
-    state = IntegerState.from_dict(len(next(iter(amps))), amps)
+    try:
+        amps = json.loads(args.state)
+        if not isinstance(amps, dict) or not amps:
+            raise GraphFormatError(f"state must be a nonempty JSON object, got {amps!r}")
+        state = IntegerState.from_dict(len(next(iter(amps))), amps)
+    except (json.JSONDecodeError, RecursionError, GraphFormatError) as exc:
+        parser.error(f"bad state {args.state!r}: {exc}")
     k = args.k if args.k is not None else 2 * state.m - 1
     grid = (
         tuple(float(x) for x in args.grid.split(",")) if args.grid else DEFAULT_GRID

@@ -25,8 +25,8 @@ DEFAULT_CAP = 2_000_000
 class CliqueComplex:
     """Enumerated clique complex of a weighted graph, up to ``max_dim``.
 
-    Immutable after construction; exact-rank results are memoized on the
-    instance.
+    Immutable after construction; exact coboundary ranks and the coboundaries
+    are memoized on the instance, keyed by degree.
     """
 
     def __init__(self, graph: WeightedGraph, max_dim: int, cap: int = DEFAULT_CAP):
@@ -66,7 +66,7 @@ class CliqueComplex:
             k: {s: i for i, s in enumerate(v)} for k, v in self.by_dim.items()
         }
         self._rank_cache: dict[int, int] = {}
-        self._matrix_cache: dict = {}
+        self._coboundaries: dict = {}
 
     # -- queries -------------------------------------------------------------
 

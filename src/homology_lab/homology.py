@@ -41,30 +41,32 @@ HARMONIC_TOL = 1e-8
 def eigensolve(L, count: int | None = None, vectors: bool = False, sigma: float = 0.0):
     """Ascending eigenvalues, clipped at 0, of an evaluated sparse Laplacian.
 
-    The matrix is symmetrized as (L + L^T)/2.  ``count=None`` asks for the
-    whole spectrum and always solves densely; a count of smallest eigenpairs
-    switches to shift-invert Lanczos about ``sigma`` (from a fixed start
-    vector) above DENSE_EIG_CAP, and below it the dense solve still returns
-    the whole spectrum.  A dense solve runs once per connected block of the
-    matrix (``_dense_by_block``).  With ``vectors`` the result is
-    ``(values, vectors)`` with eigenvectors as columns.  An eigenvalue below
-    -1e-9 means the matrix is not positive semidefinite and raises.
+    L must be exactly symmetric; it is solved as given.  Every Laplacian the
+    package assembles is: each exponent slice of d^T d or d d^T is an integer
+    sum of D_a^T D_b with its transpose D_b^T D_a (or of D_a D_b^T with
+    D_b D_a^T), so entries (i, j) and (j, i) add the same floats in the same
+    order.  ``count=None`` asks for the whole spectrum and always solves
+    densely; a count of smallest eigenpairs switches to shift-invert Lanczos
+    about ``sigma`` (from a fixed start vector) above DENSE_EIG_CAP, and below
+    it the dense solve still returns the whole spectrum.  A dense solve runs
+    once per connected block of the matrix (``_dense_by_block``).  With
+    ``vectors`` the result is ``(values, vectors)`` with eigenvectors as
+    columns.  An eigenvalue below -1e-9 means the matrix is not positive
+    semidefinite and raises.
     """
-    S = L + L.T
-    S.data *= 0.5  # the same bits as (L + L.T) / 2, one sparse pass fewer
-    n = S.shape[0]
+    n = L.shape[0]
     if count is None or n <= DENSE_EIG_CAP:
 
         def solve(A):
             return scipy.linalg.eigh(A) if vectors else (scipy.linalg.eigvalsh(A), None)
 
-        vals, vecs = _dense_by_block(S, solve, vectors)
+        vals, vecs = _dense_by_block(L, solve, vectors)
     else:
         # a fixed start vector: ARPACK would otherwise seed from OS entropy
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
             out = scipy.sparse.linalg.eigsh(
-                S, k=count, sigma=sigma, which="LM", v0=v0, return_eigenvectors=vectors
+                L, k=count, sigma=sigma, which="LM", v0=v0, return_eigenvectors=vectors
             )
         except RuntimeError as exc:
             if "singular" not in str(exc):

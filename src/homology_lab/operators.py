@@ -166,8 +166,7 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
         return MonomialMatrix(K.dim_size(k + 1), 0)
     if k + 1 > K.max_dim and not K.complete:
         raise DimensionError(f"coboundary {k} needs the complex built to {k + 1}")
-    key = ("d", k)
-    cached = K._matrix_cache.get(key)
+    cached = K._coboundaries.get(k)
     if cached is not None:
         return cached
     rows = K.dim_size(k + 1)
@@ -179,34 +178,20 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
         for p, v in enumerate(tau):  # the facet of tau without v
             terms += (i, index_low[tau[:p] + tau[p + 1:]], (-1) ** p, exponent(v))
     out = MonomialMatrix(rows, cols, terms)
-    K._matrix_cache[key] = out
+    K._coboundaries[k] = out
     return out
 
 
 def laplacian_down(K: CliqueComplex, k: int) -> MonomialMatrix:
     """d^{k-1} followed by its adjoint; needs the complex built to k only."""
-    key = ("lap_down", k)
-    cached = K._matrix_cache.get(key)
-    if cached is None:
-        if k >= 0:
-            d_low = coboundary(K, k - 1)
-            cached = d_low @ d_low.transpose()
-        else:
-            n = K.dim_size(k)
-            cached = MonomialMatrix(n, n)
-        K._matrix_cache[key] = cached
-    return cached
+    d = coboundary(K, k - 1)
+    return d @ d.transpose()
 
 
 def laplacian_up(K: CliqueComplex, k: int) -> MonomialMatrix:
     """Adjoint of d^k followed by d^k; needs the complex built to k+1."""
-    key = ("lap_up", k)
-    cached = K._matrix_cache.get(key)
-    if cached is None:
-        d_here = coboundary(K, k)
-        cached = d_here.transpose() @ d_here
-        K._matrix_cache[key] = cached
-    return cached
+    d = coboundary(K, k)
+    return d.transpose() @ d
 
 
 def laplacian(K: CliqueComplex, k: int) -> MonomialMatrix:

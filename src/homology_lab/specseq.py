@@ -2,7 +2,9 @@
 
 The filtration U_l^k is the span of the k-simplices carrying at least l
 weighted vertices.  It is coordinate-aligned and d-compatible (d^k maps U_l^k
-into U_l^{k+1}), so over a field the filtered complex splits into interval
+into U_l^{k+1}) by construction, so it is not checked: a coface adds one
+vertex, whose exponent ``WeightedGraph`` keeps nonnegative, so its level is at
+least its face's.  Over a field the filtered complex splits into interval
 pairs (Basu-Parida, "Spectral sequences, exact couples and persistent
 homology of filtrations", Expo. Math. 2017).  The pairs come from one
 persistence reduction per degree of the rows of d^k at lam := 1, read as
@@ -49,7 +51,6 @@ class Filtration:
             exps = [K.weight_exponent(s) for s in K.simplices(k)]
             self.exponents[k] = exps
             self.lmax[k] = max(exps, default=-1)
-        self._check_compatibility()
         # pairs[k]: (sigma in C^k, tau in C^{k+1}) index pairs; _gap[k][i] is
         # the level gap of simplex i's pair, inf when it is unpaired
         self.pairs: dict[int, list[tuple[int, int]]] = {}
@@ -72,16 +73,6 @@ class Filtration:
             {number[c]: v for c, v in rows[r].items()} for r in order
         )
         return [(face_at[min(col)], r) for r, col in zip(order, reduced) if col]
-
-    def _check_compatibility(self) -> None:
-        for k in range(-1, self.kmax):
-            exps_hi = self.exponents[k + 1]
-            exps_lo = self.exponents[k]
-            for r, c, _v, _e in coboundary(self.K, k).terms.tolist():
-                if exps_hi[r] < exps_lo[c]:
-                    raise HomologyLabError(
-                        "filtration is not d-compatible (implementation bug)"
-                    )
 
     def e_dim(self, k: int, l: int, j: int) -> int:
         """dim e_{j,l}^k: k-simplices at level l unpaired or with gap >= j."""

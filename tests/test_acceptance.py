@@ -56,7 +56,7 @@ def check(criterion, ok, detail=""):
 
 
 def test_c01_bowtie():
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = bowtie()
     K = built(g, 3)
     ok = (
@@ -65,11 +65,11 @@ def test_c01_bowtie():
         and K.dim_size(2) == 0
         and betti(K, 1) == 2
     )
-    check("01 bowtie", ok, f"{time.time() - t0:.2f}s")
+    check("01 bowtie", ok, f"{time.perf_counter() - t0:.2f}s")
 
 
 def test_c02_octahedra():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     for n in range(1, 7):
         K = built(octahedron(n), n + 1)
@@ -79,11 +79,11 @@ def test_c02_octahedra():
             want = 1 if k == n - 1 else 0
             if betti(K, k) != want:
                 ok = False
-    check("02 octahedra", ok, f"n=1..6, {time.time() - t0:.2f}s")
+    check("02 octahedra", ok, f"n=1..6, {time.perf_counter() - t0:.2f}s")
 
 
 def test_c03_kunneth():
-    t0 = time.time()
+    t0 = time.perf_counter()
     K2 = built(qubit_graph(2), 4)
     ok = K2.dim_size(3) == 64 and betti(K2, 3) == 4
     rng = random.Random(17)
@@ -105,11 +105,11 @@ def test_c03_kunneth():
             want = sum(bet(KA, i) * bet(KB, k - 1 - i) for i in range(-1, k + 1))
             if bet(KJ, k) != want:
                 ok = False
-    check("03 kunneth", ok, f"{time.time() - t0:.2f}s")
+    check("03 kunneth", ok, f"{time.perf_counter() - t0:.2f}s")
 
 
 def test_c04_thickening():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     cases = [octahedron(2), octahedron(3), bowtie()] + seeded_graphs(20, 8, seed=99)
     for g in cases:
@@ -122,11 +122,11 @@ def test_c04_thickening():
         for k in range(-1, max(K.max_dim, T.max_dim)):
             if bet(K, k) != bet(T, k):
                 ok = False
-    check("04 thickening", ok, f"23 graphs, {time.time() - t0:.2f}s")
+    check("04 thickening", ok, f"23 graphs, {time.perf_counter() - t0:.2f}s")
 
 
 def test_c05_entrywise_laplacian():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     for g in seeded_graphs(20, 9, wmax=1, seed=31):
         K = clique_complex(g, min(g.n_vertices, 6))
@@ -137,11 +137,11 @@ def test_c05_entrywise_laplacian():
                 for b, t in enumerate(sims):
                     if laplacian_entry(K, k, s, t) != L.entries.get((a, b), {}):
                         ok = False
-    check("05 entrywise laplacian", ok, f"20 graphs, {time.time() - t0:.2f}s")
+    check("05 entrywise laplacian", ok, f"20 graphs, {time.perf_counter() - t0:.2f}s")
 
 
 def test_c06_pairing():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     fixtures = [
         ("bowtie", built(bowtie(), 3), 1.0),
@@ -155,7 +155,7 @@ def test_c06_pairing():
         worst = max(worst, rep.max_mismatch)
         if not rep.paired:
             ok = False
-    check("06 pairing", ok, f"max mismatch {worst:.2e}, {time.time() - t0:.2f}s")
+    check("06 pairing", ok, f"max mismatch {worst:.2e}, {time.perf_counter() - t0:.2f}s")
 
 
 GADGET_STATES = [
@@ -171,7 +171,7 @@ GADGET_STATES = [
 
 
 def test_c07_gadget_homology():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     for m, amps in GADGET_STATES:
         st = IntegerState.from_dict(m, amps)
@@ -182,11 +182,11 @@ def test_c07_gadget_homology():
             ok = False
         if abs(euler_characteristic(K).reduced) != want:
             ok = False
-    check("07 gadget homology", ok, f"8 states, {time.time() - t0:.2f}s")
+    check("07 gadget homology", ok, f"8 states, {time.perf_counter() - t0:.2f}s")
 
 
 def test_c08_filled_cycle_is_boundary():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     for m, amps in GADGET_STATES:
         st = IntegerState.from_dict(m, amps)
@@ -205,11 +205,11 @@ def test_c08_filled_cycle_is_boundary():
                 other, _w = cycle_is_boundary(K, basis_chain(K, z), k)
                 if other:
                     ok = False
-    check("08 filled cycle bounds", ok, f"{time.time() - t0:.2f}s")
+    check("08 filled cycle bounds", ok, f"{time.perf_counter() - t0:.2f}s")
 
 
 def test_c09_hexagon_spectral_sequence():
-    t0 = time.time()
+    t0 = time.perf_counter()
     F = filtration(built(hexagon(), 3))
     expected = {
         0: {(-1, 0): 1, (0, 0): 6, (0, 1): 7, (1, 0): 6, (1, 1): 12, (1, 2): 12,
@@ -224,11 +224,11 @@ def test_c09_hexagon_spectral_sequence():
         got = {kl: d for kl, d in page_dims(F, j).dims.items() if d}
         if got != want:
             ok = False
-    check("09 hexagon pages", ok, f"{time.time() - t0:.2f}s")
+    check("09 hexagon pages", ok, f"{time.perf_counter() - t0:.2f}s")
 
 
 def test_c10_forman_comparison():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     fixtures = [hexagon()] + [
         gadget_graph(IntegerState.from_dict(1, amps))
@@ -238,11 +238,11 @@ def test_c10_forman_comparison():
         rep = forman_compare(built(g, 3), 1, DEFAULT_GRID)
         if not rep.ok:
             ok = False
-    check("10 forman comparison", ok, f"{time.time() - t0:.2f}s")
+    check("10 forman comparison", ok, f"{time.perf_counter() - t0:.2f}s")
 
 
 def test_c11_scaling_exponents():
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = gadget_graph(IntegerState.from_dict(1, {"0": 1}))
     K = built(g, 3)
     table = sweep(K, 1, DEFAULT_GRID)
@@ -254,11 +254,11 @@ def test_c11_scaling_exponents():
             ok = False
     n_rest = table.n_branches - 2 - bulk_edges
     ok = ok and table.count_class("0") == n_rest
-    check("11 scaling exponents", ok, f"bulk={bulk_edges}, {time.time() - t0:.2f}s")
+    check("11 scaling exponents", ok, f"bulk={bulk_edges}, {time.perf_counter() - t0:.2f}s")
 
 
 def test_c12_harmonic_perturbation():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     ratios = []
     for amps in ({"0": 1, "1": -1}, {"0": 1, "1": 2}):
@@ -281,11 +281,11 @@ def test_c12_harmonic_perturbation():
     angle0 = float(np.max(scipy.linalg.subspace_angles(hb0.basis, span0)))
     if angle0 > 1e-9:
         ok = False
-    check("12 harmonic perturbation", ok, f"ratios {ratios}, {time.time() - t0:.2f}s")
+    check("12 harmonic perturbation", ok, f"ratios {ratios}, {time.perf_counter() - t0:.2f}s")
 
 
 def test_c13_padded_kernel_dimensions():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     for m, n in ((1, 1), (1, 2), (2, 2)):
         st = IntegerState.from_dict(m, {"0" * m: 1})
@@ -294,11 +294,11 @@ def test_c13_padded_kernel_dimensions():
         K = built(res.graph, res.k + 1)
         if betti(K, res.k) != (2 ** m - 1) * 2 ** (n - m):
             ok = False
-    check("13 padded kernels", ok, f"{time.time() - t0:.2f}s")
+    check("13 padded kernels", ok, f"{time.perf_counter() - t0:.2f}s")
 
 
 def test_c14_end_to_end_decision():
-    t0 = time.time()
+    t0 = time.perf_counter()
     sat = Hamiltonian(1, (((0,), IntegerState.from_dict(1, {"0": 1})),))
     d1 = decide(sat, g=1.0, c=0.1)
     ok = d1.answer == "YES" and d1.betti == 1
@@ -330,12 +330,12 @@ def test_c14_end_to_end_decision():
             total += psi[idx] @ up1 @ psi[idx]
         if abs(psi @ up_full @ psi - total) > 1e-10:
             ok = False
-    detail = f"lam_min={d2.lam_min:.3e} E={d2.schedule.threshold:.3e}, {time.time() - t0:.2f}s"
+    detail = f"lam_min={d2.lam_min:.3e} E={d2.schedule.threshold:.3e}, {time.perf_counter() - t0:.2f}s"
     check("14 end-to-end decision", ok, detail)
 
 
 def test_c15_embedded_operator():
-    t0 = time.time()
+    t0 = time.perf_counter()
     K = built(bowtie(), 3)
     g = K.graph
     n = g.n_vertices
@@ -378,4 +378,4 @@ def test_c15_embedded_operator():
         ok = False
     if embedded_entry(K, 1, non_clique, xb, penalty=A) != 0.0:
         ok = False
-    check("15 embedded operator", ok, f"{clique_pairs} clique pairs, {time.time() - t0:.2f}s")
+    check("15 embedded operator", ok, f"{clique_pairs} clique pairs, {time.perf_counter() - t0:.2f}s")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import scipy.sparse.linalg
 
-from homology_lab import reduction, spectra
+from homology_lab import homology, reduction, spectra
 from homology_lab.complexes import CliqueComplex, clique_complex
 from homology_lab.fixtures import gadget_graph
 from homology_lab.gadgets import IntegerState
@@ -54,26 +54,24 @@ def bound_functions(tracing):
     return out + [scipy.sparse.linalg.eigsh]
 
 
-def expected_counts(complexes):
+def expected_counts(complexes, laplacians):
     """Coboundary (row, col) pairs and Laplacian terms, from the library.
 
     Every coboundary a call builds is cached on its complex, and the tracer
-    counts each once; it counts the terms of every Laplacian it sees built,
-    here the one per complex whose parts are cached.
+    counts each once; it counts the terms of every Laplacian built through a
+    traced name, here each recorded (complex, degree) call.
     """
-    nnz = terms = 0
-    for K in complexes:
-        for key, M in K._matrix_cache.items():
-            if key[0] == "d":
-                nnz += len({(r, c) for r, c, _v, _e in M.terms.tolist()})
-            elif key[0] == "lap_up":
-                terms += len(laplacian(K, key[1]).terms)
+    nnz = sum(
+        len({(r, c) for r, c, _v, _e in M.terms.tolist()})
+        for K in complexes
+        for M in K._coboundaries.values()
+    )
+    terms = sum(len(laplacian(K, k).terms) for K, k in laplacians)
     return nnz, terms
 
 
 def test_traced_runs_count_terms_and_restore_boundaries(monkeypatch):
     tracing = load_tracing(monkeypatch)
-    before = bound_functions(tracing)
     built = []
     init = CliqueComplex.__init__
 
@@ -82,6 +80,15 @@ def test_traced_runs_count_terms_and_restore_boundaries(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(CliqueComplex, "__init__", recording_init)
+    asked = []
+
+    def recording_laplacian(K, k):
+        asked.append((K, k))
+        return laplacian(K, k)
+
+    for module in (homology, spectra):  # the names the tracer wraps
+        monkeypatch.setattr(module, "laplacian", recording_laplacian)
+    before = bound_functions(tracing)
     g = gadget_graph(IntegerState.from_dict(1, {"0": 1}))
     H = reduction.Hamiltonian(1, tuple(((0,), IntegerState.from_dict(1, {z: 1})) for z in "01"))
     runs = {
@@ -90,13 +97,14 @@ def test_traced_runs_count_terms_and_restore_boundaries(monkeypatch):
     }
     for name, run in runs.items():
         built.clear()
+        asked.clear()
         rec = tracing.Recorder()
         with tracing.traced(rec):
             with rec.call(name):
                 run()
         assert bound_functions(tracing) == before
         metrics = tracing.pass_metrics(rec.spans)
-        nnz, terms = expected_counts(built)
+        nnz, terms = expected_counts(built, asked)
         assert nnz > 0 and terms > 0
         assert metrics["operators.coboundary_nnz"] == nnz, name
         assert metrics["operators.laplacian_terms"] == terms, name

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 
 from homology_lab.complexes import clique_complex, kunneth_embed
 from homology_lab.errors import GraphFormatError
+from homology_lab.fixtures import gadget_graph, named_fixtures
+from homology_lab.gadgets import IntegerState
 from homology_lab.graph import (
     bowtie,
     complement,
@@ -28,9 +30,11 @@ from homology_lab.operators import (
     laplacian_up,
     poly_eval_float,
 )
+from homology_lab.reduction import parse_hamiltonian, reduce_hamiltonian
 from homology_lab.spectra import DEFAULT_GRID
 
 from conftest import built, graphs, seeded_graphs
+from test_cli import HAMILTONIANS
 
 K3 = complement(unweighted(["a", "b", "c"]))
 
@@ -107,6 +111,34 @@ def test_parts_sum_and_psd():
     for part in (down, up):
         vals = np.linalg.eigvalsh(part.evaluate_dense(0.7))
         assert vals.min() > -1e-10
+
+
+def test_every_assembled_laplacian_is_exactly_symmetric():
+    """eigensolve solves L as given, so L must equal L^T bit for bit."""
+    cases = list(named_fixtures().values()) + [
+        reduce_hamiltonian(parse_hamiltonian(text)).graph
+        for name, text in HAMILTONIANS.items()
+        if name.startswith("h-2q")
+    ]
+    for g in cases:
+        K = built(g, g.n_vertices)  # complete
+        for k in range(-1, K.top_dimension() + 1):
+            for part in (laplacian, laplacian_up, laplacian_down):
+                M = part(K, k)
+                for lam in (1.0, 0.5, 0.1):
+                    L = M.evaluate(lam)
+                    assert (L != L.T).nnz == 0, (g.n_vertices, k, part.__name__, lam)
+
+
+@pytest.mark.parametrize("g", [bowtie(), gadget_graph(IntegerState.from_dict(1, {"0": 1}))])
+def test_laplacians_below_degree_zero(g):
+    K = built(g, 2)
+    down = laplacian_down(K, -1)
+    assert (down.rows, down.cols) == (1, 1) and len(down.terms) == 0
+    assert laplacian(K, -1).entries == laplacian_up(K, -1).entries
+    for part in (laplacian, laplacian_up, laplacian_down):
+        M = part(K, -2)
+        assert (M.rows, M.cols) == (0, 0) and len(M.terms) == 0
 
 
 def test_energy_formula():

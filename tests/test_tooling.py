@@ -1,7 +1,8 @@
 """Checks on the sources and docs themselves: the README's library tour runs,
-no library module imports a name it never uses, and every public library
-name has a reader outside the tests."""
+its CLI block names every option, no library module imports a name it never
+uses, and every public library name has a reader outside the tests."""
 
+import argparse
 import ast
 import os
 import re
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from homology_lab.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "homology_lab"
@@ -24,6 +27,24 @@ def test_readme_library_tour_runs():
         [sys.executable, "-c", tour.group(1)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_cli_block_names_every_option():
+    """The ``homology-lab ...`` lines under ``## CLI`` name exactly the
+    --options that build_parser() defines, subcommand by subcommand."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S)
+    assert block, "README has no code block under 'CLI'"
+    documented: dict[str, set[str]] = {}
+    for line in block.group(1).splitlines():
+        command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert documented == defined
 
 
 def unused_imports(source: str) -> list[str]:
