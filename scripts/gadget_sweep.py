@@ -3,15 +3,18 @@
 
 Prints the branch table (eigenvalue trajectories, fitted log-log slopes,
 decay classes) and a summary of exponent classes.  The state is given as
-inline JSON, e.g. '{"0": 1, "1": -1}'.
+inline JSON, e.g. '{"0": 1, "1": -1}'.  A malformed state or grid is a usage
+error; a library error (a grid sweep rejects, branches it cannot match) is
+printed to stderr with exit code 2, as ``homology-lab`` does.
 """
 
 import argparse
 import collections
 import json
+import sys
 
 from homology_lab.complexes import clique_complex
-from homology_lab.errors import GraphFormatError
+from homology_lab.errors import GraphFormatError, HomologyLabError
 from homology_lab.fixtures import gadget_graph
 from homology_lab.gadgets import IntegerState
 from homology_lab.spectra import DEFAULT_GRID, sweep
@@ -32,13 +35,17 @@ def main() -> None:
     except (json.JSONDecodeError, RecursionError, GraphFormatError) as exc:
         parser.error(f"bad state {args.state!r}: {exc}")
     k = args.k if args.k is not None else 2 * state.m - 1
-    grid = (
-        tuple(float(x) for x in args.grid.split(",")) if args.grid else DEFAULT_GRID
-    )
+    try:
+        grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else DEFAULT_GRID
+    except ValueError:
+        parser.error(f"bad grid {args.grid!r}: expected comma-separated numbers")
     g = gadget_graph(state)
+    try:
+        table = sweep(clique_complex(g, k + 1), k, grid)
+    except HomologyLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
     print(f"state {state.label()}: glued graph has {g.n_vertices} vertices")
-    K = clique_complex(g, k + 1)
-    table = sweep(K, k, grid)
     for line in table.csv_lines():
         print(line)
     print()

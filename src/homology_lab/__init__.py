@@ -52,6 +52,13 @@ from .reduction import (
     schedule,
 )
 from .specseq import filtration, forman_compare, page_dims, stabilized_dims
-from .spectra import join_lambda_min, lambda_min, pairing_check, spectrum, sweep
+from .spectra import (
+    join_lambda_min,
+    join_spectrum,
+    lambda_min,
+    pairing_check,
+    spectrum,
+    sweep,
+)
 
 __version__ = "0.1.0"

@@ -2,9 +2,12 @@
 
 Every eigensolve goes through ``homology.eigensolve``.  Full spectra
 (``spectrum``, ``sweep``, ``pairing_check``) are dense, solved one connected
-block of the Laplacian at a time; ``spectrum`` refuses dimensions above
-DENSE_EIG_CAP, while ``lambda_min`` switches to shift-invert Lanczos (from a
-fixed start vector) there.
+block of the Laplacian at a time.  ``spectrum`` and ``sweep`` split the graph
+into its join factors (``graph.join_factors``) and take the spectrum of the
+join from the factors' (``join_spectrum``), so the Laplacians they solve are
+the factors'; ``spectrum`` refuses a factor Laplacian above DENSE_EIG_CAP,
+while ``lambda_min`` switches to shift-invert Lanczos (from a fixed start
+vector) there.
 
 A sweep tracks eigenvalue branches across a geometric lambda grid (matched
 by sorted index), fits the log-log slopes of all branches in one
@@ -16,13 +19,15 @@ every grid point are classified as exact kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
 
+from . import complexes
 from .complexes import CliqueComplex
 from .errors import BranchMatchingError, DimensionError, GraphFormatError
+from .graph import join_factors
 from .homology import DENSE_EIG_CAP, betti, eigensolve, join_splits
 from .operators import laplacian, laplacian_down, laplacian_up
 
@@ -45,6 +50,11 @@ class SpectrumReport:
 def spectrum(K: CliqueComplex, k: int, lam: float) -> SpectrumReport:
     """Full sorted spectrum of the weighted Laplacian at one lambda.
 
+    The spectrum comes from the join factors of K's graph (``join_spectrum``
+    on ``_join_complexes``); a graph of one factor solves K's own Laplacian.
+    DENSE_EIG_CAP bounds each factor Laplacian solved, not dim C^k, so a
+    padded reduction graph far above the cap still answers.
+
     ``near_zero_multiplicity`` counts the eigenvalues below the absolute
     ZERO_TOL (1e-10).  It is not the Betti number: at small lambda a gapped
     eigenvalue can fall below it, as on the 2q four-projector reduction graph
@@ -54,11 +64,14 @@ def spectrum(K: CliqueComplex, k: int, lam: float) -> SpectrumReport:
     n = K.dim_size(k)
     if n == 0:
         return SpectrumReport(k, lam, np.zeros(0), 0.0, 0)
-    if n > DENSE_EIG_CAP:
+    Ks = _join_complexes(K, k)
+    block = max(Ks[j].dim_size(i) for s in join_splits(Ks, k) for j, i in enumerate(s))
+    if block > DENSE_EIG_CAP:
         raise DimensionError(
-            f"dim C^{k} = {n} exceeds the dense cap; use lambda_min for extremal values"
+            f"dim C^{k} = {n} needs a dense solve of dimension {block}, above the dense cap; "
+            "use lambda_min for extremal values"
         )
-    vals = eigensolve(laplacian(K, k).evaluate(lam))
+    vals = join_spectrum(Ks, k, (lam,))[:, 0]
     mult = int((vals < ZERO_TOL).sum())
     return SpectrumReport(k, lam, vals, float(vals[0]), mult)
 
@@ -85,6 +98,43 @@ def join_lambda_min(Ks: Sequence[CliqueComplex], k: int, lam: float) -> float:
     factor_min = cache(lambda j, i: lambda_min(Ks[j], i, lam))
     sums = (sum(factor_min(j, i) for j, i in enumerate(s)) for s in join_splits(Ks, k))
     return min(sums, default=0.0)
+
+
+def join_spectrum(Ks: Sequence[CliqueComplex], k: int, grid: Sequence[float]) -> np.ndarray:
+    """Whole sorted Laplacian spectrum of the join of the factors' complexes.
+
+    Returns an array (dim C^k, len(grid)): column g is the ascending
+    spectrum at lambda = grid[g].  Over each ``join_splits`` entry the
+    Laplacian of the join is the Kronecker sum of the factor Laplacians
+    L_{i_j}(K_j), whose spectrum is the outer sum of theirs.  Each
+    (factor, degree) Laplacian is assembled once and solved once per lambda
+    by a dense ``eigensolve``.  One factor assembles L_k once and solves it
+    once per lambda.  Each factor is complete or built to k + 1.
+    """
+    splits = join_splits(Ks, k)
+    if not splits:
+        return np.zeros((0, len(grid)))
+    pairs = dict.fromkeys((j, i) for s in splits for j, i in enumerate(s))
+    laps = {(j, i): laplacian(Ks[j], i) for j, i in pairs}
+    cols = []
+    for lam in grid:
+        vals = {ji: eigensolve(L.evaluate(lam)) for ji, L in laps.items()}
+        sums = [reduce(np.add.outer, [vals[j, i] for j, i in enumerate(s)]).ravel() for s in splits]
+        cols.append(np.sort(np.concatenate(sums)))
+    return np.stack(cols, axis=1)
+
+
+def _join_complexes(K: CliqueComplex, k: int) -> list[CliqueComplex]:
+    """The complexes of the join factors of K's graph, each built as far as
+    degree k needs (``decide``'s bound); ``[K]`` itself when the graph has
+    one factor.  K must be complete or built to k + 1 either way."""
+    factors = join_factors(K.graph)
+    if len(factors) == 1:
+        return [K]
+    if k + 1 > K.max_dim and not K.complete:
+        raise DimensionError(f"degree {k} needs the complex built to {k + 1}")
+    # looked up on the module, where bench/tracing.py counts the enumeration
+    return [complexes.clique_complex(f, max_dim=min(k + 1, f.n_vertices - 1)) for f in factors]
 
 
 @dataclass(frozen=True)
@@ -115,7 +165,8 @@ class BranchTable:
         lines = [header]
         for i in range(self.n_branches):
             vals = ",".join(f"{v:.10g}" for v in self.trajectories[i])
-            s = "" if self.slopes[i] is None else f"{self.slopes[i]:.4f}"
+            # + 0.0 turns a slope rounded to -0.0 into 0.0
+            s = "" if self.slopes[i] is None else f"{round(self.slopes[i], 4) + 0.0:.4f}"
             lines.append(f"{i},{vals},{s},{self.classes[i]}")
         return lines
 
@@ -131,9 +182,13 @@ def _fit_slopes(lams: np.ndarray, logy: np.ndarray) -> np.ndarray:
 def sweep(K: CliqueComplex, k: int, grid: tuple[float, ...] = DEFAULT_GRID) -> BranchTable:
     """Eigenvalue branches over a decreasing lambda grid with fitted slopes.
 
-    Branch matching is by sorted index, valid in the absence of crossings; a
-    fitted slope that is not within SLOPE_TOL of an even integer is reported
-    as a matching ambiguity rather than silently classified.
+    The trajectories come from the join factors of K's graph, as in
+    ``spectrum``: each factor Laplacian is assembled once for the whole grid
+    and solved once per lambda (``join_spectrum``), and a graph of one factor
+    assembles and solves K's own.  Branch matching is by sorted index, valid
+    in the absence of crossings; a fitted slope that is not within SLOPE_TOL
+    of an even integer is reported as a matching ambiguity rather than
+    silently classified.
     """
     grid = tuple(grid)
     if len(grid) < 4:
@@ -145,8 +200,7 @@ def sweep(K: CliqueComplex, k: int, grid: tuple[float, ...] = DEFAULT_GRID) -> B
     n = K.dim_size(k)
     if n == 0:
         return BranchTable(k, grid, np.zeros((0, len(grid))), (), ())
-    L = laplacian(K, k)
-    traj = np.stack([eigensolve(L.evaluate(lam)) for lam in grid], axis=1)  # branch x grid
+    traj = join_spectrum(_join_complexes(K, k), k, grid)  # branch x grid
     lams = np.array(grid)
     low = traj < KERNEL_FLOOR
     fitted = ~low.any(axis=1)

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import scipy.sparse.linalg
 
-from homology_lab import homology, reduction, spectra
+from homology_lab import complexes, homology, reduction, spectra
 from homology_lab.complexes import CliqueComplex, clique_complex
 from homology_lab.fixtures import gadget_graph
 from homology_lab.gadgets import IntegerState
+from homology_lab.graph import join_factors
 from homology_lab.operators import laplacian
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -108,3 +109,24 @@ def test_traced_runs_count_terms_and_restore_boundaries(monkeypatch):
         assert nnz > 0 and terms > 0
         assert metrics["operators.coboundary_nnz"] == nnz, name
         assert metrics["operators.laplacian_terms"] == terms, name
+
+
+def test_traced_sweep_counts_the_factor_enumeration(monkeypatch):
+    """A spectrum-sweep call on a join enumerates the whole complex and then
+    each factor's through ``complexes.clique_complex``, which the tracer
+    wraps, so complexes.enum_s and complexes.simplices cover both."""
+    tracing = load_tracing(monkeypatch)
+    H = reduction.Hamiltonian(3, tuple(((0,), IntegerState.from_dict(1, {z: 1})) for z in "01"))
+    g = reduction.reduce_hamiltonian(H).graph
+    factors = join_factors(g)
+    assert [f.n_vertices for f in factors] == [17, 7, 7]
+    rec = tracing.Recorder()
+    with tracing.traced(rec):
+        with rec.call("sweep"):
+            spectra.sweep(complexes.clique_complex(g, max_dim=3), 2)
+    built = [s for s in rec.spans if s.name == "complexes.clique_complex"]
+    expected = [clique_complex(g, 3)] + [clique_complex(f, min(3, f.n_vertices - 1)) for f in factors]
+    assert [s.count for s in built] == [sum(K.counts().values()) for K in expected]
+    metrics = tracing.pass_metrics(rec.spans)
+    assert metrics["complexes.simplices"] == sum(s.count for s in built)
+    assert metrics["complexes.enum_s"] >= sum(s.end - s.start for s in built[1:])

@@ -16,20 +16,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homology_lab import homology, reduction, spectra
+from homology_lab import complexes, homology, reduction, spectra
 from homology_lab.complexes import clique_complex
 from homology_lab.errors import DimensionError, GapAmbiguityError
 from homology_lab.graph import bowtie, join_all, join_factors, make_graph, qubit_graph
 from homology_lab.homology import betti, coboundary_rank, join_betti, join_splits
 from homology_lab.operators import coboundary, laplacian
 from homology_lab.reduction import decide, parse_hamiltonian, reduce_hamiltonian
-from homology_lab.spectra import join_lambda_min, lambda_min, spectrum
+from homology_lab.spectra import (
+    DEFAULT_GRID,
+    join_lambda_min,
+    join_spectrum,
+    lambda_min,
+    spectrum,
+    sweep,
+)
 
 from conftest import graphs
 from test_cli import HAMILTONIANS
 from test_reduction import H_of, assert_rows_match
 
 LAMBDA_MIN_ULPS = 16
+# a whole dense solve of dimension 1,801 (the 3q-no graph in degree 2) is
+# itself off by more than 16 eps ||L||: LAPACK's evd and evr drivers differ
+# on it by up to 25 eps ||L||, and the factor spectrum is within 31 of evr
+SWEEP_ULPS = 64
 EPS = np.finfo(float).eps
 
 
@@ -105,6 +116,21 @@ def test_join_betti_and_lambda_min_match_the_whole_complex(factors):
         assert_join_matches_whole(splits, K, k, 0.3)
 
 
+@settings(max_examples=40, deadline=None)
+@given(factor_lists())
+def test_join_spectrum_matches_the_whole_dense_spectrum(factors):
+    g = join_all(factors)
+    K = complete(g)
+    splits = ([complete(f) for f in factors], [complete(f) for f in join_factors(g)])
+    for k in range(-1, g.n_vertices + 1):
+        whole = np.linalg.eigvalsh(laplacian(K, k).evaluate(0.3).toarray())
+        bound = LAMBDA_MIN_ULPS * EPS * whole_row_sum(K, k, 0.3)
+        for Ks in splits:
+            joined = join_spectrum(Ks, k, (0.3,))[:, 0]
+            assert joined.shape == whole.shape
+            assert np.all(np.abs(joined - whole) <= bound), (k, np.abs(joined - whole).max(), bound)
+
+
 def reduction_complexes(text):
     res = reduce_hamiltonian(parse_hamiltonian(text))
     Ks = [clique_complex(f, max_dim=min(res.k + 1, f.n_vertices - 1))
@@ -113,6 +139,7 @@ def reduction_complexes(text):
 
 
 PADDED_2Q_NO = '{"n":2,"terms":[{"support":[0],"amps":{"0":1}},{"support":[0],"amps":{"1":1}}]}'
+PADDED_4Q_NO = PADDED_2Q_NO.replace('"n":2', '"n":4')
 
 
 @pytest.mark.parametrize("text,sizes,lam", [
@@ -133,6 +160,99 @@ def test_3q_no_whole_matrix_value_lies_within_the_bound():
     whole, [joined] = assert_join_matches_whole([Ks], K, k, 0.05)
     assert f"{whole:.10g}" == "1.555664243e-08"
     assert f"{joined:.10g}" == "1.555664141e-08"
+
+
+def whole_sweep(monkeypatch, K, k):
+    """``sweep`` with the graph taken as a single factor: the whole-matrix solve."""
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "join_factors", lambda g: (g,))
+        return sweep(K, k)
+
+
+@pytest.mark.parametrize("text,k", [
+    (HAMILTONIANS["h-3q-no"], 2),
+    (PADDED_2Q_NO, 3),
+], ids=["3q-no-k2", "2q-padded-no-k3"])
+def test_sweep_on_the_factors_matches_the_whole_matrix_sweep(monkeypatch, text, k):
+    res = reduce_hamiltonian(parse_hamiltonian(text))
+    K = clique_complex(res.graph, max_dim=k + 1)
+    assert len(join_factors(res.graph)) > 1
+    joined, whole = sweep(K, k), whole_sweep(monkeypatch, K, k)
+    bound = SWEEP_ULPS * EPS * max(whole_row_sum(K, k, lam) for lam in DEFAULT_GRID)
+    assert joined.classes == whole.classes
+    assert np.abs(joined.trajectories - whole.trajectories).max() <= bound
+
+
+class CallLog:
+    """Records the Laplacians ``spectra`` assembles, the complexes it builds
+    and the eigensolves it runs, through the module-level names it reads."""
+
+    def __init__(self, monkeypatch):
+        self.laplacians, self.built, self.solves = [], [], 0
+        real_laplacian, real_build = spectra.laplacian, complexes.clique_complex
+        real_solve = spectra.eigensolve
+
+        def laplacian_(K, k):
+            self.laplacians.append((K, k))
+            return real_laplacian(K, k)
+
+        def build(g, *args, **kwargs):
+            self.built.append(g.n_vertices)
+            return real_build(g, *args, **kwargs)
+
+        def solve(L, *args, **kwargs):
+            self.solves += 1
+            return real_solve(L, *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "laplacian", laplacian_)
+        monkeypatch.setattr(complexes, "clique_complex", build)
+        monkeypatch.setattr(spectra, "eigensolve", solve)
+
+
+def test_one_factor_sweep_assembles_the_given_laplacian_once(monkeypatch):
+    g = reduce_hamiltonian(parse_hamiltonian(HAMILTONIANS["h-1q-no"])).graph
+    assert join_factors(g) == (g,)
+    K = clique_complex(g, max_dim=2)
+    log = CallLog(monkeypatch)
+    sweep(K, 1)
+    assert log.laplacians == [(K, 1)]
+    assert log.solves == len(DEFAULT_GRID)
+    assert log.built == []
+
+
+def test_3q_no_sweep_never_assembles_the_whole_laplacian(monkeypatch):
+    res = reduce_hamiltonian(parse_hamiltonian(HAMILTONIANS["h-3q-no"]))
+    K = clique_complex(res.graph, max_dim=3)
+    log = CallLog(monkeypatch)
+    sweep(K, 2)
+    assert log.built == [17, 7, 7]
+    assert log.laplacians and all(Kj is not K for Kj, _k in log.laplacians)
+    # each (factor, degree) Laplacian once, solved once per lambda
+    assert len(set(log.laplacians)) == len(log.laplacians)
+    assert log.solves == len(log.laplacians) * len(DEFAULT_GRID)
+
+
+def test_spectrum_answers_on_the_padded_4q_no_above_the_dense_cap():
+    Ks, K, k = reduction_complexes(PADDED_4Q_NO)
+    assert [Kj.graph.n_vertices for Kj in Ks] == [17, 7, 7, 7]
+    assert (k, K.dim_size(k)) == (7, 52736) and K.dim_size(k) > homology.DENSE_EIG_CAP
+    rep = spectrum(K, k, 0.05)
+    assert rep.eigenvalues.size == K.dim_size(k)
+    # the Kronecker sum's largest absolute row sum is the sum of the factors'
+    norm = max(sum(whole_row_sum(Kj, i, 0.05) for Kj, i in zip(Ks, s)) for s in join_splits(Ks, k))
+    assert abs(rep.lambda_min - join_lambda_min(Ks, k, 0.05)) <= LAMBDA_MIN_ULPS * EPS * norm
+
+
+def test_a_truncated_join_still_refuses_a_degree_it_does_not_reach():
+    res = reduce_hamiltonian(parse_hamiltonian(HAMILTONIANS["h-3q-no"]))
+    K = clique_complex(res.graph, max_dim=2)  # truncated: degree 2 needs 3
+    assert not K.complete and len(join_factors(res.graph)) == 3
+    with pytest.raises(DimensionError):
+        sweep(K, 2)
+    with pytest.raises(DimensionError):
+        spectrum(K, 2, 0.3)
+    with pytest.raises(DimensionError):
+        spectrum(K, 3, 0.3)
 
 
 # -- decide on the factors -------------------------------------------------------
