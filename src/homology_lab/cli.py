@@ -76,7 +76,6 @@ def build_parser() -> _Parser:
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--lambda", dest="lam", type=float, default=None)
     s.add_argument("--grid", default=None, help="comma-separated decreasing lambdas")
-    s.add_argument("--max-dim", type=int, default=None)
     s.add_argument("--cap", type=int, default=DEFAULT_CAP)
     s.add_argument("--format", choices=["text", "csv"], default="text")
 
@@ -86,7 +85,6 @@ def build_parser() -> _Parser:
     q.add_argument("--j-max", type=int, default=4)
     q.add_argument("--forman", action="store_true", help="compare with sweep exponents")
     q.add_argument("--grid", default=None)
-    q.add_argument("--max-dim", type=int, default=None)
     q.add_argument("--cap", type=int, default=DEFAULT_CAP)
     q.add_argument("--format", choices=["text", "csv"], default="text")
 
@@ -103,11 +101,10 @@ def build_parser() -> _Parser:
 
     v = sub.add_parser("verify-gadget", help="gadget correctness checks for one state")
     v.add_argument("state", help="catalog name or inline JSON {bits: amp}")
-    v.add_argument("--m", type=int, default=None, help="qubit count for inline JSON")
     return p
 
 
-def _complex_for(graph, k_hint: int | None, max_dim: int | None, cap: int):
+def _complex_for(graph, k_hint: int | None, cap: int, max_dim: int | None = None):
     if max_dim is None:
         # build one dimension above the largest needed so chi and pairing close
         max_dim = graph.n_vertices - 1 if k_hint is None else k_hint + 1
@@ -127,7 +124,7 @@ def cmd_betti(args) -> int:
     g = _load_graph(args.graph)
     reduced = not args.unreduced
     if args.k == "all":
-        K = _complex_for(g, None, args.max_dim, args.cap)
+        K = _complex_for(g, None, args.cap, args.max_dim)
         table = betti_table(K, reduced=reduced)
         chi = euler_characteristic(K)
         if args.format == "json":
@@ -151,7 +148,7 @@ def cmd_betti(args) -> int:
         k = int(args.k)
     except ValueError as exc:
         raise UsageError(f"--k must be an integer or 'all', got {args.k!r}") from exc
-    K = _complex_for(g, k, args.max_dim, args.cap)
+    K = _complex_for(g, k, args.cap, args.max_dim)
     print(betti(K, k, reduced=reduced))
     return 0
 
@@ -162,7 +159,7 @@ def cmd_spectrum(args) -> int:
         raise UsageError("give exactly one of --lambda or --grid (or --grid default)")
     if args.lam is not None and not 0 < args.lam <= 1:
         raise UsageError(f"lambda must be in (0, 1], got {args.lam}")
-    K = _complex_for(g, args.k, args.max_dim, args.cap)
+    K = _complex_for(g, args.k, args.cap)
     if args.lam is not None:
         rep = spectrum(K, args.k, args.lam)
         if args.format == "csv":
@@ -184,7 +181,7 @@ def cmd_specseq(args) -> int:
     if args.j_max < 0:
         raise UsageError(f"--j-max must be >= 0, got {args.j_max}")
     g = _load_graph(args.graph)
-    K = _complex_for(g, None, args.max_dim, args.cap)
+    K = _complex_for(g, None, args.cap)
     if args.forman:
         if args.k is None:
             raise UsageError("--forman needs --k")
@@ -262,8 +259,7 @@ def cmd_verify_gadget(args) -> int:
             ) from exc
         if not isinstance(amps, dict) or not amps:
             raise GraphFormatError(f"inline state must be a nonempty JSON object, got {amps!r}")
-        m = args.m if args.m is not None else len(next(iter(amps)))
-        state = IntegerState.from_dict(m, amps)
+        state = IntegerState.from_dict(len(next(iter(amps))), amps)
     print(f"state: {state.label()} on m={state.m} qubits")
     bp = gadget(state)  # raises on any internal verification failure
     print(f"gadget: {len(bp.added_vertex_names)} added vertices, "
@@ -272,8 +268,7 @@ def cmd_verify_gadget(args) -> int:
     K = clique_complex(glued, max_dim=2 * state.m + 2)
     want = 2 ** state.m - 1
     ok = True
-    for k in range(-1, K.max_dim):
-        b = betti(K, k)
+    for k, b in betti_table(K).as_dict().items():
         expect = want if k == 2 * state.m - 1 else 0
         status = "PASS" if b == expect else "FAIL"
         if b != expect:

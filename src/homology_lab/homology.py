@@ -126,8 +126,6 @@ def _dense_by_block(S, solve, vectors: bool):
 
 def coboundary_rank(K: CliqueComplex, k: int) -> int:
     """Exact rank of d^k over Q (at lam := 1), memoized on the complex."""
-    if k < -1:
-        return 0
     if k in K._rank_cache:
         return K._rank_cache[k]
     if K.dim_size(k) == 0:
@@ -141,10 +139,6 @@ def coboundary_rank(K: CliqueComplex, k: int) -> int:
 
 def betti(K: CliqueComplex, k: int, reduced: bool = True) -> int:
     """dim H^k as dim C^k - rank d^k - rank d^{k-1}, exact over Q."""
-    if k < -1:
-        return 0
-    if k + 1 > K.max_dim and not K.complete:
-        raise DimensionError(f"betti({k}) needs the complex built to {k + 1}")
     c_k = K.dim_size(k)
     if c_k == 0:
         return 0
@@ -231,11 +225,8 @@ def euler_characteristic(K: CliqueComplex) -> EulerCharacteristic:
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    k: int
-    lam: float
     basis: np.ndarray  # shape (dim C^k, betti)
     tol: float
-    eigenvalues: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -253,7 +244,7 @@ def harmonic_basis(K: CliqueComplex, k: int, lam: float = 1.0) -> HarmonicBasis:
     n = K.dim_size(k)
     b = betti(K, k)
     if n == 0:
-        return HarmonicBasis(k, lam, np.zeros((0, 0)), 0.0, np.zeros(0))
+        return HarmonicBasis(np.zeros((0, 0)), 0.0)
     L = laplacian(K, k).evaluate(lam)
     norm = abs(L).sum(axis=1).max() if L.nnz else 1.0
     tol = HARMONIC_TOL * max(float(norm), 1.0)
@@ -272,7 +263,7 @@ def harmonic_basis(K: CliqueComplex, k: int, lam: float = 1.0) -> HarmonicBasis:
         raise GapAmbiguityError(
             f"near-kernel count {count} != exact betti {b} at lam={lam}, tol={tol:g}"
         )
-    return HarmonicBasis(k, float(lam), vecs[:, keep], float(tol), vals[keep])
+    return HarmonicBasis(vecs[:, keep], float(tol))
 
 
 # -- exact cycle membership ----------------------------------------------------

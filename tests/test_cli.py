@@ -14,6 +14,7 @@ from homology_lab.cli import main
 from homology_lab.fixtures import write_fixtures
 
 from test_parsers import GRAPH_DOCS, mutated, texts
+from test_tooling import parser_options
 
 
 HAMILTONIANS = {
@@ -330,6 +331,10 @@ REJECTED_ARGS = {
     "inline-amplitude-string": (("verify-gadget", '{"0": "3"}'), 2),
     "inline-amplitude-bool": (("verify-gadget", '{"0": true}'), 2),
     "inline-state-nested-too-deeply": (("verify-gadget", "[" * 3000), 1),
+    # spectrum and specseq build the depth they read; m is the bitstring length
+    "spectrum-max-dim": (("spectrum", "@hexagon", "--k", "1", "--grid", "default", "--max-dim", "2"), 1),
+    "specseq-max-dim": (("specseq", "@hexagon", "--max-dim", "5"), 1),
+    "verify-gadget-m": (("verify-gadget", '{"00": 1}', "--m", "2"), 1),
 }
 
 
@@ -365,25 +370,30 @@ FUZZ_OPTIONS = {
     "--j-max": ["-1", "0", "2", "x"],
     "--c": ["0.1", "0", "-1", "nan", "x"],
     "--g": ["1", "0", "-2", "inf", "x"],
-    "--m": ["0", "1", "2", "x"],
     "--which": ["bowtie", "hexagon", "bogus"],
     "--out": ["@out"],
     "--unreduced": None,
     "--forman": None,
 }
-GRAPH_OPTIONS = ["--max-dim", "--cap", "--format"]
+GRAPH_OPTIONS = ["--cap", "--format"]
 FUZZ_COMMANDS = {  # command -> its own options
-    "betti": ["--k", "--unreduced", *GRAPH_OPTIONS],
+    "betti": ["--k", "--unreduced", "--max-dim", *GRAPH_OPTIONS],
     "spectrum": ["--k", "--lambda", "--grid", *GRAPH_OPTIONS],
     "specseq": ["--k", "--j-max", "--forman", "--grid", *GRAPH_OPTIONS],
     "reduce": ["--c", "--g", "--out"],
     "decide": ["--c", "--g"],
-    "verify-gadget": ["--m"],
+    "verify-gadget": [],
     "fixtures": ["--out", "--which"],
     "frobnicate": [],
 }
 # options a run needs to get past argument checks; left out one time in ten
 FUZZ_REQUIRED = {"spectrum": [["--k", "--lambda"], ["--k", "--grid"]], "fixtures": [["--out"]]}
+
+
+def test_fuzz_lists_name_every_option_of_each_command():
+    """Each subcommand's FUZZ_COMMANDS list is exactly its build_parser() --options."""
+    defined = parser_options()
+    assert {name: set(FUZZ_COMMANDS[name]) for name in defined} == defined
 
 
 @st.composite

@@ -29,6 +29,15 @@ def test_readme_library_tour_runs():
     assert done.returncode == 0, done.stderr
 
 
+def parser_options() -> dict[str, set[str]]:
+    """Each subcommand's --options as build_parser() defines them."""
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, sub in commands.choices.items()
+    }
+
+
 def test_readme_cli_block_names_every_option():
     """The ``homology-lab ...`` lines under ``## CLI`` name exactly the
     --options that build_parser() defines, subcommand by subcommand."""
@@ -39,12 +48,7 @@ def test_readme_cli_block_names_every_option():
     for line in block.group(1).splitlines():
         command = line.split()[1]
         documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
-    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    defined = {
-        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
-        for name, sub in commands.choices.items()
-    }
-    assert documented == defined
+    assert documented == parser_options()
 
 
 def unused_imports(source: str) -> list[str]:
