@@ -25,8 +25,9 @@ DEFAULT_CAP = 2_000_000
 class CliqueComplex:
     """Enumerated clique complex of a weighted graph, up to ``max_dim``.
 
-    Immutable after construction; exact coboundary ranks and the coboundaries
-    are memoized on the instance, keyed by degree.
+    Immutable after construction; the pivots of each coboundary's exact
+    reduction (its rank is their count) and the coboundaries are memoized
+    on the instance, keyed by degree.
     """
 
     def __init__(self, graph: WeightedGraph, max_dim: int, cap: int = DEFAULT_CAP):
@@ -65,7 +66,7 @@ class CliqueComplex:
         self.index: dict[int, dict[Simplex, int]] = {
             k: {s: i for i, s in enumerate(v)} for k, v in self.by_dim.items()
         }
-        self._rank_cache: dict[int, int] = {}
+        self._pivots: dict[int, set[int]] = {}  # degree -> pivots of d^k's reduction
         self._coboundaries: dict = {}
 
     # -- queries -------------------------------------------------------------

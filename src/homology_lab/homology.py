@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import prod
 from typing import Sequence
@@ -125,16 +124,23 @@ def _dense_by_block(S, solve, vectors: bool):
 
 
 def coboundary_rank(K: CliqueComplex, k: int) -> int:
-    """Exact rank of d^k over Q (at lam := 1), memoized on the complex."""
-    if k in K._rank_cache:
-        return K._rank_cache[k]
-    if K.dim_size(k) == 0:
-        K._rank_cache[k] = 0
-        return 0
-    mat = coboundary(K, k)
-    rank = rational.rank_int(mat.int_rows_at_one().values())
-    K._rank_cache[k] = rank
-    return rank
+    """Exact rank of d^k over Q (at lam := 1).
+
+    The complex memoizes the pivots of each degree's reduction; the rank is
+    their count.  When d^{k+1}'s pivots are known, d^k's rows at those
+    (k+1)-simplices are cleared (``rational``): ``rank_int`` orders the
+    (k+1)-simplices by descending index in both reductions.  Callers that
+    want several degrees ask for them top-down.
+    """
+    if k not in K._pivots:
+        if K.dim_size(k) == 0:
+            K._pivots[k] = set()
+        else:
+            cleared = K._pivots.get(k + 1, ())
+            rows = coboundary(K, k).int_rows_at_one()
+            kept = [row for r, row in rows.items() if r not in cleared]
+            _, K._pivots[k] = rational.rank_int(kept)
+    return len(K._pivots[k])
 
 
 def betti(K: CliqueComplex, k: int, reduced: bool = True) -> int:
@@ -173,11 +179,15 @@ def join_betti(Ks: Sequence[CliqueComplex], k: int) -> int:
 
     Kunneth: beta_k is the sum over ``join_splits`` of the products of the
     factors' reduced Betti numbers, integer arithmetic on exact ranks.  Each
-    (factor, degree) is asked once, and each factor is complete or built
-    to k + 1.  One factor asks ``betti`` once.
+    (factor, degree) is asked once, a factor's degrees top-down so that its
+    ranks clear each other, and each factor is complete or built to k + 1.
+    One factor asks ``betti`` once.
     """
-    factor_betti = cache(lambda j, i: betti(Ks[j], i))
-    return sum(prod(factor_betti(j, i) for j, i in enumerate(s)) for s in join_splits(Ks, k))
+    splits = join_splits(Ks, k)
+    asked = {(j, i) for s in splits for j, i in enumerate(s)}
+    top_down = sorted(asked, key=lambda ji: (ji[0], -ji[1]))
+    factor_betti = {(j, i): betti(Ks[j], i) for j, i in top_down}
+    return sum(prod(factor_betti[j, i] for j, i in enumerate(s)) for s in splits)
 
 
 @dataclass(frozen=True)
@@ -193,12 +203,16 @@ class BettiTable:
 
 
 def betti_table(K: CliqueComplex, reduced: bool = True) -> BettiTable:
-    """Betti numbers in every dimension the complex is built to support."""
+    """Betti numbers in every dimension the complex is built to support.
+
+    The ranks are taken top-down, so each degree's pivots clear the next.
+    """
     ks = tuple(range(-1 if reduced else 0, K.max_dim))
+    ranks = {k: coboundary_rank(K, k) for k in reversed(ks)}
     return BettiTable(
         ks,
         tuple(K.dim_size(k) for k in ks),
-        tuple(coboundary_rank(K, k) for k in ks),
+        tuple(ranks[k] for k in ks),
         tuple(betti(K, k, reduced=reduced) for k in ks),
         reduced,
     )

@@ -17,6 +17,17 @@ Inputs are sparse integer columns ``{row: value}``; Fractions appear only in
 the witnesses ``solve`` returns.  Callers hand in the rows of a coboundary
 d^k as they come: they are the columns of the boundary map, so no exact
 matrix is ever transposed (``rank_int`` reduces them last row first).
+
+Clearing (Chen-Kerber, "Persistent homology computation with a twist",
+EuroCG 2011; as in Ripser): callers reduce the degrees top-down and leave
+out of d^{k-1} every row whose k-simplex is a pivot of d^k's reduction.
+Such a row would reduce to {}.  A reduced column of d^k is a combination
+of its rows, c e_s plus k-simplices that come before s in the reduction
+order (its pivot s comes last), so d^k d^{k-1} = 0 puts row s of d^{k-1}
+in the span of the rows of those k-simplices; when d^{k-1}'s reduction
+orders the k-simplices alike, it reduces them before s.  A column that
+reduces to {} changes no other column, so the rank and the pivots come out
+the same from fewer columns.
 """
 
 from __future__ import annotations
@@ -72,14 +83,19 @@ def reduce_columns(cols: Iterable[Mapping[int, int]]) -> list[IntVec]:
     return out
 
 
-def rank_int(rows: Reversible[Mapping[int, int]]) -> int:
-    """Rank over Q of an integer matrix given as sparse rows.
+def rank_int(rows: Reversible[Mapping[int, int]]) -> tuple[int, set[int]]:
+    """Rank over Q of an integer matrix given as sparse rows, and the pivots
+    (column indices) of its reduction.
 
     Each row is reduced as a column, last row first: the rows of d^k are the
     columns of the boundary map, of the same rank, and this order finds
     pivots with far less fill than first row first or d^k's own columns.
+    Rows given in ascending simplex index are so reduced in descending index
+    with pivot ``min``, which is also the order in which the pivots, as rows
+    of d^{k-1}, come up in its reduction: the order clearing needs.
     """
-    return sum(1 for col in reduce_columns(reversed(rows)) if col)
+    pivots = {min(col) for col in reduce_columns(reversed(rows)) if col}
+    return len(pivots), pivots
 
 
 def rank_fraction(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> int:
@@ -88,7 +104,7 @@ def rank_fraction(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> int:
     for row in rows:
         d = lcm(*(Fraction(v).denominator for v in row.values()))
         scaled.append({c: int(Fraction(v) * d) for c, v in row.items()})
-    return rank_int(scaled)
+    return rank_int(scaled)[0]
 
 
 def _tagged(cols: Sequence[Mapping[int, int]], nrows: int) -> list[IntVec]:

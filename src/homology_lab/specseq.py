@@ -9,9 +9,11 @@ pairs (Basu-Parida, "Spectral sequences, exact couples and persistent
 homology of filtrations", Expo. Math. 2017).  The pairs come from one
 persistence reduction per degree of the rows of d^k at lam := 1, read as
 boundary columns with no transpose: (k+1)-simplices in ascending level, each
-column's pivot its face at the highest level.  By persistence duality (de
-Silva, Morozov, Vejdemo-Johansson, "Dualities in persistent (co)homology",
-Inverse Problems 2011) these are the pairs of the coboundary reduction.  A
+column's pivot its face at the highest level.  The degrees are reduced top
+first, and the rows of d^{k-1} at the faces of d^k's pairs are cleared (left
+out; see ``rational``).  By persistence duality (de Silva, Morozov,
+Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
+Problems 2011) these are the pairs of the coboundary reduction.  A
 pair of a k-simplex at level a with a (k+1)-simplex at level b >= a survives
 at both ends up to page b - a, and unpaired simplices survive every page:
 
@@ -51,24 +53,38 @@ class Filtration:
             exps = [K.weight_exponent(s) for s in K.simplices(k)]
             self.exponents[k] = exps
             self.lmax[k] = max(exps, default=-1)
-        # pairs[k]: (sigma in C^k, tau in C^{k+1}) index pairs; _gap[k][i] is
-        # the level gap of simplex i's pair, inf when it is unpaired
+        # pairs[k]: (sigma in C^k, tau in C^{k+1}) index pairs, reduced top
+        # degree first so that each degree's pairs clear the next; gaps[k][i]
+        # is the level gap of simplex i's pair, inf when it is unpaired
         self.pairs: dict[int, list[tuple[int, int]]] = {}
-        self._gap = {k: [inf] * len(exps) for k, exps in self.exponents.items()}
-        for k in range(-1, self.kmax):
-            self.pairs[k] = self._reduce(k)
+        gaps = {k: [inf] * len(exps) for k, exps in self.exponents.items()}
+        for k in range(self.kmax - 1, -2, -1):
+            cleared = {s for s, _ in self.pairs.get(k + 1, ())}
+            self.pairs[k] = self._reduce(k, cleared) if self.exponents[k + 1] else []
             for s, t in self.pairs[k]:
                 gap = self.exponents[k + 1][t] - self.exponents[k][s]
-                self._gap[k][s] = self._gap[k + 1][t] = gap
+                gaps[k][s] = gaps[k + 1][t] = gap
+        # _counts[k, l]: {gap: number of k-simplices at level l with that gap}
+        self._counts: dict[tuple[int, int], dict[float, int]] = {}
+        for k, exps in self.exponents.items():
+            for l, g in zip(exps, gaps[k]):
+                at = self._counts.setdefault((k, l), {})
+                at[g] = at.get(g, 0) + 1
 
-    def _reduce(self, k: int) -> list[tuple[int, int]]:
+    def _reduce(self, k: int, cleared: set[int]) -> list[tuple[int, int]]:
         """Pairs of d^k: its rows reduced as boundary columns in ascending
-        (level, index), faces numbered in reverse so ``min`` is the highest."""
+        (level, index), faces numbered in reverse so ``min`` is the highest.
+
+        The rows at ``cleared``, the faces of d^{k+1}'s pairs, are left out:
+        each would reduce to zero (``rational``'s clearing), because d^{k+1}'s
+        reduction orders the (k+1)-simplices by ascending (level, index) too,
+        and pairs each with its highest face.
+        """
         lo, hi = self.exponents[k], self.exponents[k + 1]
         rows = coboundary(self.K, k).int_rows_at_one()
         face_at = sorted(range(len(lo)), key=lambda c: (lo[c], c), reverse=True)
         number = {c: i for i, c in enumerate(face_at)}
-        order = sorted(rows, key=lambda r: (hi[r], r))
+        order = sorted((r for r in rows if r not in cleared), key=lambda r: (hi[r], r))
         reduced = rational.reduce_columns(
             {number[c]: v for c, v in rows[r].items()} for r in order
         )
@@ -76,9 +92,7 @@ class Filtration:
 
     def e_dim(self, k: int, l: int, j: int) -> int:
         """dim e_{j,l}^k: k-simplices at level l unpaired or with gap >= j."""
-        if k < -1 or k > self.kmax:
-            return 0
-        return sum(1 for e, g in zip(self.exponents[k], self._gap[k]) if e == l and g >= j)
+        return sum(n for g, n in self._counts.get((k, l), {}).items() if g >= j)
 
 
 def filtration(K: CliqueComplex) -> Filtration:

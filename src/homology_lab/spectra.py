@@ -5,9 +5,9 @@ Every eigensolve goes through ``homology.eigensolve``.  Full spectra
 block of the Laplacian at a time.  ``spectrum`` and ``sweep`` split the graph
 into its join factors (``graph.join_factors``) and take the spectrum of the
 join from the factors' (``join_spectrum``), so the Laplacians they solve are
-the factors'; ``spectrum`` refuses a factor Laplacian above DENSE_EIG_CAP,
-while ``lambda_min`` switches to shift-invert Lanczos (from a fixed start
-vector) there.
+the factors'; ``spectrum`` and ``sweep`` refuse a factor Laplacian above
+DENSE_EIG_CAP, while ``lambda_min`` switches to shift-invert Lanczos (from
+a fixed start vector) there.
 
 A sweep tracks eigenvalue branches across a geometric lambda grid (matched
 by sorted index), fits the log-log slopes of all branches in one
@@ -61,17 +61,9 @@ def spectrum(K: CliqueComplex, k: int, lam: float) -> SpectrumReport:
     (k = 3, betti 0), which reports 4 at lambda = 0.1 for eigenvalues near
     9.8e-11 and 0 at lambda = 0.5.  Use ``betti`` for the kernel dimension.
     """
-    n = K.dim_size(k)
-    if n == 0:
+    if K.dim_size(k) == 0:
         return SpectrumReport(k, lam, np.zeros(0), 0.0, 0)
-    Ks = _join_complexes(K, k)
-    block = max(Ks[j].dim_size(i) for s in join_splits(Ks, k) for j, i in enumerate(s))
-    if block > DENSE_EIG_CAP:
-        raise DimensionError(
-            f"dim C^{k} = {n} needs a dense solve of dimension {block}, above the dense cap; "
-            "use lambda_min for extremal values"
-        )
-    vals = join_spectrum(Ks, k, (lam,))[:, 0]
+    vals = join_spectrum(_join_complexes(K, k), k, (lam,))[:, 0]
     mult = int((vals < ZERO_TOL).sum())
     return SpectrumReport(k, lam, vals, float(vals[0]), mult)
 
@@ -127,14 +119,24 @@ def join_spectrum(Ks: Sequence[CliqueComplex], k: int, grid: Sequence[float]) ->
 def _join_complexes(K: CliqueComplex, k: int) -> list[CliqueComplex]:
     """The complexes of the join factors of K's graph, each built as far as
     degree k needs (``decide``'s bound); ``[K]`` itself when the graph has
-    one factor.  K must be complete or built to k + 1 either way."""
+    one factor.  K must be complete or built to k + 1 either way.  Refused
+    when a factor Laplacian that ``join_spectrum`` would solve densely is
+    above DENSE_EIG_CAP."""
     factors = join_factors(K.graph)
     if len(factors) == 1:
-        return [K]
-    if k + 1 > K.max_dim and not K.complete:
+        Ks = [K]
+    elif k + 1 > K.max_dim and not K.complete:
         raise DimensionError(f"degree {k} needs the complex built to {k + 1}")
-    # looked up on the module, where bench/tracing.py counts the enumeration
-    return [complexes.clique_complex(f, max_dim=min(k + 1, f.n_vertices - 1)) for f in factors]
+    else:
+        # looked up on the module, where bench/tracing.py counts the enumeration
+        Ks = [complexes.clique_complex(f, max_dim=min(k + 1, f.n_vertices - 1)) for f in factors]
+    block = max(Ks[j].dim_size(i) for s in join_splits(Ks, k) for j, i in enumerate(s))
+    if block > DENSE_EIG_CAP:
+        raise DimensionError(
+            f"dim C^{k} = {K.dim_size(k)} needs a dense solve of dimension {block}, "
+            "above the dense cap; use lambda_min for extremal values"
+        )
+    return Ks
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,8 @@ def sweep(K: CliqueComplex, k: int, grid: tuple[float, ...] = DEFAULT_GRID) -> B
     The trajectories come from the join factors of K's graph, as in
     ``spectrum``: each factor Laplacian is assembled once for the whole grid
     and solved once per lambda (``join_spectrum``), and a graph of one factor
-    assembles and solves K's own.  Branch matching is by sorted index, valid
+    assembles and solves K's own; a factor Laplacian above DENSE_EIG_CAP is
+    refused, as in ``spectrum``.  Branch matching is by sorted index, valid
     in the absence of crossings; a fitted slope that is not within SLOPE_TOL
     of an even integer is reported as a matching ambiguity rather than
     silently classified.

@@ -135,6 +135,18 @@ def test_sweep_csv_on_gadget(fixture_dir, capsys):
     assert len(slope6) == 1
 
 
+def test_sweep_above_the_dense_cap_exits_2(fixture_dir, capsys, monkeypatch):
+    from homology_lab import spectra
+
+    monkeypatch.setattr(spectra, "DENSE_EIG_CAP", 10)
+    code, out, err = run(
+        capsys, "spectrum", str(fixture_dir / "gadget-0.json"), "--k", "1", "--grid", "default"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "above the dense cap" in err
+    assert "Traceback" not in err
+
+
 def test_specseq_hexagon(fixture_dir, capsys):
     code, out, _ = run(
         capsys, "specseq", str(fixture_dir / "hexagon.json"), "--k", "1", "--j-max", "4",

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homology_lab.complexes import clique_complex
 from homology_lab.errors import DimensionError, NotACycleError
@@ -93,6 +94,84 @@ def test_coboundary_rank_reduces_the_rows_last_first(monkeypatch):
         rows = list(coboundary(K, k).int_rows_at_one().values())
         assert seen == [rows[::-1]]
         assert rank == dense_rank(rows) > 0
+
+
+@pytest.fixture
+def received(monkeypatch):
+    """The number of columns each ``reduce_columns`` call receives, in order."""
+    import homology_lab.rational as rational
+
+    counts = []
+    real = rational.reduce_columns
+
+    def spy(cols):
+        cols = list(cols)
+        counts.append(len(cols))
+        return real(cols)
+
+    monkeypatch.setattr(rational, "reduce_columns", spy)
+    return counts
+
+
+CLEARING_CASES = [
+    octahedron(3),
+    gadget_graph(IntegerState.from_dict(1, {"0": 1, "1": -1})),
+    *seeded_graphs(12, 8, seed=31),
+]
+
+
+def test_a_ranked_degree_clears_the_rows_of_the_next(received):
+    """After d^k is ranked, d^{k-1}'s reduction receives C^k - rank d^k rows:
+    those at the k-simplices that d^k's reduction took as pivots are left out."""
+    cleared = 0
+    for g in CLEARING_CASES:
+        K = clique_complex(g, g.n_vertices)
+        for k in range(K.max_dim - 1, -1, -1):
+            rank = coboundary_rank(K, k)
+            received.clear()
+            coboundary_rank(K, k - 1)
+            assert received == ([K.dim_size(k) - rank] if K.dim_size(k - 1) else [])
+            cleared += rank
+    assert cleared > 0
+
+
+def test_betti_table_ranks_top_down_and_clears_each_degree(received):
+    """betti_table hands each degree's reduction the rows the degree above left."""
+    for g in CLEARING_CASES:
+        K = clique_complex(g, g.n_vertices)
+        received.clear()
+        table = betti_table(K)
+        rank = dict(zip(table.ks, table.coboundary_ranks))
+        want = [K.dim_size(k + 1) - rank.get(k + 1, 0) for k in reversed(table.ks) if K.dim_size(k)]
+        assert received == want
+
+
+@st.composite
+def complexes_and_asks(draw):
+    """A complex of a drawn graph and a shuffled list of (betti or rank, k) asks."""
+    g = draw(graphs(max_vertices=8))
+    ks = range(-1, g.n_vertices)
+    asks = draw(st.permutations([(what, k) for what in ("betti", "rank") for k in ks]))
+    return g, asks
+
+
+@settings(max_examples=80, deadline=None)
+@given(complexes_and_asks())
+@example((octahedron(4), [("rank", k) for k in range(7, -2, -1)] + [("betti", 3)]))
+def test_cleared_ranks_equal_uncleared_ranks_in_any_degree_order(case):
+    """Whatever the complex has ranked before clears the next rank; each
+    answer equals an uncleared rank (a fresh complex), the dense oracle, and
+    the brute-force Betti number."""
+    g, asks = case
+    K = clique_complex(g, g.n_vertices)
+    oracle = brute_force_betti(g)
+    for what, k in asks:
+        fresh = clique_complex(g, g.n_vertices)
+        if what == "rank":
+            rows = coboundary(fresh, k).int_rows_at_one().values()
+            assert coboundary_rank(K, k) == coboundary_rank(fresh, k) == dense_rank(rows)
+        else:
+            assert betti(K, k) == oracle[k]
 
 
 def brute_force_betti(g) -> dict[int, int]:

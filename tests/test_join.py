@@ -284,6 +284,26 @@ def test_one_factor_asks_betti_and_lambda_min_once(monkeypatch):
     assert calls == [("betti", 17, 1), ("lambda_min", 17, 1)]
 
 
+def test_join_betti_asks_each_factors_degrees_top_down(monkeypatch):
+    """Each factor's degrees go to ``betti`` once each, highest first, so
+    each factor's ranks clear the degree below."""
+    asked = []
+    original = homology.betti
+
+    def counted(K, k):
+        asked.append((K, k))
+        return original(K, k)
+
+    monkeypatch.setattr(homology, "betti", counted)
+    res = reduce_hamiltonian(parse_hamiltonian(HAMILTONIANS["h-3q-no"]))
+    Ks = [complete(f) for f in join_factors(res.graph)]
+    assert join_betti(Ks, res.k) == 0
+    for K in Ks:
+        degrees = [i for Kj, i in asked if Kj is K]
+        assert degrees == sorted(set(degrees), reverse=True)
+    assert {i for _, i in asked} == {0, 1, 2}
+
+
 # -- YES overlap rows from the factors -------------------------------------------
 
 

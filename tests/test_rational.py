@@ -40,7 +40,9 @@ def _rows(cols):
 @given(int_matrices())
 def test_rank_matches_dense_oracle(case):
     cols, _nrows, _x0 = case
-    assert rank_int(_rows(cols)) == dense_rank(cols)
+    rank, pivots = rank_int(_rows(cols))
+    assert rank == len(pivots) == dense_rank(cols)
+    assert pivots <= set(range(len(cols)))
 
 
 @settings(max_examples=200)

@@ -1,3 +1,5 @@
+from hypothesis import given, settings
+
 from homology_lab.complexes import clique_complex
 from homology_lab.fixtures import gadget_graph, hexagon, named_fixtures
 from homology_lab.gadgets import IntegerState
@@ -7,7 +9,7 @@ from homology_lab.operators import coboundary
 from homology_lab.rational import reduce_columns
 from homology_lab.specseq import filtration, forman_compare, page_dims, stabilized_dims
 
-from conftest import built, dense_rank, seeded_graphs
+from conftest import built, dense_rank, graphs, seeded_graphs
 
 
 def test_trivial_filtration_on_unweighted_complex():
@@ -211,6 +213,68 @@ def test_boundary_side_pairs_equal_the_coboundary_side():
         F = filtration(K)
         for k, pairs in F.pairs.items():
             assert sorted(pairs) == _coboundary_side_pairs(K, k), (g, k)
+
+
+def _uncleared_pairs(K, k):
+    """Reference pairs of d^k from all of its rows: boundary columns in
+    ascending (level, index), each column's pivot its highest face."""
+    lo = [K.weight_exponent(s) for s in K.simplices(k)]
+    hi = [K.weight_exponent(s) for s in K.simplices(k + 1)]
+    rows = coboundary(K, k).int_rows_at_one()
+    face_at = sorted(range(len(lo)), key=lambda c: (lo[c], c), reverse=True)
+    number = {c: i for i, c in enumerate(face_at)}
+    order = sorted(rows, key=lambda r: (hi[r], r))
+    reduced = reduce_columns({number[c]: v for c, v in rows[r].items()} for r in order)
+    return {(face_at[min(col)], r) for r, col in zip(order, reduced) if col}
+
+
+def _assert_pairs_uncleared(K):
+    F = filtration(K)
+    assert sorted(F.pairs) == list(range(-1, K.max_dim))
+    for k, pairs in F.pairs.items():
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == _uncleared_pairs(K, k), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_vertices=8, weighted=True))
+def test_cleared_pairs_equal_uncleared_pairs(g):
+    _assert_pairs_uncleared(clique_complex(g, g.n_vertices - 1))
+
+
+def test_cleared_pairs_equal_uncleared_pairs_on_named_fixtures():
+    for g in named_fixtures().values():
+        _assert_pairs_uncleared(built(g, g.n_vertices - 1))
+
+
+def test_filtration_clears_the_faces_of_the_pairs_above(monkeypatch):
+    """d^{k-1}'s reduction receives C^k - #pairs[k] rows, and a coboundary
+    into an empty chain group is never assembled."""
+    import homology_lab.rational as rational
+    import homology_lab.specseq as specseq
+
+    received, assembled = [], []
+    real_reduce, real_coboundary = rational.reduce_columns, specseq.coboundary
+
+    def reduce_spy(cols):
+        cols = list(cols)
+        received.append(len(cols))
+        return real_reduce(cols)
+
+    def coboundary_spy(K, k):
+        assembled.append(k)
+        return real_coboundary(K, k)
+
+    monkeypatch.setattr(rational, "reduce_columns", reduce_spy)
+    monkeypatch.setattr(specseq, "coboundary", coboundary_spy)
+    g = gadget_graph(IntegerState.from_dict(1, {"0": 1, "1": -1}))
+    K = clique_complex(g, g.n_vertices - 1)
+    F = filtration(K)
+    ks = [k for k in range(K.max_dim - 1, -2, -1) if K.dim_size(k + 1)]
+    assert assembled == ks and K.max_dim - 1 not in ks
+    top = {k: len(F.pairs.get(k + 1, ())) for k in ks}
+    assert received == [K.dim_size(k + 1) - top[k] for k in ks]
+    assert sum(top.values()) > 0
 
 
 def test_bulk_page_identity_for_gadget():

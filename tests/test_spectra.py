@@ -7,10 +7,24 @@ import scipy.sparse.linalg
 
 from homology_lab import homology, spectra
 from homology_lab.complexes import clique_complex
-from homology_lab.errors import GapAmbiguityError, GraphFormatError, HomologyLabError
+from homology_lab.errors import (
+    DimensionError,
+    GapAmbiguityError,
+    GraphFormatError,
+    HomologyLabError,
+)
 from homology_lab.fixtures import gadget_graph, hexagon, named_fixtures
 from homology_lab.gadgets import IntegerState
-from homology_lab.graph import bowtie, complement, make_graph, octahedron, relabel, unweighted
+from homology_lab.graph import (
+    bowtie,
+    complement,
+    join_factors,
+    make_graph,
+    octahedron,
+    qubit_graph,
+    relabel,
+    unweighted,
+)
 from homology_lab.homology import betti, eigensolve, harmonic_basis
 from homology_lab.operators import laplacian
 from homology_lab.reduction import Hamiltonian, reduce_hamiltonian
@@ -165,6 +179,34 @@ def test_shift_invert_is_reproducible(monkeypatch):
     monkeypatch.setattr(homology, "DENSE_EIG_CAP", 10)
     first = lambda_min(no, 1, 0.5)
     assert lambda_min(no, 1, 0.5) == first
+
+
+def test_sweep_refuses_a_factor_laplacian_above_the_dense_cap(monkeypatch):
+    """sweep applies spectrum's cap to each factor Laplacian, before any solve."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("eigensolve called above the dense cap")
+
+    K = built(gadget_graph(IntegerState.from_dict(1, {"0": 1})), 2)
+    assert len(join_factors(K.graph)) == 1
+    monkeypatch.setattr(spectra, "DENSE_EIG_CAP", K.dim_size(1) - 1)
+    monkeypatch.setattr(spectra, "eigensolve", refuse)
+    with pytest.raises(DimensionError, match="above the dense cap"):
+        sweep(K, 1)
+    with pytest.raises(DimensionError, match="above the dense cap"):
+        spectrum(K, 1, 0.3)
+
+
+def test_sweep_caps_the_factors_not_the_whole_chain_group(monkeypatch):
+    """A join above the cap sweeps when every factor Laplacian is below it."""
+    g, k = qubit_graph(2), 2
+    K = built(g, k + 1)
+    want = sweep(K, k)
+    factors = [clique_complex(f, f.n_vertices - 1) for f in join_factors(g)]
+    block = max(F.dim_size(i) for F in factors for i in range(-1, F.max_dim + 1))
+    assert len(factors) > 1 and K.dim_size(k) > block
+    monkeypatch.setattr(spectra, "DENSE_EIG_CAP", block)
+    assert sweep(K, k).classes == want.classes
 
 
 def test_singular_shift_invert_factor_is_a_library_error(monkeypatch):
