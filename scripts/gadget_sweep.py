@@ -36,7 +36,7 @@ def main() -> None:
         parser.error(f"bad state {args.state!r}: {exc}")
     k = args.k if args.k is not None else 2 * state.m - 1
     try:
-        grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else DEFAULT_GRID
+        grid = DEFAULT_GRID if args.grid is None else tuple(map(float, args.grid.split(",")))
     except ValueError:
         parser.error(f"bad grid {args.grid!r}: expected comma-separated numbers")
     g = gadget_graph(state)

@@ -170,8 +170,7 @@ def cmd_spectrum(args) -> int:
             print(" ".join(_fmt(v) for v in rep.eigenvalues))
             print(f"lambda_min {_fmt(rep.lambda_min)}  near-zero multiplicity {rep.near_zero_multiplicity}")
         return 0
-    grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
-    table = sweep(K, args.k, grid)
+    table = sweep(K, args.k, _parse_grid(args.grid))
     for line in table.csv_lines():
         print(line)
     return 0
@@ -185,7 +184,7 @@ def cmd_specseq(args) -> int:
     if args.forman:
         if args.k is None:
             raise UsageError("--forman needs --k")
-        grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
+        grid = DEFAULT_GRID if args.grid is None else _parse_grid(args.grid)
         rep = forman_compare(K, args.k, grid)
         print("j,algebraic_dim,branch_count,equal")
         for row in rep.rows:

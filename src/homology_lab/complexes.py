@@ -25,9 +25,10 @@ DEFAULT_CAP = 2_000_000
 class CliqueComplex:
     """Enumerated clique complex of a weighted graph, up to ``max_dim``.
 
-    Immutable after construction; the pivots of each coboundary's exact
-    reduction (its rank is their count) and the coboundaries are memoized
-    on the instance, keyed by degree.
+    ``levels[k]`` holds the weight levels (vertex exponent sums) of
+    ``simplices(k)``, recorded at enumeration.  Immutable after construction;
+    the pivots of each coboundary's exact reduction (its rank is their count)
+    and the coboundaries are memoized on the instance, keyed by degree.
     """
 
     def __init__(self, graph: WeightedGraph, max_dim: int, cap: int = DEFAULT_CAP):
@@ -35,34 +36,33 @@ class CliqueComplex:
             raise DimensionError("max_dim must be >= 0")
         self.graph = graph
         self.max_dim = max_dim
-        by_dim: dict[int, list[Simplex]] = {-1: [()]}
-        by_dim[0] = [(v,) for v in graph.vertices]
+        by_dim: dict[int, list[Simplex]] = {-1: [()], 0: [(v,) for v in graph.vertices]}
+        levels: dict[int, list[int]] = {-1: [0], 0: list(graph.exponents)}
         total = 1 + len(graph.vertices)
         if total > cap:
             raise CapExceededError(0, cap)
-        # Ordered DFS extension: candidates of a simplex are the common
-        # neighbors after its last vertex, as a sorted tuple, which keeps
-        # output lexicographic.  Canonical order is label order: a
-        # WeightedGraph keeps its vertices sorted.
-        cands: dict[Simplex, tuple[str, ...]] = {
-            (v,): tuple(sorted(u for u in graph.neighbors(v) if u > v)) for v in graph.vertices
-        }
+        # Ordered DFS extension: a simplex's candidates, kept at its index, are
+        # the common neighbors after its last vertex in label order, the
+        # canonical order (a WeightedGraph keeps its vertices sorted), which
+        # keeps output lexicographic.  A coface adds its vertex's exponent.
+        weight = graph.weight_map()
+        cands = [tuple(sorted(u for u in graph.neighbors(v) if u > v)) for v in graph.vertices]
         for k in range(1, max_dim + 1):
-            level: list[Simplex] = []
-            new_cands: dict[Simplex, tuple[str, ...]] = {}
-            for sigma in by_dim[k - 1]:
-                after = cands[sigma]
+            simplices, level, new_cands = [], [], []
+            for sigma, l, after in zip(by_dim[k - 1], levels[k - 1], cands):
+                total += len(after)
+                if total > cap:
+                    raise CapExceededError(k, cap)
                 for i, w in enumerate(after):
-                    tau = sigma + (w,)
-                    level.append(tau)
-                    nb_w = graph.neighbors(w)
-                    new_cands[tau] = tuple(u for u in after[i + 1 :] if u in nb_w)
-                    total += 1
-                    if total > cap:
-                        raise CapExceededError(k, cap)
-            by_dim[k] = level
+                    simplices.append(sigma + (w,))
+                    level.append(l + weight[w])
+                    nb = graph.neighbors(w)
+                    new_cands.append(tuple(filter(nb.__contains__, after[i + 1 :])))
+            by_dim[k] = simplices
+            levels[k] = level
             cands = new_cands
         self.by_dim = {k: tuple(v) for k, v in by_dim.items()}
+        self.levels = {k: tuple(v) for k, v in levels.items()}
         self.index: dict[int, dict[Simplex, int]] = {
             k: {s: i for i, s in enumerate(v)} for k, v in self.by_dim.items()
         }
@@ -83,14 +83,11 @@ class CliqueComplex:
             ) from None
 
     def dim_size(self, k: int) -> int:
-        return len(self.simplices(k)) if k >= -1 else 0
+        return len(self.simplices(k))
 
     def has(self, sigma: Simplex) -> bool:
         k = len(sigma) - 1
         return k in self.index and sigma in self.index[k]
-
-    def weight_exponent(self, sigma: Simplex) -> int:
-        return sum(self.graph.exponent(v) for v in sigma)
 
     def up_vertices(self, sigma: Simplex) -> tuple[str, ...]:
         """Vertices v with sigma + {v} a simplex (all cofacet extensions)."""

@@ -159,8 +159,9 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
     Entry (sigma u {v}, sigma) is (-1)^p lam^{e_v} with p the ascending
     insertion position of v; d^{-1} sends the empty simplex to the weighted
     sum of the vertices.  Assembled row by row, from each (k+1)-simplex's
-    facets.  On a complete complex C^{k+1} is empty above max_dim - 1, so
-    d^k there is the zero map into it.
+    facets; e_v is the coface's level less the facet's, as ``K.levels``
+    records them.  On a complete complex C^{k+1} is empty above max_dim - 1,
+    so d^k there is the zero map into it.
     """
     if k < -1:
         return MonomialMatrix(K.dim_size(k + 1), 0)
@@ -172,11 +173,11 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
     rows = K.dim_size(k + 1)
     cols = K.dim_size(k)
     terms: list[int] = []  # flat (row, col, coeff, exponent) quadruples
-    index_low = K.index.get(k)  # None only above max_dim, where no (k+1)-simplex reads it
-    exponent = K.graph.exponent
-    for i, tau in enumerate(K.simplices(k + 1)):
-        for p, v in enumerate(tau):  # the facet of tau without v
-            terms += (i, index_low[tau[:p] + tau[p + 1:]], (-1) ** p, exponent(v))
+    index_low, low = K.index.get(k), K.levels.get(k)  # None above max_dim, and unread there
+    for i, (tau, level) in enumerate(zip(K.simplices(k + 1), K.levels.get(k + 1, ()))):
+        for p in range(len(tau)):  # the facet of tau without tau[p]
+            j = index_low[tau[:p] + tau[p + 1:]]
+            terms += (i, j, (-1) ** p, level - low[j])
     out = MonomialMatrix(rows, cols, terms)
     K._coboundaries[k] = out
     return out

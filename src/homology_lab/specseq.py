@@ -1,21 +1,23 @@
 """Spectral sequence of the vertex-weight filtration, over exact rationals.
 
-The filtration U_l^k is the span of the k-simplices carrying at least l
-weighted vertices.  It is coordinate-aligned and d-compatible (d^k maps U_l^k
-into U_l^{k+1}) by construction, so it is not checked: a coface adds one
-vertex, whose exponent ``WeightedGraph`` keeps nonnegative, so its level is at
-least its face's.  Over a field the filtered complex splits into interval
-pairs (Basu-Parida, "Spectral sequences, exact couples and persistent
-homology of filtrations", Expo. Math. 2017).  The pairs come from one
-persistence reduction per degree of the rows of d^k at lam := 1, read as
-boundary columns with no transpose: (k+1)-simplices in ascending level, each
-column's pivot its face at the highest level.  The degrees are reduced top
-first, and the rows of d^{k-1} at the faces of d^k's pairs are cleared (left
-out; see ``rational``).  By persistence duality (de Silva, Morozov,
-Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
-Problems 2011) these are the pairs of the coboundary reduction.  A
-pair of a k-simplex at level a with a (k+1)-simplex at level b >= a survives
-at both ends up to page b - a, and unpaired simplices survive every page:
+The filtration U_l^k is the span of the k-simplices at weight level at least
+l, a simplex's level being the sum of its vertex exponents, which
+``CliqueComplex.levels`` records as the simplices are enumerated.  It is
+coordinate-aligned and d-compatible (d^k maps U_l^k into U_l^{k+1}) by
+construction, so it is not checked: a coface adds one vertex, whose exponent
+``WeightedGraph`` keeps nonnegative, so its level is at least its face's.
+Over a field the filtered complex splits into interval pairs (Basu-Parida,
+"Spectral sequences, exact couples and persistent homology of filtrations",
+Expo. Math. 2017).  The pairs come from one persistence reduction per degree
+of the rows of d^k at lam := 1, read as boundary columns with no transpose:
+(k+1)-simplices in ascending level, each column's pivot its face at the
+highest level.  The degrees are reduced top first, and the rows of d^{k-1}
+at the faces of d^k's pairs are cleared (left out; see ``rational``).  By
+persistence duality (de Silva, Morozov, Vejdemo-Johansson, "Dualities in
+persistent (co)homology", Inverse Problems 2011) these are the pairs of the
+coboundary reduction.  A pair of a k-simplex at level a with a
+(k+1)-simplex at level b >= a survives at both ends up to page b - a, and
+unpaired simplices survive every page:
 
     e_{j,l}^k = #{unpaired k-simplices at level l}
               + #{pair ends at (k, l) with gap b - a >= j}
@@ -47,27 +49,22 @@ class Filtration:
             raise DimensionError("filtration requires the complex built through its top")
         self.K = K
         self.kmax = K.max_dim
-        self.exponents: dict[int, list[int]] = {}
-        self.lmax: dict[int, int] = {}
-        for k in range(-1, self.kmax + 1):
-            exps = [K.weight_exponent(s) for s in K.simplices(k)]
-            self.exponents[k] = exps
-            self.lmax[k] = max(exps, default=-1)
+        levels = K.levels
+        self.lmax = {k: max(ls, default=-1) for k, ls in levels.items()}
         # pairs[k]: (sigma in C^k, tau in C^{k+1}) index pairs, reduced top
         # degree first so that each degree's pairs clear the next; gaps[k][i]
         # is the level gap of simplex i's pair, inf when it is unpaired
         self.pairs: dict[int, list[tuple[int, int]]] = {}
-        gaps = {k: [inf] * len(exps) for k, exps in self.exponents.items()}
+        gaps = {k: [inf] * len(ls) for k, ls in levels.items()}
         for k in range(self.kmax - 1, -2, -1):
             cleared = {s for s, _ in self.pairs.get(k + 1, ())}
-            self.pairs[k] = self._reduce(k, cleared) if self.exponents[k + 1] else []
+            self.pairs[k] = self._reduce(k, cleared) if levels[k + 1] else []
             for s, t in self.pairs[k]:
-                gap = self.exponents[k + 1][t] - self.exponents[k][s]
-                gaps[k][s] = gaps[k + 1][t] = gap
+                gaps[k][s] = gaps[k + 1][t] = levels[k + 1][t] - levels[k][s]
         # _counts[k, l]: {gap: number of k-simplices at level l with that gap}
         self._counts: dict[tuple[int, int], dict[float, int]] = {}
-        for k, exps in self.exponents.items():
-            for l, g in zip(exps, gaps[k]):
+        for k, ls in levels.items():
+            for l, g in zip(ls, gaps[k]):
                 at = self._counts.setdefault((k, l), {})
                 at[g] = at.get(g, 0) + 1
 
@@ -80,7 +77,7 @@ class Filtration:
         reduction orders the (k+1)-simplices by ascending (level, index) too,
         and pairs each with its highest face.
         """
-        lo, hi = self.exponents[k], self.exponents[k + 1]
+        lo, hi = self.K.levels[k], self.K.levels[k + 1]
         rows = coboundary(self.K, k).int_rows_at_one()
         face_at = sorted(range(len(lo)), key=lambda c: (lo[c], c), reverse=True)
         number = {c: i for i, c in enumerate(face_at)}

@@ -69,16 +69,13 @@ def seeded_graphs(count: int, n_max: int, p: float = 0.5, wmax: int = 0, seed: i
 
 
 @st.composite
-def graphs(draw, max_vertices: int = 8, weighted: bool = False):
+def graphs(draw, max_vertices: int = 8, wmax: int = 0):
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     vs = [f"v{i}" for i in range(n)]
     pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [e for e, keep in zip(pairs, mask) if keep]
-    if weighted:
-        ws = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    else:
-        ws = [0] * n
+    ws = draw(st.lists(st.integers(0, wmax), min_size=n, max_size=n)) if wmax else [0] * n
     return make_graph(dict(zip(vs, ws)), edges)
 
 

@@ -347,6 +347,9 @@ REJECTED_ARGS = {
     "spectrum-max-dim": (("spectrum", "@hexagon", "--k", "1", "--grid", "default", "--max-dim", "2"), 1),
     "specseq-max-dim": (("specseq", "@hexagon", "--max-dim", "5"), 1),
     "verify-gadget-m": (("verify-gadget", '{"00": 1}', "--m", "2"), 1),
+    # an empty grid is a bad grid, not the default one
+    "spectrum-empty-grid": (("spectrum", "@hexagon", "--k", "1", "--grid", ""), 1),
+    "specseq-forman-empty-grid": (("specseq", "@hexagon", "--k", "1", "--forman", "--grid", ""), 1),
 }
 
 

@@ -98,7 +98,7 @@ def inversion_parity(vs) -> int:
 
 
 @settings(max_examples=30, deadline=None)
-@given(graphs(max_vertices=8, weighted=True), st.randoms(use_true_random=False))
+@given(graphs(max_vertices=8, wmax=1), st.randoms(use_true_random=False))
 def test_canonical_order_is_label_order(g, rng):
     K = clique_complex(g, min(g.n_vertices, 5))
     for k in range(-1, K.max_dim + 1):
@@ -127,8 +127,15 @@ def test_deterministic_enumeration():
 def test_cap_exceeded_reports_dimension():
     g = complement(unweighted([f"v{i}" for i in range(12)]))  # K12
     with pytest.raises(CapExceededError) as err:
-        clique_complex(g, 6, cap=100)
-    assert err.value.dimension >= 1
+        clique_complex(g, 6, cap=100)  # 1 + 12 + 66 = 79 fit; the 220 triangles do not
+    assert err.value.dimension == 2
+    assert str(err.value) == "simplex cap 100 exceeded while enumerating dimension 2"
+    total = sum(comb(12, k + 1) for k in range(-1, 7))
+    assert sum(clique_complex(g, 6, cap=total).counts().values()) == total
+    with pytest.raises(CapExceededError) as err:
+        clique_complex(g, 6, cap=total - 1)
+    assert err.value.dimension == 6
+    assert str(err.value) == f"simplex cap {total - 1} exceeded while enumerating dimension 6"
 
 
 def test_join_simplex_counts_follow_kunneth():

@@ -102,7 +102,7 @@ def factor_lists(draw):
     exponents 0-1; a single vertex or a vertex adjacent to all others is a
     cone point.  At most 12 vertices in all keep the whole complex small."""
     count = draw(st.sampled_from([2, 3]))
-    return draw(st.lists(graphs(max_vertices=6 if count == 2 else 4, weighted=True),
+    return draw(st.lists(graphs(max_vertices=6 if count == 2 else 4, wmax=1),
                          min_size=count, max_size=count))
 
 

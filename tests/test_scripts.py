@@ -41,8 +41,9 @@ def test_gadget_sweep_checks_its_state(state, ok):
     [
         (['{"0": 1}', "--grid", "0.3,0.2,0.1"], "error: sweep needs a grid of at least 4 points"),
         (["--grid", "a,b"], "bad grid 'a,b'"),
+        (["--grid", ""], "bad grid ''"),
     ],
-    ids=["short-grid", "unparsable-grid"],
+    ids=["short-grid", "unparsable-grid", "empty-grid"],
 )
 def test_gadget_sweep_reports_a_bad_grid_without_a_traceback(argv, message):
     """A grid sweep rejects is a library error and a grid that is not numbers

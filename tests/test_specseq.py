@@ -12,10 +12,17 @@ from homology_lab.specseq import filtration, forman_compare, page_dims, stabiliz
 from conftest import built, dense_rank, graphs, seeded_graphs
 
 
+def _exponent_sum(K, s):
+    """A simplex's weight level, summed from the graph: the tests' oracle."""
+    return sum(K.graph.exponent(v) for v in s)
+
+
 def test_trivial_filtration_on_unweighted_complex():
     F = filtration(built(bowtie(), 3))
+    page0 = page_dims(F, 0)
     for k in range(-1, 2):
-        assert F.exponents[k] == [0] * F.K.dim_size(k)
+        assert F.lmax[k] == 0
+        assert page0.dims[(k, 0)] == F.K.dim_size(k)
 
 
 def test_hexagon_filtration_truncation():
@@ -24,7 +31,7 @@ def test_hexagon_filtration_truncation():
     assert F.lmax[2] == 3  # central triangles carry three gadget vertices
     assert F.lmax[1] == 2
     assert F.lmax[0] == 1
-    assert 3 in F.exponents[2] and all(e <= 3 for e in F.exponents[2])
+    assert max(_exponent_sum(K, s) for s in K.simplices(2)) == 3
 
 
 def test_one_qubit_gadget_has_top_filtration_level():
@@ -32,7 +39,8 @@ def test_one_qubit_gadget_has_top_filtration_level():
     K = built(g, 3)
     F = filtration(K)
     # triangles on three gadget vertices exist (center + inner edge)
-    assert any(e >= 3 for e in F.exponents[2])
+    assert any(_exponent_sum(K, s) >= 3 for s in K.simplices(2))
+    assert F.lmax[2] >= 3
 
 
 def test_page0_counts_exact_exponents():
@@ -42,7 +50,7 @@ def test_page0_counts_exact_exponents():
         page0 = page_dims(F, 0)
         for k in range(-1, K.max_dim + 1):
             for l in range(0, F.lmax[k] + 1):
-                exact = sum(1 for e in F.exponents[k] if e == l)
+                exact = sum(1 for s in K.simplices(k) if _exponent_sum(K, s) == l)
                 assert page0.dims.get((k, l), 0) == exact
 
 
@@ -137,7 +145,7 @@ def _level(K, k, l):
     """Indices of U_l^k, read off the simplices' weight exponents."""
     if not -1 <= k <= K.max_dim:
         return frozenset()
-    return frozenset(i for i, s in enumerate(K.simplices(k)) if K.weight_exponent(s) >= l)
+    return frozenset(i for i, s in enumerate(K.simplices(k)) if _exponent_sum(K, s) >= l)
 
 
 def _rank_formula_pages(K, j_max):
@@ -167,7 +175,7 @@ def _rank_formula_pages(K, j_max):
 
     pages = {}
     for k in range(-1, K.max_dim + 1):
-        lmax = max((K.weight_exponent(s) for s in K.simplices(k)), default=-1)
+        lmax = max((_exponent_sum(K, s) for s in K.simplices(k)), default=-1)
         for l in range(0, lmax + 1):
             pages[(0, k, l)] = len(_level(K, k, l)) - len(_level(K, k, l + 1))
             for j in range(1, j_max + 1):
@@ -192,8 +200,8 @@ def test_pages_match_rank_formula_oracle():
 def _coboundary_side_pairs(K, k):
     """Pairs of d^k by reducing its columns: k-simplices in descending
     (level, index), each column's pivot its coface at the lowest level."""
-    lo = [K.weight_exponent(s) for s in K.simplices(k)]
-    hi = [K.weight_exponent(s) for s in K.simplices(k + 1)]
+    lo = [_exponent_sum(K, s) for s in K.simplices(k)]
+    hi = [_exponent_sum(K, s) for s in K.simplices(k + 1)]
     cols = {}
     for r, row in coboundary(K, k).int_rows_at_one().items():
         for c, v in row.items():
@@ -218,8 +226,8 @@ def test_boundary_side_pairs_equal_the_coboundary_side():
 def _uncleared_pairs(K, k):
     """Reference pairs of d^k from all of its rows: boundary columns in
     ascending (level, index), each column's pivot its highest face."""
-    lo = [K.weight_exponent(s) for s in K.simplices(k)]
-    hi = [K.weight_exponent(s) for s in K.simplices(k + 1)]
+    lo = [_exponent_sum(K, s) for s in K.simplices(k)]
+    hi = [_exponent_sum(K, s) for s in K.simplices(k + 1)]
     rows = coboundary(K, k).int_rows_at_one()
     face_at = sorted(range(len(lo)), key=lambda c: (lo[c], c), reverse=True)
     number = {c: i for i, c in enumerate(face_at)}
@@ -237,7 +245,7 @@ def _assert_pairs_uncleared(K):
 
 
 @settings(max_examples=80, deadline=None)
-@given(graphs(max_vertices=8, weighted=True))
+@given(graphs(max_vertices=8, wmax=1))
 def test_cleared_pairs_equal_uncleared_pairs(g):
     _assert_pairs_uncleared(clique_complex(g, g.n_vertices - 1))
 

@@ -77,17 +77,20 @@ def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# public library names whose only readers are tests, each with the reason it stays
+# public library names, and Class.member for methods and properties, whose only
+# readers are tests, each with the reason it stays
 READ_ONLY_BY_TESTS = {
     "cycle_is_boundary": "acceptance criterion 08: a filled cycle is a boundary over Q",
     "pairing_check": "acceptance criterion 06: supersymmetric pairing of up/down spectra",
+    "PairingReport.paired": "acceptance criterion 06: supersymmetric pairing of up/down spectra",
     "orthogonal_cycle_span": "acceptance criterion 12: harmonic states span the cycle space",
     "embedded_entry": "acceptance criterion 15: the operator embedded on all vertex subsets",
 }
 
 
 def public_definitions() -> dict[str, str]:
-    """Public top-level function and class name -> defining module file."""
+    """Public top-level function and class names, and ``Class.member`` for
+    the public methods and properties of public classes -> defining module."""
     out = {}
     for path in PACKAGE.glob("*.py"):
         if path.name in ("__init__.py", "__main__.py"):
@@ -95,39 +98,48 @@ def public_definitions() -> dict[str, str]:
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
                 out[stmt.name] = path.name
+                for member in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        out[f"{stmt.name}.{member.name}"] = path.name
     return out
 
 
 def names_read(source: str, strings: bool = False) -> set[str]:
-    """Names read by the top-level statements of a file: ast.Name ids,
-    attribute names, imported names and, with ``strings``, string constants.
-    A definition's reads of its own name are not counted."""
-    out = set()
-    for stmt in ast.parse(source).body:
-        reads = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                reads.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                reads.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                reads.update(a.name for a in node.names)
-            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                reads.add(node.value)
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            reads.discard(stmt.name)
-        out |= reads
-    return out
+    """Names read by a file: ast.Name ids, attribute names, imported names
+    and, with ``strings``, string constants.  A definition's reads of its own
+    name, a method's included, are not counted."""
+
+    def reads(node, own: frozenset) -> set[str]:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own |= {node.name}
+        out = set()
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            out |= reads(child, own)
+        return out - own
+
+    return reads(ast.parse(source), frozenset())
 
 
 def test_dead_surface_check_skips_a_definitions_own_reads():
     assert names_read("def f(n):\n    return f(n - 1)\ng(f)\n") == {"n", "g", "f"}
     assert names_read("def f(n):\n    return f(n - 1)\n") == {"n"}
     assert names_read('X = ("m", "f")\n', strings=True) >= {"m", "f"}
+    method = "class C:\n    def m(self):\n        return self.m()\n"
+    assert names_read(method) == {"self"}
+    assert "m" in names_read(method + "    def n(self):\n        return self.m()\n")
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():
-    """The library, scripts/ and bench/ read every public name; string
+    """The library, scripts/ and bench/ read every public name, and every
+    public method and property by its attribute name; string
     constants in bench/ count, because that is how its tracer names what it
     wraps.  READ_ONLY_BY_TESTS lists the exceptions, and the check fails when
     one of them is gone or has gained a reader."""
@@ -139,5 +151,9 @@ def test_every_public_name_has_a_reader_outside_the_tests():
         read |= names_read(path.read_text())
     for path in (ROOT / "bench").rglob("*.py"):
         read |= names_read(path.read_text(), strings=True)
-    unread = {name: module for name, module in public_definitions().items() if name not in read}
+    unread = {
+        name: module
+        for name, module in public_definitions().items()
+        if name.rpartition(".")[2] not in read
+    }
     assert sorted(unread) == sorted(READ_ONLY_BY_TESTS), unread
