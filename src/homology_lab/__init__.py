@@ -16,7 +16,6 @@ from .gadgets import (
 from .graph import (
     WeightedGraph,
     bowtie,
-    complement,
     graph_to_json,
     join,
     join_all,

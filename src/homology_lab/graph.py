@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphFormatError
@@ -168,13 +167,6 @@ def graph_to_json(g: WeightedGraph, metadata: dict | None = None) -> str:
 
 # -- constructions ----------------------------------------------------------
 
-def complement(g: WeightedGraph) -> WeightedGraph:
-    """Same vertices and weights; edge set complemented."""
-    # vertices are sorted, so each pair already is a sorted edge
-    edges = frozenset(e for e in combinations(g.vertices, 2) if e not in g.edges)
-    return WeightedGraph(g.vertices, g.exponents, edges)
-
-
 def relabel(g: WeightedGraph, mapping: Mapping[str, str]) -> WeightedGraph:
     """Rename vertices; mapping must be injective on g's vertex set."""
     new = {mapping.get(v, v): g.exponent(v) for v in g.vertices}
@@ -207,20 +199,20 @@ def join(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
 def join_factors(g: WeightedGraph) -> tuple[WeightedGraph, ...]:
     """The factors of g as a join: the subgraphs induced on the connected
     components of its complement, in the order of their first vertices;
-    ``(g,)`` when g is not a join."""
-    co = complement(g)
-    seen: set[str] = set()
+    ``(g,)`` when g is not a join.  The complement is walked, not built:
+    u's complement neighbours are the vertices not adjacent to it."""
+    unseen = set(g.vertices)
     parts = []
     for v in g.vertices:
-        if v in seen:
+        if v not in unseen:
             continue
-        seen.add(v)
+        unseen.remove(v)
         part, stack = [v], [v]
         while stack:
-            for u in co.neighbors(stack.pop()) - seen:
-                seen.add(u)
-                part.append(u)
-                stack.append(u)
+            found = unseen - g.neighbors(stack.pop())
+            unseen -= found
+            part += found
+            stack += found
         parts.append(part)
     if len(parts) <= 1:
         return (g,)

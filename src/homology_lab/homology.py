@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import prod
 from typing import Sequence
 
@@ -168,10 +167,19 @@ def join_splits(Ks: Sequence[CliqueComplex], k: int) -> list[tuple[int, ...]]:
     shifted by one degree per join: C^k(K_1 * ... * K_f) is the direct sum of
     C^{i_1}(K_1) (x) ... (x) C^{i_f}(K_f) over i_1 + ... + i_f = k - (f - 1),
     each i_j >= -1.  Returns the splits (i_1, ..., i_f) whose chain groups
-    are all nonempty.  Each factor is complete or built to k.
+    are all nonempty, in lexicographic order.  Each factor is complete or
+    built to k.  A clique complex has simplices in every degree from -1 to
+    its top, so the factors after j add any degree sum from -(number left)
+    to the sum of their tops: a prefix is kept only if that range can
+    complete it.
     """
     degrees = [[i for i in range(-1, k + 1) if K.dim_size(i)] for K in Ks]
-    return [s for s in product(*degrees) if sum(s) == k - len(Ks) + 1]
+    target, splits = k - len(Ks) + 1, [()]
+    for j, ds in enumerate(degrees):
+        rest = degrees[j + 1 :]
+        lo, hi = -len(rest), sum(max(d, default=-1) for d in rest)
+        splits = [s + (i,) for s in splits for i in ds if lo <= target - sum(s) - i <= hi]
+    return splits
 
 
 def join_betti(Ks: Sequence[CliqueComplex], k: int) -> int:

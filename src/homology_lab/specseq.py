@@ -135,25 +135,21 @@ class StabilizationReport:
 
 
 def stabilized_dims(F: Filtration, k: int) -> StabilizationReport:
-    """Run pages until two consecutive totals agree with the Betti number."""
+    """Page totals of degree k through one page past its stabilization.
+
+    A pair of gap r survives through page r, so the totals stop changing at
+    page 1 + the longest finite gap among k's pairs, or at page 0 when k has
+    no pairs; the stable total must be the exact Betti number.
+    """
     if k not in F.lmax:
         raise DimensionError(f"dimension {k} is outside the filtration (-1 .. {F.kmax})")
     target = betti(F.K, k)
-    j_cap = max(F.lmax.values(), default=0) + F.kmax + 3
-    per_page: dict[int, int] = {}
-    stab = None
-    prev = None
-    for j in range(0, j_cap + 1):
-        total = sum(F.e_dim(k, l, j) for l in range(0, F.lmax[k] + 1))
-        per_page[j] = total
-        if prev is not None and total == prev == target and stab is None:
-            stab = j - 1
-            break
-        prev = total
-    if stab is None:
-        raise HomologyLabError(
-            f"spectral sequence did not stabilize to betti={target} within {j_cap} pages"
-        )
+    gaps = {g for l in range(F.lmax[k] + 1) for g in F._counts.get((k, l), ())}
+    stab = 1 + max(gaps - {inf}, default=-1)
+    per_page = {j: sum(F.e_dim(k, l, j) for l in range(F.lmax[k] + 1)) for j in range(stab + 2)}
+    if per_page[stab] != target:
+        total = per_page[stab]
+        raise HomologyLabError(f"spectral sequence stabilized to {total}, not betti={target}")
     return StabilizationReport(k, per_page, stab, target)
 
 

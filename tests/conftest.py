@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -10,7 +11,7 @@ settings.register_profile("repeatable", deadline=None, derandomize=True)
 settings.load_profile("repeatable")
 
 from homology_lab.complexes import CliqueComplex
-from homology_lab.graph import WeightedGraph, make_graph
+from homology_lab.graph import WeightedGraph, make_graph, unweighted
 
 # -- shared complex cache ------------------------------------------------------
 
@@ -55,6 +56,11 @@ def dense_rank(rows) -> int:
 
 
 # -- random graph generation ---------------------------------------------------
+
+
+def complete_graph(vertices) -> WeightedGraph:
+    """The complete graph on the given labels, every exponent 0."""
+    return unweighted(vertices, combinations(vertices, 2))
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5, wmax: int = 0) -> WeightedGraph:

@@ -8,7 +8,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 from homology_lab.complexes import clique_complex
@@ -16,21 +15,17 @@ from homology_lab.fixtures import gadget_graph, hexagon
 from homology_lab.gadgets import (
     IntegerState,
     basis_chain,
-    gadget,
     glue,
     orthogonal_cycle_span,
     target_chain,
 )
 from homology_lab.graph import (
     bowtie,
-    complement,
     join,
-    make_graph,
     octahedron,
     qubit_graph,
     relabel,
     thicken,
-    unweighted,
 )
 from homology_lab.homology import (
     betti,
@@ -44,9 +39,9 @@ from homology_lab.reduction import Hamiltonian, decide, reduce_hamiltonian
 from homology_lab.specseq import filtration, forman_compare, page_dims
 from homology_lab.spectra import DEFAULT_GRID, pairing_check, sweep
 
-from conftest import built, record_acceptance, seeded_graphs
+from conftest import built, complete_graph, record_acceptance, seeded_graphs
 
-K3 = complement(unweighted(["a", "b", "c"]))
+K3 = complete_graph(["a", "b", "c"])
 
 
 def check(criterion, ok, detail=""):

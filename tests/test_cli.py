@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from homology_lab.cli import main
 from homology_lab.fixtures import write_fixtures
 
-from test_parsers import GRAPH_DOCS, mutated, texts
+from conftest import complete_graph
+from test_parsers import GRAPH_DOCS, texts
 from test_tooling import parser_options
 
 
@@ -106,10 +107,10 @@ def test_betti_missing_file_fails_cleanly(capsys):
 
 
 def test_spectrum_triangle(capsys, tmp_path):
-    from homology_lab.graph import complement, graph_to_json, unweighted
+    from homology_lab.graph import graph_to_json
 
     p = tmp_path / "k3.json"
-    p.write_text(graph_to_json(complement(unweighted(["a", "b", "c"]))))
+    p.write_text(graph_to_json(complete_graph(["a", "b", "c"])))
     code, out, _ = run(capsys, "spectrum", str(p), "--k", "1", "--lambda", "1.0")
     assert code == 0
     assert out.splitlines()[0] == "3 3 3"

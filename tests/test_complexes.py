@@ -16,9 +16,7 @@ from homology_lab.errors import CapExceededError
 from homology_lab.gadgets import basis_chain
 from homology_lab.graph import (
     bowtie,
-    complement,
     join,
-    make_graph,
     octahedron,
     qubit_graph,
     relabel,
@@ -26,7 +24,7 @@ from homology_lab.graph import (
 )
 from homology_lab.homology import is_cycle
 
-from conftest import built, graphs
+from conftest import built, complete_graph, graphs
 
 
 def brute_force_counts(g, max_dim):
@@ -42,7 +40,7 @@ def brute_force_counts(g, max_dim):
 
 
 def test_triangle_counts():
-    K = built(complement(unweighted(["a", "b", "c"])), 2)
+    K = built(complete_graph(["a", "b", "c"]), 2)
     assert K.counts() == {-1: 1, 0: 3, 1: 3, 2: 1}
 
 
@@ -72,13 +70,13 @@ def test_counts_match_brute_force(g):
 
 
 def test_independence_complex_of_triangle():
-    g = complement(unweighted(["a", "b", "c"]))  # K3
-    K = clique_complex(complement(g), 2)
+    # the clique complex of K3's complement, three isolated points
+    K = clique_complex(unweighted(["a", "b", "c"]), 2)
     assert K.counts() == {-1: 1, 0: 3, 1: 0, 2: 0}
 
 
 def test_independence_complex_of_empty_graph_is_full_simplex():
-    K = clique_complex(complement(unweighted(["a", "b", "c"])), 2)
+    K = clique_complex(complete_graph(["a", "b", "c"]), 2)
     assert len(K.simplices(2)) == 1
 
 
@@ -125,7 +123,7 @@ def test_deterministic_enumeration():
 
 
 def test_cap_exceeded_reports_dimension():
-    g = complement(unweighted([f"v{i}" for i in range(12)]))  # K12
+    g = complete_graph([f"v{i}" for i in range(12)])  # K12
     with pytest.raises(CapExceededError) as err:
         clique_complex(g, 6, cap=100)  # 1 + 12 + 66 = 79 fit; the 220 triangles do not
     assert err.value.dimension == 2

@@ -25,13 +25,12 @@ from homology_lab.gadgets import (
     fundamental_cycle,
     gadget,
     glue,
-    image_simplices,
     orthogonal_cycle_span,
     push_chain,
     target_chain,
     target_cycle_graph,
 )
-from homology_lab.graph import complement, induced_subgraph, make_graph, qubit_graph, unweighted
+from homology_lab.graph import induced_subgraph, make_graph, qubit_graph
 from homology_lab.homology import (
     betti,
     betti_table,
@@ -40,7 +39,7 @@ from homology_lab.homology import (
     harmonic_basis,
 )
 
-from conftest import built
+from conftest import built, complete_graph
 
 
 # -- integer states and the catalog ---------------------------------------------
@@ -220,7 +219,7 @@ def test_library_chains_carry_integers():
     joined = kunneth_embed(q1, q2, into=K2)
     assert integer(joined) and joined == basis_chain(K2, "00")
     # the exact witness stays rational
-    K3 = built(complement(unweighted(["a", "b", "c"])), 2)
+    K3 = built(complete_graph(["a", "b", "c"]), 2)
     ok, witness = cycle_is_boundary(K3, {("b", "c"): 1, ("a", "c"): -1, ("a", "b"): 1}, 1)
     assert ok and witness == {("a", "b", "c"): 1}
     assert all(type(v) is Fraction for v in witness.values())

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from homology_lab.errors import GraphFormatError
 from homology_lab.graph import (
     bowtie,
-    complement,
     graph_to_json,
     join,
     join_all,
@@ -56,21 +55,6 @@ def test_roundtrip_is_canonical():
     assert parse_graph(text) == g
     doc = json.loads(text)
     assert [v["id"] for v in doc["vertices"]] == ["a", "b"]
-
-
-def test_complement_of_empty_graph_is_triangle():
-    g = unweighted(["a", "b", "c"])
-    assert complement(g).n_edges == 3
-
-
-def test_complement_of_two_points_is_edge():
-    assert complement(two_points()).n_edges == 1
-
-
-@settings(max_examples=15, deadline=None)
-@given(graphs(max_vertices=8))
-def test_complement_is_involution(g):
-    assert complement(complement(g)) == g
 
 
 def test_join_of_two_point_graphs_is_square():

@@ -12,7 +12,6 @@ from homology_lab.fixtures import gadget_graph
 from homology_lab.gadgets import IntegerState, basis_chain
 from homology_lab.graph import (
     bowtie,
-    complement,
     join,
     make_graph,
     octahedron,
@@ -32,9 +31,9 @@ from homology_lab.homology import (
 )
 from homology_lab.operators import coboundary
 
-from conftest import built, dense_rank, graphs, seeded_graphs
+from conftest import built, complete_graph, dense_rank, graphs, seeded_graphs
 
-K3 = complement(unweighted(["a", "b", "c"]))
+K3 = complete_graph(["a", "b", "c"])
 
 
 def float_rank_betti(K, k):

@@ -9,6 +9,7 @@ within LAMBDA_MIN_ULPS * eps * ||L||, ||L|| the whole Laplacian's largest
 absolute row sum, and the rounded overlap rows exactly.
 """
 
+from itertools import combinations, product
 from math import prod
 
 import numpy as np
@@ -18,8 +19,15 @@ from hypothesis import strategies as st
 
 from homology_lab import complexes, homology, reduction, spectra
 from homology_lab.complexes import clique_complex
-from homology_lab.errors import DimensionError, GapAmbiguityError
-from homology_lab.graph import bowtie, join_all, join_factors, make_graph, qubit_graph
+from homology_lab.errors import DimensionError, GapAmbiguityError, HomologyLabError
+from homology_lab.graph import (
+    bowtie,
+    induced_subgraph,
+    join_all,
+    join_factors,
+    make_graph,
+    qubit_graph,
+)
 from homology_lab.homology import betti, coboundary_rank, join_betti, join_splits
 from homology_lab.operators import coboundary, laplacian
 from homology_lab.reduction import decide, parse_hamiltonian, reduce_hamiltonian
@@ -91,6 +99,79 @@ def test_join_factors_split_off_a_cone_point():
     assert [f.vertices for f in factors] == [("a",), ("b", "d"), ("c", "e")]
     assert factors[0].exponents == (1,)
     assert all(f.n_edges == 0 for f in factors)
+
+
+def complement_walk_factors(g):
+    """Reference: the complement's edges listed pair by pair, its components
+    walked from each vertex in order, each induced on g."""
+    co = {v: set() for v in g.vertices}
+    for u, v in combinations(g.vertices, 2):
+        if not g.has_edge(u, v):
+            co[u].add(v)
+            co[v].add(u)
+    seen, parts = set(), []
+    for v in g.vertices:
+        if v not in seen:
+            part, stack = {v}, [v]
+            while stack:
+                new = co[stack.pop()] - part
+                part |= new
+                stack += new
+            seen |= part
+            parts.append(part)
+    return (g,) if len(parts) <= 1 else tuple(induced_subgraph(g, p) for p in parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    graphs(max_vertices=9, wmax=1),
+    st.lists(graphs(max_vertices=4, wmax=1), min_size=1, max_size=4).map(join_all),
+))
+def test_join_factors_match_a_walk_of_the_non_edges(g):
+    assert join_factors(g) == complement_walk_factors(g)
+
+
+# -- join_splits -----------------------------------------------------------------
+
+
+def product_splits(Ks, k):
+    """Reference: every tuple of nonempty factor degrees, kept when it sums
+    to k - (f - 1)."""
+    degrees = [[i for i in range(-1, k + 1) if K.dim_size(i)] for K in Ks]
+    return [s for s in product(*degrees) if sum(s) == k - len(Ks) + 1]
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except HomologyLabError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def built_factors(draw):
+    """1-5 factor complexes and a degree k >= -1; each factor complete, built
+    to k, or built to k - 1 (too shallow unless it is complete anyway)."""
+    k = draw(st.integers(-1, 8))
+    factors = draw(st.lists(graphs(max_vertices=4), min_size=1, max_size=5))
+    depths = draw(st.lists(st.sampled_from(["complete", "k", "k - 1"]),
+                           min_size=len(factors), max_size=len(factors)))
+    top = {"complete": lambda g: g.n_vertices - 1, "k": lambda g: k, "k - 1": lambda g: k - 1}
+    return [clique_complex(g, max(top[d](g), 0)) for g, d in zip(factors, depths)], k
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_factors())
+def test_join_splits_match_the_filtered_degree_product(case):
+    Ks, k = case
+    assert outcome(join_splits, Ks, k) == outcome(product_splits, Ks, k)
+
+
+def test_join_splits_of_many_idle_bowties_stay_few():
+    """Twenty bowties in degree 2 * 20 - 1: each at its top degree 1, one split."""
+    Ks = [complete(bowtie())] * 20
+    assert join_splits(Ks, 39) == [(1,) * 20]
+    assert len(join_splits(Ks, 38)) == 20
 
 
 # -- the split against the whole complex ---------------------------------------
@@ -266,6 +347,15 @@ def test_padded_4q_no_has_the_3q_lambda_min():
     ]
     assert (four.answer, four.k, four.betti) == ("NO", 7, 0)
     assert four.lam_min == three.lam_min
+
+
+def test_padded_16q_no_has_the_3q_lambda_min():
+    """Fifteen idle bowtie factors: ``join_splits`` keeps only the prefixes
+    that can still reach the degree, so the splits stay few."""
+    terms = (([0], {"0": 1}), ([0], {"1": 1}))
+    sixteen, three = decide(H_of(16, *terms)), decide(H_of(3, *terms))
+    assert (sixteen.answer, sixteen.k, sixteen.betti) == ("NO", 31, 0)
+    assert sixteen.lam_min == three.lam_min
 
 
 def test_one_factor_asks_betti_and_lambda_min_once(monkeypatch):

@@ -12,7 +12,6 @@ from homology_lab.fixtures import gadget_graph, named_fixtures
 from homology_lab.gadgets import IntegerState
 from homology_lab.graph import (
     bowtie,
-    complement,
     join,
     make_graph,
     octahedron,
@@ -33,10 +32,10 @@ from homology_lab.operators import (
 from homology_lab.reduction import parse_hamiltonian, reduce_hamiltonian
 from homology_lab.spectra import DEFAULT_GRID
 
-from conftest import built, graphs, seeded_graphs
+from conftest import built, complete_graph, graphs, seeded_graphs
 from test_cli import HAMILTONIANS
 
-K3 = complement(unweighted(["a", "b", "c"]))
+K3 = complete_graph(["a", "b", "c"])
 
 
 def test_augmentation_of_edge_graph():

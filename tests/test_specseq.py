@@ -114,6 +114,29 @@ def test_unweighted_complex_stabilizes_at_page_one():
     assert rep.betti == 2
 
 
+def searched_stabilization(F, k):
+    """Reference: page totals run from page 0 until two consecutive ones
+    equal the Betti number, within a bound on the pages; None past it."""
+    target = betti(F.K, k)
+    last = max(F.lmax.values(), default=0) + F.kmax + 3
+    per_page, prev = {}, None
+    for j in range(last + 1):
+        per_page[j] = sum(F.e_dim(k, l, j) for l in range(F.lmax[k] + 1))
+        if per_page[j] == prev == target:
+            return per_page, j - 1, target
+        prev = per_page[j]
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_vertices=7, wmax=2))
+def test_stabilization_page_matches_the_page_search(g):
+    F = filtration(clique_complex(g, g.n_vertices))
+    for k in range(-1, F.kmax + 1):
+        rep = stabilized_dims(F, k)
+        assert (rep.per_page, rep.stabilization_page, rep.betti) == searched_stabilization(F, k)
+
+
 def test_forman_on_hexagon():
     rep = forman_compare(built(hexagon(), 3), 1)
     assert rep.ok

@@ -17,13 +17,11 @@ from homology_lab.fixtures import gadget_graph, hexagon, named_fixtures
 from homology_lab.gadgets import IntegerState
 from homology_lab.graph import (
     bowtie,
-    complement,
     join_factors,
     make_graph,
     octahedron,
     qubit_graph,
     relabel,
-    unweighted,
 )
 from homology_lab.homology import betti, eigensolve, harmonic_basis
 from homology_lab.operators import laplacian
@@ -37,9 +35,9 @@ from homology_lab.spectra import (
     sweep,
 )
 
-from conftest import built, seeded_graphs
+from conftest import built, complete_graph, seeded_graphs
 
-K3 = complement(unweighted(["a", "b", "c"]))
+K3 = complete_graph(["a", "b", "c"])
 
 
 def test_triangle_spectrum():

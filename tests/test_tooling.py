@@ -1,6 +1,7 @@
 """Checks on the sources and docs themselves: the README's library tour runs,
-its CLI block names every option, no library module imports a name it never
-uses, and every public library name has a reader outside the tests."""
+its CLI block names every option, no module of the library, tests/ or scripts/
+imports a name it never uses, and every public library name has a reader
+outside the tests."""
 
 import argparse
 import ast
@@ -70,8 +71,18 @@ def test_unused_import_check_sees_a_stale_name():
     ]
 
 
+CHECKED_MODULES = (
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "scripts").glob("*.py"))
+)
+
+
 @pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path",
+    CHECKED_MODULES,
+    # library modules keep their bare names as ids; tests/ and scripts/ are prefixed
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}",
 )
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
