@@ -106,8 +106,9 @@ def build_parser() -> _Parser:
 
 def _complex_for(graph, k_hint: int | None, cap: int, max_dim: int | None = None):
     if max_dim is None:
-        # build one dimension above the largest needed so chi and pairing close
-        max_dim = graph.n_vertices - 1 if k_hint is None else k_hint + 1
+        # build one dimension above the largest needed so chi and pairing close;
+        # a degree below -1 has no simplex and needs no build above 0
+        max_dim = max(graph.n_vertices - 1 if k_hint is None else k_hint + 1, 0)
     # no simplex has dimension n or more, so building further adds only empty levels
     max_dim = min(max_dim, graph.n_vertices)
     return clique_complex(graph, max_dim=max_dim, cap=cap)

@@ -1,16 +1,21 @@
 """Clique complexes with oriented simplex enumeration.
 
-Simplices are stored once, as tuples of labels strictly ascending in the
-graph's canonical vertex order, which is label order; the sign of any other
-vertex ordering is the parity of the permutation relative to the ascending
-representative.  The empty simplex () is always present in dimension -1
-(reduced convention).
+Simplices are stored once, as rows of integer vertex ids strictly ascending
+in the graph's canonical vertex order, which is label order; the sign of any
+other vertex ordering is the parity of the permutation relative to the
+ascending representative.  Labels appear only at the edges: chains key
+simplices by tuples of labels in the same order, which ``locate`` maps back
+to ids, and ``simplices(k)`` is a label view derived on its first read.  The
+empty simplex () is always present in dimension -1 (reduced convention).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CapExceededError, DimensionError
 from .graph import WeightedGraph
@@ -25,10 +30,16 @@ DEFAULT_CAP = 2_000_000
 class CliqueComplex:
     """Enumerated clique complex of a weighted graph, up to ``max_dim``.
 
-    ``levels[k]`` holds the weight levels (vertex exponent sums) of
-    ``simplices(k)``, recorded at enumeration.  Immutable after construction;
-    the pivots of each coboundary's exact reduction (its rank is their count)
-    and the coboundaries are memoized on the instance, keyed by degree.
+    ``ids[k]`` holds the k-simplices as an int64 array of shape
+    (dim C^k, k + 1): each row lists a simplex's vertex ids (positions in
+    ``graph.vertices``, so id order is label order) ascending, and the rows
+    are in lexicographic order.  ``levels[k]`` holds their weight levels
+    (vertex exponent sums), recorded at enumeration.  The label view
+    (``by_dim``, ``simplices``) is derived on its first read and memoized;
+    the exact core never reads it, and ``locate`` finds label simplices by
+    their vertex ids.  Immutable after construction; the pivots of each
+    coboundary's exact reduction (its rank is their count), the coboundaries
+    and the facet indices are memoized on the instance, keyed by degree.
     """
 
     def __init__(self, graph: WeightedGraph, max_dim: int, cap: int = DEFAULT_CAP):
@@ -36,58 +47,138 @@ class CliqueComplex:
             raise DimensionError("max_dim must be >= 0")
         self.graph = graph
         self.max_dim = max_dim
-        by_dim: dict[int, list[Simplex]] = {-1: [()], 0: [(v,) for v in graph.vertices]}
-        levels: dict[int, list[int]] = {-1: [0], 0: list(graph.exponents)}
-        total = 1 + len(graph.vertices)
+        n = graph.n_vertices
+        total = 1 + n
         if total > cap:
             raise CapExceededError(0, cap)
-        # Ordered DFS extension: a simplex's candidates, kept at its index, are
-        # the common neighbors after its last vertex in label order, the
-        # canonical order (a WeightedGraph keeps its vertices sorted), which
-        # keeps output lexicographic.  A coface adds its vertex's exponent.
-        weight = graph.weight_map()
-        cands = [tuple(sorted(u for u in graph.neighbors(v) if u > v)) for v in graph.vertices]
+        exponents = np.array(graph.exponents, dtype=np.int64)
+        self.ids = {-1: np.zeros((1, 0), dtype=np.int64), 0: np.arange(n).reshape(n, 1)}
+        self.levels = {-1: np.zeros(1, dtype=np.int64), 0: exponents}
+        # _keys[k]: each k-simplex's flat cell in level k-1's candidate matrix,
+        # parent * n + last vertex, ascending; the facet lookup searches them
+        self._keys = {0: np.arange(n)}
+        # up[v, w]: v < w are adjacent.  Level by level, cand[i, w] says that
+        # simplex i extends by w: w lies after its last vertex and is adjacent
+        # to all of its vertices.  Row-major nonzeros of cand are then the
+        # next level in lexicographic order, and a coface adds its vertex's
+        # exponent to its face's level.
+        up = np.zeros((n, n), dtype=bool)
+        self._pos = {v: i for i, v in enumerate(graph.vertices)}
+        for u, v in graph.edges:
+            up[self._pos[u], self._pos[v]] = True
+        cand = up
         for k in range(1, max_dim + 1):
-            simplices, level, new_cands = [], [], []
-            for sigma, l, after in zip(by_dim[k - 1], levels[k - 1], cands):
-                total += len(after)
-                if total > cap:
-                    raise CapExceededError(k, cap)
-                for i, w in enumerate(after):
-                    simplices.append(sigma + (w,))
-                    level.append(l + weight[w])
-                    nb = graph.neighbors(w)
-                    new_cands.append(tuple(filter(nb.__contains__, after[i + 1 :])))
-            by_dim[k] = simplices
-            levels[k] = level
-            cands = new_cands
-        self.by_dim = {k: tuple(v) for k, v in by_dim.items()}
-        self.levels = {k: tuple(v) for k, v in levels.items()}
-        self.index: dict[int, dict[Simplex, int]] = {
-            k: {s: i for i, s in enumerate(v)} for k, v in self.by_dim.items()
-        }
+            total += int(np.count_nonzero(cand))
+            if total > cap:
+                raise CapExceededError(k, cap)
+            keys = np.flatnonzero(cand)
+            parent, last = np.divmod(keys, n)
+            self.ids[k] = np.column_stack((self.ids[k - 1][parent], last))
+            self.levels[k] = self.levels[k - 1][parent] + exponents[last]
+            self._keys[k] = keys
+            if not len(keys):  # no simplex here, so none above
+                for j in range(k + 1, max_dim + 1):
+                    self.ids[j] = np.zeros((0, j + 1), dtype=np.int64)
+                    self.levels[j] = self._keys[j] = np.zeros(0, dtype=np.int64)
+                break
+            if k < max_dim:
+                cand = cand[parent]
+                cand &= up[last]
+        self._facets: dict[int, np.ndarray] = {}
         self._pivots: dict[int, set[int]] = {}  # degree -> pivots of d^k's reduction
         self._coboundaries: dict = {}
+
+    # -- the label view, derived on first read ---------------------------------
+
+    @cached_property
+    def by_dim(self) -> dict[int, tuple[Simplex, ...]]:
+        vs = self.graph.vertices
+        return {
+            k: tuple(tuple(vs[i] for i in row) for row in a.tolist())
+            for k, a in self.ids.items()
+        }
 
     # -- queries -------------------------------------------------------------
 
     def simplices(self, k: int) -> tuple[Simplex, ...]:
         """The k-simplices; none below -1, and none above max_dim when complete."""
-        if k < -1 or (k > self.max_dim and self.complete):
+        if self.dim_size(k) == 0:
             return ()
+        return self.by_dim[k]
+
+    def dim_size(self, k: int) -> int:
+        """dim C^k; 0 below -1, and above max_dim when complete."""
+        if k < -1 or (k > self.max_dim and self.complete):
+            return 0
         try:
-            return self.by_dim[k]
+            return len(self.ids[k])
         except KeyError:
             raise DimensionError(
                 f"complex built to dimension {self.max_dim}, requested {k}"
             ) from None
 
-    def dim_size(self, k: int) -> int:
-        return len(self.simplices(k))
+    def facets(self, k: int) -> np.ndarray:
+        """(dim C^k, k + 1) int64: entry [i, p] is the index of the facet of
+        k-simplex i without its vertex p.  Memoized per degree.
+
+        The facet without the last vertex is the simplex's parent; any other
+        facet is the parent's facet without p, extended by the last vertex,
+        and one exact search of the keys of degree k - 1 finds it.  A key is
+        a flat index into a candidate matrix that numpy allocated, so it
+        cannot overflow.
+        """
+        out = self._facets.get(k)
+        if out is None:
+            n = self.graph.n_vertices
+            parent, last = np.divmod(self._keys[k], n)
+            out = np.empty((len(parent), k + 1), dtype=np.int64)
+            out[:, k] = parent
+            if k:
+                faces = self.facets(k - 1)[parent] * n + last[:, None]
+                out[:, :k] = np.searchsorted(self._keys[k - 1], faces)
+            self._facets[k] = out
+        return out
+
+    def find(self, ids: np.ndarray) -> np.ndarray:
+        """Index of each row of ``ids``, an (m, k + 1) int array of vertex
+        ids, among the k-simplices; -1 where a row is not one (or k is
+        above max_dim).
+
+        The ids of a simplex's first j + 1 vertices have the key (index of
+        the first j) * n + id j, so each column costs one exact search of
+        the keys of its degree.
+        """
+        m, size = ids.shape
+        n = self.graph.n_vertices
+        found = np.full(m, -1)
+        if size > self.max_dim + 1:
+            return found
+        ok = ((ids >= 0) & (ids < n)).all(axis=1)
+        at = np.zeros(m, dtype=np.int64)  # the empty simplex
+        for j in range(size):
+            keys = self._keys[j]
+            if not len(keys):
+                return found
+            want = at * n + ids[:, j]
+            at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            ok &= keys[at] == want
+        found[ok] = at[ok]
+        return found
+
+    def locate(self, simplices: Sequence[Simplex]) -> np.ndarray:
+        """``find`` for label simplices of any sizes; the label view is not
+        built."""
+        found = np.full(len(simplices), -1)
+        by_size: dict[int, list[int]] = {}
+        for i, s in enumerate(simplices):
+            by_size.setdefault(len(s), []).append(i)
+        for size, pick in by_size.items():
+            ids = [[self._pos.get(v, -1) for v in simplices[i]] for i in pick]
+            found[pick] = self.find(np.array(ids, dtype=np.int64).reshape(len(pick), size))
+        return found
 
     def has(self, sigma: Simplex) -> bool:
-        k = len(sigma) - 1
-        return k in self.index and sigma in self.index[k]
+        return self.locate([sigma])[0] >= 0
 
     def up_vertices(self, sigma: Simplex) -> tuple[str, ...]:
         """Vertices v with sigma + {v} a simplex (all cofacet extensions)."""
@@ -99,13 +190,13 @@ class CliqueComplex:
         return tuple(sorted(common))
 
     def counts(self) -> dict[int, int]:
-        return {k: len(self.by_dim[k]) for k in sorted(self.by_dim)}
+        return {k: len(a) for k, a in sorted(self.ids.items())}
 
     @property
     def complete(self) -> bool:
         """True when no simplices can exist above max_dim."""
         return (
-            len(self.by_dim[self.max_dim]) == 0
+            len(self.ids[self.max_dim]) == 0
             or self.max_dim >= self.graph.n_vertices - 1
         )
 
@@ -116,7 +207,7 @@ class CliqueComplex:
                 "complex truncated at max_dim; rebuild with a larger max_dim"
             )
         for k in range(self.max_dim, -2, -1):
-            if self.by_dim[k]:
+            if len(self.ids[k]):
                 return k
         return -1
 
@@ -193,9 +284,10 @@ def kunneth_embed(
                 raise DimensionError(
                     f"factors share vertices: {sigma!r} and {tau!r}"
                 )
-            if not into.has(merged):
-                raise DimensionError(f"{merged!r} is not a simplex of the join")
             out[merged] = out.get(merged, 0) + sign * c * d
+    for merged, at in zip(out, into.locate(list(out))):
+        if at < 0:
+            raise DimensionError(f"{merged!r} is not a simplex of the join")
     return {s: v for s, v in out.items() if v != 0}
 
 

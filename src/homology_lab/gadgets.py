@@ -28,7 +28,6 @@ import numpy as np
 from .complexes import (
     Chain,
     CliqueComplex,
-    Simplex,
     clique_complex,
     kunneth_embed,
     sort_with_sign,
@@ -154,24 +153,39 @@ def apply_f(K: CliqueComplex, relation: Relation) -> CliqueComplex:
         fu, fv = relation[u], relation[v]
         if fu != fv:
             edges.add((fu, fv) if fu < fv else (fv, fu))
-    image = image_simplices(K, relation)
     q_complex = clique_complex(make_graph(weights, edges), max_dim=max(K.max_dim, 1))
-    actual = {s for k in range(-1, q_complex.max_dim + 1) for s in q_complex.simplices(k)}
-    if image != actual:
-        extra = sorted(actual - image)[:4]
-        miss = sorted(image - actual)[:4]
+    # each simplex's image: its vertex ids mapped into the quotient, sorted,
+    # repeats collapsed, found among the quotient's simplices of its size;
+    # rows are padded with the quotient's vertex count, above every id
+    qpos = {v: i for i, v in enumerate(q_complex.graph.vertices)}
+    to_q = np.array([qpos[relation[v]] for v in K.graph.vertices], dtype=np.int64)
+    levels = [ids for ids in K.ids.values() if ids.size]
+    mapped = np.full((sum(map(len, levels)), len(levels)), len(qpos))
+    row = 0
+    for ids in levels:
+        mapped[row : row + len(ids), : ids.shape[1]] = to_q[ids]
+        row += len(ids)
+    mapped.sort(axis=1)
+    new = mapped < len(qpos)
+    new[:, 1:] &= mapped[:, 1:] != mapped[:, :-1]
+    sizes = new.sum(axis=1)
+    hit = {k: np.zeros(len(a), bool) for k, a in q_complex.ids.items() if k >= 0 and len(a)}
+    unfound: list[list[int]] = []
+    for size in set(sizes.tolist()):
+        pick = sizes == size
+        image = mapped[pick][new[pick]].reshape(-1, size)
+        at = q_complex.find(image)
+        hit[size - 1][at[at >= 0]] = True
+        unfound += image[at < 0].tolist()
+    if unfound or not all(h.all() for h in hit.values()):
+        vs = q_complex.graph.vertices
+        unhit = [row for k, h in hit.items() for row in q_complex.ids[k][~h].tolist()]
+        extra = sorted(tuple(vs[i] for i in row) for row in unhit)[:4]
+        miss = sorted({tuple(vs[i] for i in row) for row in unfound})[:4]
         raise HomologyLabError(
             f"quotient is not 2-determined: extra={extra} missing={miss}"
         )
     return q_complex
-
-
-def image_simplices(K: CliqueComplex, relation: Relation) -> set[Simplex]:
-    image: set[Simplex] = set()
-    for k in range(-1, K.max_dim + 1):
-        for sigma in K.simplices(k):
-            image.add(tuple(sorted({relation[v] for v in sigma})))
-    return image
 
 
 def fundamental_cycle(K: CliqueComplex) -> Chain:
@@ -184,10 +198,9 @@ def fundamental_cycle(K: CliqueComplex) -> Chain:
     top = K.top_dimension()
     # looked up at call time, so a tracer that patches operators.coboundary
     # (bench/tracing.py) also sees the gadget build's coboundaries
-    from .operators import coboundary
+    from .operators import boundary_columns, coboundary
 
-    rows = coboundary(K, top - 1).int_rows_at_one()
-    cols = [rows.get(j, {}) for j in range(K.dim_size(top))]
+    cols = boundary_columns(coboundary(K, top - 1), top - 1)
     kernel = rational.nullspace(cols, K.dim_size(top - 1))
     if len(kernel) != 1:
         raise HomologyLabError(
@@ -542,8 +555,7 @@ def basis_state_matrix(K: CliqueComplex, qubits: Sequence[int]) -> np.ndarray:
     for i in range(2 ** m):
         chain = _joined_loops(K, qubits, format(i, f"0{m}b"))
         v = np.zeros(n)
-        for s, c in chain.items():
-            v[K.index[k][s]] = float(c)
+        v[K.locate(list(chain))] = list(chain.values())
         cols.append(v / np.linalg.norm(v))
     return np.stack(cols, axis=1)
 

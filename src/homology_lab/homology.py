@@ -29,7 +29,7 @@ from .errors import (
     HomologyLabError,
     NotACycleError,
 )
-from .operators import coboundary, laplacian
+from .operators import boundary_columns, coboundary, laplacian
 
 DENSE_EIG_CAP = 4000
 # harmonic_basis's kernel tolerance, relative to the Laplacian's max row sum
@@ -135,10 +135,9 @@ def coboundary_rank(K: CliqueComplex, k: int) -> int:
         if K.dim_size(k) == 0:
             K._pivots[k] = set()
         else:
-            cleared = K._pivots.get(k + 1, ())
-            rows = coboundary(K, k).int_rows_at_one()
-            kept = [row for r, row in rows.items() if r not in cleared]
-            _, K._pivots[k] = rational.rank_int(kept)
+            kept = np.ones(K.dim_size(k + 1), dtype=bool)
+            kept[list(K._pivots.get(k + 1, ()))] = False
+            _, K._pivots[k] = rational.rank_int(boundary_columns(coboundary(K, k), k, kept))
     return len(K._pivots[k])
 
 
@@ -296,15 +295,15 @@ def is_cycle(K: CliqueComplex, chain: Chain, k: int | None = None) -> bool:
         k = chain_dimension(chain)
     if k <= -1:
         return True
-    idx = K.index.get(k, {})
-    foreign = [s for s in chain if s not in idx]
+    at = K.locate(list(chain))
+    foreign = [s for s, i in zip(chain, at) if i < 0 or len(s) != k + 1]
     if foreign:
         raise DimensionError(f"{foreign[0]!r} is not a {k}-simplex of the complex")
     # the rows of d^{k-1} at lam := 1 are the columns of boundary_k
-    rows = coboundary(K, k - 1).int_rows_at_one()
+    cols = boundary_columns(coboundary(K, k - 1), k - 1, at)
     acc: dict[int, int | Fraction] = {}
-    for s, coef in chain.items():
-        for r, v in rows.get(idx[s], {}).items():
+    for coef, col in zip(chain.values(), cols):
+        for r, v in col.items():
             acc[r] = acc.get(r, 0) + coef * v
     return not any(acc.values())
 
@@ -323,11 +322,8 @@ def cycle_is_boundary(
         raise NotACycleError("chain has nonzero boundary")
     if k + 1 > K.max_dim:
         raise DimensionError("complex not built to k+1")
-    rows = coboundary(K, k).int_rows_at_one()
-    cols = [rows.get(j, {}) for j in range(K.dim_size(k + 1))]
-    idx = K.index[k]
-    b = {idx[s]: c for s, c in chain.items() if c}
-    x = rational.solve(cols, K.dim_size(k), b)
+    b = {i: c for i, c in zip(K.locate(list(chain)).tolist(), chain.values()) if c}
+    x = rational.solve(boundary_columns(coboundary(K, k), k), K.dim_size(k), b)
     if x is None:
         return False, None
     sims = K.simplices(k + 1)

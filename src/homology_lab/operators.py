@@ -61,6 +61,15 @@ class MonomialMatrix:
         self._entries: dict[tuple[int, int], Poly] | None = None
 
     @classmethod
+    def _from_sorted(cls, rows: int, cols: int, terms: np.ndarray) -> "MonomialMatrix":
+        """From (n, 4) int64 terms already in the stored form: sorted, with
+        no repeated monomial and no zero coefficient."""
+        out = cls(rows, cols)
+        terms.flags.writeable = False
+        out.terms = terms
+        return out
+
+    @classmethod
     def _from_slices(cls, rows: int, cols: int, pairs) -> "MonomialMatrix":
         """The sum of lam**e M over (e, M) pairs of integer sparse matrices."""
         summed: dict[int, sp.csr_matrix] = {}
@@ -158,10 +167,12 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
 
     Entry (sigma u {v}, sigma) is (-1)^p lam^{e_v} with p the ascending
     insertion position of v; d^{-1} sends the empty simplex to the weighted
-    sum of the vertices.  Assembled row by row, from each (k+1)-simplex's
-    facets; e_v is the coface's level less the facet's, as ``K.levels``
-    records them.  On a complete complex C^{k+1} is empty above max_dim - 1,
-    so d^k there is the zero map into it.
+    sum of the vertices.  Assembled in one array pass from the facet
+    indices of the (k+1)-simplices (``CliqueComplex.facets``): row i holds
+    k + 2 terms, its facets in ascending index, which is descending p, so
+    the terms come out sorted.  e_v is the coface's level less the facet's,
+    as ``K.levels`` records them.  On a complete complex C^{k+1} is empty
+    above max_dim - 1, so d^k there is the zero map into it.
     """
     if k < -1:
         return MonomialMatrix(K.dim_size(k + 1), 0)
@@ -172,15 +183,33 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
         return cached
     rows = K.dim_size(k + 1)
     cols = K.dim_size(k)
-    terms: list[int] = []  # flat (row, col, coeff, exponent) quadruples
-    index_low, low = K.index.get(k), K.levels.get(k)  # None above max_dim, and unread there
-    for i, (tau, level) in enumerate(zip(K.simplices(k + 1), K.levels.get(k + 1, ()))):
-        for p in range(len(tau)):  # the facet of tau without tau[p]
-            j = index_low[tau[:p] + tau[p + 1:]]
-            terms += (i, j, (-1) ** p, level - low[j])
-    out = MonomialMatrix(rows, cols, terms)
+    terms = np.empty((rows, k + 2, 4), dtype=np.int64)
+    if rows:
+        facet = K.facets(k + 1)[:, ::-1]
+        terms[:, :, 0] = np.arange(rows)[:, None]
+        terms[:, :, 1] = facet
+        terms[:, :, 2] = (-1) ** np.arange(k + 1, -1, -1)
+        terms[:, :, 3] = K.levels[k + 1][:, None] - K.levels[k][facet]
+    out = MonomialMatrix._from_sorted(rows, cols, terms.reshape(-1, 4))
     K._coboundaries[k] = out
     return out
+
+
+def boundary_columns(d: MonomialMatrix, k: int, rows=None, renumber=None) -> list[dict[int, int]]:
+    """The rows of d = d^k at lam := 1 as sparse integer columns {col: sign}.
+
+    They are the columns of the boundary map, as ``rational`` reduces them.
+    Every row of d^k holds k + 2 single monomials, so its sorted terms
+    reshape to (dim C^{k+1}, k + 2) arrays of columns and signs.  ``rows``
+    (an index array or a boolean mask) picks and orders the rows, and
+    ``renumber`` (an array indexed by column) maps the column numbers.
+    """
+    cols, signs = d.terms[:, 1].reshape(-1, k + 2), d.terms[:, 2].reshape(-1, k + 2)
+    if rows is not None:
+        cols, signs = cols[rows], signs[rows]
+    if renumber is not None:
+        cols = renumber[cols]
+    return [dict(zip(c, s)) for c, s in zip(cols.tolist(), signs.tolist())]
 
 
 def laplacian_down(K: CliqueComplex, k: int) -> MonomialMatrix:

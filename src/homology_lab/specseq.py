@@ -30,14 +30,17 @@ lam^(2r) (Forman, "Witten-Morse theory for cell complexes", Topology 1998).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import inf
+
+import numpy as np
 
 from . import rational
 from .complexes import CliqueComplex
 from .errors import DimensionError, HomologyLabError
 from .homology import betti
-from .operators import coboundary
+from .operators import boundary_columns, coboundary
 from .spectra import DEFAULT_GRID, BranchTable, sweep
 
 
@@ -50,25 +53,26 @@ class Filtration:
         self.K = K
         self.kmax = K.max_dim
         levels = K.levels
-        self.lmax = {k: max(ls, default=-1) for k, ls in levels.items()}
+        self.lmax = {k: int(ls.max(initial=-1)) for k, ls in levels.items()}
         # pairs[k]: (sigma in C^k, tau in C^{k+1}) index pairs, reduced top
         # degree first so that each degree's pairs clear the next; gaps[k][i]
-        # is the level gap of simplex i's pair, inf when it is unpaired
+        # is the level gap of simplex i's pair, -1 when it is unpaired
         self.pairs: dict[int, list[tuple[int, int]]] = {}
-        gaps = {k: [inf] * len(ls) for k, ls in levels.items()}
+        gaps = {k: np.full(len(ls), -1) for k, ls in levels.items() if len(ls)}
         for k in range(self.kmax - 1, -2, -1):
-            cleared = {s for s, _ in self.pairs.get(k + 1, ())}
-            self.pairs[k] = self._reduce(k, cleared) if levels[k + 1] else []
-            for s, t in self.pairs[k]:
+            cleared = [s for s, _ in self.pairs.get(k + 1, ())]
+            self.pairs[k] = self._reduce(k, cleared) if len(levels[k + 1]) else []
+            if self.pairs[k]:
+                s, t = np.array(self.pairs[k]).T
                 gaps[k][s] = gaps[k + 1][t] = levels[k + 1][t] - levels[k][s]
-        # _counts[k, l]: {gap: number of k-simplices at level l with that gap}
+        # _counts[k, l]: {gap: number of k-simplices at level l with that
+        # gap}, the gap inf for the unpaired ones
         self._counts: dict[tuple[int, int], dict[float, int]] = {}
-        for k, ls in levels.items():
-            for l, g in zip(ls, gaps[k]):
-                at = self._counts.setdefault((k, l), {})
-                at[g] = at.get(g, 0) + 1
+        for k, gap in gaps.items():
+            for (l, g), n in Counter(zip(levels[k].tolist(), gap.tolist())).items():
+                self._counts.setdefault((k, l), {})[inf if g < 0 else g] = n
 
-    def _reduce(self, k: int, cleared: set[int]) -> list[tuple[int, int]]:
+    def _reduce(self, k: int, cleared: list[int]) -> list[tuple[int, int]]:
         """Pairs of d^k: its rows reduced as boundary columns in ascending
         (level, index), faces numbered in reverse so ``min`` is the highest.
 
@@ -78,13 +82,16 @@ class Filtration:
         and pairs each with its highest face.
         """
         lo, hi = self.K.levels[k], self.K.levels[k + 1]
-        rows = coboundary(self.K, k).int_rows_at_one()
-        face_at = sorted(range(len(lo)), key=lambda c: (lo[c], c), reverse=True)
-        number = {c: i for i, c in enumerate(face_at)}
-        order = sorted((r for r in rows if r not in cleared), key=lambda r: (hi[r], r))
-        reduced = rational.reduce_columns(
-            {number[c]: v for c, v in rows[r].items()} for r in order
-        )
+        face_at = np.argsort(lo, kind="stable")[::-1]  # descending (level, index)
+        number = np.empty_like(face_at)
+        number[face_at] = np.arange(len(face_at))
+        kept = np.ones(len(hi), dtype=bool)
+        kept[cleared] = False
+        order = np.flatnonzero(kept)
+        order = order[np.argsort(hi[order], kind="stable")]  # ascending (level, index)
+        cols = boundary_columns(coboundary(self.K, k), k, order, number)
+        reduced = rational.reduce_columns(cols)
+        face_at, order = face_at.tolist(), order.tolist()
         return [(face_at[min(col)], r) for r, col in zip(order, reduced) if col]
 
     def e_dim(self, k: int, l: int, j: int) -> int:

@@ -26,6 +26,13 @@ def build():
     return built
 
 
+def positions(K: CliqueComplex, simplices) -> list[int]:
+    """Each label simplex's index in its degree of K, which must hold it."""
+    at = K.locate(list(simplices)).tolist()
+    assert min(at, default=0) >= 0, "not a simplex of the complex"
+    return at
+
+
 # -- independent exact rank ----------------------------------------------------
 
 

@@ -39,7 +39,7 @@ from homology_lab.reduction import Hamiltonian, decide, reduce_hamiltonian
 from homology_lab.specseq import filtration, forman_compare, page_dims
 from homology_lab.spectra import DEFAULT_GRID, pairing_check, sweep
 
-from conftest import built, complete_graph, record_acceptance, seeded_graphs
+from conftest import built, complete_graph, positions, record_acceptance, seeded_graphs
 
 K3 = complete_graph(["a", "b", "c"])
 
@@ -321,7 +321,7 @@ def test_c14_end_to_end_decision():
             g1 = glue(qubit_graph(1), bp)
             K1 = built(g1, res.k + 1)
             up1 = laplacian_up(K1, res.k).evaluate_dense(lam)
-            idx = [K.index[res.k][s] for s in K1.simplices(res.k)]
+            idx = positions(K, K1.simplices(res.k))
             total += psi[idx] @ up1 @ psi[idx]
         if abs(psi @ up_full @ psi - total) > 1e-10:
             ok = False
@@ -356,7 +356,7 @@ def test_c15_embedded_operator():
         y_ok = K.has(sy) and len(sy) == 2
         if x_ok and y_ok:
             clique_pairs += 1
-            if abs(got - L[K.index[1][sx], K.index[1][sy]]) > 1e-12:
+            if abs(got - L[tuple(positions(K, [sx, sy]))]) > 1e-12:
                 ok = False
         elif x == y:
             if got != A:
@@ -366,7 +366,7 @@ def test_c15_embedded_operator():
     # force coverage of the diagonal clique and non-clique cases
     edge = K.simplices(1)[0]
     xb = "".join("1" if v in edge else "0" for v in g.vertices)
-    if embedded_entry(K, 1, xb, xb, penalty=A) != L[K.index[1][edge], K.index[1][edge]]:
+    if embedded_entry(K, 1, xb, xb, penalty=A) != L[tuple(positions(K, [edge, edge]))]:
         ok = False
     non_clique = "1001000"  # a2 and b2 lie on different loops: not adjacent
     if embedded_entry(K, 1, non_clique, non_clique, penalty=A) != A:

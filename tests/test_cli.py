@@ -100,6 +100,21 @@ def test_betti_above_the_top_degree_is_zero(fixture_dir, capsys, extra):
     assert (code, out, err) == (0, "0\n", "")
 
 
+@pytest.mark.parametrize("k", ["-2", "-5"])
+def test_degree_below_minus_one_answers_like_one_above_the_top(fixture_dir, capsys, k):
+    """C^k is empty below -1 as above the top: betti prints 0, and spectrum
+    prints what it prints for --k 40, an empty spectrum."""
+    hexagon = str(fixture_dir / "hexagon.json")
+    assert run(capsys, "betti", hexagon, "--k", k) == (0, "0\n", "")
+    for mode in (("--lambda", "0.5"), ("--grid", "default")):
+        below = run(capsys, "spectrum", hexagon, "--k", k, *mode)
+        assert below == run(capsys, "spectrum", hexagon, "--k", "40", *mode)
+        assert below[0] == 0 and below[2] == ""
+    # an explicit depth below 0 stays an error
+    code, out, err = run(capsys, "betti", hexagon, "--k", k, "--max-dim", "-1")
+    assert (code, out) == (2, "") and err == "error: max_dim must be >= 0\n"
+
+
 def test_betti_missing_file_fails_cleanly(capsys):
     code, _out, err = run(capsys, "betti", "/nonexistent/g.json", "--k", "all")
     assert code == 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homology_lab import reduction
 from homology_lab.complexes import (
     clique_complex,
     kunneth_embed,
@@ -17,12 +18,15 @@ from homology_lab.gadgets import basis_chain
 from homology_lab.graph import (
     bowtie,
     join,
+    make_graph,
     octahedron,
     qubit_graph,
     relabel,
     unweighted,
 )
-from homology_lab.homology import is_cycle
+from homology_lab.homology import betti_table, is_cycle
+from homology_lab.operators import boundary_columns, coboundary
+from homology_lab.specseq import filtration, page_dims
 
 from conftest import built, complete_graph, graphs
 
@@ -119,7 +123,8 @@ def test_deterministic_enumeration():
     a = clique_complex(g, 4)
     b = clique_complex(g, 4)
     assert a.by_dim == b.by_dim
-    assert a.index == b.index
+    for k, sims in b.by_dim.items():  # each label simplex is found where it is listed
+        assert a.locate(sims).tolist() == list(range(len(sims)))
 
 
 def test_cap_exceeded_reports_dimension():
@@ -168,6 +173,132 @@ def test_join_associativity_on_counts():
     )
     KL, KR = clique_complex(left, 6), clique_complex(right, 6)
     assert KL.counts() == KR.counts()
+
+
+# -- integer simplices against a label reference --------------------------------
+
+
+def label_enumeration(g, max_dim, cap):
+    """Reference: the ordered DFS on label tuples.  Returns (simplices,
+    levels) by degree; raises CapExceededError as the library must."""
+    by_dim = {-1: [()], 0: [(v,) for v in g.vertices]}
+    levels = {-1: [0], 0: list(g.exponents)}
+    total = 1 + len(g.vertices)
+    if total > cap:
+        raise CapExceededError(0, cap)
+    weight = g.weight_map()
+    cands = [tuple(sorted(u for u in g.neighbors(v) if u > v)) for v in g.vertices]
+    for k in range(1, max_dim + 1):
+        simplices, level, new_cands = [], [], []
+        for sigma, l, after in zip(by_dim[k - 1], levels[k - 1], cands):
+            total += len(after)
+            if total > cap:
+                raise CapExceededError(k, cap)
+            for i, w in enumerate(after):
+                simplices.append(sigma + (w,))
+                level.append(l + weight[w])
+                new_cands.append(tuple(w2 for w2 in after[i + 1 :] if w2 in g.neighbors(w)))
+        by_dim[k], levels[k], cands = simplices, level, new_cands
+    return by_dim, levels
+
+
+def label_coboundary_terms(by_dim, levels, k):
+    """Reference: d^k's (row, col, coeff, exponent) terms, each facet found
+    by slicing its coface's label tuple, sorted."""
+    index = {s: i for i, s in enumerate(by_dim[k])}
+    terms = []
+    for i, (tau, level) in enumerate(zip(by_dim[k + 1], levels[k + 1])):
+        for p in range(len(tau)):
+            j = index[tau[:p] + tau[p + 1 :]]
+            terms.append((i, j, (-1) ** p, level - levels[k][j]))
+    return sorted(terms)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Weighted graphs on labels whose sorted order is not their drawing order."""
+    label = st.text("abc", min_size=1, max_size=3)
+    vs = draw(st.lists(label, min_size=1, max_size=9, unique=True))
+    pairs = list(combinations(sorted(vs), 2))
+    density = 10 - draw(st.integers(0, 7))  # in tenths; small draws give deep complexes
+    mask = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    ws = draw(st.lists(st.integers(0, 3), min_size=len(vs), max_size=len(vs)))
+    return make_graph(dict(zip(vs, ws)), [e for e, x in zip(pairs, mask) if x < density])
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_graphs(), st.data())
+def test_integer_enumeration_and_assembly_match_the_label_reference(g, data):
+    """Same simplices in the same order, same levels, same coboundary terms
+    and exact rows in every degree, and the cap raised in the same degree."""
+    max_dim = g.n_vertices - data.draw(st.integers(0, g.n_vertices), label="below n")
+    cap = 2 ** g.n_vertices  # every clique fits
+    if data.draw(st.booleans(), label="capped"):
+        # a cap at, or one below, the simplex count through a drawn degree
+        sizes = [len(v) for v in label_enumeration(g, max_dim, cap)[0].values()]
+        through = len(sizes) - data.draw(st.integers(0, len(sizes) - 1), label="degrees cut")
+        cap = max(1, sum(sizes[:through]) - data.draw(st.integers(0, 1), label="short by"))
+    try:
+        by_dim, levels = label_enumeration(g, max_dim, cap)
+    except CapExceededError as ref:
+        with pytest.raises(CapExceededError) as err:
+            clique_complex(g, max_dim, cap=cap)
+        assert (err.value.dimension, str(err.value)) == (ref.dimension, str(ref))
+        return
+    K = clique_complex(g, max_dim, cap=cap)
+    assert {k: list(K.simplices(k)) for k in by_dim} == by_dim
+    assert {k: K.levels[k].tolist() for k in by_dim} == levels
+    assert K.counts() == {k: len(v) for k, v in by_dim.items()}
+    for k in range(-1, max_dim):
+        d = coboundary(K, k)
+        terms = label_coboundary_terms(by_dim, levels, k)
+        assert [tuple(t) for t in d.terms.tolist()] == terms
+        rows = [{} for _ in by_dim[k + 1]]
+        for i, j, coeff, _e in terms:
+            rows[i][j] = coeff
+        assert boundary_columns(d, k) == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_graphs(), st.data())
+def test_locate_finds_exactly_the_simplices(g, data):
+    """Every simplex at its index; -1 for a repeated, unsorted or unknown
+    vertex, a non-clique, and anything above max_dim."""
+    max_dim = data.draw(st.integers(0, g.n_vertices), label="max_dim")
+    K = clique_complex(g, max_dim)
+    where = {s: i for k in range(-1, max_dim + 1) for i, s in enumerate(K.simplices(k))}
+    vertices = st.sampled_from([*g.vertices, "z"])
+    asked = data.draw(st.lists(st.lists(vertices, max_size=6).map(tuple), max_size=30))
+    asked += list(where)
+    assert K.locate(asked).tolist() == [where.get(s, -1) for s in asked]
+
+
+def test_labels_stay_at_the_io_edge(monkeypatch):
+    """Ranks, filtration pages and decide read the integer rows only: the
+    lazy label view of every complex involved stays unbuilt."""
+
+    def labels_built(K):
+        return {"by_dim"} & vars(K).keys()
+
+    K = clique_complex(qubit_graph(1), 6)
+    betti_table(K)
+    F = filtration(clique_complex(octahedron(3), 5))
+    for j in range(5):
+        page_dims(F, j)
+    assert labels_built(K) == set() and labels_built(F.K) == set()
+    built_by_decide = []
+
+    def recording(*args, **kwargs):
+        built_by_decide.append(clique_complex(*args, **kwargs))
+        return built_by_decide[-1]
+
+    monkeypatch.setattr(reduction, "clique_complex", recording)
+    four = ",".join(f'{{"support":[0,1],"amps":{{"{z}":1}}}}' for z in ("00", "01", "10", "11"))
+    dec = reduction.decide(reduction.parse_hamiltonian(f'{{"n":2,"terms":[{four}]}}'), c=0.5)
+    assert dec.answer == "NO" and built_by_decide
+    assert [labels_built(factor) for factor in built_by_decide] == [set()] * len(built_by_decide)
+    K.simplices(1)  # a label read builds the view, so the check above can fail
+    assert labels_built(K) == {"by_dim"}
 
 
 # -- kunneth embedding ---------------------------------------------------------

@@ -31,7 +31,7 @@ from homology_lab.homology import (
 )
 from homology_lab.operators import coboundary
 
-from conftest import built, complete_graph, dense_rank, graphs, seeded_graphs
+from conftest import built, complete_graph, dense_rank, graphs, positions, seeded_graphs
 
 K3 = complete_graph(["a", "b", "c"])
 
@@ -303,8 +303,7 @@ def test_harmonic_basis_of_bowtie_spans_loops():
 
 def _chain_vec(K, k, chain):
     v = np.zeros(K.dim_size(k))
-    for s, c in chain.items():
-        v[K.index[k][s]] = float(c)
+    v[positions(K, chain)] = [float(c) for c in chain.values()]
     return v
 
 

@@ -18,7 +18,7 @@ from homology_lab.reduction import (
     schedule,
 )
 
-from conftest import built
+from conftest import built, positions
 
 
 def H_of(n, *terms):
@@ -170,7 +170,7 @@ def test_up_laplacian_additivity():
         g1 = glue(qubit_graph(1), bp)
         K1 = built(g1, res.k + 1)
         up1 = laplacian_up(K1, res.k).evaluate_dense(lam)
-        idx = [K.index[res.k][s] for s in K1.simplices(res.k)]
+        idx = positions(K, K1.simplices(res.k))
         psi1 = psi[idx]
         total += psi1 @ up1 @ psi1
     assert abs(psi @ up_full @ psi - total) < 1e-10
