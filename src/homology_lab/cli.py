@@ -29,13 +29,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The file at ``path``, or stdin for "-", decoded as UTF-8.  Both sources
+    fail alike: unreadable is a usage error, and since JSON text is UTF-8,
+    other bytes are malformed JSON."""
+    if path == "-" and sys.stdin is None:
+        raise UsageError("cannot read -: stdin is closed")
     try:
-        with open(path) as fh:
-            return fh.read()
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"malformed JSON: not UTF-8 text ({exc})") from exc
 
 
 def _load_graph(path: str):

@@ -1,9 +1,9 @@
 """Vertex-weighted graphs and graph-level constructions.
 
-A vertex weight is stored as a nonnegative integer exponent ``e_v``; the
-actual weight used by the operators is ``lam ** e_v`` for an evaluation
-parameter ``lam`` in (0, 1].  Every construction in the pipeline uses
-exponents in {0, 1} but the representation is general.
+A vertex weight is stored as an integer exponent ``e_v`` in
+[0, MAX_EXPONENT]; the actual weight used by the operators is ``lam ** e_v``
+for an evaluation parameter ``lam`` in (0, 1].  Every construction in the
+pipeline uses exponents in {0, 1} but the representation is general.
 
 All values here are immutable and hashable; operations are pure functions.
 """
@@ -17,6 +17,11 @@ from typing import Iterable, Mapping, Sequence
 from .errors import GraphFormatError
 
 Edge = tuple[str, str]
+
+# a simplex's weight level is the sum of its vertices' exponents, stored as
+# int64: with every exponent at most 2^31 - 1, any level of a graph with
+# fewer than 2^32 vertices fits
+MAX_EXPONENT = 2**31 - 1
 
 
 def _edge(u: str, v: str) -> Edge:
@@ -43,9 +48,13 @@ class WeightedGraph:
             raise GraphFormatError("vertices must be sorted (use make_graph)")
         if len(self.exponents) != len(self.vertices):
             raise GraphFormatError("one weight exponent per vertex required")
-        for e in self.exponents:
+        for v, e in zip(self.vertices, self.exponents):
             if e < 0:
                 raise GraphFormatError("negative weight exponent")
+            if e > MAX_EXPONENT:
+                raise GraphFormatError(
+                    f"vertex {v!r} has weight exponent {e} above {MAX_EXPONENT}"
+                )
         for u, v in self.edges:
             if u == v:
                 raise GraphFormatError(f"self-loop at {u!r}")
@@ -107,9 +116,9 @@ def parse_graph(text: str) -> WeightedGraph:
     """Parse the graph JSON schema.
 
     Schema: ``{"vertices":[{"id":str,"w":int>=0}...],"edges":[[u,v]...]}``.
-    Duplicate vertices or edges, unknown endpoints, self-loops and negative
-    weights are rejected.  Extra top-level keys (e.g. metadata blocks) are
-    ignored.
+    Duplicate vertices or edges, unknown endpoints, self-loops, negative
+    weights and weights above MAX_EXPONENT are rejected.  Extra top-level
+    keys (e.g. metadata blocks) are ignored.
     """
     try:
         doc = json.loads(text)

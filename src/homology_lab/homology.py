@@ -5,7 +5,9 @@ lam := 1 (weights never change the homology).  Cohomology and homology Betti
 numbers agree since coefficients form a field; torsion is out of scope.
 
 ``eigensolve`` is the package's one eigensolver dispatch: every numeric
-spectrum, here and in ``spectra``, comes from it.
+spectrum, here and in ``spectra``, comes from it.  SciPy is imported inside
+it and ``_dense_by_block``, where a float solve runs, so the exact side never
+loads it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ from math import prod
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from . import rational
 from .complexes import Chain, CliqueComplex, chain_dimension
@@ -52,6 +51,9 @@ def eigensolve(L, count: int | None = None, vectors: bool = False, sigma: float 
     columns.  An eigenvalue below -1e-9 means the matrix is not positive
     semidefinite and raises.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     n = L.shape[0]
     if count is None or n <= DENSE_EIG_CAP:
 
@@ -95,6 +97,8 @@ def _dense_by_block(S, solve, vectors: bool):
     with no off-diagonal entry are 1x1 blocks; they are solved together as
     one diagonal block, whose spectrum is the same.
     """
+    import scipy.sparse.csgraph
+
     # S's pattern is symmetric, so its strong components are its connected
     # components; the strong search skips the transpose the weak one builds
     n_blocks, labels = scipy.sparse.csgraph.connected_components(S, connection="strong")

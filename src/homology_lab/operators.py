@@ -7,16 +7,20 @@ operator equal to sum_e lam**e M_e.  Boundary and coboundary entries are
 single monomials ``+-lam**e_v``; a Laplacian is a sum of sparse integer
 products of slices, never a symbolic product of entries.  All operators act
 in the normalized orthonormal simplex basis, so the boundary is the
-transpose of the coboundary.
+transpose of the coboundary.  SciPy is imported where a float or sparse
+matrix is built (``_exponent_slices``, ``evaluate``); the exact readers use
+the integer terms alone and never load it.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # annotations only: SciPy is imported where a float matrix is built
+    import scipy.sparse
 
 from .complexes import CliqueComplex, Simplex
 from .errors import DimensionError, GraphFormatError
@@ -57,7 +61,7 @@ class MonomialMatrix:
         t = t[t[:, 2] != 0]
         t.flags.writeable = False
         self.terms = t
-        self._slices: dict[int, sp.csr_matrix] | None = None
+        self._slices: dict[int, scipy.sparse.csr_matrix] | None = None
         self._entries: dict[tuple[int, int], Poly] | None = None
 
     @classmethod
@@ -72,7 +76,7 @@ class MonomialMatrix:
     @classmethod
     def _from_slices(cls, rows: int, cols: int, pairs) -> "MonomialMatrix":
         """The sum of lam**e M over (e, M) pairs of integer sparse matrices."""
-        summed: dict[int, sp.csr_matrix] = {}
+        summed: dict[int, scipy.sparse.csr_matrix] = {}
         for e, M in pairs:
             summed[e] = summed[e] + M if e in summed else M
         terms = [np.zeros((0, 4), dtype=np.int64)]
@@ -83,16 +87,18 @@ class MonomialMatrix:
         out._slices = dict(sorted(summed.items()))
         return out
 
-    def _exponent_slices(self) -> dict[int, sp.csr_matrix]:
+    def _exponent_slices(self) -> dict[int, scipy.sparse.csr_matrix]:
         """exponent e -> integer CSR M_e, ascending in e."""
         if self._slices is None:
+            import scipy.sparse
+
             r, c, v, e = self.terms.T
             self._slices = {}
             for x in sorted(set(e.tolist())):
                 pick = e == x  # still sorted by (row, col): the CSR layout
                 indptr = np.zeros(self.rows + 1, dtype=np.int64)
                 np.cumsum(np.bincount(r[pick], minlength=self.rows), out=indptr[1:])
-                self._slices[x] = sp.csr_matrix(
+                self._slices[x] = scipy.sparse.csr_matrix(
                     (v[pick], c[pick], indptr), shape=(self.rows, self.cols)
                 )
         return self._slices
@@ -128,16 +134,18 @@ class MonomialMatrix:
             *self._exponent_slices().items(), *other._exponent_slices().items()
         ])
 
-    def evaluate(self, lam: float) -> sp.csr_matrix:
+    def evaluate(self, lam: float) -> scipy.sparse.csr_matrix:
         """Numeric substitution sum_e lam**e M_e, ascending in e; lam in (0, 1].
 
         Each entry has at most two monomials when graph exponents lie in
         {0, 1}, so its value is the same float however the sum is ordered.
         """
+        import scipy.sparse
+
         if not 0 < lam <= 1:
             raise GraphFormatError(f"lambda must be in (0, 1], got {lam}")
         parts = [M * lam**e for e, M in sorted(self._exponent_slices().items())]
-        m = sum(parts[1:], parts[0]) if parts else sp.csr_matrix((self.rows, self.cols))
+        m = sum(parts[1:], parts[0]) if parts else scipy.sparse.csr_matrix((self.rows, self.cols))
         m.eliminate_zeros()
         if not np.all(np.isfinite(m.data)):
             raise GraphFormatError("non-finite entry after evaluation")

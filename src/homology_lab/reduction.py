@@ -5,7 +5,8 @@ qubit supports.  The reduction builds the n-qubit graph, glues one padded
 gadget per term under a per-term prefix with no cross-gadget edges, and
 decides satisfiability at desk scale: the YES branch is exact homology, the
 NO branch a numeric smallest-eigenvalue certificate against the scheduled
-threshold.
+threshold.  SciPy is imported where a float solve runs (``_factor_gram``'s
+least squares and the eigensolves it calls), so ``reduce`` never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import lsqr
 
 from .complexes import CliqueComplex, clique_complex
 from .errors import GapAmbiguityError, GraphFormatError, ScheduleError
@@ -290,10 +290,12 @@ def _factor_gram(K: CliqueComplex, qubits: list[int]) -> np.ndarray | None:
     it does not, the Gram matrix comes from an eigenbasis of the factor's
     numeric kernel, and is None when that kernel is not cleanly separated.
     """
+    import scipy.sparse.linalg
+
     k = 2 * len(qubits) - 1
     B = basis_state_matrix(K, qubits)
     D = coboundary(K, k).evaluate(0.5)
-    solves = [lsqr(D.T, b, atol=1e-15, btol=1e-15) for b in B.T]
+    solves = [scipy.sparse.linalg.lsqr(D.T, b, atol=1e-15, btol=1e-15) for b in B.T]
     # istop 0: d^k b = 0 already, so y = 0 solves; 1 and 2: lsqr converged
     converged = all(out[1] in (0, 1, 2) for out in solves)
     R = B - D.T @ np.stack([out[0] for out in solves], axis=1)

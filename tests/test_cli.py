@@ -121,6 +121,12 @@ def test_betti_missing_file_fails_cleanly(capsys):
     assert "cannot read" in err
 
 
+def test_closed_stdin_fails_cleanly(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run(capsys, "betti", "-", "--k", "all")
+    assert (code, out, err) == (1, "", "usage error: cannot read -: stdin is closed\n")
+
+
 def test_spectrum_triangle(capsys, tmp_path):
     from homology_lab.graph import graph_to_json
 
@@ -277,6 +283,44 @@ def test_decide_golden_output_at_blas_threads(fixture_dir, name, threads):
     assert done.stdout == (GOLDEN / f"{name}.txt").read_text()
 
 
+# runs main on its argv (none: the import alone), then prints main's exit code
+# and whether any scipy module is loaded
+SCIPY_PROBE = """
+import contextlib, io, sys
+from homology_lab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, any(m.split(".")[0] == "scipy" for m in sys.modules))
+"""
+# argv -> whether the run needs a float solve, and so loads SciPy
+SCIPY_RUNS = {
+    "import": ((), False),
+    "betti": (("betti", "@hexagon", "--k", "all"), False),
+    "specseq-text": (("specseq", "@hexagon", "--k", "1"), False),
+    "specseq-csv": (("specseq", "@hexagon", "--k", "1", "--format", "csv"), False),
+    "reduce": (("reduce", "@h-2q-yes"), False),
+    "verify-gadget": (("verify-gadget", "Hclock1"), False),
+    "fixtures": (("fixtures", "--out", "@out"), False),
+    "decide": (("decide", "@h-1q-no"), True),
+    "spectrum-lambda": (("spectrum", "@hexagon", "--k", "1", "--lambda", "0.5"), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCIPY_RUNS))
+def test_exact_commands_do_not_import_scipy(fixture_dir, tmp_path, case):
+    """The exact commands load numpy only; SciPy comes with the first float
+    solve.  Each run is a fresh interpreter: this one has SciPy loaded."""
+    argv, loads = SCIPY_RUNS[case]
+    argv = [str(tmp_path) if a == "@out" else a for a in with_files(fixture_dir, argv)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", str(loads)]
+
+
 def test_reduce_and_decide(tmp_path, capsys):
     ham = tmp_path / "h.json"
     ham.write_text('{"n":1,"terms":[{"support":[0],"amps":{"0":1}}]}')
@@ -332,6 +376,45 @@ def test_malformed_input_is_format_error(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("command", ["betti", "decide"])
+def test_non_utf8_input_is_malformed_json(tmp_path, capsys, monkeypatch, command, source):
+    """A file and stdin with the same bytes end the same way."""
+    data = b"\xff\xfe"
+    if source == "file":
+        path = tmp_path / "in.json"
+        path.write_bytes(data)
+        arg = str(path)
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        arg = "-"
+    code, out, err = run(capsys, command, arg)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed JSON: not UTF-8 text")
+
+
+# each overflows the int64 weight levels: one exponent itself, the other an
+# edge's sum of two
+HUGE_EXPONENTS = {
+    "beyond-int64": '{"vertices": [{"id": "a", "w": 100000000000000000000000}]}',
+    "edge-level-wraps": '{"vertices": [{"id": "a", "w": 4611686018427387904}, '
+    '{"id": "b", "w": 4611686018427387904}], "edges": [["a", "b"]]}',
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [("betti",), ("spectrum", "--k", "0", "--lambda", "0.5"), ("specseq",)]
+)
+@pytest.mark.parametrize("case", sorted(HUGE_EXPONENTS))
+def test_exponent_above_the_bound_is_format_error(tmp_path, capsys, case, argv):
+    path = tmp_path / "g.json"
+    path.write_text(HUGE_EXPONENTS[case])
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: vertex 'a' has weight exponent ")
+    assert err.rstrip().endswith("above 2147483647")
 
 
 def test_verify_gadget_catalog_name(capsys):

@@ -3,8 +3,10 @@ import json
 import pytest
 from hypothesis import given, settings
 
+from homology_lab.complexes import clique_complex
 from homology_lab.errors import GraphFormatError
 from homology_lab.graph import (
+    MAX_EXPONENT,
     bowtie,
     graph_to_json,
     join,
@@ -47,6 +49,15 @@ def test_parse_rejects_unknown_vertex():
 def test_parse_rejects_bad_documents(text):
     with pytest.raises(GraphFormatError):
         parse_graph(text)
+
+
+def test_exponent_bound_keeps_levels_in_int64():
+    """The largest exponent is accepted and its edge's level is exact; one
+    more is rejected."""
+    g = make_graph({"a": MAX_EXPONENT, "b": MAX_EXPONENT}, [("a", "b")])
+    assert clique_complex(g, 1).levels[1].tolist() == [2 * MAX_EXPONENT]
+    with pytest.raises(GraphFormatError, match="above 2147483647"):
+        make_graph({"a": MAX_EXPONENT + 1})
 
 
 def test_roundtrip_is_canonical():

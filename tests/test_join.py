@@ -459,7 +459,7 @@ def test_failed_projection_falls_back_to_each_factors_eigenbasis(monkeypatch):
         calls.append((K.graph.n_vertices, k))
         return real(K, k, **kwargs)
 
-    monkeypatch.setattr(reduction, "lsqr", stop_code_7)
+    monkeypatch.setattr("scipy.sparse.linalg.lsqr", stop_code_7)
     monkeypatch.setattr(reduction, "harmonic_basis", counted)
     dec = decide(H)
     assert calls == [(33, 3), (7, 1)]
@@ -474,7 +474,7 @@ def test_gap_ambiguity_in_one_factor_leaves_no_overlaps(monkeypatch):
             raise GapAmbiguityError("forced")
         return real(K, k, **kwargs)
 
-    monkeypatch.setattr(reduction, "lsqr", stop_code_7)
+    monkeypatch.setattr("scipy.sparse.linalg.lsqr", stop_code_7)
     monkeypatch.setattr(reduction, "harmonic_basis", ambiguous_bowtie)
     dec = decide(YES_CASES["3q-yes-padded"][0])
     assert (dec.answer, dec.betti) == ("YES", 6)

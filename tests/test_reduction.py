@@ -338,7 +338,7 @@ def test_overlaps_fall_back_to_the_eigenbasis_when_the_projection_fails(monkeypa
     def no_step(A, b, **_kwargs):
         return np.zeros(A.shape[1]), 1
 
-    monkeypatch.setattr(reduction_mod, "lsqr", no_step)
+    monkeypatch.setattr("scipy.sparse.linalg.lsqr", no_step)
     monkeypatch.setattr(reduction_mod, "harmonic_basis", counted)
     dec = decide(H)
     assert calls == [(3,)]
