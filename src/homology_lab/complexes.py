@@ -92,11 +92,13 @@ class CliqueComplex:
 
     @cached_property
     def by_dim(self) -> dict[int, tuple[Simplex, ...]]:
+        return {k: self._labels(k) for k in self.ids}
+
+    def _labels(self, k: int, rows=slice(None)) -> tuple[Simplex, ...]:
+        """The k-simplices at ``rows`` (index list; all by default) as label
+        tuples: an exact witness labels only the rows it returns."""
         vs = self.graph.vertices
-        return {
-            k: tuple(tuple(vs[i] for i in row) for row in a.tolist())
-            for k, a in self.ids.items()
-        }
+        return tuple(tuple(vs[i] for i in row) for row in self.ids[k][rows].tolist())
 
     # -- queries -------------------------------------------------------------
 
@@ -238,26 +240,6 @@ def sort_with_sign(vertices: Iterable[str]) -> tuple[Simplex, int]:
     return tuple(vs), sign
 
 
-def merge_sign(sigma: Simplex, tau: Simplex) -> tuple[Simplex, int]:
-    """Merge two ascending disjoint simplices; sign is the shuffle parity."""
-    out: list[str] = []
-    i = j = 0
-    inversions = 0
-    while i < len(sigma) and j < len(tau):
-        if sigma[i] < tau[j]:
-            out.append(sigma[i])
-            i += 1
-        elif sigma[i] > tau[j]:
-            out.append(tau[j])
-            j += 1
-            inversions += len(sigma) - i
-        else:
-            return tuple(out), 0
-    out.extend(sigma[i:])
-    out.extend(tau[j:])
-    return tuple(out), (-1) ** inversions
-
-
 def kunneth_embed(
     psi: Chain,
     phi: Chain,
@@ -279,7 +261,7 @@ def kunneth_embed(
         for tau, d in phi.items():
             if d == 0:
                 continue
-            merged, sign = merge_sign(sigma, tau)
+            merged, sign = sort_with_sign(sigma + tau)
             if sign == 0:
                 raise DimensionError(
                     f"factors share vertices: {sigma!r} and {tau!r}"

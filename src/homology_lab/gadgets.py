@@ -42,6 +42,10 @@ from .graph import BOWTIE_LOOPS, WeightedGraph, layer_vertex, make_graph, thicke
 from . import rational
 
 CENTER = "g.center"
+# Largest sum of |amplitude| of a gcd-reduced state.  A gadget holds one copy
+# of a basis cycle per unit of |amplitude|, so its build grows with the sum
+# ({"0": 512, "1": 1} already takes about 1 s and 200 MB to verify).
+MAX_AMPLITUDE_SUM = 512
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,11 @@ class IntegerState:
         if g > 1:
             object.__setattr__(
                 self, "amps", tuple((z, a // g) for z, a in self.amps)
+            )
+        total = sum(abs(a) for _z, a in self.amps)
+        if total > MAX_AMPLITUDE_SUM:
+            raise GraphFormatError(
+                f"amplitude sum {total} (gcd-reduced) is above {MAX_AMPLITUDE_SUM}"
             )
 
     @staticmethod
@@ -206,8 +215,7 @@ def fundamental_cycle(K: CliqueComplex) -> Chain:
         raise HomologyLabError(
             f"expected a 1-dimensional top cycle space, got {len(kernel)}"
         )
-    sims = K.simplices(top)
-    return {sims[i]: v for i, v in kernel[0].items()}
+    return dict(zip(K._labels(top, list(kernel[0])), kernel[0].values()))
 
 
 def push_chain(chain: Chain, relation: Relation) -> Chain:

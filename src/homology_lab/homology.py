@@ -330,5 +330,4 @@ def cycle_is_boundary(
     x = rational.solve(boundary_columns(coboundary(K, k), k), K.dim_size(k), b)
     if x is None:
         return False, None
-    sims = K.simplices(k + 1)
-    return True, {sims[j]: v for j, v in x.items()}
+    return True, dict(zip(K._labels(k + 1, list(x)), x.values()))

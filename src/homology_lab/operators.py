@@ -37,10 +37,10 @@ class MonomialMatrix:
 
     ``terms`` is a read-only int64 array of rows (row, col, coeff, exponent),
     sorted by (row, col, exponent), one row per monomial and no zero
-    coefficient.  The constructor takes such quadruples in any order, as
-    rows or flat, sums repeated monomials and drops the ones that cancel.
-    The exponent slices, derived on the first product or evaluation, and the
-    ``entries`` view are kept alongside.
+    coefficient.  The constructor takes terms already in that form;
+    ``_from_slices`` puts a sum of integer slices into it.  The exponent
+    slices, derived on first use, and the ``entries`` view are kept
+    alongside.
     """
 
     __slots__ = ("rows", "cols", "terms", "_slices", "_entries")
@@ -48,34 +48,15 @@ class MonomialMatrix:
     def __init__(self, rows: int, cols: int, terms=()):
         self.rows = rows
         self.cols = cols
-        t = np.array(terms, dtype=np.int64).reshape(-1, 4)
-        if len(t) > 1:
-            t = t[np.lexsort((t[:, 3], t[:, 1], t[:, 0]))]
-            first = np.ones(len(t), dtype=bool)
-            first[1:] = (t[1:, [0, 1, 3]] != t[:-1, [0, 1, 3]]).any(axis=1)
-            if not first.all():  # sum the repeats of a monomial into its first row
-                starts = np.flatnonzero(first)
-                sums = np.add.reduceat(t[:, 2], starts)
-                t = t[starts]
-                t[:, 2] = sums
-        t = t[t[:, 2] != 0]
-        t.flags.writeable = False
-        self.terms = t
+        self.terms = np.asarray(terms, dtype=np.int64).reshape(-1, 4)
+        self.terms.flags.writeable = False
         self._slices: dict[int, scipy.sparse.csr_matrix] | None = None
         self._entries: dict[tuple[int, int], Poly] | None = None
 
     @classmethod
-    def _from_sorted(cls, rows: int, cols: int, terms: np.ndarray) -> "MonomialMatrix":
-        """From (n, 4) int64 terms already in the stored form: sorted, with
-        no repeated monomial and no zero coefficient."""
-        out = cls(rows, cols)
-        terms.flags.writeable = False
-        out.terms = terms
-        return out
-
-    @classmethod
     def _from_slices(cls, rows: int, cols: int, pairs) -> "MonomialMatrix":
-        """The sum of lam**e M over (e, M) pairs of integer sparse matrices."""
+        """The sum of lam**e M over (e, M) pairs of integer CSR matrices, sorted
+        once into the stored form (SciPy's sums and products store no zero)."""
         summed: dict[int, scipy.sparse.csr_matrix] = {}
         for e, M in pairs:
             summed[e] = summed[e] + M if e in summed else M
@@ -83,7 +64,8 @@ class MonomialMatrix:
         for e, M in summed.items():
             r = np.repeat(np.arange(rows), np.diff(M.indptr))
             terms.append(np.column_stack([r, M.indices, M.data, np.full(M.nnz, e)]))
-        out = cls(rows, cols, np.concatenate(terms))
+        t = np.concatenate(terms)
+        out = cls(rows, cols, t[np.lexsort((t[:, 3], t[:, 1], t[:, 0]))])
         out._slices = dict(sorted(summed.items()))
         return out
 
@@ -111,28 +93,6 @@ class MonomialMatrix:
             for r, c, v, e in self.terms.tolist():
                 self._entries.setdefault((r, c), {})[e] = v
         return MappingProxyType(self._entries)
-
-    def transpose(self) -> "MonomialMatrix":
-        return MonomialMatrix(self.cols, self.rows, self.terms[:, [1, 0, 2, 3]])
-
-    def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        """Product as sparse integer products of slices, lam^a M_a lam^b N_b."""
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        return MonomialMatrix._from_slices(self.rows, other.cols, (
-            (a + b, A @ B)
-            for a, A in self._exponent_slices().items()
-            for b, B in other._exponent_slices().items()
-        ))
-
-    def __add__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in addition")
-        return MonomialMatrix._from_slices(self.rows, self.cols, [
-            *self._exponent_slices().items(), *other._exponent_slices().items()
-        ])
 
     def evaluate(self, lam: float) -> scipy.sparse.csr_matrix:
         """Numeric substitution sum_e lam**e M_e, ascending in e; lam in (0, 1].
@@ -198,7 +158,7 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
         terms[:, :, 1] = facet
         terms[:, :, 2] = (-1) ** np.arange(k + 1, -1, -1)
         terms[:, :, 3] = K.levels[k + 1][:, None] - K.levels[k][facet]
-    out = MonomialMatrix._from_sorted(rows, cols, terms.reshape(-1, 4))
+    out = MonomialMatrix(rows, cols, terms.reshape(-1, 4))
     K._coboundaries[k] = out
     return out
 
@@ -220,20 +180,36 @@ def boundary_columns(d: MonomialMatrix, k: int, rows=None, renumber=None) -> lis
     return [dict(zip(c, s)) for c, s in zip(cols.tolist(), signs.tolist())]
 
 
+def _gram_slices(d: MonomialMatrix, up: bool):
+    """(a + b, D_a^T D_b) over pairs of d's exponent slices when ``up``, else
+    (a + b, D_a D_b^T).  The (b, a) product, the transpose of the (a, b) one,
+    comes right after it, so every slice sum is exactly symmetric."""
+    S = list(d._exponent_slices().items())
+    T = {a: A.T.tocsr() for a, A in S}
+    for i, (a, A) in enumerate(S):
+        for b, B in S[i:]:
+            P = T[a] @ B if up else A @ T[b]
+            yield a + b, P
+            if b != a:
+                yield a + b, P.T.tocsr()
+
+
 def laplacian_down(K: CliqueComplex, k: int) -> MonomialMatrix:
     """d^{k-1} followed by its adjoint; needs the complex built to k only."""
     d = coboundary(K, k - 1)
-    return d @ d.transpose()
+    return MonomialMatrix._from_slices(d.rows, d.rows, _gram_slices(d, up=False))
 
 
 def laplacian_up(K: CliqueComplex, k: int) -> MonomialMatrix:
     """Adjoint of d^k followed by d^k; needs the complex built to k+1."""
     d = coboundary(K, k)
-    return d.transpose() @ d
+    return MonomialMatrix._from_slices(d.cols, d.cols, _gram_slices(d, up=True))
 
 
 def laplacian(K: CliqueComplex, k: int) -> MonomialMatrix:
-    return laplacian_down(K, k) + laplacian_up(K, k)
+    below, above = coboundary(K, k - 1), coboundary(K, k)
+    pairs = [*_gram_slices(below, up=False), *_gram_slices(above, up=True)]
+    return MonomialMatrix._from_slices(below.rows, below.rows, pairs)
 
 
 # -- entrywise formula and sparse access --------------------------------------

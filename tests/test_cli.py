@@ -364,6 +364,9 @@ MALFORMED_INPUTS = {
     "amplitude-float": ("decide", '{"n": 1, "terms": [{"support": [0], "amps": {"0": 1.5}}]}'),
     "amplitude-string": ("decide", '{"n": 1, "terms": [{"support": [0], "amps": {"0": "3"}}]}'),
     "amplitude-bool": ("decide", '{"n": 1, "terms": [{"support": [0], "amps": {"0": true}}]}'),
+    "amplitude-sum-too-large": (
+        "decide", '{"n": 1, "terms": [{"support": [0], "amps": {"0": 100000000000000000000000, "1": 1}}]}'
+    ),
 }
 
 
@@ -441,6 +444,7 @@ REJECTED_ARGS = {
     "inline-amplitude-float": (("verify-gadget", '{"0": 1.5}'), 2),
     "inline-amplitude-string": (("verify-gadget", '{"0": "3"}'), 2),
     "inline-amplitude-bool": (("verify-gadget", '{"0": true}'), 2),
+    "inline-amplitude-sum-too-large": (("verify-gadget", '{"0": 100000000000000000000000, "1": 1}'), 2),
     "inline-state-nested-too-deeply": (("verify-gadget", "[" * 3000), 1),
     # spectrum and specseq build the depth they read; m is the bitstring length
     "spectrum-max-dim": (("spectrum", "@hexagon", "--k", "1", "--grid", "default", "--max-dim", "2"), 1),

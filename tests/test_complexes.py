@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homology_lab import reduction
+from homology_lab import gadgets, reduction
 from homology_lab.complexes import (
     clique_complex,
     kunneth_embed,
-    merge_sign,
     sort_with_sign,
 )
 from homology_lab.errors import CapExceededError
-from homology_lab.gadgets import basis_chain
+from homology_lab.gadgets import IntegerState, basis_chain
 from homology_lab.graph import (
     bowtie,
     join,
@@ -24,7 +23,7 @@ from homology_lab.graph import (
     relabel,
     unweighted,
 )
-from homology_lab.homology import betti_table, is_cycle
+from homology_lab.homology import betti_table, cycle_is_boundary, is_cycle
 from homology_lab.operators import boundary_columns, coboundary
 from homology_lab.specseq import filtration, page_dims
 
@@ -112,10 +111,10 @@ def test_canonical_order_is_label_order(g, rng):
             assert sort_with_sign(shuffled) == (s, inversion_parity(shuffled))
             left = tuple(v for v in s if rng.random() < 0.5)
             right = tuple(v for v in s if v not in left)
-            assert merge_sign(left, right) == (s, inversion_parity(left + right))
+            assert sort_with_sign(left + right) == (s, inversion_parity(left + right))
             if s:  # a repeated vertex collapses the simplex
                 assert sort_with_sign(shuffled + [s[0]])[1] == 0
-                assert merge_sign(s, s[:1])[1] == 0
+                assert sort_with_sign(s + s[:1])[1] == 0
 
 
 def test_deterministic_enumeration():
@@ -274,7 +273,8 @@ def test_locate_finds_exactly_the_simplices(g, data):
 
 
 def test_labels_stay_at_the_io_edge(monkeypatch):
-    """Ranks, filtration pages and decide read the integer rows only: the
+    """Ranks, filtration pages, decide and gadget builds read the integer
+    rows only, and an exact witness labels only the rows it returns: the
     lazy label view of every complex involved stays unbuilt."""
 
     def labels_built(K):
@@ -297,6 +297,19 @@ def test_labels_stay_at_the_io_edge(monkeypatch):
     dec = reduction.decide(reduction.parse_hamiltonian(f'{{"n":2,"terms":[{four}]}}'), c=0.5)
     assert dec.answer == "NO" and built_by_decide
     assert [labels_built(factor) for factor in built_by_decide] == [set()] * len(built_by_decide)
+    built_by_gadget = []
+
+    def recording_gadget(*args, **kwargs):
+        built_by_gadget.append(clique_complex(*args, **kwargs))
+        return built_by_gadget[-1]
+
+    monkeypatch.setattr(gadgets, "clique_complex", recording_gadget)
+    gadgets.gadget(IntegerState.from_dict(1, {"0": 1, "1": -1}))  # a fundamental cycle
+    assert built_by_gadget
+    assert [labels_built(G) for G in built_by_gadget] == [set()] * len(built_by_gadget)
+    T = clique_complex(complete_graph(["a", "b", "c"]), 2)
+    filled, witness = cycle_is_boundary(T, {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): -1})
+    assert filled and witness == {("a", "b", "c"): 1} and labels_built(T) == set()
     K.simplices(1)  # a label read builds the view, so the check above can fail
     assert labels_built(K) == {"by_dim"}
 

@@ -15,6 +15,7 @@ from homology_lab.errors import (
 from homology_lab.fixtures import cycle_graph, gadget_graph, hexagon
 from homology_lab.gadgets import (
     CENTER,
+    MAX_AMPLITUDE_SUM,
     IntegerState,
     apply_f,
     basis_cycle,
@@ -57,6 +58,15 @@ def test_state_validation():
 def test_state_gcd_reduction():
     st = IntegerState.from_dict(1, {"0": 2, "1": -4})
     assert dict(st.amps) == {"0": 1, "1": -2}
+
+
+def test_amplitude_sum_is_bounded_after_gcd_reduction():
+    IntegerState.from_dict(1, {"0": MAX_AMPLITUDE_SUM - 1, "1": -1})
+    big = 10**23
+    assert dict(IntegerState.from_dict(1, {"0": big, "1": -big}).amps) == {"0": 1, "1": -1}
+    for amps in ({"0": MAX_AMPLITUDE_SUM, "1": 1}, {"0": big, "1": 1}):
+        with pytest.raises(GraphFormatError, match="amplitude sum"):
+            IntegerState.from_dict(1, amps)
 
 
 def test_catalog_contents():

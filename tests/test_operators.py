@@ -62,12 +62,40 @@ def test_bowtie_top_coboundary_is_zero_map():
 @settings(max_examples=20, deadline=None)
 @given(graphs(max_vertices=7, wmax=1))
 def test_chain_complex_law(g):
+    """d^{k+1} d^k = 0 and its transpose, the boundary square, = 0.
+
+    Every term of entry (rho, sigma) of d^{k+1} d^k carries the exponent
+    level(rho) - level(sigma), so the entry is c * lam**e with one integer c,
+    and its value at lam = 1, an exact sum of +-1 products, is c.
+    """
     K = clique_complex(g, min(g.n_vertices, 5))
     for k in range(-1, K.max_dim - 1):
-        dd = coboundary(K, k + 1) @ coboundary(K, k)
-        assert len(dd.terms) == 0
-        bb = coboundary(K, k).transpose() @ coboundary(K, k + 1).transpose()
-        assert len(bb.terms) == 0
+        d0, d1 = coboundary(K, k).evaluate(1.0), coboundary(K, k + 1).evaluate(1.0)
+        assert (d1 @ d0).count_nonzero() == 0
+        assert (d0.T @ d1.T).count_nonzero() == 0
+
+
+def assert_stored_form(M):
+    """int64 (n, 4) read-only terms in bounds, strictly ascending in
+    (row, col, exponent) (so no monomial repeats), and no zero coefficient."""
+    t = M.terms
+    assert t.dtype == np.int64 and t.shape == (len(t), 4) and not t.flags.writeable
+    keys = [(r, c, e) for r, c, _v, e in t.tolist()]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert (t[:, 2] != 0).all()
+    assert ((0 <= t[:, 0]) & (t[:, 0] < M.rows) & (0 <= t[:, 1]) & (t[:, 1] < M.cols)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_vertices=7, wmax=3))
+def test_operators_are_built_in_stored_form(g):
+    """The constructor trusts its terms, so every builder must hand them over
+    sorted, unique and nonzero."""
+    K = clique_complex(g, g.n_vertices - 1)
+    for k in range(-2, K.max_dim + 1):
+        assert_stored_form(coboundary(K, k))
+        for part in (laplacian, laplacian_up, laplacian_down):
+            assert_stored_form(part(K, k))
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,8 +116,9 @@ def test_levels_and_coboundary_exponents_are_vertex_exponent_sums(g):
 def test_boundary_of_vertex_is_weighted_empty_simplex():
     g = make_graph({"a": 1, "b": 0}, [])
     K = built(g, 1)
-    b = coboundary(K, -1).transpose()
-    assert b.entries.get((0, positions(K, [("a",)])[0]), {}) == {1: 1}
+    b = coboundary(K, -1).evaluate(0.5).T
+    assert b[0, positions(K, [("a",)])[0]] == 0.5  # lam^1 on the weighted vertex
+    assert b[0, positions(K, [("b",)])[0]] == 1.0
 
 
 def test_boundary_of_bowtie_loop_is_zero():
@@ -118,13 +147,19 @@ def test_square_laplacian_has_zero_mode():
 
 
 def test_parts_sum_and_psd():
+    """laplacian's terms are the monomial sums of the down and up terms."""
     K = built(qubit_graph(1), 2)
-    down, up = laplacian_down(K, 1), laplacian_up(K, 1)
-    total = laplacian(K, 1)
-    assert (down + up).entries == total.entries
-    for part in (down, up):
-        vals = np.linalg.eigvalsh(part.evaluate_dense(0.7))
-        assert vals.min() > -1e-10
+    for k in (0, 1):
+        down, up = laplacian_down(K, k), laplacian_up(K, k)
+        summed = Counter()
+        for part in (down, up):
+            for r, c, v, e in part.terms.tolist():
+                summed[r, c, e] += v
+        total = {(r, c, e): v for r, c, v, e in laplacian(K, k).terms.tolist()}
+        assert total == {key: v for key, v in summed.items() if v}
+        for part in (down, up):
+            vals = np.linalg.eigvalsh(part.evaluate_dense(0.7))
+            assert vals.min() > -1e-10
 
 
 def test_every_assembled_laplacian_is_exactly_symmetric():
@@ -166,7 +201,7 @@ def test_energy_formula():
             lam = 0.4
             psi = rng.standard_normal(n)
             L = laplacian(K, k).evaluate_dense(lam)
-            b = coboundary(K, k - 1).transpose().evaluate(lam)
+            b = coboundary(K, k - 1).evaluate(lam).T
             d = coboundary(K, k).evaluate(lam)
             lhs = psi @ L @ psi
             rhs = np.linalg.norm(b @ psi) ** 2 + np.linalg.norm(d @ psi) ** 2
@@ -285,17 +320,14 @@ def test_lower_adjacent_not_upper_entry():
 
 
 def test_evaluate_identity_and_arithmetic():
-    m = MonomialMatrix(1, 1, [(0, 0, 3, 2), (0, 0, -1, 0)])
+    m = MonomialMatrix(1, 1, [(0, 0, -1, 0), (0, 0, 3, 2)])
     assert m.entries.get((0, 0), {}) == {2: 3, 0: -1}
     assert m.evaluate(1.0)[0, 0] == 2.0
     assert m.evaluate(0.5)[0, 0] == -0.25
     assert m.int_rows_at_one() == {0: {0: 2}}
-    m = MonomialMatrix(1, 1, [(0, 0, 3, 2), (0, 0, -1, 0), (0, 0, 1, 0)])
-    assert m.entries.get((0, 0), {}) == {2: 3}
-    assert MonomialMatrix(1, 1, [(0, 0, 1, 2), (0, 0, -1, 0)]).int_rows_at_one() == {}
-    m2 = MonomialMatrix(2, 2, [(1, 0, 3, 0), (0, 1, -1, 1)])
-    assert (m2.rows, m2.cols) == (2, 2)
-    assert m2.terms.tolist() == [[0, 1, -1, 1], [1, 0, 3, 0]]  # sorted by (row, col, exponent)
+    assert MonomialMatrix(1, 1, [(0, 0, -1, 0), (0, 0, 1, 2)]).int_rows_at_one() == {}
+    m2 = MonomialMatrix(2, 2, [(0, 1, -1, 1), (1, 0, 3, 0)])
+    assert (m2.rows, m2.cols) == (2, 2) and not m2.terms.flags.writeable
     with pytest.raises(GraphFormatError):
         m.evaluate(0.0)
     with pytest.raises(GraphFormatError):

@@ -7,6 +7,7 @@ are cut in half or nested deeper than the interpreter's recursion limit.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,3 +96,15 @@ def test_parse_graph_returns_or_raises_format_error(text):
 @given(texts(hamiltonian_docs()))
 def test_parse_hamiltonian_returns_or_raises_format_error(text):
     parses_or_format_error(parse_hamiltonian, text, Hamiltonian)
+
+
+def test_parse_hamiltonian_bounds_the_amplitude_sum():
+    """A state's gadget grows with its amplitude sum, so a large one is a
+    format error at parse time, before any gadget is built."""
+    def one_term(a):
+        return '{"n": 1, "terms": [{"support": [0], "amps": {"0": %d, "1": 1}}]}' % a
+
+    assert isinstance(parse_hamiltonian(one_term(511)), Hamiltonian)  # a sum of 512
+    for a in (512, 10**23):
+        with pytest.raises(GraphFormatError, match="amplitude sum"):
+            parse_hamiltonian(one_term(a))

@@ -198,7 +198,7 @@ def test_padded_gadget_low_spectrum_structure():
     slope = np.log(first[0.2] / first[0.1]) / np.log(0.2 / 0.1)
     assert abs(slope - 6.0) <= 0.5
     # the lifted states are cycles: the boundary annihilates them
-    B = coboundary(K, res.k - 1).transpose().evaluate(0.1)
+    B = coboundary(K, res.k - 1).evaluate(0.1).T
     assert np.linalg.norm(B @ vecs[0.1]) <= 1e-6
 
 

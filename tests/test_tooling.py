@@ -1,7 +1,7 @@
 """Checks on the sources and docs themselves: the README's library tour runs,
 its CLI block names every option, no module of the library, tests/ or scripts/
-imports a name it never uses, and every public library name has a reader
-outside the tests."""
+imports a name it never uses, every public library name has a reader
+outside the tests, and every private helper has a reader in the library."""
 
 import argparse
 import ast
@@ -168,3 +168,30 @@ def test_every_public_name_has_a_reader_outside_the_tests():
         if name.rpartition(".")[2] not in read
     }
     assert sorted(unread) == sorted(READ_ONLY_BY_TESTS), unread
+
+
+def private_definitions(source: str) -> set[str]:
+    """Names of the ``_``-prefixed, non-dunder functions, methods and classes
+    a file defines, at any depth."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def test_dead_private_check_sees_an_unread_helper():
+    source = "class C:\n    def _a(self):\n        return self._b()\n    def _b(self):\n        return 1\n"
+    assert private_definitions(source) - names_read(source) == {"_a"}
+    assert private_definitions("class C:\n    def __init__(self):\n        pass\n") == set()
+
+
+def test_every_private_helper_is_read_in_the_library():
+    """Every private function, method and class in src/ is read somewhere in
+    src/ besides its own definition; one that is not is dead code."""
+    sources = [path.read_text() for path in PACKAGE.glob("*.py")]
+    read = set().union(*map(names_read, sources))
+    defined = set().union(*map(private_definitions, sources))
+    assert defined and sorted(defined - read) == []
