@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Run the gadget verification suite over the projector catalog.
 
-States on one or two qubits and 3-qubit basis states are built and
-checked (sphere triangulation, orientation alignment, 2-determined quotient,
-glued Betti pattern, Witten index).  Larger states are listed and skipped:
-4-qubit basis states for run time (``homology-lab verify-gadget Hclock4``
-checks one in about 3 s on a 2-CPU machine), superpositions on three or more
-qubits because their gadgets are an extension point.
+States on one or two qubits and basis states on any number of qubits are
+built and checked (sphere triangulation, orientation alignment, 2-determined
+quotient, glued Betti pattern, Witten index).  Superpositions on three or
+more qubits are listed and skipped: their gadgets are an extension point.
+Each 4-qubit basis state takes about 0.25 s on a 2-CPU machine (best of
+three, Python 3.11): Hclock3456 0.09 s to build and 0.19 s for
+``betti_table``, Hclock4 0.08 s and 0.17 s, Hclock5 0.07 s and 0.15 s.
 """
 
 import time
@@ -19,10 +20,8 @@ from homology_lab.homology import betti_table, euler_characteristic
 
 def main() -> None:
     for name, state in catalog().items():
-        basis = len(state.amps) == 1
-        if state.m > (3 if basis else 2):
-            why = "run time" if basis else "extension point"
-            print(f"{name:12} {state.label():>28}: m={state.m} (skipped: {why})")
+        if len(state.amps) > 1 and state.m > 2:
+            print(f"{name:12} {state.label():>28}: m={state.m} (skipped: extension point)")
             continue
         t0 = time.perf_counter()
         bp = gadget(state)

@@ -85,7 +85,7 @@ class CliqueComplex:
                 cand = cand[parent]
                 cand &= up[last]
         self._facets: dict[int, np.ndarray] = {}
-        self._pivots: dict[int, set[int]] = {}  # degree -> pivots of d^k's reduction
+        self._pivots: dict[int, set[int]] = {}  # k -> the pivot rows of d^k's reduction
         self._coboundaries: dict = {}
 
     # -- the label view, derived on first read ---------------------------------

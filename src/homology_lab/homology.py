@@ -28,7 +28,7 @@ from .errors import (
     HomologyLabError,
     NotACycleError,
 )
-from .operators import boundary_columns, coboundary, laplacian
+from .operators import boundary_columns, coboundary, coboundary_columns, laplacian
 
 DENSE_EIG_CAP = 4000
 # harmonic_basis's kernel tolerance, relative to the Laplacian's max row sum
@@ -46,7 +46,8 @@ def eigensolve(L, count: int | None = None, vectors: bool = False, sigma: float 
     densely; a count of smallest eigenpairs switches to shift-invert Lanczos
     about ``sigma`` (from a fixed start vector) above DENSE_EIG_CAP, and below
     it the dense solve still returns the whole spectrum.  A dense solve runs
-    once per connected block of the matrix (``_dense_by_block``).  With
+    once per connected block of the matrix (``_dense_by_block``), in place
+    in the block's one n x n buffer.  With
     ``vectors`` the result is ``(values, vectors)`` with eigenvectors as
     columns.  An eigenvalue below -1e-9 means the matrix is not positive
     semidefinite and raises.
@@ -58,7 +59,11 @@ def eigensolve(L, count: int | None = None, vectors: bool = False, sigma: float 
     if count is None or n <= DENSE_EIG_CAP:
 
         def solve(A):
-            return scipy.linalg.eigh(A) if vectors else (scipy.linalg.eigvalsh(A), None)
+            # A is exactly symmetric, so A.T is A in Fortran order: LAPACK
+            # solves it in place instead of in a second n x n copy
+            if vectors:
+                return scipy.linalg.eigh(A.T, overwrite_a=True)
+            return scipy.linalg.eigvalsh(A.T, overwrite_a=True), None
 
         vals, vecs = _dense_by_block(L, solve, vectors)
     else:
@@ -129,19 +134,25 @@ def _dense_by_block(S, solve, vectors: bool):
 def coboundary_rank(K: CliqueComplex, k: int) -> int:
     """Exact rank of d^k over Q (at lam := 1).
 
-    The complex memoizes the pivots of each degree's reduction; the rank is
-    their count.  When d^{k+1}'s pivots are known, d^k's rows at those
-    (k+1)-simplices are cleared (``rational``): ``rank_int`` orders the
-    (k+1)-simplices by descending index in both reductions.  Callers that
-    want several degrees ask for them top-down.
+    The columns of d^k, one per k-simplex, are reduced in descending index
+    with pivot ``min`` (``rational``: the cohomology direction).  The
+    complex memoizes the pivots of each degree's reduction; the rank is
+    their count.  The degrees below k are ranked first, bottom-up, and the
+    columns of d^k at the k-simplices that d^{k-1} took as pivots are
+    cleared, as both reductions order the k-simplices by descending index.
+    So each degree is reduced once per complex, whatever order callers ask
+    in; the low degrees are small, and without clearing the first degree
+    asked for would be reduced whole.
     """
     if k not in K._pivots:
         if K.dim_size(k) == 0:
             K._pivots[k] = set()
         else:
-            kept = np.ones(K.dim_size(k + 1), dtype=bool)
-            kept[list(K._pivots.get(k + 1, ()))] = False
-            _, K._pivots[k] = rational.rank_int(boundary_columns(coboundary(K, k), k, kept))
+            coboundary_rank(K, k - 1)
+            kept = np.ones(K.dim_size(k), dtype=bool)
+            kept[list(K._pivots.get(k - 1, ()))] = False
+            cols = coboundary_columns(coboundary(K, k), np.flatnonzero(kept)[::-1])
+            _, K._pivots[k] = rational.rank_int(cols)
     return len(K._pivots[k])
 
 
@@ -190,14 +201,13 @@ def join_betti(Ks: Sequence[CliqueComplex], k: int) -> int:
 
     Kunneth: beta_k is the sum over ``join_splits`` of the products of the
     factors' reduced Betti numbers, integer arithmetic on exact ranks.  Each
-    (factor, degree) is asked once, a factor's degrees top-down so that its
-    ranks clear each other, and each factor is complete or built to k + 1.
-    One factor asks ``betti`` once.
+    (factor, degree) is asked once, a factor's degrees bottom-up, as
+    ``coboundary_rank`` reduces them with clearing; each factor is complete
+    or built to k + 1.  One factor asks ``betti`` once.
     """
     splits = join_splits(Ks, k)
-    asked = {(j, i) for s in splits for j, i in enumerate(s)}
-    top_down = sorted(asked, key=lambda ji: (ji[0], -ji[1]))
-    factor_betti = {(j, i): betti(Ks[j], i) for j, i in top_down}
+    asked = sorted({(j, i) for s in splits for j, i in enumerate(s)})
+    factor_betti = {(j, i): betti(Ks[j], i) for j, i in asked}
     return sum(prod(factor_betti[j, i] for j, i in enumerate(s)) for s in splits)
 
 
@@ -216,10 +226,11 @@ class BettiTable:
 def betti_table(K: CliqueComplex, reduced: bool = True) -> BettiTable:
     """Betti numbers in every dimension the complex is built to support.
 
-    The ranks are taken top-down, so each degree's pivots clear the next.
+    The ranks are taken bottom-up, in the cohomology direction, so each
+    degree's pivots clear the next (``coboundary_rank``).
     """
     ks = tuple(range(-1 if reduced else 0, K.max_dim))
-    ranks = {k: coboundary_rank(K, k) for k in reversed(ks)}
+    ranks = {k: coboundary_rank(K, k) for k in ks}
     return BettiTable(
         ks,
         tuple(K.dim_size(k) for k in ks),

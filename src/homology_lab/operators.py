@@ -23,7 +23,8 @@ if TYPE_CHECKING:  # annotations only: SciPy is imported where a float matrix is
     import scipy.sparse
 
 from .complexes import CliqueComplex, Simplex
-from .errors import DimensionError, GraphFormatError
+from .errors import DimensionError, GraphFormatError, HomologyLabError
+from .rational import Columns
 
 Poly = dict[int, int]
 
@@ -36,11 +37,12 @@ class MonomialMatrix:
     """Sparse matrix of lambda-polynomials with integer coefficients.
 
     ``terms`` is a read-only int64 array of rows (row, col, coeff, exponent),
-    sorted by (row, col, exponent), one row per monomial and no zero
-    coefficient.  The constructor takes terms already in that form;
-    ``_from_slices`` puts a sum of integer slices into it.  The exponent
-    slices, derived on first use, and the ``entries`` view are kept
-    alongside.
+    strictly increasing in (row, col, exponent), one row per monomial and no
+    zero coefficient.  The constructor takes terms already in that form and
+    raises HomologyLabError on terms that are not, or that lie outside the
+    shape; ``_from_slices`` puts a sum of integer slices into it.  The
+    exponent slices, derived on first use, and the ``entries`` view are
+    kept alongside.
     """
 
     __slots__ = ("rows", "cols", "terms", "_slices", "_entries")
@@ -50,8 +52,22 @@ class MonomialMatrix:
         self.cols = cols
         self.terms = np.asarray(terms, dtype=np.int64).reshape(-1, 4)
         self.terms.flags.writeable = False
+        if len(self.terms):
+            self._check_form()
         self._slices: dict[int, scipy.sparse.csr_matrix] | None = None
         self._entries: dict[tuple[int, int], Poly] | None = None
+
+    def _check_form(self) -> None:
+        r, c, v, e = self.terms.T
+        # (row, col) as one cell number, which the shape keeps well inside int64
+        cell = r * self.cols + c
+        step = cell[1:] - cell[:-1]
+        if not ((step > 0) | ((step == 0) & (e[1:] > e[:-1]))).all():
+            raise HomologyLabError("terms are not strictly increasing in (row, col, exponent)")
+        if r[0] < 0 or r[-1] >= self.rows or c.min() < 0 or c.max() >= self.cols:
+            raise HomologyLabError(f"a term lies outside the {self.rows}x{self.cols} shape")
+        if not v.all():
+            raise HomologyLabError("a term has a zero coefficient")
 
     @classmethod
     def _from_slices(cls, rows: int, cols: int, pairs) -> "MonomialMatrix":
@@ -163,21 +179,39 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
     return out
 
 
-def boundary_columns(d: MonomialMatrix, k: int, rows=None, renumber=None) -> list[dict[int, int]]:
+def boundary_columns(d: MonomialMatrix, k: int, rows=None) -> list[dict[int, int]]:
     """The rows of d = d^k at lam := 1 as sparse integer columns {col: sign}.
 
-    They are the columns of the boundary map, as ``rational`` reduces them.
-    Every row of d^k holds k + 2 single monomials, so its sorted terms
-    reshape to (dim C^{k+1}, k + 2) arrays of columns and signs.  ``rows``
-    (an index array or a boolean mask) picks and orders the rows, and
-    ``renumber`` (an array indexed by column) maps the column numbers.
+    They are the columns of the boundary map, which the exact witnesses
+    (``rational.nullspace``, ``rational.solve``) reduce.  Every row of d^k
+    holds k + 2 single monomials, so its sorted terms reshape to
+    (dim C^{k+1}, k + 2) arrays of columns and signs.  ``rows`` (an index
+    array or a boolean mask) picks and orders the rows.
     """
     cols, signs = d.terms[:, 1].reshape(-1, k + 2), d.terms[:, 2].reshape(-1, k + 2)
     if rows is not None:
         cols, signs = cols[rows], signs[rows]
-    if renumber is not None:
-        cols = renumber[cols]
     return [dict(zip(c, s)) for c, s in zip(cols.tolist(), signs.tolist())]
+
+
+def coboundary_columns(d: MonomialMatrix, cols: np.ndarray, renumber=None) -> Columns:
+    """The columns of d = d^k at lam := 1 at the indices ``cols``, in that
+    order, as ``rational`` reduces them.
+
+    One stable sort of the picked terms by their column's place in ``cols``
+    lays the columns out one after another, each with its rows ascending;
+    every entry is a single monomial, so its coefficient is its value.
+    ``renumber`` (an array indexed by row) maps the row numbers.
+    """
+    place = np.full(d.cols, len(cols))
+    place[cols] = np.arange(len(cols))
+    key = place[d.terms[:, 1]]
+    at = np.flatnonzero(key < len(cols))
+    at = at[np.argsort(key[at], kind="stable")]
+    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key[at], minlength=len(cols)), out=indptr[1:])
+    rows = d.terms[at, 0]
+    return Columns(indptr, rows if renumber is None else renumber[rows], d.terms[at, 2])
 
 
 def _gram_slices(d: MonomialMatrix, up: bool):

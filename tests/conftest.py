@@ -12,6 +12,7 @@ settings.load_profile("repeatable")
 
 from homology_lab.complexes import CliqueComplex
 from homology_lab.graph import WeightedGraph, make_graph, unweighted
+from homology_lab.operators import coboundary
 
 # -- shared complex cache ------------------------------------------------------
 
@@ -34,6 +35,24 @@ def positions(K: CliqueComplex, simplices) -> list[int]:
 
 
 # -- independent exact rank ----------------------------------------------------
+
+
+def assert_builds_only_what_it_reads(cols, built) -> None:
+    """``reduce_columns``'s dicts against the plain loop on the same dict
+    columns: it builds one for each column that had another added to it
+    and each column so added, all columns the loop visits (not apparent:
+    an earlier column holds their pivot row) or apparent ones they hit."""
+    additions, seen, apparent = [], set(), set()
+    want = reference_reduce(cols, additions)
+    for j, col in enumerate(cols):
+        rows = {r for r, v in col.items() if v}
+        if rows and min(rows) not in seen:
+            apparent.add(j)
+        seen |= rows
+    added_to, added = {j for j, _ in additions}, {i for _, i in additions}
+    assert set(built) == added_to | added
+    assert added_to.isdisjoint(apparent)
+    assert all(built[j] == want[j] for j in built)
 
 
 def dense_rank(rows) -> int:
@@ -60,6 +79,64 @@ def dense_rank(rows) -> int:
                 m[i] = [x // g for x in row] if g > 1 else row
         rank += 1
     return rank
+
+
+# -- homology-direction reference reduction -------------------------------------
+
+
+def reference_reduce(cols, additions=None) -> list[dict]:
+    """Each dict column {row: value} reduced against the earlier ones, in
+    order, by a plain loop with no shortcut: the reduction as it stood
+    before apparent and emergent columns skipped the loop.
+
+    A reduced column is {} or has a pivot ``min`` no earlier column has.
+    When ``additions`` is a list, each (j, i) with column i's reduced form
+    added to column j is appended to it.
+    """
+    def primitive(col):
+        g = gcd(*col.values()) if col else 1
+        return {r: x // g for r, x in col.items()}
+
+    owner, out = {}, []
+    for j, col in enumerate(cols):
+        cur = primitive({r: v for r, v in col.items() if v})
+        while cur:
+            low = min(cur)
+            if low not in owner:
+                owner[low] = j
+                break
+            i = owner[low]
+            if additions is not None:
+                additions.append((j, i))
+            other = out[i]
+            g = gcd(other[low], cur[low])
+            p, v = other[low] // g, cur[low] // g
+            new = {r: p * x for r, x in cur.items()}
+            for r, y in other.items():
+                new[r] = new.get(r, 0) - v * y
+            cur = primitive({r: x for r, x in new.items() if x})
+        out.append(cur)
+    return out
+
+
+def boundary_side_rank(K, k) -> int:
+    """Rank of d^k in the homology direction, uncleared: its rows reduced as
+    the columns of the boundary map, last row first."""
+    rows = list(coboundary(K, k).int_rows_at_one().values())
+    return sum(1 for col in reference_reduce(rows[::-1]) if col)
+
+
+def boundary_side_pairs(K, k) -> set[tuple[int, int]]:
+    """Persistence pairs of d^k in the homology direction, uncleared: its
+    rows as boundary columns in ascending (level, index), each column's
+    pivot its face highest in (level, index)."""
+    lo, hi = K.levels[k].tolist(), K.levels[k + 1].tolist()
+    rows = coboundary(K, k).int_rows_at_one()
+    face_at = sorted(range(len(lo)), key=lambda c: (lo[c], c), reverse=True)
+    number = {c: i for i, c in enumerate(face_at)}
+    order = sorted(rows, key=lambda r: (hi[r], r))
+    reduced = reference_reduce({number[c]: v for c, v in rows[r].items()} for r in order)
+    return {(face_at[min(col)], r) for r, col in zip(order, reduced) if col}
 
 
 # -- random graph generation ---------------------------------------------------

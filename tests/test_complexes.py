@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from homology_lab.graph import (
     unweighted,
 )
 from homology_lab.homology import betti_table, cycle_is_boundary, is_cycle
-from homology_lab.operators import boundary_columns, coboundary
+from homology_lab.operators import boundary_columns, coboundary, coboundary_columns
 from homology_lab.specseq import filtration, page_dims
 
 from conftest import built, complete_graph, graphs
@@ -256,6 +257,12 @@ def test_integer_enumeration_and_assembly_match_the_label_reference(g, data):
         for i, j, coeff, _e in terms:
             rows[i][j] = coeff
         assert boundary_columns(d, k) == rows
+        cols = [{} for _ in by_dim[k]]
+        for i, j, coeff, _e in terms:
+            cols[j][i] = coeff
+        down = np.arange(len(cols))[::-1]
+        got = coboundary_columns(d, down)
+        assert [got[j] for j in range(len(got))] == cols[::-1]
 
 
 @settings(max_examples=60, deadline=None)

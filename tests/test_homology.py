@@ -25,13 +25,24 @@ from homology_lab.homology import (
     betti_table,
     coboundary_rank,
     cycle_is_boundary,
+    eigensolve,
     euler_characteristic,
     harmonic_basis,
     is_cycle,
 )
 from homology_lab.operators import coboundary
 
-from conftest import built, complete_graph, dense_rank, graphs, positions, seeded_graphs
+from conftest import (
+    assert_builds_only_what_it_reads,
+    boundary_side_pairs,
+    boundary_side_rank,
+    built,
+    complete_graph,
+    dense_rank,
+    graphs,
+    positions,
+    seeded_graphs,
+)
 
 K3 = complete_graph(["a", "b", "c"])
 
@@ -72,16 +83,21 @@ def test_exact_ranks_match_float_oracle():
             assert betti(K, k) == float_rank_betti(K, k)
 
 
-def test_coboundary_rank_reduces_the_rows_last_first(monkeypatch):
-    """The rows of d^k go to the reduction as boundary columns, untransposed."""
+def _dict_columns(cols):
+    return [cols[j] for j in range(len(cols))]
+
+
+def test_coboundary_rank_reduces_the_columns_last_first(monkeypatch):
+    """Ranking d^k ranks the degrees below it first, bottom-up, and the
+    columns of d^k go to the reduction in descending index, less those that
+    d^{k-1}'s pivots cleared."""
     import homology_lab.rational as rational
 
     seen = []
     real = rational.reduce_columns
 
     def spy(cols):
-        cols = list(cols)
-        seen.append(cols)
+        seen.append(_dict_columns(cols))
         return real(cols)
 
     monkeypatch.setattr(rational, "reduce_columns", spy)
@@ -90,9 +106,15 @@ def test_coboundary_rank_reduces_the_rows_last_first(monkeypatch):
         K = clique_complex(g, 3)  # a fresh complex: no cached rank
         seen.clear()
         rank = coboundary_rank(K, k)
-        rows = list(coboundary(K, k).int_rows_at_one().values())
-        assert seen == [rows[::-1]]
-        assert rank == dense_rank(rows) > 0
+        rows = coboundary(K, k).int_rows_at_one()
+        cols = [{} for _ in range(K.dim_size(k))]
+        for r, row in rows.items():
+            for c, v in row.items():
+                cols[c][r] = v
+        cleared = K._pivots.get(k - 1, set())
+        assert len(seen) == k + 2 and len(cleared) == coboundary_rank(K, k - 1)
+        assert seen[-1] == [cols[c] for c in reversed(range(len(cols))) if c not in cleared]
+        assert rank == dense_rank(rows.values()) > 0
 
 
 @pytest.fixture
@@ -104,7 +126,6 @@ def received(monkeypatch):
     real = rational.reduce_columns
 
     def spy(cols):
-        cols = list(cols)
         counts.append(len(cols))
         return real(cols)
 
@@ -119,30 +140,65 @@ CLEARING_CASES = [
 ]
 
 
-def test_a_ranked_degree_clears_the_rows_of_the_next(received):
-    """After d^k is ranked, d^{k-1}'s reduction receives C^k - rank d^k rows:
-    those at the k-simplices that d^k's reduction took as pivots are left out."""
+def test_a_ranked_degree_clears_the_columns_of_the_next(received):
+    """After d^{k-1} is ranked, d^k's reduction receives C^k - rank d^{k-1}
+    columns: those at the k-simplices that d^{k-1}'s reduction took as
+    pivots are left out."""
     cleared = 0
     for g in CLEARING_CASES:
         K = clique_complex(g, g.n_vertices)
-        for k in range(K.max_dim - 1, -1, -1):
-            rank = coboundary_rank(K, k)
+        for k in range(0, K.max_dim):
+            rank = coboundary_rank(K, k - 1)
             received.clear()
-            coboundary_rank(K, k - 1)
-            assert received == ([K.dim_size(k) - rank] if K.dim_size(k - 1) else [])
+            coboundary_rank(K, k)
+            assert received == ([K.dim_size(k) - rank] if K.dim_size(k) else [])
             cleared += rank
     assert cleared > 0
 
 
-def test_betti_table_ranks_top_down_and_clears_each_degree(received):
-    """betti_table hands each degree's reduction the rows the degree above left."""
+def test_betti_table_ranks_bottom_up_and_clears_each_degree(received):
+    """betti_table hands each degree's reduction the columns the degree
+    below left, and ranks each coboundary once."""
     for g in CLEARING_CASES:
         K = clique_complex(g, g.n_vertices)
         received.clear()
         table = betti_table(K)
         rank = dict(zip(table.ks, table.coboundary_ranks))
-        want = [K.dim_size(k + 1) - rank.get(k + 1, 0) for k in reversed(table.ks) if K.dim_size(k)]
+        want = [K.dim_size(k) - rank.get(k - 1, 0) for k in table.ks if K.dim_size(k)]
         assert received == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_vertices=8, wmax=2))
+def test_ranks_and_pairs_equal_the_homology_direction_reference(g):
+    """Cleared cohomology-direction ranks in every degree and the pairs of
+    the filtration equal the uncleared homology-direction reference; every
+    reduction builds dicts only for columns that are not apparent and the
+    apparent columns they collide with, and of those only for the ones an
+    addition touches."""
+    import homology_lab.rational as rational
+    from homology_lab.specseq import filtration
+
+    calls = []
+    real = rational.reduce_columns
+
+    def spy(cols):
+        out = real(cols)
+        calls.append((_dict_columns(cols), out[1]))
+        return out
+
+    K = clique_complex(g, g.n_vertices - 1)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rational, "reduce_columns", spy)
+        table = betti_table(K)
+        F = filtration(K)
+    ranks = dict(zip(table.ks, table.coboundary_ranks))
+    for k in range(-1, K.max_dim):
+        assert ranks[k] == boundary_side_rank(K, k), k
+        assert set(F.pairs[k]) == boundary_side_pairs(K, k), k
+    assert calls
+    for cols, built_dicts in calls:
+        assert_builds_only_what_it_reads(cols, built_dicts)
 
 
 @st.composite
@@ -365,3 +421,32 @@ def test_filled_loop_becomes_boundary_in_gadget_complex():
     # the untouched basis cycle stays non-bounding
     ok1, _ = cycle_is_boundary(K, basis_chain(K, "1"), 1)
     assert not ok1
+
+
+def test_a_dense_eigensolve_holds_one_copy_of_the_matrix():
+    """eigensolve hands LAPACK the dense block to overwrite: solving an
+    800-row path Laplacian (one block) peaks near one n x n float buffer,
+    two with eigenvectors, and gives what eigvalsh and eigh give on a copy."""
+    import tracemalloc
+
+    import scipy.linalg
+    import scipy.sparse
+
+    n = 800
+    diagonal = np.full(n, 2.0)
+    diagonal[[0, -1]] = 1.0
+    off = -np.ones(n - 1)
+    L = scipy.sparse.diags([off, diagonal, off], [-1, 0, 1], format="csr")
+    eigensolve(L)  # imports and first-call set-up are not counted
+    peaks = {}
+    for vectors in (False, True):
+        tracemalloc.start()
+        eigensolve(L, vectors=vectors)
+        peaks[vectors] = tracemalloc.get_traced_memory()[1] / (n * n * 8)
+        tracemalloc.stop()
+    assert 1 <= peaks[False] < 1.5 and 2 <= peaks[True] < 2.5
+    dense = L.toarray()
+    assert np.array_equal(eigensolve(L), np.clip(scipy.linalg.eigvalsh(dense.copy()), 0, None))
+    vals, vecs = scipy.linalg.eigh(dense.copy())
+    got = eigensolve(L, vectors=True)
+    assert np.array_equal(got[0], np.clip(vals, 0, None)) and np.array_equal(got[1], vecs)

@@ -374,9 +374,9 @@ def test_one_factor_asks_betti_and_lambda_min_once(monkeypatch):
     assert calls == [("betti", 17, 1), ("lambda_min", 17, 1)]
 
 
-def test_join_betti_asks_each_factors_degrees_top_down(monkeypatch):
-    """Each factor's degrees go to ``betti`` once each, highest first, so
-    each factor's ranks clear the degree below."""
+def test_join_betti_asks_each_factors_degrees_bottom_up(monkeypatch):
+    """Each factor's degrees go to ``betti`` once each, lowest first, so
+    each factor's ranks clear the degree above."""
     asked = []
     original = homology.betti
 
@@ -390,7 +390,7 @@ def test_join_betti_asks_each_factors_degrees_top_down(monkeypatch):
     assert join_betti(Ks, res.k) == 0
     for K in Ks:
         degrees = [i for Kj, i in asked if Kj is K]
-        assert degrees == sorted(set(degrees), reverse=True)
+        assert degrees == sorted(set(degrees))
     assert {i for _, i in asked} == {0, 1, 2}
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from homology_lab.complexes import clique_complex, kunneth_embed
-from homology_lab.errors import GraphFormatError
+from homology_lab.errors import GraphFormatError, HomologyLabError
 from homology_lab.fixtures import gadget_graph, named_fixtures
 from homology_lab.gadgets import IntegerState
 from homology_lab.graph import (
@@ -332,6 +332,24 @@ def test_evaluate_identity_and_arithmetic():
         m.evaluate(0.0)
     with pytest.raises(GraphFormatError):
         m.evaluate(1.5)
+
+
+@pytest.mark.parametrize(
+    "shape, terms",
+    [
+        ((2, 2), [(1, 0, 5, 0), (0, 1, 7, 0)]),  # rows out of order
+        ((1, 2), [(0, 1, 1, 0), (0, 0, 1, 0)]),  # columns out of order
+        ((1, 1), [(0, 0, 1, 2), (0, 0, 1, 0)]),  # exponents out of order
+        ((1, 1), [(0, 0, 1, 0), (0, 0, 2, 0)]),  # a repeated monomial
+        ((1, 1), [(0, 0, 0, 0)]),  # a zero coefficient
+        ((1, 1), [(0, 1, 1, 0)]),  # a column outside the shape
+        ((1, 1), [(-1, 0, 1, 0)]),  # a negative row
+    ],
+)
+def test_monomial_matrix_refuses_terms_not_in_the_stored_form(shape, terms):
+    """Unsorted terms would make ``evaluate`` disagree with ``entries``."""
+    with pytest.raises(HomologyLabError):
+        MonomialMatrix(*shape, terms)
 
 
 def test_embedded_entry_cases():

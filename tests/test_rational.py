@@ -3,9 +3,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homology_lab.rational import nullspace, rank_int, reduce_columns, solve
+from homology_lab.rational import Columns, nullspace, rank_int, reduce_columns, solve
 
-from conftest import dense_rank
+from conftest import assert_builds_only_what_it_reads, dense_rank, reference_reduce
 
 
 @st.composite
@@ -28,21 +28,13 @@ def _apply(cols, x):
     return {r: v for r, v in out.items() if v}
 
 
-def _rows(cols):
-    rows = {}
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            rows.setdefault(r, {})[j] = v
-    return rows.values()
-
-
 @settings(max_examples=200)
 @given(int_matrices())
 def test_rank_matches_dense_oracle(case):
-    cols, _nrows, _x0 = case
-    rank, pivots = rank_int(_rows(cols))
+    cols, nrows, _x0 = case
+    rank, pivots = rank_int(Columns.from_dicts(cols))
     assert rank == len(pivots) == dense_rank(cols)
-    assert pivots <= set(range(len(cols)))
+    assert pivots <= set(range(nrows))
 
 
 @settings(max_examples=200)
@@ -81,8 +73,32 @@ def test_solve_rejects_a_right_hand_side_outside_the_span(case):
 
 
 def test_reduced_columns_have_distinct_pivots():
-    reduced = reduce_columns([{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 3}, {0: 1}])
-    assert reduced[0] == {0: 1, 1: 2}  # divided by its content
-    assert reduced[1] == {}
-    assert reduced[2] == {1: 1}
-    assert reduced[3] == {}
+    pivot, built = reduce_columns(Columns.from_dicts([{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 3}, {0: 1}]))
+    assert pivot.tolist() == [0, -1, 1, -1]
+    # column 0 is apparent (the first to hold row 0); column 1 reads it
+    assert built == {0: {0: 1, 1: 2}, 1: {}, 2: {1: 1}, 3: {}}  # divided by content
+
+
+def test_an_apparent_column_no_other_column_reads_is_not_built():
+    pivot, built = reduce_columns(Columns.from_dicts([{2: 1, 3: 1}, {0: 5}, {2: 1}, {}]))
+    assert pivot.tolist() == [2, 0, 3, -1]
+    assert built == {0: {2: 1, 3: 1}, 2: {3: -1}}  # column 1 is apparent and unread
+
+
+@settings(max_examples=200)
+@given(int_matrices())
+def test_reduction_equals_the_plain_loop_and_builds_only_what_it_reads(case):
+    """The pivots are the plain loop's; dicts are built only for columns
+    that take part in an addition."""
+    cols, _nrows, _x0 = case
+    pivot, built = reduce_columns(Columns.from_dicts(cols))
+    assert pivot.tolist() == [min(col) if col else -1 for col in reference_reduce(cols)]
+    assert_builds_only_what_it_reads(cols, built)
+
+
+def test_solve_takes_a_right_hand_side_wider_than_int64():
+    big = 3 * 10**30
+    assert solve([{0: 2, 1: 1}, {1: 1}], 2, {0: Fraction(big), 1: Fraction(big)}) == {
+        0: Fraction(big, 2),
+        1: Fraction(big, 2),
+    }

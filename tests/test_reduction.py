@@ -7,7 +7,7 @@ from homology_lab.complexes import clique_complex
 from homology_lab.errors import GraphFormatError, ScheduleError, UnsupportedStateError
 from homology_lab.gadgets import IntegerState, basis_state_matrix, gadget, glue
 from homology_lab.graph import qubit_graph
-from homology_lab.homology import betti, harmonic_basis
+from homology_lab.homology import betti, coboundary_rank, harmonic_basis
 from homology_lab.operators import laplacian_up
 from homology_lab.reduction import (
     Hamiltonian,
@@ -361,20 +361,26 @@ def test_yes_branch_runs_no_eigensolve(monkeypatch):
 
 @pytest.mark.parametrize("n, projectors", [(1, ["0", "1"]), (2, ["00", "01", "10", "11"])])
 def test_no_branch_ranks_each_coboundary_once(monkeypatch, n, projectors):
-    """lambda_min's Betti check on a NO rung is answered from the rank cache."""
+    """lambda_min's Betti check on a NO rung is answered from the rank cache:
+    the degrees through k are ranked once each, bottom-up, each on the
+    columns the pivots of the degree below left."""
     from homology_lab import rational
 
-    calls = []
+    received = []
     rank_int = rational.rank_int
 
-    def counted(rows):
-        calls.append(1)
-        return rank_int(rows)
+    def counted(cols):
+        received.append(len(cols))
+        return rank_int(cols)
 
     monkeypatch.setattr(rational, "rank_int", counted)
-    dec = decide(H_of(n, *((list(range(n)), {z: 1}) for z in projectors)))
+    H = H_of(n, *((list(range(n)), {z: 1}) for z in projectors))
+    dec = decide(H)
     assert dec.betti == 0 and dec.answer in ("NO", "INCONCLUSIVE")
-    assert len(calls) == 2  # d^k and d^{k-1}, each ranked once
+    monkeypatch.undo()
+    K = clique_complex(reduce_hamiltonian(H).graph, dec.k + 1)  # a fresh complex
+    ks = [j for j in range(-1, dec.k + 1) if K.dim_size(j)]
+    assert received == [K.dim_size(j) - coboundary_rank(K, j - 1) for j in ks]
 
 
 def test_two_qubit_unsatisfiable_certifies_with_larger_c():

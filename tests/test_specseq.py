@@ -6,10 +6,9 @@ from homology_lab.gadgets import IntegerState
 from homology_lab.graph import bowtie, octahedron
 from homology_lab.homology import betti
 from homology_lab.operators import coboundary
-from homology_lab.rational import reduce_columns
 from homology_lab.specseq import filtration, forman_compare, page_dims, stabilized_dims
 
-from conftest import built, dense_rank, graphs, seeded_graphs
+from conftest import boundary_side_pairs, built, dense_rank, graphs, reference_reduce, seeded_graphs
 
 
 def _exponent_sum(K, s):
@@ -220,22 +219,6 @@ def test_pages_match_rank_formula_oracle():
         assert got == _rank_formula_pages(K, 5), g
 
 
-def _coboundary_side_pairs(K, k):
-    """Pairs of d^k by reducing its columns: k-simplices in descending
-    (level, index), each column's pivot its coface at the lowest level."""
-    lo = [_exponent_sum(K, s) for s in K.simplices(k)]
-    hi = [_exponent_sum(K, s) for s in K.simplices(k + 1)]
-    cols = {}
-    for r, row in coboundary(K, k).int_rows_at_one().items():
-        for c, v in row.items():
-            cols.setdefault(c, {})[r] = v
-    row_at = sorted(range(len(hi)), key=lambda r: (hi[r], r))
-    number = {r: i for i, r in enumerate(row_at)}
-    order = sorted(cols, key=lambda c: (lo[c], c), reverse=True)
-    reduced = reduce_columns({number[r]: v for r, v in cols[c].items()} for c in order)
-    return sorted((c, row_at[min(col)]) for c, col in zip(order, reduced) if col)
-
-
 def test_boundary_side_pairs_equal_the_coboundary_side():
     """Persistence duality: reducing the rows of d^k pairs the same simplices."""
     graphs = [*named_fixtures().values(), *seeded_graphs(25, 8, wmax=2, seed=21)]
@@ -243,28 +226,32 @@ def test_boundary_side_pairs_equal_the_coboundary_side():
         K = built(g, g.n_vertices)
         F = filtration(K)
         for k, pairs in F.pairs.items():
-            assert sorted(pairs) == _coboundary_side_pairs(K, k), (g, k)
+            assert set(pairs) == boundary_side_pairs(K, k), (g, k)
 
 
 def _uncleared_pairs(K, k):
-    """Reference pairs of d^k from all of its rows: boundary columns in
-    ascending (level, index), each column's pivot its highest face."""
+    """Reference pairs of d^k from all of its columns, by the plain loop:
+    k-simplices in descending (level, index), each column's pivot its coface
+    first in ascending (level, index)."""
     lo = [_exponent_sum(K, s) for s in K.simplices(k)]
     hi = [_exponent_sum(K, s) for s in K.simplices(k + 1)]
-    rows = coboundary(K, k).int_rows_at_one()
-    face_at = sorted(range(len(lo)), key=lambda c: (lo[c], c), reverse=True)
-    number = {c: i for i, c in enumerate(face_at)}
-    order = sorted(rows, key=lambda r: (hi[r], r))
-    reduced = reduce_columns({number[c]: v for c, v in rows[r].items()} for r in order)
-    return {(face_at[min(col)], r) for r, col in zip(order, reduced) if col}
+    cols = {}
+    for r, row in coboundary(K, k).int_rows_at_one().items():
+        for c, v in row.items():
+            cols.setdefault(c, {})[r] = v
+    coface_at = sorted(range(len(hi)), key=lambda r: (hi[r], r))
+    number = {r: i for i, r in enumerate(coface_at)}
+    order = sorted(range(len(lo)), key=lambda c: (lo[c], c), reverse=True)
+    reduced = reference_reduce({number[r]: v for r, v in cols.get(c, {}).items()} for c in order)
+    pairs = sorted((min(col), c) for c, col in zip(order, reduced) if col)
+    return [(c, coface_at[p]) for p, c in pairs]  # by ascending (level, index) of the coface
 
 
 def _assert_pairs_uncleared(K):
     F = filtration(K)
     assert sorted(F.pairs) == list(range(-1, K.max_dim))
     for k, pairs in F.pairs.items():
-        assert len(set(pairs)) == len(pairs)
-        assert set(pairs) == _uncleared_pairs(K, k), k
+        assert pairs == _uncleared_pairs(K, k), k
 
 
 @settings(max_examples=80, deadline=None)
@@ -278,8 +265,8 @@ def test_cleared_pairs_equal_uncleared_pairs_on_named_fixtures():
         _assert_pairs_uncleared(built(g, g.n_vertices - 1))
 
 
-def test_filtration_clears_the_faces_of_the_pairs_above(monkeypatch):
-    """d^{k-1}'s reduction receives C^k - #pairs[k] rows, and a coboundary
+def test_filtration_clears_the_cofaces_of_the_pairs_below(monkeypatch):
+    """d^k's reduction receives C^k - #pairs[k-1] columns, and a coboundary
     into an empty chain group is never assembled."""
     import homology_lab.rational as rational
     import homology_lab.specseq as specseq
@@ -288,7 +275,6 @@ def test_filtration_clears_the_faces_of_the_pairs_above(monkeypatch):
     real_reduce, real_coboundary = rational.reduce_columns, specseq.coboundary
 
     def reduce_spy(cols):
-        cols = list(cols)
         received.append(len(cols))
         return real_reduce(cols)
 
@@ -301,11 +287,11 @@ def test_filtration_clears_the_faces_of_the_pairs_above(monkeypatch):
     g = gadget_graph(IntegerState.from_dict(1, {"0": 1, "1": -1}))
     K = clique_complex(g, g.n_vertices - 1)
     F = filtration(K)
-    ks = [k for k in range(K.max_dim - 1, -2, -1) if K.dim_size(k + 1)]
+    ks = [k for k in range(-1, K.max_dim) if K.dim_size(k + 1)]
     assert assembled == ks and K.max_dim - 1 not in ks
-    top = {k: len(F.pairs.get(k + 1, ())) for k in ks}
-    assert received == [K.dim_size(k + 1) - top[k] for k in ks]
-    assert sum(top.values()) > 0
+    below = {k: len(F.pairs.get(k - 1, ())) for k in ks}
+    assert received == [K.dim_size(k) - below[k] for k in ks]
+    assert sum(below.values()) > 0
 
 
 def test_bulk_page_identity_for_gadget():
