@@ -115,6 +115,8 @@ def build_parser() -> _Parser:
 
 
 def _complex_for(graph, k_hint: int | None, cap: int, max_dim: int | None = None):
+    if cap < 1:  # the cap counts the empty simplex, so no graph fits under it
+        raise UsageError(f"--cap must be >= 1, got {cap}")
     if max_dim is None:
         # build one dimension above the largest needed so chi and pairing close;
         # a degree below -1 has no simplex and needs no build above 0

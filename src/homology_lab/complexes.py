@@ -37,9 +37,10 @@ class CliqueComplex:
     (vertex exponent sums), recorded at enumeration.  The label view
     (``by_dim``, ``simplices``) is derived on its first read and memoized;
     the exact core never reads it, and ``locate`` finds label simplices by
-    their vertex ids.  Immutable after construction; the pivots of each
-    coboundary's exact reduction (its rank is their count), the coboundaries
-    and the facet indices are memoized on the instance, keyed by degree.
+    their vertex ids.  Immutable after construction; the persistence pairs
+    of each coboundary's exact reduction (its rank is their count), the
+    coboundaries and the facet indices are memoized on the instance, keyed
+    by degree.
     """
 
     def __init__(self, graph: WeightedGraph, max_dim: int, cap: int = DEFAULT_CAP):
@@ -85,7 +86,7 @@ class CliqueComplex:
                 cand = cand[parent]
                 cand &= up[last]
         self._facets: dict[int, np.ndarray] = {}
-        self._pivots: dict[int, set[int]] = {}  # k -> the pivot rows of d^k's reduction
+        self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # k -> d^k's pairs
         self._coboundaries: dict = {}
 
     # -- the label view, derived on first read ---------------------------------

@@ -131,29 +131,51 @@ def _dense_by_block(S, solve, vectors: bool):
     return merged[order], X
 
 
-def coboundary_rank(K: CliqueComplex, k: int) -> int:
-    """Exact rank of d^k over Q (at lam := 1).
+def coboundary_pairs(K: CliqueComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Persistence pairs of d^k at lam := 1, memoized on the complex: index
+    arrays (k-simplices, their cofaces), in ascending (level, index) of the
+    coface.  Ranks, Betti numbers and spectral-sequence pages all read them.
 
-    The columns of d^k, one per k-simplex, are reduced in descending index
-    with pivot ``min`` (``rational``: the cohomology direction).  The
-    complex memoizes the pivots of each degree's reduction; the rank is
-    their count.  The degrees below k are ranked first, bottom-up, and the
-    columns of d^k at the k-simplices that d^{k-1} took as pivots are
-    cleared, as both reductions order the k-simplices by descending index.
-    So each degree is reduced once per complex, whatever order callers ask
-    in; the low degrees are small, and without clearing the first degree
-    asked for would be reduced whole.
+    The columns of d^k are reduced in the cohomology direction, as in
+    Ripser: k-simplices in descending (level, index), each column's pivot
+    its coface that comes first in ascending (level, index); on an
+    unweighted complex both are index orders.  The degrees are reduced
+    bottom-up, so each degree is reduced once per complex whatever order
+    callers ask in, and the columns at the cofaces of d^{k-1}'s pairs are
+    cleared (left out; see ``rational``, which also registers apparent
+    columns without a pass through its loop).  By persistence duality (de
+    Silva, Morozov, Vejdemo-Johansson, "Dualities in persistent
+    (co)homology", Inverse Problems 2011) these are the pairs the boundary
+    reduction finds, with 59 column additions instead of 391 on the glued
+    2-qubit gadget.
     """
-    if k not in K._pivots:
+    pairs = K._pairs.get(k)
+    if pairs is None:
         if K.dim_size(k) == 0:
-            K._pivots[k] = set()
+            pairs = (np.zeros(0, dtype=np.int64),) * 2
         else:
-            coboundary_rank(K, k - 1)
+            d = coboundary(K, k)  # refuses k = max_dim on a truncated complex
+            _, cleared = coboundary_pairs(K, k - 1)
             kept = np.ones(K.dim_size(k), dtype=bool)
-            kept[list(K._pivots.get(k - 1, ()))] = False
-            cols = coboundary_columns(coboundary(K, k), np.flatnonzero(kept)[::-1])
-            _, K._pivots[k] = rational.rank_int(cols)
-    return len(K._pivots[k])
+            kept[cleared] = False
+            order = np.argsort(K.levels[k], kind="stable")[::-1]
+            order = order[kept[order]]
+            # a complete complex has no level above max_dim, nor any coface
+            coface_at = np.argsort(K.levels.get(k + 1, ()), kind="stable")
+            number = np.empty_like(coface_at)
+            number[coface_at] = np.arange(len(coface_at))
+            _, pivot = rational.rank_int(coboundary_columns(d, order, number))
+            hit = np.flatnonzero(pivot >= 0)
+            hit = hit[np.argsort(pivot[hit])]
+            pairs = order[hit], coface_at[pivot[hit]]
+        K._pairs[k] = pairs
+    return pairs
+
+
+def coboundary_rank(K: CliqueComplex, k: int) -> int:
+    """Exact rank of d^k over Q (at lam := 1): its number of persistence
+    pairs (``coboundary_pairs``)."""
+    return len(coboundary_pairs(K, k)[0])
 
 
 def betti(K: CliqueComplex, k: int, reduced: bool = True) -> int:
@@ -202,7 +224,7 @@ def join_betti(Ks: Sequence[CliqueComplex], k: int) -> int:
     Kunneth: beta_k is the sum over ``join_splits`` of the products of the
     factors' reduced Betti numbers, integer arithmetic on exact ranks.  Each
     (factor, degree) is asked once, a factor's degrees bottom-up, as
-    ``coboundary_rank`` reduces them with clearing; each factor is complete
+    ``coboundary_pairs`` reduces them with clearing; each factor is complete
     or built to k + 1.  One factor asks ``betti`` once.
     """
     splits = join_splits(Ks, k)
@@ -227,7 +249,7 @@ def betti_table(K: CliqueComplex, reduced: bool = True) -> BettiTable:
     """Betti numbers in every dimension the complex is built to support.
 
     The ranks are taken bottom-up, in the cohomology direction, so each
-    degree's pivots clear the next (``coboundary_rank``).
+    degree's pairs clear the next (``coboundary_pairs``).
     """
     ks = tuple(range(-1 if reduced else 0, K.max_dim))
     ranks = {k: coboundary_rank(K, k) for k in ks}

@@ -163,12 +163,11 @@ def reduce_columns(cols: Columns) -> tuple[np.ndarray, dict[int, IntVec]]:
     return pivot, built
 
 
-def rank_int(cols: Columns) -> tuple[int, set[int]]:
-    """Rank over Q of an integer matrix given by columns, and the pivot rows
-    of its reduction."""
+def rank_int(cols: Columns) -> tuple[int, np.ndarray]:
+    """Rank over Q of an integer matrix given by columns, and each column's
+    pivot in its reduction (``reduce_columns``)."""
     pivot, _ = reduce_columns(cols)
-    pivots = set(pivot[pivot >= 0].tolist())
-    return len(pivots), pivots
+    return int(np.count_nonzero(pivot >= 0)), pivot
 
 
 def rank_fraction(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> int:

@@ -8,19 +8,11 @@ construction, so it is not checked: a coface adds one vertex, whose exponent
 ``WeightedGraph`` keeps nonnegative, so its level is at least its face's.
 Over a field the filtered complex splits into interval pairs (Basu-Parida,
 "Spectral sequences, exact couples and persistent homology of filtrations",
-Expo. Math. 2017).  The pairs come from one persistence reduction per degree
-of the columns of d^k at lam := 1, in the cohomology direction as in
-Ripser: k-simplices in descending (level, index), each column's pivot its
-coface that comes first in ascending (level, index).  The degrees are
-reduced bottom-up, and the columns of d^k at the cofaces of d^{k-1}'s pairs
-are cleared (left out; see ``rational``), and apparent columns are
-registered without a pass through the reduction loop.  By persistence
-duality (de Silva, Morozov, Vejdemo-Johansson, "Dualities in persistent
-(co)homology", Inverse Problems 2011) these are the pairs the boundary
-reduction finds, with 59 column additions instead of 391 on the glued
-2-qubit gadget.  A pair of a k-simplex at level a with a
-(k+1)-simplex at level b >= a survives at both ends up to page b - a, and
-unpaired simplices survive every page:
+Expo. Math. 2017): the persistence pairs of each d^k, which
+``homology.coboundary_pairs`` computes once per degree for the Betti numbers
+too.  A pair of a k-simplex at level a with a (k+1)-simplex at level b >= a
+survives at both ends up to page b - a, and unpaired simplices survive every
+page:
 
     e_{j,l}^k = #{unpaired k-simplices at level l}
               + #{pair ends at (k, l) with gap b - a >= j}
@@ -33,18 +25,19 @@ lam^(2r) (Forman, "Witten-Morse theory for cell complexes", Topology 1998).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import inf
 
 import numpy as np
 
-from . import rational
 from .complexes import CliqueComplex
 from .errors import DimensionError, HomologyLabError
-from .homology import betti
-from .operators import coboundary, coboundary_columns
+from .homology import betti, coboundary_pairs
+from .operators import coboundary
 from .spectra import DEFAULT_GRID, BranchTable, sweep
+
+# bench/tracing.py wraps coboundary by its name in this module; the pages
+# reach it only through coboundary_pairs
+_TRACED = (coboundary,)
 
 
 class Filtration:
@@ -57,53 +50,36 @@ class Filtration:
         self.kmax = K.max_dim
         levels = K.levels
         self.lmax = {k: int(ls.max()) if len(ls) else -1 for k, ls in levels.items()}
-        top = max(k for k, ls in levels.items() if len(ls))  # no simplex above
-        # up[k]: the k-simplices in ascending (level, index), the order in
-        # which d^{k-1} numbers its rows and d^k visits its columns backwards
-        up = {k: np.argsort(levels[k], kind="stable") for k in range(-1, top + 1)}
-        # pairs[k]: (sigma in C^k, tau in C^{k+1}) index pairs, reduced bottom
-        # degree first so that each degree's pairs clear the next; gaps[k][i]
+        # pairs[k]: d^k's (sigma in C^k, tau in C^{k+1}) index pairs; gaps[k][i]
         # is the level gap of simplex i's pair, -1 when it is unpaired
         self.pairs: dict[int, list[tuple[int, int]]] = {k: [] for k in range(-1, self.kmax)}
+        top = K.top_dimension()
         gaps = {k: np.full(len(levels[k]), -1) for k in range(-1, top + 1)}
-        t = np.zeros(0, dtype=np.int64)
         for k in range(-1, top):
-            s, t = self._reduce(k, up, t)
+            s, t = coboundary_pairs(K, k)
             gaps[k][s] = gaps[k + 1][t] = levels[k + 1][t] - levels[k][s]
             self.pairs[k] = list(zip(s.tolist(), t.tolist()))
-        # _counts[k, l]: {gap: number of k-simplices at level l with that
-        # gap}, the gap inf for the unpaired ones
-        self._counts: dict[tuple[int, int], dict[float, int]] = {}
+        # _dims[k][l, j]: dim e_{j,l}^k, the k-simplices at level l unpaired or
+        # with gap >= j: counts by level and gap class (the gaps, then unpaired
+        # last), suffix-summed over the classes.  The last column holds for
+        # every later page; a degree above the top has no row.
+        self._dims = dict.fromkeys(levels, np.zeros((0, 1), dtype=np.int64))
         for k, gap in gaps.items():
-            for (l, g), n in Counter(zip(levels[k].tolist(), gap.tolist())).items():
-                self._counts.setdefault((k, l), {})[inf if g < 0 else g] = n
+            width = int(gap.max()) + 2  # unpaired, gap -1, is the class width - 1
+            cell = levels[k] * width + gap % width
+            counts = np.bincount(cell, minlength=(self.lmax[k] + 1) * width).reshape(-1, width)
+            self._dims[k] = counts[:, ::-1].cumsum(axis=1)[:, ::-1]
 
-    def _reduce(self, k: int, up: dict[int, np.ndarray], cleared: np.ndarray):
-        """Pairs of d^k as arrays (k-simplices, cofaces): its columns reduced
-        in descending (level, index), cofaces numbered in ascending (level,
-        index) so ``min`` is the first.
-
-        The columns at ``cleared``, the cofaces of d^{k-1}'s pairs, are left
-        out: each would reduce to zero (``rational``'s clearing), because
-        d^{k-1}'s reduction numbers the k-simplices by ascending (level,
-        index) too, and pairs each column with its first coface.  The pairs
-        come in ascending (level, index) of their coface.
-        """
-        coface_at = up[k + 1]
-        number = np.empty_like(coface_at)
-        number[coface_at] = np.arange(len(coface_at))
-        kept = np.ones(len(up[k]), dtype=bool)
-        kept[cleared] = False
-        order = up[k][::-1]  # descending (level, index)
-        order = order[kept[order]]
-        pivot, _ = rational.reduce_columns(coboundary_columns(coboundary(self.K, k), order, number))
-        hit = np.flatnonzero(pivot >= 0)
-        hit = hit[np.argsort(pivot[hit])]
-        return order[hit], coface_at[pivot[hit]]
+    def _page(self, k: int, j: int) -> np.ndarray:
+        """dim e_{j,l}^k at each level l of degree k."""
+        dims = self._dims[k]
+        return dims[:, min(max(j, 0), dims.shape[1] - 1)]
 
     def e_dim(self, k: int, l: int, j: int) -> int:
         """dim e_{j,l}^k: k-simplices at level l unpaired or with gap >= j."""
-        return sum(n for g, n in self._counts.get((k, l), {}).items() if g >= j)
+        if k not in self._dims or not 0 <= l <= self.lmax[k]:
+            return 0
+        return int(self._page(k, j)[l])
 
 
 def filtration(K: CliqueComplex) -> Filtration:
@@ -135,8 +111,8 @@ def page_dims(F: Filtration, j: int) -> Page:
     for k in range(-1, F.kmax + 1):
         if F.K.dim_size(k) == 0:
             continue
-        for l in range(0, F.lmax[k] + 1):
-            dims[(k, l)] = F.e_dim(k, l, j)
+        for l, d in enumerate(F._page(k, j).tolist()):
+            dims[(k, l)] = d
     return Page(j, dims)
 
 
@@ -158,9 +134,8 @@ def stabilized_dims(F: Filtration, k: int) -> StabilizationReport:
     if k not in F.lmax:
         raise DimensionError(f"dimension {k} is outside the filtration (-1 .. {F.kmax})")
     target = betti(F.K, k)
-    gaps = {g for l in range(F.lmax[k] + 1) for g in F._counts.get((k, l), ())}
-    stab = 1 + max(gaps - {inf}, default=-1)
-    per_page = {j: sum(F.e_dim(k, l, j) for l in range(F.lmax[k] + 1)) for j in range(stab + 2)}
+    stab = F._dims[k].shape[1] - 1  # one class per gap through the longest, then unpaired
+    per_page = {j: int(F._page(k, j).sum()) for j in range(stab + 2)}
     if per_page[stab] != target:
         total = per_page[stab]
         raise HomologyLabError(f"spectral sequence stabilized to {total}, not betti={target}")

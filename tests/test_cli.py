@@ -438,6 +438,10 @@ REJECTED_ARGS = {
     "betti-k-not-an-integer": (("betti", "@bowtie", "--k", "x"), 1),
     "specseq-k-below-the-complex": (("specseq", "@hexagon", "--k", "-2"), 2),
     "specseq-negative-j-max": (("specseq", "@hexagon", "--j-max", "-1"), 1),
+    # the cap counts the empty simplex: below 1 no graph, not even an empty one, fits
+    "betti-zero-cap": (("betti", "@bowtie", "--cap", "0"), 1),
+    "spectrum-negative-cap": (("spectrum", "@hexagon", "--k", "1", "--lambda", "1", "--cap", "-3"), 1),
+    "specseq-zero-cap": (("specseq", "@hexagon", "--cap", "0"), 1),
     "inline-state-list": (("verify-gadget", "[1]"), 2),
     "inline-state-empty": (("verify-gadget", "{}"), 2),
     "inline-amplitude-word": (("verify-gadget", '{"0": "x"}'), 2),

@@ -23,6 +23,7 @@ from homology_lab.graph import (
 from homology_lab.homology import (
     betti,
     betti_table,
+    coboundary_pairs,
     coboundary_rank,
     cycle_is_boundary,
     eigensolve,
@@ -89,8 +90,9 @@ def _dict_columns(cols):
 
 def test_coboundary_rank_reduces_the_columns_last_first(monkeypatch):
     """Ranking d^k ranks the degrees below it first, bottom-up, and the
-    columns of d^k go to the reduction in descending index, less those that
-    d^{k-1}'s pivots cleared."""
+    columns of d^k go to the shared pairing's reduction in descending
+    (level, index), their rows the cofaces numbered in ascending (level,
+    index), less the columns at the cofaces of d^{k-1}'s pairs."""
     import homology_lab.rational as rational
 
     seen = []
@@ -102,6 +104,7 @@ def test_coboundary_rank_reduces_the_columns_last_first(monkeypatch):
 
     monkeypatch.setattr(rational, "reduce_columns", spy)
     g = gadget_graph(IntegerState.from_dict(1, {"0": 1, "1": -1}))
+    reordered = 0  # degrees whose level order is not their index order
     for k in range(-1, 2):
         K = clique_complex(g, 3)  # a fresh complex: no cached rank
         seen.clear()
@@ -111,10 +114,16 @@ def test_coboundary_rank_reduces_the_columns_last_first(monkeypatch):
         for r, row in rows.items():
             for c, v in row.items():
                 cols[c][r] = v
-        cleared = K._pivots.get(k - 1, set())
+        lo, hi = K.levels[k].tolist(), K.levels[k + 1].tolist()
+        order = sorted(range(len(lo)), key=lambda c: (lo[c], c), reverse=True)
+        number = {r: i for i, r in enumerate(sorted(range(len(hi)), key=lambda r: (hi[r], r)))}
+        cleared = set(coboundary_pairs(K, k - 1)[1].tolist())
         assert len(seen) == k + 2 and len(cleared) == coboundary_rank(K, k - 1)
-        assert seen[-1] == [cols[c] for c in reversed(range(len(cols))) if c not in cleared]
+        reordered += order != sorted(order, reverse=True)
+        want = [{number[r]: v for r, v in cols[c].items()} for c in order if c not in cleared]
+        assert seen[-1] == want
         assert rank == dense_rank(rows.values()) > 0
+    assert reordered
 
 
 @pytest.fixture
@@ -172,10 +181,13 @@ def test_betti_table_ranks_bottom_up_and_clears_each_degree(received):
 @given(graphs(max_vertices=8, wmax=2))
 def test_ranks_and_pairs_equal_the_homology_direction_reference(g):
     """Cleared cohomology-direction ranks in every degree and the pairs of
-    the filtration equal the uncleared homology-direction reference; every
-    reduction builds dicts only for columns that are not apparent and the
-    apparent columns they collide with, and of those only for the ones an
-    addition touches."""
+    the filtration equal the uncleared homology-direction reference, whether
+    the ranks are asked before a filtration of the complex or after it, or
+    of a complex built only to k + 1, as ``decide`` builds its factors; the
+    weights go up to 2, so level order is not index order.  Every reduction
+    builds dicts only for columns that are not apparent and the apparent
+    columns they collide with, and of those only for the ones an addition
+    touches."""
     import homology_lab.rational as rational
     from homology_lab.specseq import filtration
 
@@ -187,15 +199,24 @@ def test_ranks_and_pairs_equal_the_homology_direction_reference(g):
         calls.append((_dict_columns(cols), out[1]))
         return out
 
-    K = clique_complex(g, g.n_vertices - 1)
+    K, L = (clique_complex(g, g.n_vertices - 1) for _ in range(2))
+    ks = range(-1, K.max_dim)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rational, "reduce_columns", spy)
-        table = betti_table(K)
+        table = betti_table(K)  # ranks first
         F = filtration(K)
+        G = filtration(L)  # the filtration first
+        later = betti_table(L)
+        truncated = {k: clique_complex(g, k + 1) for k in ks}
+        short = {k: (coboundary_rank(T, k), coboundary_pairs(T, k)) for k, T in truncated.items()}
     ranks = dict(zip(table.ks, table.coboundary_ranks))
-    for k in range(-1, K.max_dim):
-        assert ranks[k] == boundary_side_rank(K, k), k
-        assert set(F.pairs[k]) == boundary_side_pairs(K, k), k
+    assert later == table
+    for k in ks:
+        want = boundary_side_pairs(K, k)
+        assert ranks[k] == boundary_side_rank(K, k) == len(want), k
+        assert set(F.pairs[k]) == set(G.pairs[k]) == want, k
+        rank, (s, t) = short[k]
+        assert rank == ranks[k] and set(zip(s.tolist(), t.tolist())) == want, k
     assert calls
     for cols, built_dicts in calls:
         assert_builds_only_what_it_reads(cols, built_dicts)

@@ -4,7 +4,7 @@ from homology_lab.complexes import clique_complex
 from homology_lab.fixtures import gadget_graph, hexagon, named_fixtures
 from homology_lab.gadgets import IntegerState
 from homology_lab.graph import bowtie, octahedron
-from homology_lab.homology import betti
+from homology_lab.homology import betti, betti_table, coboundary_rank
 from homology_lab.operators import coboundary
 from homology_lab.specseq import filtration, forman_compare, page_dims, stabilized_dims
 
@@ -266,13 +266,14 @@ def test_cleared_pairs_equal_uncleared_pairs_on_named_fixtures():
 
 
 def test_filtration_clears_the_cofaces_of_the_pairs_below(monkeypatch):
-    """d^k's reduction receives C^k - #pairs[k-1] columns, and a coboundary
-    into an empty chain group is never assembled."""
+    """The filtration reads the shared pairing (``coboundary_pairs``): d^k's
+    reduction receives C^k - #pairs[k-1] columns, and a coboundary into an
+    empty chain group is never assembled."""
+    import homology_lab.homology as homology
     import homology_lab.rational as rational
-    import homology_lab.specseq as specseq
 
     received, assembled = [], []
-    real_reduce, real_coboundary = rational.reduce_columns, specseq.coboundary
+    real_reduce, real_coboundary = rational.reduce_columns, homology.coboundary
 
     def reduce_spy(cols):
         received.append(len(cols))
@@ -283,7 +284,7 @@ def test_filtration_clears_the_cofaces_of_the_pairs_below(monkeypatch):
         return real_coboundary(K, k)
 
     monkeypatch.setattr(rational, "reduce_columns", reduce_spy)
-    monkeypatch.setattr(specseq, "coboundary", coboundary_spy)
+    monkeypatch.setattr(homology, "coboundary", coboundary_spy)
     g = gadget_graph(IntegerState.from_dict(1, {"0": 1, "1": -1}))
     K = clique_complex(g, g.n_vertices - 1)
     F = filtration(K)
@@ -292,6 +293,32 @@ def test_filtration_clears_the_cofaces_of_the_pairs_below(monkeypatch):
     below = {k: len(F.pairs.get(k - 1, ())) for k in ks}
     assert received == [K.dim_size(k) - below[k] for k in ks]
     assert sum(below.values()) > 0
+
+
+def test_pages_and_betti_numbers_share_one_elimination_per_degree(monkeypatch):
+    """A filtration, a degree's page totals and the Betti table of one
+    complex reduce each nonempty degree once, bottom-up, each on the
+    columns the pairs of the degree below left."""
+    import homology_lab.rational as rational
+
+    received = []
+    real = rational.reduce_columns
+
+    def spy(cols):
+        received.append(len(cols))
+        return real(cols)
+
+    # the gadget build runs exact checks of its own, so it comes before the spy
+    g = gadget_graph(IntegerState.from_dict(1, {"0": 1, "1": -1}))
+    monkeypatch.setattr(rational, "reduce_columns", spy)
+    K = clique_complex(g, g.n_vertices - 1)
+    F = filtration(K)
+    rep = stabilized_dims(F, 1)
+    table = betti_table(K)
+    monkeypatch.undo()
+    ks = [k for k in range(-1, K.max_dim) if K.dim_size(k)]
+    assert received == [K.dim_size(k) - coboundary_rank(K, k - 1) for k in ks]
+    assert rep.betti == table.as_dict()[1] == 1
 
 
 def test_bulk_page_identity_for_gadget():

@@ -1,10 +1,12 @@
 """Checks on the sources and docs themselves: the README's library tour runs,
 its CLI block names every option, no module of the library, tests/ or scripts/
 imports a name it never uses, every public library name has a reader
-outside the tests, and every private helper has a reader in the library."""
+outside the tests, every private helper has a reader in the library, and
+every name a module holds for the benchmark's tracer is one it wraps."""
 
 import argparse
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -14,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from homology_lab.cli import build_parser
+
+from test_bench_hooks import load_tracing
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "homology_lab"
@@ -195,3 +199,21 @@ def test_every_private_helper_is_read_in_the_library():
     read = set().union(*map(names_read, sources))
     defined = set().union(*map(private_definitions, sources))
     assert defined and sorted(defined - read) == []
+
+
+def test_every_traced_name_is_wrapped_in_its_module(monkeypatch):
+    """A module's ``_TRACED`` tuple holds names it keeps only for
+    bench/tracing.py; each must be one that ``BOUNDARIES`` wraps in that
+    module's namespace, so a tuple cannot outlive the wrapper it serves."""
+    wrapped = {(module, attr) for module, owner, attr, _, _ in load_tracing(monkeypatch).BOUNDARIES
+               if owner is None}
+    held = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name in ("__init__.py", "__main__.py"):
+            continue
+        module = importlib.import_module(f"homology_lab.{path.stem}")
+        for fn in getattr(module, "_TRACED", ()):
+            assert vars(module)[fn.__name__] is fn
+            held.add((module.__name__, fn.__name__))
+    assert {name for _, name in held} >= {"betti", "lambda_min", "coboundary"}
+    assert held <= wrapped, held - wrapped
