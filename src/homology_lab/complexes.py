@@ -37,10 +37,9 @@ class CliqueComplex:
     (vertex exponent sums), recorded at enumeration.  The label view
     (``by_dim``, ``simplices``) is derived on its first read and memoized;
     the exact core never reads it, and ``locate`` finds label simplices by
-    their vertex ids.  Immutable after construction; the persistence pairs
-    of each coboundary's exact reduction (its rank is their count), the
-    coboundaries and the facet indices are memoized on the instance, keyed
-    by degree.
+    their vertex ids.  Immutable after construction; each degree's facet
+    indices, ascending (level, index) order, coboundary and the persistence
+    pairs of its exact reduction (its rank is their count) are memoized.
     """
 
     def __init__(self, graph: WeightedGraph, max_dim: int, cap: int = DEFAULT_CAP):
@@ -87,6 +86,7 @@ class CliqueComplex:
                 cand &= up[last]
         self._facets: dict[int, np.ndarray] = {}
         self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # k -> d^k's pairs
+        self._ascending: dict[int, np.ndarray] = {}  # k -> degree k in (level, index)
         self._coboundaries: dict = {}
 
     # -- the label view, derived on first read ---------------------------------

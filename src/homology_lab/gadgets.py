@@ -39,6 +39,7 @@ from .errors import (
     UnsupportedStateError,
 )
 from .graph import BOWTIE_LOOPS, WeightedGraph, layer_vertex, make_graph, thicken
+from .homology import exact_columns
 from . import rational
 
 CENTER = "g.center"
@@ -205,12 +206,7 @@ def fundamental_cycle(K: CliqueComplex) -> Chain:
     coefficients.
     """
     top = K.top_dimension()
-    # looked up at call time, so a tracer that patches operators.coboundary
-    # (bench/tracing.py) also sees the gadget build's coboundaries
-    from .operators import boundary_columns, coboundary
-
-    cols = boundary_columns(coboundary(K, top - 1), top - 1)
-    kernel = rational.nullspace(cols, K.dim_size(top - 1))
+    kernel = rational.nullspace(exact_columns(K, top - 1), K.dim_size(top - 1))
     if len(kernel) != 1:
         raise HomologyLabError(
             f"expected a 1-dimensional top cycle space, got {len(kernel)}"

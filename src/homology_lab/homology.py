@@ -28,11 +28,14 @@ from .errors import (
     HomologyLabError,
     NotACycleError,
 )
-from .operators import boundary_columns, coboundary, coboundary_columns, laplacian
+from .operators import coboundary, laplacian
 
 DENSE_EIG_CAP = 4000
 # harmonic_basis's kernel tolerance, relative to the Laplacian's max row sum
 HARMONIC_TOL = 1e-8
+
+# bench/tracing.py wraps coboundary by its name here; no exact reader calls it
+_TRACED = (coboundary,)
 
 
 def eigensolve(L, count: int | None = None, vectors: bool = False, sigma: float = 0.0):
@@ -131,43 +134,72 @@ def _dense_by_block(S, solve, vectors: bool):
     return merged[order], X
 
 
+def _ascending(K: CliqueComplex, k: int) -> np.ndarray:
+    """Degree k in ascending (level, index), memoized; empty above the top."""
+    order = K._ascending.get(k)
+    if order is None:
+        order = K._ascending[k] = np.argsort(K.levels.get(k, ()), kind="stable")
+    return order
+
+
+def exact_columns(K: CliqueComplex, k: int, faces: np.ndarray | None = None) -> rational.Columns:
+    """d^k at lam := 1 as integer columns, from the facet array F of degree
+    k + 1: the entry at (coface i, facet ``F[i, p]``) is (-1)^p.
+
+    Without ``faces``: the rows of d^k, each with its facets ascending, the
+    columns of the boundary map that the witnesses reduce.  With ``faces``:
+    the columns of d^k at those k-simplices in that order, each coface
+    numbered by its place in ascending (level, index) and each column's
+    rows ascending, as ``coboundary_pairs`` reduces them.
+    """
+    if k + 1 > K.max_dim and not K.complete:
+        raise DimensionError(f"coboundary {k} needs the complex built to {k + 1}")
+    m = K.dim_size(k + 1) if k >= -1 else 0  # d^{-2} has no entries
+    F = K.facets(k + 1) if m else np.zeros((0, k + 2), dtype=np.int64)
+    sign = (-1) ** np.arange(k + 2)
+    if faces is None:
+        indptr = np.arange(m + 1) * (k + 2)
+        return rational.Columns(indptr, F[:, ::-1].ravel(), np.tile(sign[::-1], m))
+    # the cofaces' entries row-major in (level, index) order, stably sorted by column
+    place = np.full(K.dim_size(k), len(faces))
+    place[faces] = np.arange(len(faces))
+    key = place[F[_ascending(K, k + 1)]].ravel()
+    at = np.flatnonzero(key < len(faces))
+    at = at[np.argsort(key[at], kind="stable")]
+    indptr = np.zeros(len(faces) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key[at], minlength=len(faces)), out=indptr[1:])
+    return rational.Columns(indptr, at // (k + 2), sign[at % (k + 2)])
+
+
 def coboundary_pairs(K: CliqueComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Persistence pairs of d^k at lam := 1, memoized on the complex: index
     arrays (k-simplices, their cofaces), in ascending (level, index) of the
     coface.  Ranks, Betti numbers and spectral-sequence pages all read them.
 
-    The columns of d^k are reduced in the cohomology direction, as in
-    Ripser: k-simplices in descending (level, index), each column's pivot
-    its coface that comes first in ascending (level, index); on an
-    unweighted complex both are index orders.  The degrees are reduced
-    bottom-up, so each degree is reduced once per complex whatever order
-    callers ask in, and the columns at the cofaces of d^{k-1}'s pairs are
-    cleared (left out; see ``rational``, which also registers apparent
-    columns without a pass through its loop).  By persistence duality (de
-    Silva, Morozov, Vejdemo-Johansson, "Dualities in persistent
-    (co)homology", Inverse Problems 2011) these are the pairs the boundary
-    reduction finds, with 59 column additions instead of 391 on the glued
-    2-qubit gadget.
+    The columns of d^k (``exact_columns``) are reduced in the cohomology
+    direction, as in Ripser: k-simplices in descending (level, index), each
+    column's pivot its first coface in ascending (level, index); each
+    degree's order is sorted once per complex.  The degrees are reduced
+    bottom-up, once per complex whatever order callers ask in, and the
+    columns at the cofaces of d^{k-1}'s pairs are cleared (see
+    ``rational``).  By persistence duality (de Silva, Morozov,
+    Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
+    Problems 2011) these are the pairs the boundary reduction finds.
     """
     pairs = K._pairs.get(k)
     if pairs is None:
         if K.dim_size(k) == 0:
             pairs = (np.zeros(0, dtype=np.int64),) * 2
         else:
-            d = coboundary(K, k)  # refuses k = max_dim on a truncated complex
             _, cleared = coboundary_pairs(K, k - 1)
             kept = np.ones(K.dim_size(k), dtype=bool)
             kept[cleared] = False
-            order = np.argsort(K.levels[k], kind="stable")[::-1]
+            order = _ascending(K, k)[::-1]
             order = order[kept[order]]
-            # a complete complex has no level above max_dim, nor any coface
-            coface_at = np.argsort(K.levels.get(k + 1, ()), kind="stable")
-            number = np.empty_like(coface_at)
-            number[coface_at] = np.arange(len(coface_at))
-            _, pivot = rational.rank_int(coboundary_columns(d, order, number))
+            _, pivot = rational.rank_int(exact_columns(K, k, order))  # k < max_dim if truncated
             hit = np.flatnonzero(pivot >= 0)
             hit = hit[np.argsort(pivot[hit])]
-            pairs = order[hit], coface_at[pivot[hit]]
+            pairs = order[hit], _ascending(K, k + 1)[pivot[hit]]
         K._pairs[k] = pairs
     return pairs
 
@@ -337,10 +369,10 @@ def is_cycle(K: CliqueComplex, chain: Chain, k: int | None = None) -> bool:
     if foreign:
         raise DimensionError(f"{foreign[0]!r} is not a {k}-simplex of the complex")
     # the rows of d^{k-1} at lam := 1 are the columns of boundary_k
-    cols = boundary_columns(coboundary(K, k - 1), k - 1, at)
+    cols = exact_columns(K, k - 1)
     acc: dict[int, int | Fraction] = {}
-    for coef, col in zip(chain.values(), cols):
-        for r, v in col.items():
+    for coef, i in zip(chain.values(), at.tolist()):
+        for r, v in cols[i].items():
             acc[r] = acc.get(r, 0) + coef * v
     return not any(acc.values())
 
@@ -360,7 +392,7 @@ def cycle_is_boundary(
     if k + 1 > K.max_dim:
         raise DimensionError("complex not built to k+1")
     b = {i: c for i, c in zip(K.locate(list(chain)).tolist(), chain.values()) if c}
-    x = rational.solve(boundary_columns(coboundary(K, k), k), K.dim_size(k), b)
+    x = rational.solve(exact_columns(K, k), K.dim_size(k), b)
     if x is None:
         return False, None
     return True, dict(zip(K._labels(k + 1, list(x)), x.values()))

@@ -8,8 +8,9 @@ single monomials ``+-lam**e_v``; a Laplacian is a sum of sparse integer
 products of slices, never a symbolic product of entries.  All operators act
 in the normalized orthonormal simplex basis, so the boundary is the
 transpose of the coboundary.  SciPy is imported where a float or sparse
-matrix is built (``_exponent_slices``, ``evaluate``); the exact readers use
-the integer terms alone and never load it.
+matrix is built (``_exponent_slices``, ``evaluate``).  Only the float side
+builds these operators: the exact readers take d^k's integer columns
+straight from the facet arrays (``homology.exact_columns``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ if TYPE_CHECKING:  # annotations only: SciPy is imported where a float matrix is
 
 from .complexes import CliqueComplex, Simplex
 from .errors import DimensionError, GraphFormatError, HomologyLabError
-from .rational import Columns
 
 Poly = dict[int, int]
 
@@ -177,41 +177,6 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
     out = MonomialMatrix(rows, cols, terms.reshape(-1, 4))
     K._coboundaries[k] = out
     return out
-
-
-def boundary_columns(d: MonomialMatrix, k: int, rows=None) -> list[dict[int, int]]:
-    """The rows of d = d^k at lam := 1 as sparse integer columns {col: sign}.
-
-    They are the columns of the boundary map, which the exact witnesses
-    (``rational.nullspace``, ``rational.solve``) reduce.  Every row of d^k
-    holds k + 2 single monomials, so its sorted terms reshape to
-    (dim C^{k+1}, k + 2) arrays of columns and signs.  ``rows`` (an index
-    array or a boolean mask) picks and orders the rows.
-    """
-    cols, signs = d.terms[:, 1].reshape(-1, k + 2), d.terms[:, 2].reshape(-1, k + 2)
-    if rows is not None:
-        cols, signs = cols[rows], signs[rows]
-    return [dict(zip(c, s)) for c, s in zip(cols.tolist(), signs.tolist())]
-
-
-def coboundary_columns(d: MonomialMatrix, cols: np.ndarray, renumber=None) -> Columns:
-    """The columns of d = d^k at lam := 1 at the indices ``cols``, in that
-    order, as ``rational`` reduces them.
-
-    One stable sort of the picked terms by their column's place in ``cols``
-    lays the columns out one after another, each with its rows ascending;
-    every entry is a single monomial, so its coefficient is its value.
-    ``renumber`` (an array indexed by row) maps the row numbers.
-    """
-    place = np.full(d.cols, len(cols))
-    place[cols] = np.arange(len(cols))
-    key = place[d.terms[:, 1]]
-    at = np.flatnonzero(key < len(cols))
-    at = at[np.argsort(key[at], kind="stable")]
-    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key[at], minlength=len(cols)), out=indptr[1:])
-    rows = d.terms[at, 0]
-    return Columns(indptr, rows if renumber is None else renumber[rows], d.terms[at, 2])
 
 
 def _gram_slices(d: MonomialMatrix, up: bool):

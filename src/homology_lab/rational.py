@@ -13,10 +13,11 @@ content.  Every exact routine is a reading of that one reduction:
   the input columns it is.  A reduced column whose pivot lies in the tag rows
   has a zero matrix part, so its tags are a kernel vector.
 
-Columns come in compressed arrays (``Columns``).  Ranks and filtration
-pairs reduce in the cohomology direction, as Ripser does: the columns of a
-coboundary d^k, one per k-simplex, in descending order, each column's pivot
-its first coface.  A column is apparent when it is the first column, in the
+Columns come in compressed arrays (``Columns``); ``nullspace`` and ``solve``
+insert their tag rows into the arrays.  Ranks and filtration pairs reduce in
+the cohomology direction, as Ripser does: the columns of a coboundary d^k,
+one per k-simplex, in descending order, each column's pivot its first
+coface.  A column is apparent when it is the first column, in the
 reduction's order, that holds its own pivot row: no earlier reduced column,
 a combination of earlier input columns, can hold that row, so the column is
 its own reduced form.  One array pass registers every apparent column at its
@@ -47,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -179,15 +180,20 @@ def rank_fraction(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> int:
     return rank_int(Columns.from_dicts(scaled))[0]
 
 
-def _reduced_tagged(cols: Sequence[Mapping[int, int]], nrows: int):
-    """The reduction of the columns with their tags, and a reader of the
-    reduced column j."""
-    tagged = Columns.from_dicts({**col, nrows + j: 1} for j, col in enumerate(cols))
+def _reduced_tagged(cols: Columns, nrows: int):
+    """The reduction of the columns, each with its tag row ``nrows + j``
+    appended, and a reader of the reduced column j."""
+    n = len(cols)
+    tagged = Columns(
+        cols.indptr + np.arange(n + 1),
+        np.insert(cols.rows, cols.indptr[1:], nrows + np.arange(n)),
+        np.insert(cols.vals, cols.indptr[1:], 1),
+    )
     pivot, built = reduce_columns(tagged)
     return pivot, lambda j: built[j] if j in built else _content_reduce(tagged[j])
 
 
-def nullspace(cols: Sequence[Mapping[int, int]], nrows: int) -> list[IntVec]:
+def nullspace(cols: Columns, nrows: int) -> list[IntVec]:
     """Primitive integer basis of the kernel of A, given A's columns.
 
     Rows of A are numbered below ``nrows``; each basis vector is
@@ -200,21 +206,20 @@ def nullspace(cols: Sequence[Mapping[int, int]], nrows: int) -> list[IntVec]:
     ]
 
 
-def solve(
-    cols: Sequence[Mapping[int, int]],
-    nrows: int,
-    b: Mapping[int, Fraction],
-) -> Optional[dict[int, Fraction]]:
+def solve(cols: Columns, nrows: int, b: Mapping[int, Fraction]) -> Optional[dict[int, Fraction]]:
     """A solution {column index: value} of A x = b, or None if there is none.
 
     A is given by its integer columns, b as {row: rational value}.  b is
-    scaled to integers and reduced last with the tag ``nrows + len(cols)``;
-    when its matrix part cancels, x_j = -tag_j / tag_b.
+    scaled to integers, appended as the last column and reduced with the tag
+    ``nrows + len(cols)``; when its matrix part cancels, x_j = -tag_j / tag_b.
     """
     n = len(cols)
     scale = lcm(*(Fraction(v).denominator for v in b.values()))
-    rhs = {r: int(Fraction(v) * scale) for r, v in b.items()}
-    pivot, reduced = _reduced_tagged([*cols, rhs], nrows)
+    rhs = Columns.from_dicts([{r: int(Fraction(v) * scale) for r, v in b.items()}])
+    indptr = np.append(cols.indptr, cols.indptr[-1] + rhs.indptr[1:])
+    both = Columns(indptr, np.concatenate([cols.rows, rhs.rows]),
+                   np.concatenate([cols.vals, rhs.vals]))  # object values when b is wide
+    pivot, reduced = _reduced_tagged(both, nrows)
     if pivot[n] < nrows:
         return None
     # the rhs carries the tag nrows + n, as a column of A would

@@ -35,8 +35,7 @@ from .homology import betti, coboundary_pairs
 from .operators import coboundary
 from .spectra import DEFAULT_GRID, BranchTable, sweep
 
-# bench/tracing.py wraps coboundary by its name in this module; the pages
-# reach it only through coboundary_pairs
+# bench/tracing.py wraps coboundary by its name here; the pages never call it
 _TRACED = (coboundary,)
 
 

@@ -24,8 +24,8 @@ from homology_lab.graph import (
     relabel,
     unweighted,
 )
-from homology_lab.homology import betti_table, cycle_is_boundary, is_cycle
-from homology_lab.operators import boundary_columns, coboundary, coboundary_columns
+from homology_lab.homology import betti_table, cycle_is_boundary, exact_columns, is_cycle
+from homology_lab.operators import coboundary
 from homology_lab.specseq import filtration, page_dims
 
 from conftest import built, complete_graph, graphs
@@ -253,16 +253,25 @@ def test_integer_enumeration_and_assembly_match_the_label_reference(g, data):
         d = coboundary(K, k)
         terms = label_coboundary_terms(by_dim, levels, k)
         assert [tuple(t) for t in d.terms.tolist()] == terms
+        # the rows of d^k as boundary columns, each with its facets ascending
         rows = [{} for _ in by_dim[k + 1]]
         for i, j, coeff, _e in terms:
             rows[i][j] = coeff
-        assert boundary_columns(d, k) == rows
+        got = exact_columns(K, k)
+        assert [list(got[i].items()) for i in range(len(got))] == [sorted(r.items()) for r in rows]
+        # the columns of d^k at drawn k-simplices, in the drawn order, each
+        # coface numbered by its place in ascending (level, index)
+        up = sorted(range(len(by_dim[k + 1])), key=lambda i: (levels[k + 1][i], i))
+        number = {i: n for n, i in enumerate(up)}
         cols = [{} for _ in by_dim[k]]
         for i, j, coeff, _e in terms:
-            cols[j][i] = coeff
-        down = np.arange(len(cols))[::-1]
-        got = coboundary_columns(d, down)
-        assert [got[j] for j in range(len(got))] == cols[::-1]
+            cols[j][number[i]] = coeff
+        faces = data.draw(st.permutations(range(len(cols))), label=f"faces of d^{k}")
+        faces = faces[: data.draw(st.integers(0, len(faces)), label="kept")]
+        got = exact_columns(K, k, np.array(faces, dtype=np.int64))
+        assert [list(got[j].items()) for j in range(len(got))] == [
+            sorted(cols[j].items()) for j in faces
+        ]
 
 
 @settings(max_examples=60, deadline=None)

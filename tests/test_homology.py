@@ -28,6 +28,7 @@ from homology_lab.homology import (
     cycle_is_boundary,
     eigensolve,
     euler_characteristic,
+    exact_columns,
     harmonic_basis,
     is_cycle,
 )
@@ -222,6 +223,43 @@ def test_ranks_and_pairs_equal_the_homology_direction_reference(g):
         assert_builds_only_what_it_reads(cols, built_dicts)
 
 
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_vertices=8, wmax=2), st.data())
+def test_facet_array_columns_are_the_transpose_of_the_coboundary_rows(g, data):
+    """Both layouts of ``exact_columns`` hold the entries of
+    ``coboundary(K, k).int_rows_at_one()``, an independent path through the
+    stored terms: the boundary layout is its rows, and the coboundary layout
+    at the k-simplices in descending (level, index) is its columns, each
+    coface numbered by its place in ascending (level, index).  On a
+    truncated complex d^{max_dim} needs the degree above and raises, in
+    both layouts and in the pairing."""
+    max_dim = data.draw(st.integers(0, g.n_vertices), label="max_dim")
+    K = clique_complex(g, max_dim)
+    for k in range(-1, max_dim + 1):
+        if k == max_dim and not K.complete:
+            with pytest.raises(DimensionError):
+                exact_columns(K, k)
+            with pytest.raises(DimensionError):
+                exact_columns(K, k, np.arange(K.dim_size(k)))
+            with pytest.raises(DimensionError):
+                coboundary_pairs(K, k)
+            continue
+        rows = coboundary(K, k).int_rows_at_one()
+        m = K.dim_size(k + 1)
+        got = exact_columns(K, k)
+        assert [got[i] for i in range(len(got))] == [rows[i] for i in range(m)]
+        key = {d: [(int(level), i) for i, level in enumerate(K.levels.get(d, ()))] for d in (k, k + 1)}
+        down = sorted(range(K.dim_size(k)), key=key[k].__getitem__, reverse=True)
+        number = {i: n for n, i in enumerate(sorted(range(m), key=key[k + 1].__getitem__))}
+        want = [{} for _ in down]
+        place = {j: c for c, j in enumerate(down)}
+        for i, row in rows.items():
+            for j, v in row.items():
+                want[place[j]][number[i]] = v
+        got = exact_columns(K, k, np.array(down, dtype=np.int64))
+        assert [got[c] for c in range(len(got))] == want
+
+
 @st.composite
 def complexes_and_asks(draw):
     """A complex of a drawn graph and a shuffled list of (betti or rank, k) asks."""
@@ -408,6 +446,8 @@ def test_cycle_is_boundary_in_triangle():
     ok, witness = cycle_is_boundary(K, cyc, 1)
     assert ok
     assert witness == {tri: Fraction(1)}
+    # the empty chain is the boundary of the empty chain
+    assert cycle_is_boundary(K, {}) == (True, {})
 
 
 def test_bowtie_loop_is_not_boundary():

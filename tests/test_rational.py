@@ -43,7 +43,7 @@ def test_rank_matches_dense_oracle(case):
 @given(int_matrices())
 def test_nullspace_is_a_kernel_basis(case):
     cols, nrows, _x0 = case
-    kernel = nullspace(cols, nrows)
+    kernel = nullspace(Columns.from_dicts(cols), nrows)
     assert len(kernel) == len(cols) - dense_rank(cols)
     for v in kernel:
         assert v and _apply(cols, v) == {}
@@ -56,7 +56,7 @@ def test_nullspace_is_a_kernel_basis(case):
 def test_solve_reproduces_a_right_hand_side_in_the_span(case):
     cols, nrows, x0 = case
     b = _apply(cols, dict(enumerate(x0)))
-    x = solve(cols, nrows, {r: Fraction(v, 2) for r, v in b.items()})
+    x = solve(Columns.from_dicts(cols), nrows, {r: Fraction(v, 2) for r, v in b.items()})
     assert x is not None
     assert _apply(cols, x) == {r: Fraction(v, 2) for r, v in b.items()}
 
@@ -67,7 +67,7 @@ def test_solve_rejects_a_right_hand_side_outside_the_span(case):
     cols, nrows, _x0 = case
     rank = dense_rank(cols)
     for i in range(nrows):
-        x = solve(cols, nrows, {i: Fraction(1)})
+        x = solve(Columns.from_dicts(cols), nrows, {i: Fraction(1)})
         if dense_rank([*cols, {i: 1}]) > rank:
             assert x is None
         else:
@@ -100,7 +100,8 @@ def test_reduction_equals_the_plain_loop_and_builds_only_what_it_reads(case):
 
 def test_solve_takes_a_right_hand_side_wider_than_int64():
     big = 3 * 10**30
-    assert solve([{0: 2, 1: 1}, {1: 1}], 2, {0: Fraction(big), 1: Fraction(big)}) == {
+    cols = Columns.from_dicts([{0: 2, 1: 1}, {1: 1}])
+    assert solve(cols, 2, {0: Fraction(big), 1: Fraction(big)}) == {
         0: Fraction(big, 2),
         1: Fraction(big, 2),
     }

@@ -267,29 +267,32 @@ def test_cleared_pairs_equal_uncleared_pairs_on_named_fixtures():
 
 def test_filtration_clears_the_cofaces_of_the_pairs_below(monkeypatch):
     """The filtration reads the shared pairing (``coboundary_pairs``): d^k's
-    reduction receives C^k - #pairs[k-1] columns, and a coboundary into an
-    empty chain group is never assembled."""
+    reduction receives C^k - #pairs[k-1] columns, built from the facet
+    arrays; columns into an empty chain group are never built, and the
+    float-side coboundary is never assembled."""
     import homology_lab.homology as homology
     import homology_lab.rational as rational
 
-    received, assembled = [], []
-    real_reduce, real_coboundary = rational.reduce_columns, homology.coboundary
+    received, assembled, floats = [], [], []
+    real_reduce, real_columns = rational.reduce_columns, homology.exact_columns
 
     def reduce_spy(cols):
         received.append(len(cols))
         return real_reduce(cols)
 
-    def coboundary_spy(K, k):
+    def columns_spy(K, k, faces=None):
         assembled.append(k)
-        return real_coboundary(K, k)
+        return real_columns(K, k, faces)
 
     monkeypatch.setattr(rational, "reduce_columns", reduce_spy)
-    monkeypatch.setattr(homology, "coboundary", coboundary_spy)
+    monkeypatch.setattr(homology, "exact_columns", columns_spy)
+    monkeypatch.setattr(homology, "coboundary", lambda K, k: floats.append(k))
     g = gadget_graph(IntegerState.from_dict(1, {"0": 1, "1": -1}))
     K = clique_complex(g, g.n_vertices - 1)
     F = filtration(K)
     ks = [k for k in range(-1, K.max_dim) if K.dim_size(k + 1)]
     assert assembled == ks and K.max_dim - 1 not in ks
+    assert floats == []
     below = {k: len(F.pairs.get(k - 1, ())) for k in ks}
     assert received == [K.dim_size(k) - below[k] for k in ks]
     assert sum(below.values()) > 0

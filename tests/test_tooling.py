@@ -1,8 +1,9 @@
 """Checks on the sources and docs themselves: the README's library tour runs,
 its CLI block names every option, no module of the library, tests/ or scripts/
 imports a name it never uses, every public library name has a reader
-outside the tests, every private helper has a reader in the library, and
-every name a module holds for the benchmark's tracer is one it wraps."""
+outside the tests, every private helper has a reader in the library, every
+name a module holds for the benchmark's tracer is one it wraps, and the
+exact readers never reach the float-side operators."""
 
 import argparse
 import ast
@@ -217,3 +218,56 @@ def test_every_traced_name_is_wrapped_in_its_module(monkeypatch):
             held.add((module.__name__, fn.__name__))
     assert {name for _, name in held} >= {"betti", "lambda_min", "coboundary"}
     assert held <= wrapped, held - wrapped
+
+
+def reads_through(sources, roots) -> set[str]:
+    """Names read by the top-level functions and classes ``roots`` of the
+    sources and, transitively, by every top-level definition of the sources
+    that one of them reads by name (a name defined in two sources follows
+    both)."""
+    defs: dict[str, list[str]] = {}
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(stmt.name, []).append(ast.unparse(stmt))
+    read, seen, todo = set(), set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for source in defs.get(name, ()):
+                names = names_read(source)
+                read |= names
+                todo += names
+    return read
+
+
+def test_exact_path_check_follows_helpers():
+    source = (
+        "def a(K):\n    return b(K)\n"
+        "def b(K):\n    return K.coboundary(0)\n"
+        "def c():\n    return MonomialMatrix\n"
+    )
+    assert {"b", "coboundary"} <= reads_through([source], ["a"])
+    assert "MonomialMatrix" not in reads_through([source], ["a"])
+
+
+# the exact readers of d^k at lam := 1, by module
+EXACT_READERS = {
+    "homology": ("coboundary_pairs", "is_cycle", "cycle_is_boundary"),
+    "gadgets": ("fundamental_cycle",),
+    "specseq": ("Filtration",),
+}
+
+
+def test_exact_readers_never_reach_the_float_operators():
+    """Pairs, ranks, pages and witnesses take d^k's integer columns from the
+    facet arrays: none of them, nor any library function they read, reads
+    ``coboundary`` or ``MonomialMatrix``, which serve the float Laplacians."""
+    sources = [path.read_text() for path in PACKAGE.glob("*.py")]
+    for module, names in EXACT_READERS.items():
+        defined = {stmt.name for stmt in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+                   if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+        assert set(names) <= defined, (module, set(names) - defined)
+    roots = [name for names in EXACT_READERS.values() for name in names]
+    assert reads_through(sources, roots).isdisjoint({"coboundary", "MonomialMatrix"})
