@@ -27,10 +27,10 @@ def main() -> None:
         bp = gadget(state)
         g = glue(qubit_graph(state.m), bp)
         K = clique_complex(g, 2 * state.m + 4)
-        table = betti_table(K).as_dict()
+        table = betti_table([K]).as_dict()
         want = 2 ** state.m - 1
         ok = all(v == (want if k == 2 * state.m - 1 else 0) for k, v in table.items())
-        witten = abs(euler_characteristic(K).reduced)
+        witten = abs(euler_characteristic([K]).reduced)
         status = "PASS" if ok and witten == want else "FAIL"
         print(
             f"{name:12} {state.label():>28}: betti pattern {status}, "

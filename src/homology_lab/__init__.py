@@ -1,7 +1,7 @@
 """Clique-complex homology, weighted Laplacians, spectral sequences, and
 Hamiltonian-to-graph gadget reductions at desk scale."""
 
-from .complexes import CliqueComplex, clique_complex, kunneth_embed
+from .complexes import CliqueComplex, clique_complex, factor_complexes, kunneth_embed
 from .gadgets import (
     GadgetBlueprint,
     IntegerState,

@@ -13,11 +13,11 @@ import json
 import sys
 
 from . import fixtures as fixtures_mod
-from .complexes import DEFAULT_CAP, clique_complex
+from .complexes import DEFAULT_CAP, clique_complex, factor_complexes
 from .errors import GraphFormatError, HomologyLabError, UsageError
 from .gadgets import IntegerState, catalog, gadget, glue
 from .graph import parse_graph, qubit_graph
-from .homology import betti, betti_table, euler_characteristic
+from .homology import betti_table, euler_characteristic, join_betti
 from .reduction import decide, parse_hamiltonian, reduce_hamiltonian, schedule
 from .specseq import filtration, forman_compare, page_dims, stabilized_dims
 from .spectra import DEFAULT_GRID, spectrum, sweep
@@ -76,7 +76,6 @@ def build_parser() -> _Parser:
     b = sub.add_parser("betti", help="exact Betti numbers of a graph's clique complex")
     b.add_argument("graph", help="graph JSON file or - for stdin")
     b.add_argument("--k", default="all", help="dimension or 'all'")
-    b.add_argument("--max-dim", type=int, default=None)
     b.add_argument("--cap", type=int, default=DEFAULT_CAP)
     b.add_argument("--unreduced", action="store_true")
     b.add_argument("--format", choices=["text", "csv", "json"], default="text")
@@ -114,16 +113,17 @@ def build_parser() -> _Parser:
     return p
 
 
-def _complex_for(graph, k_hint: int | None, cap: int, max_dim: int | None = None):
+def _cap(cap: int) -> int:
     if cap < 1:  # the cap counts the empty simplex, so no graph fits under it
         raise UsageError(f"--cap must be >= 1, got {cap}")
-    if max_dim is None:
-        # build one dimension above the largest needed so chi and pairing close;
-        # a degree below -1 has no simplex and needs no build above 0
-        max_dim = max(graph.n_vertices - 1 if k_hint is None else k_hint + 1, 0)
-    # no simplex has dimension n or more, so building further adds only empty levels
-    max_dim = min(max_dim, graph.n_vertices)
-    return clique_complex(graph, max_dim=max_dim, cap=cap)
+    return cap
+
+
+def _complex_for(graph, k_hint: int | None, cap: int):
+    # one degree above the largest read, so its coboundary closes; none
+    # below 0 for a degree below -1, nor above n, where no simplex is
+    max_dim = max(graph.n_vertices - 1 if k_hint is None else k_hint + 1, 0)
+    return clique_complex(graph, max_dim=min(max_dim, graph.n_vertices), cap=_cap(cap))
 
 
 def cmd_fixtures(args) -> int:
@@ -137,9 +137,10 @@ def cmd_betti(args) -> int:
     g = _load_graph(args.graph)
     reduced = not args.unreduced
     if args.k == "all":
-        K = _complex_for(g, None, args.cap, args.max_dim)
-        table = betti_table(K, reduced=reduced)
-        chi = euler_characteristic(K)
+        # the rows run to degree n - 2, which needs every factor complete
+        Ks = factor_complexes(g, g.n_vertices - 2, _cap(args.cap))
+        table = betti_table(Ks, reduced=reduced)
+        chi = euler_characteristic(Ks)
         if args.format == "json":
             print(json.dumps({
                 "betti": {str(k): b for k, b in table.as_dict().items()},
@@ -161,8 +162,7 @@ def cmd_betti(args) -> int:
         k = int(args.k)
     except ValueError as exc:
         raise UsageError(f"--k must be an integer or 'all', got {args.k!r}") from exc
-    K = _complex_for(g, k, args.cap, args.max_dim)
-    print(betti(K, k, reduced=reduced))
+    print(join_betti(factor_complexes(g, k, _cap(args.cap)), k, reduced=reduced))
     return 0
 
 
@@ -280,13 +280,12 @@ def cmd_verify_gadget(args) -> int:
     K = clique_complex(glued, max_dim=2 * state.m + 2)
     want = 2 ** state.m - 1
     ok = True
-    for k, b in betti_table(K).as_dict().items():
+    for k, b in betti_table([K]).as_dict().items():
         expect = want if k == 2 * state.m - 1 else 0
         status = "PASS" if b == expect else "FAIL"
-        if b != expect:
-            ok = False
+        ok &= b == expect
         print(f"betti_{k} = {b} (expected {expect}) {status}")
-    chi = euler_characteristic(K)
+    chi = euler_characteristic([K])
     status = "PASS" if abs(chi.reduced) == want else "FAIL"
     print(f"witten index |chi_reduced| = {abs(chi.reduced)} (expected {want}) {status}")
     if not ok or abs(chi.reduced) != want:

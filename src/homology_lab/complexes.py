@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DimensionError
-from .graph import WeightedGraph
+from .graph import WeightedGraph, join_factors
 
 Simplex = tuple[str, ...]
 # The library's own chains carry int coefficients; exact witnesses are Fractions.
@@ -217,6 +217,14 @@ class CliqueComplex:
 
 def clique_complex(g: WeightedGraph, max_dim: int, cap: int = DEFAULT_CAP) -> CliqueComplex:
     return CliqueComplex(g, max_dim, cap)
+
+
+def factor_complexes(g: WeightedGraph, k: int, cap: int = DEFAULT_CAP) -> list[CliqueComplex]:
+    """The complexes of g's join factors (``join_factors``), each built to
+    k + 1, or complete at its top n_f - 1 if lower: as far as degree k of
+    their join, g's complex, needs.  ``cap`` bounds each enumeration."""
+    # clique_complex is looked up on the module, where bench/tracing.py wraps it
+    return [clique_complex(f, max(min(k + 1, f.n_vertices - 1), 0), cap) for f in join_factors(g)]
 
 
 # -- oriented-simplex utilities ----------------------------------------------

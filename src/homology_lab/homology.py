@@ -210,18 +210,11 @@ def coboundary_rank(K: CliqueComplex, k: int) -> int:
     return len(coboundary_pairs(K, k)[0])
 
 
-def betti(K: CliqueComplex, k: int, reduced: bool = True) -> int:
-    """dim H^k as dim C^k - rank d^k - rank d^{k-1}, exact over Q."""
-    c_k = K.dim_size(k)
-    if c_k == 0:
+def betti(K: CliqueComplex, k: int) -> int:
+    """Reduced dim H^k as dim C^k - rank d^k - rank d^{k-1}, exact over Q."""
+    if K.dim_size(k) == 0:
         return 0
-    r_k = coboundary_rank(K, k)
-    r_low = coboundary_rank(K, k - 1) if k >= 0 else 0
-    if not reduced and k == 0:
-        r_low = 0
-    if not reduced and k == -1:
-        return 0
-    b = c_k - r_k - r_low
+    b = K.dim_size(k) - coboundary_rank(K, k) - coboundary_rank(K, k - 1)
     if b < 0:
         raise HomologyLabError(f"negative betti number {b} in dimension {k}")
     return b
@@ -241,7 +234,8 @@ def join_splits(Ks: Sequence[CliqueComplex], k: int) -> list[tuple[int, ...]]:
     to the sum of their tops: a prefix is kept only if that range can
     complete it.
     """
-    degrees = [[i for i in range(-1, k + 1) if K.dim_size(i)] for K in Ks]
+    # a factor has no simplex above max_dim + 1, or refuses it when truncated
+    degrees = [[i for i in range(-1, min(k, K.max_dim + 1) + 1) if K.dim_size(i)] for K in Ks]
     target, splits = k - len(Ks) + 1, [()]
     for j, ds in enumerate(degrees):
         rest = degrees[j + 1 :]
@@ -250,15 +244,18 @@ def join_splits(Ks: Sequence[CliqueComplex], k: int) -> list[tuple[int, ...]]:
     return splits
 
 
-def join_betti(Ks: Sequence[CliqueComplex], k: int) -> int:
-    """Reduced Betti number of the join of the factors' complexes, exact.
+def join_betti(Ks: Sequence[CliqueComplex], k: int, reduced: bool = True) -> int:
+    """Betti number of the join of the factors' complexes, exact.
 
-    Kunneth: beta_k is the sum over ``join_splits`` of the products of the
-    factors' reduced Betti numbers, integer arithmetic on exact ranks.  Each
-    (factor, degree) is asked once, a factor's degrees bottom-up, as
-    ``coboundary_pairs`` reduces them with clearing; each factor is complete
-    or built to k + 1.  One factor asks ``betti`` once.
+    Kunneth: the reduced beta_k is the sum over ``join_splits`` of the
+    products of the factors' reduced Betti numbers, integer arithmetic on
+    exact ranks.  Each (factor, degree) is asked once, a factor's degrees
+    bottom-up, as ``coboundary_pairs`` reduces them with clearing; each
+    factor is complete or built to k + 1.  One factor asks ``betti`` once.
+    Unreduced, degree -1 has none and degree 0 one more if there is a vertex.
     """
+    if not reduced and k <= 0:
+        return 0 if k < 0 else join_betti(Ks, 0) + any(K.dim_size(0) for K in Ks)
     splits = join_splits(Ks, k)
     asked = sorted({(j, i) for s in splits for j, i in enumerate(s)})
     factor_betti = {(j, i): betti(Ks[j], i) for j, i in asked}
@@ -277,21 +274,25 @@ class BettiTable:
         return dict(zip(self.ks, self.betti))
 
 
-def betti_table(K: CliqueComplex, reduced: bool = True) -> BettiTable:
-    """Betti numbers in every dimension the complex is built to support.
+def betti_table(Ks: Sequence[CliqueComplex], reduced: bool = True) -> BettiTable:
+    """Betti table of the join of the factors' complexes (one complex is
+    ``[K]``), in each degree below the sum of the factors' max_dim + 1, less 1.
 
-    The ranks are taken bottom-up, in the cohomology direction, so each
-    degree's pairs clear the next (``coboundary_pairs``).
+    Each row is Kunneth: dim C^k sums products of factor dims over
+    ``join_splits``, beta_k is ``join_betti`` (each factor's ranks bottom-up,
+    so each degree's pairs clear the next), and rank d^k is dim C^k - reduced
+    beta_k - rank d^{k-1}, from rank d^{-2} = 0.
     """
-    ks = tuple(range(-1 if reduced else 0, K.max_dim))
-    ranks = {k: coboundary_rank(K, k) for k in ks}
-    return BettiTable(
-        ks,
-        tuple(K.dim_size(k) for k in ks),
-        tuple(ranks[k] for k in ks),
-        tuple(betti(K, k, reduced=reduced) for k in ks),
-        reduced,
-    )
+    depth = sum(K.max_dim + 1 for K in Ks) - 1
+    dims, bettis, ranks, rank = {}, {}, {}, 0
+    for k in range(-1, depth):
+        dims[k] = sum(prod(Ks[j].dim_size(i) for j, i in enumerate(s)) for s in join_splits(Ks, k))
+        bettis[k] = join_betti(Ks, k)
+        rank = ranks[k] = dims[k] - bettis[k] - rank
+    ks = tuple(range(-1 if reduced else 0, depth))
+    # the unreduced value differs only below degree 1
+    bettis = tuple(join_betti(Ks, k, reduced) if k <= 0 else bettis[k] for k in ks)
+    return BettiTable(ks, tuple(dims[k] for k in ks), tuple(ranks[k] for k in ks), bettis, reduced)
 
 
 @dataclass(frozen=True)
@@ -300,14 +301,16 @@ class EulerCharacteristic:
     reduced: int
 
 
-def euler_characteristic(K: CliqueComplex) -> EulerCharacteristic:
-    """Alternating simplex-count sum; refuses truncated complexes."""
-    if not K.complete:
-        raise DimensionError(
-            "complex may have simplices above max_dim; chi would be wrong"
-        )
-    chi = sum((-1) ** k * K.dim_size(k) for k in range(0, K.max_dim + 1))
-    return EulerCharacteristic(unreduced=chi, reduced=chi - 1)
+def euler_characteristic(Ks: Sequence[CliqueComplex]) -> EulerCharacteristic:
+    """Of the join of the factors' complexes (one complex is ``[K]``), from
+    simplex counts, not ranks: reduced, chi(K) = sum of (-1)^k dim C^k over
+    k >= -1 and chi(A * B) = -chi(A) chi(B).  Refuses truncated factors."""
+    reduced = -1
+    for K in Ks:
+        if not K.complete:
+            raise DimensionError("complex may have simplices above max_dim; chi would be wrong")
+        reduced *= sum((-1) ** (k + 1) * c for k, c in K.counts().items())  # -chi(K)
+    return EulerCharacteristic(unreduced=reduced + 1, reduced=reduced)
 
 
 # -- numeric harmonic subspace -------------------------------------------------

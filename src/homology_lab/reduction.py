@@ -16,14 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .complexes import CliqueComplex, clique_complex
+from .complexes import CliqueComplex, clique_complex, factor_complexes
 from .errors import GapAmbiguityError, GraphFormatError, ScheduleError
 from .gadgets import GadgetBlueprint, IntegerState, basis_state_matrix, gadget, glue
 from .graph import (
     BOWTIE_LOOPS,
     WeightedGraph,
     graph_to_json,
-    join_factors,
     make_graph,
     qubit_graph,
     relabel,
@@ -32,10 +31,10 @@ from .homology import HARMONIC_TOL, betti, harmonic_basis, join_betti
 from .operators import coboundary
 from .spectra import join_lambda_min, lambda_min
 
-# bench/tracing.py wraps betti and lambda_min by their names in this module;
-# decide reaches them per factor and degree through join_betti and
-# join_lambda_min
-_TRACED = (betti, lambda_min)
+# bench/tracing.py wraps betti, lambda_min and clique_complex by their names
+# in this module; decide reaches the first two per factor and degree through
+# join_betti and join_lambda_min, and builds its factors by factor_complexes
+_TRACED = (betti, lambda_min, clique_complex)
 
 
 @dataclass(frozen=True)
@@ -215,13 +214,12 @@ class Decision:
 def decide(H: Hamiltonian, g: float = 1.0, c: float = 0.1) -> Decision:
     """YES on exact homology; NO with a numeric certificate lam_min >= E.
 
-    The reduction graph is split into its join factors (``join_factors``),
-    each factor's clique complex is built as far as degree k needs, and the
-    answer comes from the factors: ``join_betti`` (Kunneth) and
-    ``join_lambda_min``.  A graph of one factor is its own complex; no
-    complex of the whole graph is built.  The YES branch is purely
-    topological (no tolerance); its overlap rows are products of the
-    factors' Gram rows.  The NO branch evaluates the weighted Laplacians at
+    The reduction graph's join factors are built as far as degree k needs
+    (``factor_complexes``), and the answer comes from the factors:
+    ``join_betti`` (Kunneth) and ``join_lambda_min``.  A graph of one factor
+    is its own complex; no complex of the whole graph is built.  The YES
+    branch is purely topological (no tolerance); its overlap rows are
+    products of the factors' Gram rows.  The NO branch evaluates the weighted Laplacians at
     the scheduled lambda and compares the smallest eigenvalue against the
     scheduled threshold.  Thresholds scale like lam**(4m+2): once they sink
     below what double-precision eigensolves resolve (about 1e-13 relative
@@ -233,11 +231,7 @@ def decide(H: Hamiltonian, g: float = 1.0, c: float = 0.1) -> Decision:
         return Decision("YES", 2 * H.n - 1, 2 ** H.n, sched, None, None)
     sched = schedule(g, H.t, H.max_locality, c)
     res = reduce_hamiltonian(H)
-    # a factor has no simplex above n - 1, so its complex is complete there
-    Ks = [
-        clique_complex(f, max_dim=min(res.k + 1, f.n_vertices - 1))
-        for f in join_factors(res.graph)
-    ]
+    Ks = factor_complexes(res.graph, res.k)
     b = join_betti(Ks, res.k)
     if b >= 1:
         return Decision("YES", res.k, b, sched, None, _kernel_overlaps(Ks, H.n))

@@ -40,7 +40,8 @@ _TRACED = (coboundary,)
 
 
 class Filtration:
-    """Weight filtration of a built clique complex and its persistence pairs."""
+    """Weight filtration of a built clique complex: its page dimensions,
+    read from the persistence pairs."""
 
     def __init__(self, K: CliqueComplex):
         if not K.complete:
@@ -49,15 +50,13 @@ class Filtration:
         self.kmax = K.max_dim
         levels = K.levels
         self.lmax = {k: int(ls.max()) if len(ls) else -1 for k, ls in levels.items()}
-        # pairs[k]: d^k's (sigma in C^k, tau in C^{k+1}) index pairs; gaps[k][i]
-        # is the level gap of simplex i's pair, -1 when it is unpaired
-        self.pairs: dict[int, list[tuple[int, int]]] = {k: [] for k in range(-1, self.kmax)}
+        # gaps[k][i]: the level gap of simplex i's pair (``coboundary_pairs``),
+        # -1 when it is unpaired
         top = K.top_dimension()
         gaps = {k: np.full(len(levels[k]), -1) for k in range(-1, top + 1)}
         for k in range(-1, top):
             s, t = coboundary_pairs(K, k)
             gaps[k][s] = gaps[k + 1][t] = levels[k + 1][t] - levels[k][s]
-            self.pairs[k] = list(zip(s.tolist(), t.tolist()))
         # _dims[k][l, j]: dim e_{j,l}^k, the k-simplices at level l unpaired or
         # with gap >= j: counts by level and gap class (the gaps, then unpaired
         # last), suffix-summed over the classes.  The last column holds for

@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import complexes
-from .complexes import CliqueComplex
+from .complexes import CliqueComplex, factor_complexes
 from .errors import BranchMatchingError, DimensionError, GraphFormatError
 from .graph import join_factors
 from .homology import DENSE_EIG_CAP, betti, eigensolve, join_splits
@@ -117,19 +116,16 @@ def join_spectrum(Ks: Sequence[CliqueComplex], k: int, grid: Sequence[float]) ->
 
 
 def _join_complexes(K: CliqueComplex, k: int) -> list[CliqueComplex]:
-    """The complexes of the join factors of K's graph, each built as far as
-    degree k needs (``decide``'s bound); ``[K]`` itself when the graph has
-    one factor.  K must be complete or built to k + 1 either way.  Refused
-    when a factor Laplacian that ``join_spectrum`` would solve densely is
-    above DENSE_EIG_CAP."""
-    factors = join_factors(K.graph)
-    if len(factors) == 1:
+    """The complexes of the join factors of K's graph (``factor_complexes``);
+    ``[K]`` itself when the graph has one factor.  K must be complete or
+    built to k + 1 either way.  Refused when a factor Laplacian that
+    ``join_spectrum`` would solve densely is above DENSE_EIG_CAP."""
+    if len(join_factors(K.graph)) == 1:
         Ks = [K]
     elif k + 1 > K.max_dim and not K.complete:
         raise DimensionError(f"degree {k} needs the complex built to {k + 1}")
     else:
-        # looked up on the module, where bench/tracing.py counts the enumeration
-        Ks = [complexes.clique_complex(f, max_dim=min(k + 1, f.n_vertices - 1)) for f in factors]
+        Ks = factor_complexes(K.graph, k)
     block = max(Ks[j].dim_size(i) for s in join_splits(Ks, k) for j, i in enumerate(s))
     if block > DENSE_EIG_CAP:
         raise DimensionError(

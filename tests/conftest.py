@@ -12,6 +12,7 @@ settings.load_profile("repeatable")
 
 from homology_lab.complexes import CliqueComplex
 from homology_lab.graph import WeightedGraph, make_graph, unweighted
+from homology_lab.homology import coboundary_pairs
 from homology_lab.operators import coboundary
 
 # -- shared complex cache ------------------------------------------------------
@@ -137,6 +138,13 @@ def boundary_side_pairs(K, k) -> set[tuple[int, int]]:
     order = sorted(rows, key=lambda r: (hi[r], r))
     reduced = reference_reduce({number[c]: v for c, v in rows[r].items()} for r in order)
     return {(face_at[min(col)], r) for r, col in zip(order, reduced) if col}
+
+
+def pair_list(K, k) -> list[tuple[int, int]]:
+    """d^k's persistence pairs (``coboundary_pairs``) as (k-simplex, coface)
+    index tuples, in ascending (level, index) of the coface."""
+    s, t = coboundary_pairs(K, k)
+    return list(zip(s.tolist(), t.tolist()))
 
 
 # -- random graph generation ---------------------------------------------------

@@ -172,10 +172,10 @@ def test_c07_gadget_homology():
         st = IntegerState.from_dict(m, amps)
         K = built(gadget_graph(st), 2 * m + 4)
         want = 2 ** m - 1
-        table = betti_table(K).as_dict()
+        table = betti_table([K]).as_dict()
         if not all(v == (want if k == 2 * m - 1 else 0) for k, v in table.items()):
             ok = False
-        if abs(euler_characteristic(K).reduced) != want:
+        if abs(euler_characteristic([K]).reduced) != want:
             ok = False
     check("07 gadget homology", ok, f"8 states, {time.perf_counter() - t0:.2f}s")
 

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homology_lab import complexes
 from homology_lab.cli import main
 from homology_lab.fixtures import write_fixtures
+from homology_lab.reduction import parse_hamiltonian, reduce_hamiltonian
 
 from conftest import complete_graph
 from test_parsers import GRAPH_DOCS, texts
@@ -45,6 +47,10 @@ def fixture_dir(tmp_path_factory):
     write_fixtures(str(d), names + ["qubit-2", "two-gadgets-1q"])
     for name, text in HAMILTONIANS.items():
         (d / f"{name}.json").write_text(text)
+    # padded NO reduction graphs: join factors of 17 vertices and n - 1 bowties
+    for n in (3, 5):
+        H = parse_hamiltonian(HAMILTONIANS["h-3q-no"].replace('"n":3', f'"n":{n}'))
+        (d / f"reduced-{n}q-no.json").write_text(reduce_hamiltonian(H).to_json())
     return d
 
 
@@ -86,14 +92,27 @@ def test_betti_single_k_octahedron(fixture_dir, capsys):
     assert out.strip() == "1"
 
 
-def test_betti_max_dim_above_the_vertex_count_is_clamped(fixture_dir, capsys):
-    """No simplex exists above dimension n - 1, so a larger --max-dim adds nothing."""
-    bowtie = str(fixture_dir / "bowtie.json")
-    clamped = run(capsys, "betti", bowtie, "--k", "all", "--max-dim", "50")
-    assert clamped == run(capsys, "betti", bowtie, "--k", "all", "--max-dim", "7")
+def test_betti_on_a_join_builds_only_its_factors(fixture_dir, capsys, monkeypatch):
+    """The padded 5q NO graph (45 vertices) has 5,373,952 simplices, above
+    the default cap: betti enumerates only its factors, each once per run."""
+    built = []
+    real = complexes.clique_complex
+
+    def recorded(g, *args, **kwargs):
+        built.append(g.n_vertices)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(complexes, "clique_complex", recorded)
+    graph = str(fixture_dir / "reduced-5q-no.json")
+    assert run(capsys, "betti", graph, "--k", "9") == (0, "0\n", "")
+    code, out, err = run(capsys, "betti", graph, "--k", "all")
+    rows = [line.split() for line in out.splitlines()[1:-2]]
+    assert (code, err) == (0, "")
+    assert [int(r[0]) for r in rows] == list(range(-1, 44)) and {r[-1] for r in rows} == {"0"}
+    assert built == [17, 7, 7, 7, 7] * 2
 
 
-@pytest.mark.parametrize("extra", [(), ("--max-dim", "8")], ids=["derived", "max-dim-8"])
+@pytest.mark.parametrize("extra", [()], ids=["derived"])
 def test_betti_above_the_top_degree_is_zero(fixture_dir, capsys, extra):
     """The bowtie has 7 vertices: its complete complex has no 7-simplex."""
     code, out, err = run(capsys, "betti", str(fixture_dir / "bowtie.json"), "--k", "7", *extra)
@@ -110,9 +129,6 @@ def test_degree_below_minus_one_answers_like_one_above_the_top(fixture_dir, caps
         below = run(capsys, "spectrum", hexagon, "--k", k, *mode)
         assert below == run(capsys, "spectrum", hexagon, "--k", "40", *mode)
         assert below[0] == 0 and below[2] == ""
-    # an explicit depth below 0 stays an error
-    code, out, err = run(capsys, "betti", hexagon, "--k", k, "--max-dim", "-1")
-    assert (code, out) == (2, "") and err == "error: max_dim must be >= 0\n"
 
 
 def test_betti_missing_file_fails_cleanly(capsys):
@@ -222,6 +238,10 @@ GOLDEN_RUNS = {
         f"betti-{name}": ("betti", f"@{name}", "--k", "all")
         for name in ["bowtie", "hexagon", "octahedron-3", "gadget-0", "gadget-00-minus-11"]
     },
+    # a join of three factors: every row by Kunneth
+    "betti-reduced-3q-no": ("betti", "@reduced-3q-no", "--k", "all"),
+    "betti-reduced-3q-no-csv": ("betti", "@reduced-3q-no", "--k", "all", "--format", "csv"),
+    "betti-reduced-3q-no-unreduced": ("betti", "@reduced-3q-no", "--k", "all", "--unreduced"),
     "verify-gadget-2x0-minus-1": ("verify-gadget", '{"0": 2, "1": -1}'),
     "verify-gadget-00-minus-11": ("verify-gadget", '{"00": 1, "11": -1}'),
     "verify-gadget-Hclock1": ("verify-gadget", "Hclock1"),
@@ -450,7 +470,8 @@ REJECTED_ARGS = {
     "inline-amplitude-bool": (("verify-gadget", '{"0": true}'), 2),
     "inline-amplitude-sum-too-large": (("verify-gadget", '{"0": 100000000000000000000000, "1": 1}'), 2),
     "inline-state-nested-too-deeply": (("verify-gadget", "[" * 3000), 1),
-    # spectrum and specseq build the depth they read; m is the bitstring length
+    # every command builds the depth it reads; m is the bitstring length
+    "betti-max-dim": (("betti", "@hexagon", "--k", "all", "--max-dim", "3"), 1),
     "spectrum-max-dim": (("spectrum", "@hexagon", "--k", "1", "--grid", "default", "--max-dim", "2"), 1),
     "specseq-max-dim": (("specseq", "@hexagon", "--max-dim", "5"), 1),
     "verify-gadget-m": (("verify-gadget", '{"00": 1}', "--m", "2"), 1),
@@ -499,7 +520,7 @@ FUZZ_OPTIONS = {
 }
 GRAPH_OPTIONS = ["--cap", "--format"]
 FUZZ_COMMANDS = {  # command -> its own options
-    "betti": ["--k", "--unreduced", "--max-dim", *GRAPH_OPTIONS],
+    "betti": ["--k", "--unreduced", *GRAPH_OPTIONS],
     "spectrum": ["--k", "--lambda", "--grid", *GRAPH_OPTIONS],
     "specseq": ["--k", "--j-max", "--forman", "--grid", *GRAPH_OPTIONS],
     "reduce": ["--c", "--g", "--out"],

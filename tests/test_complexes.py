@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homology_lab import gadgets, reduction
+from homology_lab import complexes, gadgets, reduction
 from homology_lab.complexes import (
     clique_complex,
     kunneth_embed,
@@ -297,7 +297,7 @@ def test_labels_stay_at_the_io_edge(monkeypatch):
         return {"by_dim"} & vars(K).keys()
 
     K = clique_complex(qubit_graph(1), 6)
-    betti_table(K)
+    betti_table([K])
     F = filtration(clique_complex(octahedron(3), 5))
     for j in range(5):
         page_dims(F, j)
@@ -308,7 +308,7 @@ def test_labels_stay_at_the_io_edge(monkeypatch):
         built_by_decide.append(clique_complex(*args, **kwargs))
         return built_by_decide[-1]
 
-    monkeypatch.setattr(reduction, "clique_complex", recording)
+    monkeypatch.setattr(complexes, "clique_complex", recording)
     four = ",".join(f'{{"support":[0,1],"amps":{{"{z}":1}}}}' for z in ("00", "01", "10", "11"))
     dec = reduction.decide(reduction.parse_hamiltonian(f'{{"n":2,"terms":[{four}]}}'), c=0.5)
     assert dec.answer == "NO" and built_by_decide

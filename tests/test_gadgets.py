@@ -146,7 +146,7 @@ def test_build_K_two_qubit_singlet_like():
     assert sorted(dummies) == ["x1", "x2", "x3", "x4"]
     assert all(rel[d] == "q1.x" for d in dummies)
     K = built(kg, 5)
-    assert betti_table(K).as_dict() == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 1, 4: 0}
+    assert betti_table([K]).as_dict() == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 1, 4: 0}
 
 
 def test_build_K_spheres_for_many_states():
@@ -159,7 +159,7 @@ def test_build_K_spheres_for_many_states():
     for m, amps in cases:
         kg, rel, _ = build_K(IntegerState.from_dict(m, amps))
         K = built(kg, 2 * m + 2)
-        table = betti_table(K).as_dict()
+        table = betti_table([K]).as_dict()
         assert all(
             v == (1 if k == 2 * m - 1 else 0) for k, v in table.items()
         ), (amps, table)
@@ -328,10 +328,10 @@ def test_glued_gadget_homology(m, amps):
     st = IntegerState.from_dict(m, amps)
     g = glue(qubit_graph(m), gadget(st))
     K = built(g, 2 * m + 4)
-    table = betti_table(K).as_dict()
+    table = betti_table([K]).as_dict()
     want = 2 ** m - 1
     assert all(v == (want if k == 2 * m - 1 else 0) for k, v in table.items()), table
-    assert abs(euler_characteristic(K).reduced) == want
+    assert abs(euler_characteristic([K]).reduced) == want
 
 
 def test_glue_validations():

@@ -31,6 +31,7 @@ from homology_lab.homology import (
     exact_columns,
     harmonic_basis,
     is_cycle,
+    join_betti,
 )
 from homology_lab.operators import coboundary
 
@@ -42,6 +43,7 @@ from conftest import (
     complete_graph,
     dense_rank,
     graphs,
+    pair_list,
     positions,
     seeded_graphs,
 )
@@ -172,7 +174,7 @@ def test_betti_table_ranks_bottom_up_and_clears_each_degree(received):
     for g in CLEARING_CASES:
         K = clique_complex(g, g.n_vertices)
         received.clear()
-        table = betti_table(K)
+        table = betti_table([K])
         rank = dict(zip(table.ks, table.coboundary_ranks))
         want = [K.dim_size(k) - rank.get(k - 1, 0) for k in table.ks if K.dim_size(k)]
         assert received == want
@@ -204,10 +206,10 @@ def test_ranks_and_pairs_equal_the_homology_direction_reference(g):
     ks = range(-1, K.max_dim)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rational, "reduce_columns", spy)
-        table = betti_table(K)  # ranks first
-        F = filtration(K)
-        G = filtration(L)  # the filtration first
-        later = betti_table(L)
+        table = betti_table([K])  # ranks first
+        filtration(K)
+        filtration(L)  # the filtration first
+        later = betti_table([L])
         truncated = {k: clique_complex(g, k + 1) for k in ks}
         short = {k: (coboundary_rank(T, k), coboundary_pairs(T, k)) for k, T in truncated.items()}
     ranks = dict(zip(table.ks, table.coboundary_ranks))
@@ -215,7 +217,7 @@ def test_ranks_and_pairs_equal_the_homology_direction_reference(g):
     for k in ks:
         want = boundary_side_pairs(K, k)
         assert ranks[k] == boundary_side_rank(K, k) == len(want), k
-        assert set(F.pairs[k]) == set(G.pairs[k]) == want, k
+        assert set(pair_list(K, k)) == set(pair_list(L, k)) == want, k
         rank, (s, t) = short[k]
         assert rank == ranks[k] and set(zip(s.tolist(), t.tolist())) == want, k
     assert calls
@@ -319,7 +321,7 @@ def brute_force_betti(g) -> dict[int, int]:
 @example(octahedron(3))  # betti_2 = 1
 @example(octahedron(4))  # betti_3 = 1, 8 vertices
 def test_betti_table_matches_brute_force(g):
-    table = betti_table(clique_complex(g, g.n_vertices))
+    table = betti_table([clique_complex(g, g.n_vertices)])
     oracle = brute_force_betti(g)
     assert table.as_dict() == {k: oracle[k] for k in table.ks}
     assert all(b == 0 for k, b in oracle.items() if k not in table.ks)
@@ -328,36 +330,36 @@ def test_betti_table_matches_brute_force(g):
 def test_unreduced_betti_zero_dimension():
     g = unweighted(["a", "b"], [])
     K = built(g, 1)
-    assert betti(K, 0, reduced=True) == 1  # two components, reduced
-    assert betti(K, 0, reduced=False) == 2
+    assert betti(K, 0) == join_betti([K], 0) == 1  # two components, reduced
+    assert join_betti([K], 0, reduced=False) == 2
 
 
 def test_euler_characteristic_point():
     K = built(unweighted(["p"]), 1)
-    chi = euler_characteristic(K)
+    chi = euler_characteristic([K])
     assert chi.unreduced == 1 and chi.reduced == 0
 
 
 def test_euler_characteristic_octahedron_sphere():
-    chi = euler_characteristic(built(octahedron(3), 4))
+    chi = euler_characteristic([built(octahedron(3), 4)])
     assert chi.unreduced == 2
 
 
 def test_euler_refuses_truncated_complex():
     K = built(octahedron(3), 2)  # has 2-simplices at the cap
     with pytest.raises(DimensionError):
-        euler_characteristic(K)
+        euler_characteristic([K])
 
 
 def test_witten_index_of_single_gadget():
     g = gadget_graph(IntegerState.from_dict(1, {"0": 1}))
-    assert abs(euler_characteristic(built(g, 3)).reduced) == 1
+    assert abs(euler_characteristic([built(g, 3)]).reduced) == 1
 
 
 def test_euler_rank_nullity_consistency():
     for g in seeded_graphs(10, 7, wmax=1, seed=3):
         K = clique_complex(g, g.n_vertices)
-        chi = euler_characteristic(K)
+        chi = euler_characteristic([K])
         alt = sum((-1) ** k * betti(K, k) for k in range(0, K.max_dim))
         assert alt - betti(K, -1) == chi.reduced
 

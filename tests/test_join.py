@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homology_lab import complexes, homology, reduction, spectra
-from homology_lab.complexes import clique_complex
+from homology_lab.complexes import clique_complex, factor_complexes
 from homology_lab.errors import DimensionError, GapAmbiguityError, HomologyLabError
 from homology_lab.graph import (
     bowtie,
@@ -28,7 +28,15 @@ from homology_lab.graph import (
     make_graph,
     qubit_graph,
 )
-from homology_lab.homology import betti, coboundary_rank, join_betti, join_splits
+from homology_lab.homology import (
+    EulerCharacteristic,
+    betti,
+    betti_table,
+    coboundary_rank,
+    euler_characteristic,
+    join_betti,
+    join_splits,
+)
 from homology_lab.operators import coboundary, laplacian
 from homology_lab.reduction import decide, parse_hamiltonian, reduce_hamiltonian
 from homology_lab.spectra import (
@@ -212,11 +220,42 @@ def test_join_spectrum_matches_the_whole_dense_spectrum(factors):
             assert np.all(np.abs(joined - whole) <= bound), (k, np.abs(joined - whole).max(), bound)
 
 
+def whole_table(K, reduced):
+    """The Betti table of the whole complex K, read off its own ranks: rows
+    (k, dim C^k, rank d^k, beta_k) below max_dim; unreduced, degree 0 has
+    no d^{-1} to quotient by and degree -1 no row."""
+    rank = {k: coboundary_rank(K, k) for k in range(-2, K.max_dim)}
+    return [
+        (k, K.dim_size(k), rank[k],
+         K.dim_size(k) - rank[k] - (rank[k - 1] if reduced or k else 0))
+        for k in range(-1 if reduced else 0, K.max_dim)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_lists())
+def test_betti_table_and_euler_from_the_factors_match_the_whole_complex(factors):
+    """Every row of the Kunneth table, reduced and unreduced, the Euler
+    characteristic from simplex counts and the unreduced ``join_betti``
+    equal the whole complex's."""
+    g = join_all(factors)
+    K = complete(g)
+    chi = sum((-1) ** k * c for k, c in K.counts().items() if k >= 0)
+    unreduced = {k: b for k, _, _, b in whole_table(K, False)}
+    splits = ([complete(f) for f in factors], factor_complexes(g, g.n_vertices - 2))
+    for Ks in splits:
+        for reduced in (True, False):
+            table = betti_table(Ks, reduced)
+            rows = list(zip(table.ks, table.chain_dims, table.coboundary_ranks, table.betti))
+            assert rows == whole_table(K, reduced)
+        assert euler_characteristic(Ks) == EulerCharacteristic(chi, chi - 1)
+        for k in range(-2, g.n_vertices + 1):
+            assert join_betti(Ks, k, reduced=False) == unreduced.get(k, 0), k
+
+
 def reduction_complexes(text):
     res = reduce_hamiltonian(parse_hamiltonian(text))
-    Ks = [clique_complex(f, max_dim=min(res.k + 1, f.n_vertices - 1))
-          for f in join_factors(res.graph)]
-    return Ks, clique_complex(res.graph, max_dim=res.k + 1), res.k
+    return factor_complexes(res.graph, res.k), clique_complex(res.graph, max_dim=res.k + 1), res.k
 
 
 PADDED_2Q_NO = '{"n":2,"terms":[{"support":[0],"amps":{"0":1}},{"support":[0],"amps":{"1":1}}]}'
@@ -432,13 +471,13 @@ def test_yes_overlap_rows_from_the_factors_equal_the_whole_complex(case):
 def test_factored_yes_builds_no_whole_complex(monkeypatch):
     H = YES_CASES["3q-yes-padded"][0]
     built = []
-    real = reduction.clique_complex
+    real = complexes.clique_complex
 
     def recorded(g, *args, **kwargs):
         built.append(g.n_vertices)
         return real(g, *args, **kwargs)
 
-    monkeypatch.setattr(reduction, "clique_complex", recorded)
+    monkeypatch.setattr(complexes, "clique_complex", recorded)
     assert decide(H).answer == "YES"
     assert reduce_hamiltonian(H).graph.n_vertices == 40
     assert built == [33, 7]

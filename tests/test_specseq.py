@@ -8,7 +8,15 @@ from homology_lab.homology import betti, betti_table, coboundary_rank
 from homology_lab.operators import coboundary
 from homology_lab.specseq import filtration, forman_compare, page_dims, stabilized_dims
 
-from conftest import boundary_side_pairs, built, dense_rank, graphs, reference_reduce, seeded_graphs
+from conftest import (
+    boundary_side_pairs,
+    built,
+    dense_rank,
+    graphs,
+    pair_list,
+    reference_reduce,
+    seeded_graphs,
+)
 
 
 def _exponent_sum(K, s):
@@ -213,7 +221,8 @@ def test_pages_match_rank_formula_oracle():
     for g in graphs:
         K = built(g, g.n_vertices)
         F = filtration(K)
-        for k, pairs in F.pairs.items():
+        for k in range(-1, K.max_dim):
+            pairs = pair_list(K, k)
             assert len(pairs) == dense_rank(coboundary(K, k).int_rows_at_one().values())
         got = {(j, k, l): d for j in range(6) for (k, l), d in page_dims(F, j).dims.items()}
         assert got == _rank_formula_pages(K, 5), g
@@ -224,9 +233,9 @@ def test_boundary_side_pairs_equal_the_coboundary_side():
     graphs = [*named_fixtures().values(), *seeded_graphs(25, 8, wmax=2, seed=21)]
     for g in graphs:
         K = built(g, g.n_vertices)
-        F = filtration(K)
-        for k, pairs in F.pairs.items():
-            assert set(pairs) == boundary_side_pairs(K, k), (g, k)
+        filtration(K)
+        for k in range(-1, K.max_dim):
+            assert set(pair_list(K, k)) == boundary_side_pairs(K, k), (g, k)
 
 
 def _uncleared_pairs(K, k):
@@ -248,10 +257,9 @@ def _uncleared_pairs(K, k):
 
 
 def _assert_pairs_uncleared(K):
-    F = filtration(K)
-    assert sorted(F.pairs) == list(range(-1, K.max_dim))
-    for k, pairs in F.pairs.items():
-        assert pairs == _uncleared_pairs(K, k), k
+    filtration(K)
+    for k in range(-1, K.max_dim):
+        assert pair_list(K, k) == _uncleared_pairs(K, k), k
 
 
 @settings(max_examples=80, deadline=None)
@@ -289,11 +297,11 @@ def test_filtration_clears_the_cofaces_of_the_pairs_below(monkeypatch):
     monkeypatch.setattr(homology, "coboundary", lambda K, k: floats.append(k))
     g = gadget_graph(IntegerState.from_dict(1, {"0": 1, "1": -1}))
     K = clique_complex(g, g.n_vertices - 1)
-    F = filtration(K)
+    filtration(K)
     ks = [k for k in range(-1, K.max_dim) if K.dim_size(k + 1)]
     assert assembled == ks and K.max_dim - 1 not in ks
     assert floats == []
-    below = {k: len(F.pairs.get(k - 1, ())) for k in ks}
+    below = {k: len(pair_list(K, k - 1)) for k in ks}
     assert received == [K.dim_size(k) - below[k] for k in ks]
     assert sum(below.values()) > 0
 
@@ -317,7 +325,7 @@ def test_pages_and_betti_numbers_share_one_elimination_per_degree(monkeypatch):
     K = clique_complex(g, g.n_vertices - 1)
     F = filtration(K)
     rep = stabilized_dims(F, 1)
-    table = betti_table(K)
+    table = betti_table([K])
     monkeypatch.undo()
     ks = [k for k in range(-1, K.max_dim) if K.dim_size(k)]
     assert received == [K.dim_size(k) - coboundary_rank(K, k - 1) for k in ks]
