@@ -219,12 +219,13 @@ def clique_complex(g: WeightedGraph, max_dim: int, cap: int = DEFAULT_CAP) -> Cl
     return CliqueComplex(g, max_dim, cap)
 
 
-def factor_complexes(g: WeightedGraph, k: int, cap: int = DEFAULT_CAP) -> list[CliqueComplex]:
-    """The complexes of g's join factors (``join_factors``), each built to
-    k + 1, or complete at its top n_f - 1 if lower: as far as degree k of
-    their join, g's complex, needs.  ``cap`` bounds each enumeration."""
+def factor_complexes(g: WeightedGraph | tuple, k: int, cap: int = DEFAULT_CAP) -> list[CliqueComplex]:
+    """The complexes of g's join factors (``join_factors``, or g itself if a
+    tuple of them), each built to k + 1, or complete at its top n_f - 1 if
+    lower, as degree k of their join needs; ``cap`` bounds each enumeration."""
+    factors = g if isinstance(g, tuple) else join_factors(g)
     # clique_complex is looked up on the module, where bench/tracing.py wraps it
-    return [clique_complex(f, max(min(k + 1, f.n_vertices - 1), 0), cap) for f in join_factors(g)]
+    return [clique_complex(f, max(min(k + 1, f.n_vertices - 1), 0), cap) for f in factors]
 
 
 # -- oriented-simplex utilities ----------------------------------------------

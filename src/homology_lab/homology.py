@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from operator import add, mul
 from typing import Sequence
 
 import numpy as np
@@ -220,46 +220,50 @@ def betti(K: CliqueComplex, k: int) -> int:
     return b
 
 
-def join_splits(Ks: Sequence[CliqueComplex], k: int) -> list[tuple[int, ...]]:
-    """Degree splits of C^k of the join of the factors' clique complexes.
+def join_series(Ks: Sequence[CliqueComplex], k: int, value, times, plus):
+    """The coefficient of x^{k+1} in the product over the factors j of
+    sum_i value(j, i) x^{i+1}, under the given (plus, times); None if none.
 
-    The clique complex of a join is the join of the clique complexes, and
-    its augmented cochain complex is the tensor product of the factors',
-    shifted by one degree per join: C^k(K_1 * ... * K_f) is the direct sum of
-    C^{i_1}(K_1) (x) ... (x) C^{i_f}(K_f) over i_1 + ... + i_f = k - (f - 1),
-    each i_j >= -1.  Returns the splits (i_1, ..., i_f) whose chain groups
-    are all nonempty, in lexicographic order.  Each factor is complete or
+    The join's augmented cochains are the tensor product of the factors':
+    C^k(K_1 * ... * K_f) is the sum of C^{i_1}(K_1) (x) ... (x) C^{i_f}(K_f)
+    over (i_1 + 1) + ... + (i_f + 1) = k + 1.  Each factor is complete or
     built to k.  A clique complex has simplices in every degree from -1 to
-    its top, so the factors after j add any degree sum from -(number left)
-    to the sum of their tops: a prefix is kept only if that range can
-    complete it.
+    its top, so factor j is asked once for each degree some split uses: from
+    k less what the others can add, at least -1, to its top, at most k.  The
+    fold runs left to right and keeps a partial coefficient only while the
+    factors after it can still reach k + 1.
     """
-    # a factor has no simplex above max_dim + 1, or refuses it when truncated
-    degrees = [[i for i in range(-1, min(k, K.max_dim + 1) + 1) if K.dim_size(i)] for K in Ks]
-    target, splits = k - len(Ks) + 1, [()]
-    for j, ds in enumerate(degrees):
-        rest = degrees[j + 1 :]
-        lo, hi = -len(rest), sum(max(d, default=-1) for d in rest)
-        splits = [s + (i,) for s in splits for i in ds if lo <= target - sum(s) - i <= hi]
-    return splits
+    # each factor's top degree, at most k; a truncated one refuses max_dim + 1
+    tops = [next((i - 1 for i in range(k + 1) if not K.dim_size(i)), k) for K in Ks]
+    total = rest = sum(t + 1 for t in tops)
+    acc = {0: None}  # partial degree sum -> coefficient; None is the unit
+    for j, top in enumerate(tops):
+        rest -= top + 1
+        terms = [(i + 1, value(j, i)) for i in range(max(-1, k - total + top + 1), top + 1)]
+        grown = {}
+        for e, a in acc.items():
+            for d, v in terms:
+                if k + 1 - rest <= e + d <= k + 1:
+                    t = v if a is None else times(a, v)
+                    grown[e + d] = plus(grown[e + d], t) if e + d in grown else t
+        acc = grown
+    return acc.get(k + 1)
 
 
 def join_betti(Ks: Sequence[CliqueComplex], k: int, reduced: bool = True) -> int:
     """Betti number of the join of the factors' complexes, exact.
 
-    Kunneth: the reduced beta_k is the sum over ``join_splits`` of the
-    products of the factors' reduced Betti numbers, integer arithmetic on
-    exact ranks.  Each (factor, degree) is asked once, a factor's degrees
-    bottom-up, as ``coboundary_pairs`` reduces them with clearing; each
-    factor is complete or built to k + 1.  One factor asks ``betti`` once.
-    Unreduced, degree -1 has none and degree 0 one more if there is a vertex.
+    Kunneth: the reduced beta_k is a ``join_series`` coefficient of the
+    factors' reduced Betti numbers, integer arithmetic on exact ranks.  Each
+    (factor, degree) is asked once, a factor's degrees bottom-up, as
+    ``coboundary_pairs`` reduces them with clearing; each factor is complete
+    or built to k + 1.  One factor asks ``betti`` once.  Unreduced, degree
+    -1 has none and degree 0 one more if there is a vertex.
     """
     if not reduced and k <= 0:
         return 0 if k < 0 else join_betti(Ks, 0) + any(K.dim_size(0) for K in Ks)
-    splits = join_splits(Ks, k)
-    asked = sorted({(j, i) for s in splits for j, i in enumerate(s)})
-    factor_betti = {(j, i): betti(Ks[j], i) for j, i in asked}
-    return sum(prod(factor_betti[j, i] for j, i in enumerate(s)) for s in splits)
+    # betti is looked up on the module, where bench/tracing.py wraps it
+    return join_series(Ks, k, lambda j, i: betti(Ks[j], i), mul, add) or 0
 
 
 @dataclass(frozen=True)
@@ -278,15 +282,15 @@ def betti_table(Ks: Sequence[CliqueComplex], reduced: bool = True) -> BettiTable
     """Betti table of the join of the factors' complexes (one complex is
     ``[K]``), in each degree below the sum of the factors' max_dim + 1, less 1.
 
-    Each row is Kunneth: dim C^k sums products of factor dims over
-    ``join_splits``, beta_k is ``join_betti`` (each factor's ranks bottom-up,
-    so each degree's pairs clear the next), and rank d^k is dim C^k - reduced
-    beta_k - rank d^{k-1}, from rank d^{-2} = 0.
+    Each row is Kunneth: dim C^k (an exact int) and beta_k (``join_betti``)
+    are ``join_series`` coefficients of the factors' dims and Betti numbers,
+    and rank d^k is dim C^k - reduced beta_k - rank d^{k-1}, from
+    rank d^{-2} = 0.
     """
     depth = sum(K.max_dim + 1 for K in Ks) - 1
     dims, bettis, ranks, rank = {}, {}, {}, 0
     for k in range(-1, depth):
-        dims[k] = sum(prod(Ks[j].dim_size(i) for j, i in enumerate(s)) for s in join_splits(Ks, k))
+        dims[k] = join_series(Ks, k, lambda j, i: Ks[j].dim_size(i), mul, add) or 0
         bettis[k] = join_betti(Ks, k)
         rank = ranks[k] = dims[k] - bettis[k] - rank
     ks = tuple(range(-1 if reduced else 0, depth))

@@ -19,7 +19,7 @@ every grid point are classified as exact kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .complexes import CliqueComplex, factor_complexes
 from .errors import BranchMatchingError, DimensionError, GraphFormatError
 from .graph import join_factors
-from .homology import DENSE_EIG_CAP, betti, eigensolve, join_splits
+from .homology import DENSE_EIG_CAP, betti, eigensolve, join_series
 from .operators import laplacian, laplacian_down, laplacian_up
 
 DEFAULT_GRID = (0.3, 0.25, 0.2, 0.15, 0.1)
@@ -69,9 +69,7 @@ def spectrum(K: CliqueComplex, k: int, lam: float) -> SpectrumReport:
 
 def lambda_min(K: CliqueComplex, k: int, lam: float) -> float:
     """Smallest Laplacian eigenvalue; exact 0 when the Betti number is positive."""
-    if betti(K, k) >= 1:
-        return 0.0
-    if K.dim_size(k) == 0:
+    if betti(K, k) >= 1 or K.dim_size(k) == 0:
         return 0.0
     return float(eigensolve(laplacian(K, k).evaluate(lam), 1)[0])
 
@@ -79,40 +77,35 @@ def lambda_min(K: CliqueComplex, k: int, lam: float) -> float:
 def join_lambda_min(Ks: Sequence[CliqueComplex], k: int, lam: float) -> float:
     """Smallest Laplacian eigenvalue of the join of the factors' complexes.
 
-    In the normalized weighted basis the Laplacian of a join is the direct
-    sum, over ``join_splits``, of L_{i_1}(K_1) (x) 1 + ... + 1 (x) L_{i_f}(K_f),
-    so its spectrum is the sums of factor eigenvalues: the minimum over the
-    splits of the sum of the factors' ``lambda_min``, each (factor, degree)
-    solved once.  One factor asks ``lambda_min`` once; an empty C^k gives
-    0.0, as ``lambda_min`` does.
+    The join's Laplacian is the direct sum, over the degree splits, of
+    L_{i_1}(K_1) (x) 1 + ... + 1 (x) L_{i_f}(K_f) in the normalized weighted
+    basis, so its lambda_min is the (min, +) ``join_series`` coefficient of
+    the factors' ``lambda_min``, each (factor, degree) solved once; an empty
+    C^k gives 0.0.  Rounding is monotone, fl(min(a, b) + c) = min(fl(a + c),
+    fl(b + c)), so these are the bits of the least split sum added in order.
     """
-    factor_min = cache(lambda j, i: lambda_min(Ks[j], i, lam))
-    sums = (sum(factor_min(j, i) for j, i in enumerate(s)) for s in join_splits(Ks, k))
-    return min(sums, default=0.0)
+    return join_series(Ks, k, lambda j, i: lambda_min(Ks[j], i, lam), add, min) or 0.0
 
 
 def join_spectrum(Ks: Sequence[CliqueComplex], k: int, grid: Sequence[float]) -> np.ndarray:
     """Whole sorted Laplacian spectrum of the join of the factors' complexes.
 
     Returns an array (dim C^k, len(grid)): column g is the ascending
-    spectrum at lambda = grid[g].  Over each ``join_splits`` entry the
-    Laplacian of the join is the Kronecker sum of the factor Laplacians
-    L_{i_j}(K_j), whose spectrum is the outer sum of theirs.  Each
-    (factor, degree) Laplacian is assembled once and solved once per lambda
-    by a dense ``eigensolve``.  One factor assembles L_k once and solves it
-    once per lambda.  Each factor is complete or built to k + 1.
+    spectrum at lambda = grid[g].  Over each degree split the join's
+    Laplacian is the Kronecker sum of the L_{i_j}(K_j), whose spectrum is
+    the outer sum of theirs: the (concatenate, outer sum) ``join_series``
+    coefficient.  Each (factor, degree) Laplacian is assembled once and
+    solved densely once per lambda; each factor is complete or built to k + 1.
     """
-    splits = join_splits(Ks, k)
-    if not splits:
-        return np.zeros((0, len(grid)))
-    pairs = dict.fromkeys((j, i) for s in splits for j, i in enumerate(s))
-    laps = {(j, i): laplacian(Ks[j], i) for j, i in pairs}
-    cols = []
-    for lam in grid:
-        vals = {ji: eigensolve(L.evaluate(lam)) for ji, L in laps.items()}
-        sums = [reduce(np.add.outer, [vals[j, i] for j, i in enumerate(s)]).ravel() for s in splits]
-        cols.append(np.sort(np.concatenate(sums)))
-    return np.stack(cols, axis=1)
+    def solved(j, i):
+        L = laplacian(Ks[j], i)
+        return np.stack([eigensolve(L.evaluate(lam)) for lam in grid], axis=1)
+
+    def outer(a, b):
+        return (a[:, None] + b[None]).reshape(-1, len(grid))
+
+    vals = join_series(Ks, k, solved, outer, lambda a, b: np.concatenate((a, b)))
+    return np.zeros((0, len(grid))) if vals is None else np.sort(vals, axis=0)
 
 
 def _join_complexes(K: CliqueComplex, k: int) -> list[CliqueComplex]:
@@ -120,13 +113,14 @@ def _join_complexes(K: CliqueComplex, k: int) -> list[CliqueComplex]:
     ``[K]`` itself when the graph has one factor.  K must be complete or
     built to k + 1 either way.  Refused when a factor Laplacian that
     ``join_spectrum`` would solve densely is above DENSE_EIG_CAP."""
-    if len(join_factors(K.graph)) == 1:
+    factors = join_factors(K.graph)
+    if len(factors) == 1:
         Ks = [K]
     elif k + 1 > K.max_dim and not K.complete:
         raise DimensionError(f"degree {k} needs the complex built to {k + 1}")
     else:
-        Ks = factor_complexes(K.graph, k)
-    block = max(Ks[j].dim_size(i) for s in join_splits(Ks, k) for j, i in enumerate(s))
+        Ks = factor_complexes(factors, k)
+    block = join_series(Ks, k, lambda j, i: Ks[j].dim_size(i), max, max) or 0
     if block > DENSE_EIG_CAP:
         raise DimensionError(
             f"dim C^{k} = {K.dim_size(k)} needs a dense solve of dimension {block}, "

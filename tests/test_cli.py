@@ -48,7 +48,7 @@ def fixture_dir(tmp_path_factory):
     for name, text in HAMILTONIANS.items():
         (d / f"{name}.json").write_text(text)
     # padded NO reduction graphs: join factors of 17 vertices and n - 1 bowties
-    for n in (3, 5):
+    for n in (3, 5, 10):
         H = parse_hamiltonian(HAMILTONIANS["h-3q-no"].replace('"n":3', f'"n":{n}'))
         (d / f"reduced-{n}q-no.json").write_text(reduce_hamiltonian(H).to_json())
     return d
@@ -110,6 +110,25 @@ def test_betti_on_a_join_builds_only_its_factors(fixture_dir, capsys, monkeypatc
     assert (code, err) == (0, "")
     assert [int(r[0]) for r in rows] == list(range(-1, 44)) and {r[-1] for r in rows} == {"0"}
     assert built == [17, 7, 7, 7, 7] * 2
+
+
+def test_the_graph_without_vertices_has_only_the_empty_simplex(tmp_path, capsys):
+    """Its complex is C^{-1} alone: reduced beta_{-1} = 1, and a Laplacian
+    of dimension 1 with eigenvalue 0 in degree -1 and none in degree 0."""
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": [], "edges": []}')
+    assert run(capsys, "betti", str(path), "--k", "all") == (0, (
+        "k    dim C^k  rank d^k  betti\n"
+        " -1        1         0      1\n"
+        "euler characteristic: 0 (reduced -1)\n"
+        "witten index |reduced euler|: 1\n"
+    ), "")
+    assert run(capsys, "spectrum", str(path), "--k", "-1", "--lambda", "0.5") == (
+        0, "0\nlambda_min 0  near-zero multiplicity 1\n", ""
+    )
+    assert run(capsys, "spectrum", str(path), "--k", "0", "--grid", "default") == (
+        0, "branch,lam=0.3,lam=0.25,lam=0.2,lam=0.15,lam=0.1,slope,class\n", ""
+    )
 
 
 @pytest.mark.parametrize("extra", [()], ids=["derived"])
@@ -242,6 +261,8 @@ GOLDEN_RUNS = {
     "betti-reduced-3q-no": ("betti", "@reduced-3q-no", "--k", "all"),
     "betti-reduced-3q-no-csv": ("betti", "@reduced-3q-no", "--k", "all", "--format", "csv"),
     "betti-reduced-3q-no-unreduced": ("betti", "@reduced-3q-no", "--k", "all", "--unreduced"),
+    # eleven factors, dims up to 1.1e12
+    "betti-reduced-10q-no-csv": ("betti", "@reduced-10q-no", "--k", "all", "--format", "csv"),
     "verify-gadget-2x0-minus-1": ("verify-gadget", '{"0": 2, "1": -1}'),
     "verify-gadget-00-minus-11": ("verify-gadget", '{"00": 1, "11": -1}'),
     "verify-gadget-Hclock1": ("verify-gadget", "Hclock1"),

@@ -35,7 +35,7 @@ from homology_lab.homology import (
     coboundary_rank,
     euler_characteristic,
     join_betti,
-    join_splits,
+    join_series,
 )
 from homology_lab.operators import coboundary, laplacian
 from homology_lab.reduction import decide, parse_hamiltonian, reduce_hamiltonian
@@ -76,7 +76,7 @@ def assert_join_matches_whole(splits, K, k, lam):
     bound = LAMBDA_MIN_ULPS * EPS * whole_row_sum(K, k, lam)
     joined = []
     for Ks in splits:
-        dims = (prod(Kj.dim_size(i) for Kj, i in zip(Ks, s)) for s in join_splits(Ks, k))
+        dims = (prod(Kj.dim_size(i) for Kj, i in zip(Ks, s)) for s in product_splits(Ks, k))
         assert sum(dims) == K.dim_size(k)
         assert join_betti(Ks, k) == betti(K, k)
         joined.append(join_lambda_min(Ks, k, lam))
@@ -139,12 +139,26 @@ def test_join_factors_match_a_walk_of_the_non_edges(g):
     assert join_factors(g) == complement_walk_factors(g)
 
 
-# -- join_splits -----------------------------------------------------------------
+# -- the product over the factors ------------------------------------------------
 
 
 def product_splits(Ks, k):
-    """Reference: every tuple of nonempty factor degrees, kept when it sums
-    to k - (f - 1)."""
+    """Reference: every tuple of nonempty factor degrees summing to
+    k - (f - 1), taken from the product of the factors' degree lists one
+    factor at a time; a prefix is dropped once the factors after it cannot
+    complete it, so that many idle bowties stay enumerable."""
+    degrees = [[i for i in range(-1, k + 1) if K.dim_size(i)] for K in Ks]
+    target, splits = k - len(Ks) + 1, [()]
+    for j, ds in enumerate(degrees):
+        rest = degrees[j + 1 :]
+        lo, hi = -len(rest), sum(max(d, default=-1) for d in rest)
+        splits = [s + (i,) for s in splits for i in ds if lo <= target - sum(s) - i <= hi]
+    return splits
+
+
+def unpruned_splits(Ks, k):
+    """``product_splits`` without pruning: the whole product of the degree
+    lists, each tuple kept when it sums to k - (f - 1)."""
     degrees = [[i for i in range(-1, k + 1) if K.dim_size(i)] for K in Ks]
     return [s for s in product(*degrees) if sum(s) == k - len(Ks) + 1]
 
@@ -168,18 +182,79 @@ def built_factors(draw):
     return [clique_complex(g, max(top[d](g), 0)) for g, d in zip(factors, depths)], k
 
 
+def split_sums(Ks, k, lam):
+    """Reference join_betti and join_lambda_min: the sum over
+    ``product_splits`` of the products of factor Betti numbers, and the
+    minimum over them of the factors' lambda_min added left to right."""
+    splits = product_splits(Ks, k)
+    b = sum(prod(betti(Kj, i) for Kj, i in zip(Ks, s)) for s in splits)
+    lm = min((sum(lambda_min(Kj, i, lam) for Kj, i in zip(Ks, s)) for s in splits), default=0.0)
+    return b, lm
+
+
 @settings(max_examples=300, deadline=None)
 @given(built_factors())
-def test_join_splits_match_the_filtered_degree_product(case):
+def test_the_product_over_the_factors_matches_the_sums_over_the_splits(case):
+    """join_betti and join_lambda_min, bit for bit, and on complete factors
+    every chain dim of the Betti table, equal the sums over the splits, or
+    refuse with the same error; the pruned splits are the whole product's."""
     Ks, k = case
-    assert outcome(join_splits, Ks, k) == outcome(product_splits, Ks, k)
+    assert outcome(product_splits, Ks, k) == outcome(unpruned_splits, Ks, k)
+    joined = outcome(lambda: (join_betti(Ks, k), join_lambda_min(Ks, k, 0.3)))
+    assert joined == outcome(split_sums, Ks, k, 0.3)
+    if all(K.complete for K in Ks):
+        table = betti_table(Ks)
+        for row, dim in zip(table.ks, table.chain_dims):
+            assert dim == sum(prod(Kj.dim_size(i) for Kj, i in zip(Ks, s))
+                              for s in product_splits(Ks, row))
 
 
-def test_join_splits_of_many_idle_bowties_stay_few():
-    """Twenty bowties in degree 2 * 20 - 1: each at its top degree 1, one split."""
-    Ks = [complete(bowtie())] * 20
-    assert join_splits(Ks, 39) == [(1,) * 20]
-    assert len(join_splits(Ks, 38)) == 20
+def asked_pairs(monkeypatch, Ks, k):
+    """The (factor, degree) pairs ``join_lambda_min`` solves, in call order."""
+    asked, real = [], spectra.lambda_min
+    index = {id(K): j for j, K in enumerate(Ks)}
+
+    def counted(K, i, lam):
+        asked.append((index[id(K)], i))
+        return real(K, i, lam)
+
+    monkeypatch.setattr(spectra, "lambda_min", counted)
+    join_lambda_min(Ks, k, 0.05)
+    return asked
+
+
+@pytest.mark.parametrize("case", ["3q-no", "bowties-39", "bowties-38"])
+def test_join_lambda_min_solves_each_pair_some_split_uses_once(monkeypatch, case):
+    """Twenty bowties in degree 2 * 20 - 1 have one split, each at its top
+    degree 1, and in degree 2 * 20 - 2 twenty: the product asks only their
+    pairs, where the product of the degree lists has 3^20 tuples."""
+    if case == "3q-no":
+        Ks, _, k = reduction_complexes(HAMILTONIANS["h-3q-no"])
+    else:
+        Ks, k = [complete(bowtie()) for _ in range(20)], int(case[-2:])
+    asked = asked_pairs(monkeypatch, Ks, k)
+    expected = {(j, i) for s in product_splits(Ks, k) for j, i in enumerate(s)}
+    assert sorted(asked) == sorted(expected)
+    assert len(product_splits(Ks, k)) == {"3q-no": 3, "bowties-39": 1, "bowties-38": 20}[case]
+
+
+def test_join_series_forms_only_partial_sums_that_can_still_reach_the_degree():
+    """Twenty bowties, each adding at most 2 to the degree sum: every
+    product the fold forms leaves the factors after it able to reach k + 1."""
+    Ks, formed = [complete(bowtie())] * 20, []
+
+    def times(a, b):  # (factors folded, degree sum, dim)
+        formed.append((a[0] + b[0], a[1] + b[1]))
+        return a[0] + b[0], a[1] + b[1], a[2] * b[2]
+
+    def plus(a, b):
+        return a[0], a[1], a[2] + b[2]
+
+    for k, dim in ((39, 8**20), (38, 20 * 7 * 8**19)):
+        formed.clear()
+        coef = join_series(Ks, k, lambda j, i: (1, i + 1, Ks[j].dim_size(i)), times, plus)
+        assert coef == (20, k + 1, dim)
+        assert formed and all(e + 2 * (20 - f) >= k + 1 and e <= k + 1 for f, e in formed)
 
 
 # -- the split against the whole complex ---------------------------------------
@@ -253,6 +328,23 @@ def test_betti_table_and_euler_from_the_factors_match_the_whole_complex(factors)
             assert join_betti(Ks, k, reduced=False) == unreduced.get(k, 0), k
 
 
+def test_betti_table_of_the_padded_20q_no_from_its_twenty_factors():
+    """Factors of 17 vertices and 19 bowties: the middle rows alone have
+    3^19 degree splits, and the largest dim C^k is above 2^63.  The dims
+    are exact ints, their alternating sum is the Euler characteristic from
+    simplex counts, and every row is acyclic."""
+    g = reduce_hamiltonian(H_of(20, ([0], {"0": 1}), ([0], {"1": 1}))).graph
+    Ks = factor_complexes(g, g.n_vertices - 2)
+    assert [K.graph.n_vertices for K in Ks] == [17] + [7] * 19
+    table = betti_table(Ks)
+    assert all(type(d) is int for d in table.chain_dims) and max(table.chain_dims) > 2**63
+    assert sum((-1) ** (k % 2) * d for k, d in zip(table.ks, table.chain_dims)) == (
+        euler_characteristic(Ks).reduced
+    )
+    assert min(table.coboundary_ranks) >= 0 and table.coboundary_ranks[-1] == 0
+    assert set(table.betti) == {0}
+
+
 def reduction_complexes(text):
     res = reduce_hamiltonian(parse_hamiltonian(text))
     return factor_complexes(res.graph, res.k), clique_complex(res.graph, max_dim=res.k + 1), res.k
@@ -304,11 +396,12 @@ def test_sweep_on_the_factors_matches_the_whole_matrix_sweep(monkeypatch, text, 
 
 
 class CallLog:
-    """Records the Laplacians ``spectra`` assembles, the complexes it builds
-    and the eigensolves it runs, through the module-level names it reads."""
+    """Records the Laplacians ``spectra`` assembles, the complexes it builds,
+    the eigensolves it runs and the graphs it splits into join factors,
+    through the module-level names it reads."""
 
     def __init__(self, monkeypatch):
-        self.laplacians, self.built, self.solves = [], [], 0
+        self.laplacians, self.built, self.solves, self.walks = [], [], 0, 0
         real_laplacian, real_build = spectra.laplacian, complexes.clique_complex
         real_solve = spectra.eigensolve
 
@@ -324,6 +417,12 @@ class CallLog:
             self.solves += 1
             return real_solve(L, *args, **kwargs)
 
+        def walk(g, _real=join_factors):
+            self.walks += 1
+            return _real(g)
+
+        for module in (spectra, complexes):
+            monkeypatch.setattr(module, "join_factors", walk)
         monkeypatch.setattr(spectra, "laplacian", laplacian_)
         monkeypatch.setattr(complexes, "clique_complex", build)
         monkeypatch.setattr(spectra, "eigensolve", solve)
@@ -337,7 +436,7 @@ def test_one_factor_sweep_assembles_the_given_laplacian_once(monkeypatch):
     sweep(K, 1)
     assert log.laplacians == [(K, 1)]
     assert log.solves == len(DEFAULT_GRID)
-    assert log.built == []
+    assert log.built == [] and log.walks == 1
 
 
 def test_3q_no_sweep_never_assembles_the_whole_laplacian(monkeypatch):
@@ -350,6 +449,7 @@ def test_3q_no_sweep_never_assembles_the_whole_laplacian(monkeypatch):
     # each (factor, degree) Laplacian once, solved once per lambda
     assert len(set(log.laplacians)) == len(log.laplacians)
     assert log.solves == len(log.laplacians) * len(DEFAULT_GRID)
+    assert log.walks == 1
 
 
 def test_spectrum_answers_on_the_padded_4q_no_above_the_dense_cap():
@@ -359,7 +459,9 @@ def test_spectrum_answers_on_the_padded_4q_no_above_the_dense_cap():
     rep = spectrum(K, k, 0.05)
     assert rep.eigenvalues.size == K.dim_size(k)
     # the Kronecker sum's largest absolute row sum is the sum of the factors'
-    norm = max(sum(whole_row_sum(Kj, i, 0.05) for Kj, i in zip(Ks, s)) for s in join_splits(Ks, k))
+    norm = max(
+        sum(whole_row_sum(Kj, i, 0.05) for Kj, i in zip(Ks, s)) for s in product_splits(Ks, k)
+    )
     assert abs(rep.lambda_min - join_lambda_min(Ks, k, 0.05)) <= LAMBDA_MIN_ULPS * EPS * norm
 
 
@@ -389,8 +491,10 @@ def test_padded_4q_no_has_the_3q_lambda_min():
 
 
 def test_padded_16q_no_has_the_3q_lambda_min():
-    """Fifteen idle bowtie factors: ``join_splits`` keeps only the prefixes
-    that can still reach the degree, so the splits stay few."""
+    """Fifteen idle bowtie factors: λ_min is the coefficient of x^{k+1} in a
+    (min, +) product over the factors, whose partial coefficients are kept
+    only while the factors after them can still reach the degree, so the
+    work grows with the factor count, not with the splits."""
     terms = (([0], {"0": 1}), ([0], {"1": 1}))
     sixteen, three = decide(H_of(16, *terms)), decide(H_of(3, *terms))
     assert (sixteen.answer, sixteen.k, sixteen.betti) == ("NO", 31, 0)
