@@ -2,8 +2,8 @@
 
 Commands: fixtures, betti, spectrum, specseq, reduce, decide, verify-gadget.
 Exit codes: 0 success (including NO answers), 1 usage error, 2 computation
-error.  Numeric text output is rounded to 10 significant digits so output
-bytes are deterministic for fixed inputs.
+error (out of memory included).  Numeric text output is rounded to 10
+significant digits so output bytes are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def cmd_betti(args) -> int:
     g = _load_graph(args.graph)
     reduced = not args.unreduced
     if args.k == "all":
-        # the rows run to degree n - 2, which needs every factor complete
+        # rows to degree n - 2 (n - 1 on a complete graph) need every factor complete
         Ks = factor_complexes(g, g.n_vertices - 2, _cap(args.cap))
         table = betti_table(Ks, reduced=reduced)
         chi = euler_characteristic(Ks)
@@ -318,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a computation too large for this machine, not a usage error
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -280,7 +280,9 @@ class BettiTable:
 
 def betti_table(Ks: Sequence[CliqueComplex], reduced: bool = True) -> BettiTable:
     """Betti table of the join of the factors' complexes (one complex is
-    ``[K]``), in each degree below the sum of the factors' max_dim + 1, less 1.
+    ``[K]``), in each degree below the sum of the factors' max_dim + 1, less
+    1; when every factor is complete, also through the join's top degree,
+    the sum of the factors' top degrees + 1, less 1.
 
     Each row is Kunneth: dim C^k (an exact int) and beta_k (``join_betti``)
     are ``join_series`` coefficients of the factors' dims and Betti numbers,
@@ -288,6 +290,8 @@ def betti_table(Ks: Sequence[CliqueComplex], reduced: bool = True) -> BettiTable
     rank d^{-2} = 0.
     """
     depth = sum(K.max_dim + 1 for K in Ks) - 1
+    if all(K.complete for K in Ks):  # the rows stop below max_dim, where a complete graph ends
+        depth = max(depth, sum(K.top_dimension() + 1 for K in Ks))
     dims, bettis, ranks, rank = {}, {}, {}, 0
     for k in range(-1, depth):
         dims[k] = join_series(Ks, k, lambda j, i: Ks[j].dim_size(i), mul, add) or 0

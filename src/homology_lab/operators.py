@@ -1,14 +1,14 @@
 """Weighted (co)boundary and Laplacian operators as sparse lambda-matrices.
 
-Entries are polynomials in the weight parameter with integer coefficients,
-stored as integer terms ``coeff * lam**exponent``.  From its terms an
-operator derives its exponent slices, integer sparse matrices M_e with the
+Entries are polynomials in the weight parameter with integer coefficients.
+An operator is its exponent slices: integer sparse matrices M_e with the
 operator equal to sum_e lam**e M_e.  Boundary and coboundary entries are
-single monomials ``+-lam**e_v``; a Laplacian is a sum of sparse integer
-products of slices, never a symbolic product of entries.  All operators act
-in the normalized orthonormal simplex basis, so the boundary is the
-transpose of the coboundary.  SciPy is imported where a float or sparse
-matrix is built (``_exponent_slices``, ``evaluate``).  Only the float side
+single monomials ``+-lam**e_v``, so ``coboundary`` writes one slice per
+exponent straight from the facet arrays; a Laplacian is a sum of sparse
+integer products of slices, never a symbolic product of entries.  All
+operators act in the normalized orthonormal simplex basis, so the boundary
+is the transpose of the coboundary.  SciPy is imported where a sparse or
+float matrix is built (``coboundary``, ``evaluate``).  Only the float side
 builds these operators: the exact readers take d^k's integer columns
 straight from the facet arrays (``homology.exact_columns``).
 """
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-if TYPE_CHECKING:  # annotations only: SciPy is imported where a float matrix is built
+if TYPE_CHECKING:  # annotations only: SciPy is imported where a sparse matrix is built
     import scipy.sparse
 
 from .complexes import CliqueComplex, Simplex
@@ -36,78 +36,37 @@ def poly_eval_float(a: Poly, lam: float) -> float:
 class MonomialMatrix:
     """Sparse matrix of lambda-polynomials with integer coefficients.
 
-    ``terms`` is a read-only int64 array of rows (row, col, coeff, exponent),
-    strictly increasing in (row, col, exponent), one row per monomial and no
-    zero coefficient.  The constructor takes terms already in that form and
-    raises HomologyLabError on terms that are not, or that lie outside the
-    shape; ``_from_slices`` puts a sum of integer slices into it.  The
-    exponent slices, derived on first use, and the ``entries`` view are
-    kept alongside.
+    ``slices`` is a read-only map from each exponent e, ascending, to the
+    integer CSR matrix M_e, the operator being sum_e lam**e M_e.  The
+    constructor sums (e, M) pairs per exponent and raises HomologyLabError
+    on a slice that is not an integer CSR matrix of the operator's shape.
+    Its builders hand over slices with no stored zero (SciPy's sums and
+    products store none).  The ``entries`` view is derived on first read.
     """
 
-    __slots__ = ("rows", "cols", "terms", "_slices", "_entries")
+    __slots__ = ("rows", "cols", "slices", "_entries")
 
-    def __init__(self, rows: int, cols: int, terms=()):
+    def __init__(self, rows: int, cols: int, pairs=()):
         self.rows = rows
         self.cols = cols
-        self.terms = np.asarray(terms, dtype=np.int64).reshape(-1, 4)
-        self.terms.flags.writeable = False
-        if len(self.terms):
-            self._check_form()
-        self._slices: dict[int, scipy.sparse.csr_matrix] | None = None
-        self._entries: dict[tuple[int, int], Poly] | None = None
-
-    def _check_form(self) -> None:
-        r, c, v, e = self.terms.T
-        # (row, col) as one cell number, which the shape keeps well inside int64
-        cell = r * self.cols + c
-        step = cell[1:] - cell[:-1]
-        if not ((step > 0) | ((step == 0) & (e[1:] > e[:-1]))).all():
-            raise HomologyLabError("terms are not strictly increasing in (row, col, exponent)")
-        if r[0] < 0 or r[-1] >= self.rows or c.min() < 0 or c.max() >= self.cols:
-            raise HomologyLabError(f"a term lies outside the {self.rows}x{self.cols} shape")
-        if not v.all():
-            raise HomologyLabError("a term has a zero coefficient")
-
-    @classmethod
-    def _from_slices(cls, rows: int, cols: int, pairs) -> "MonomialMatrix":
-        """The sum of lam**e M over (e, M) pairs of integer CSR matrices, sorted
-        once into the stored form (SciPy's sums and products store no zero)."""
         summed: dict[int, scipy.sparse.csr_matrix] = {}
         for e, M in pairs:
+            if (getattr(M, "format", None) != "csr" or M.shape != (rows, cols)
+                    or not np.issubdtype(M.dtype, np.integer)):
+                raise HomologyLabError(f"slice {e} is not an integer {rows}x{cols} CSR matrix")
             summed[e] = summed[e] + M if e in summed else M
-        terms = [np.zeros((0, 4), dtype=np.int64)]
-        for e, M in summed.items():
-            r = np.repeat(np.arange(rows), np.diff(M.indptr))
-            terms.append(np.column_stack([r, M.indices, M.data, np.full(M.nnz, e)]))
-        t = np.concatenate(terms)
-        out = cls(rows, cols, t[np.lexsort((t[:, 3], t[:, 1], t[:, 0]))])
-        out._slices = dict(sorted(summed.items()))
-        return out
-
-    def _exponent_slices(self) -> dict[int, scipy.sparse.csr_matrix]:
-        """exponent e -> integer CSR M_e, ascending in e."""
-        if self._slices is None:
-            import scipy.sparse
-
-            r, c, v, e = self.terms.T
-            self._slices = {}
-            for x in sorted(set(e.tolist())):
-                pick = e == x  # still sorted by (row, col): the CSR layout
-                indptr = np.zeros(self.rows + 1, dtype=np.int64)
-                np.cumsum(np.bincount(r[pick], minlength=self.rows), out=indptr[1:])
-                self._slices[x] = scipy.sparse.csr_matrix(
-                    (v[pick], c[pick], indptr), shape=(self.rows, self.cols)
-                )
-        return self._slices
+        self.slices = MappingProxyType(dict(sorted(summed.items())))
+        self._entries: dict[tuple[int, int], Poly] | None = None
 
     @property
     def entries(self) -> Mapping[tuple[int, int], Poly]:
-        """Read-only view (row, col) -> {exponent: coeff}, derived from the terms."""
+        """Read-only view (row, col) -> {exponent: coeff}, derived from the slices."""
         if self._entries is None:
             self._entries = {}
-            for r, c, v, e in self.terms.tolist():
-                self._entries.setdefault((r, c), {})[e] = v
+            for e, M in self.slices.items():
+                C = M.tocoo()
+                for r, c, v in zip(C.row.tolist(), C.col.tolist(), C.data.tolist()):
+                    self._entries.setdefault((r, c), {})[e] = v
         return MappingProxyType(self._entries)
 
     def evaluate(self, lam: float) -> scipy.sparse.csr_matrix:
@@ -120,7 +79,7 @@ class MonomialMatrix:
 
         if not 0 < lam <= 1:
             raise GraphFormatError(f"lambda must be in (0, 1], got {lam}")
-        parts = [M * lam**e for e, M in sorted(self._exponent_slices().items())]
+        parts = [M * lam**e for e, M in self.slices.items()]
         m = sum(parts[1:], parts[0]) if parts else scipy.sparse.csr_matrix((self.rows, self.cols))
         m.eliminate_zeros()
         if not np.all(np.isfinite(m.data)):
@@ -131,16 +90,15 @@ class MonomialMatrix:
         return self.evaluate(lam).toarray()
 
     def int_rows_at_one(self) -> dict[int, dict[int, int]]:
-        """Rows of the lam := 1 specialization: each entry's coefficient sum."""
-        r, c, v, _e = self.terms.T
-        rows: dict[int, dict[int, int]] = {}
-        for i, j, x in zip(r.tolist(), c.tolist(), v.tolist()):
-            row = rows.setdefault(i, {})
-            row[j] = row.get(j, 0) + x
-        if sum(map(len, rows.values())) < len(v):  # the monomials of an entry may cancel
-            rows = {i: {j: x for j, x in row.items() if x} for i, row in rows.items()}
-            return {i: row for i, row in rows.items() if row}
-        return rows
+        """Rows of the lam := 1 specialization, the sum of the slices, with
+        the entries whose monomials cancel dropped."""
+        parts = list(self.slices.values())
+        if not parts:
+            return {}
+        S = sum(parts[1:], parts[0]).sorted_indices()  # SciPy's sum drops cancelled entries
+        ptr, cols, vals = S.indptr.tolist(), S.indices.tolist(), S.data.tolist()
+        spans = enumerate(zip(ptr, ptr[1:]))
+        return {i: dict(zip(cols[a:b], vals[a:b])) for i, (a, b) in spans if a < b}
 
 
 # -- chain-complex operators -------------------------------------------------
@@ -151,12 +109,12 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
 
     Entry (sigma u {v}, sigma) is (-1)^p lam^{e_v} with p the ascending
     insertion position of v; d^{-1} sends the empty simplex to the weighted
-    sum of the vertices.  Assembled in one array pass from the facet
-    indices of the (k+1)-simplices (``CliqueComplex.facets``): row i holds
-    k + 2 terms, its facets in ascending index, which is descending p, so
-    the terms come out sorted.  e_v is the coface's level less the facet's,
-    as ``K.levels`` records them.  On a complete complex C^{k+1} is empty
-    above max_dim - 1, so d^k there is the zero map into it.
+    sum of the vertices.  Assembled in one array pass per exponent from the
+    facet indices of the (k+1)-simplices (``CliqueComplex.facets``): row i
+    holds its k + 2 facets in ascending index, which is descending p, so
+    each slice comes out in CSR order.  e_v is the coface's level less the
+    facet's, as ``K.levels`` records them.  On a complete complex C^{k+1}
+    is empty above max_dim - 1, so d^k there is the zero map into it.
     """
     if k < -1:
         return MonomialMatrix(K.dim_size(k + 1), 0)
@@ -165,17 +123,21 @@ def coboundary(K: CliqueComplex, k: int) -> MonomialMatrix:
     cached = K._coboundaries.get(k)
     if cached is not None:
         return cached
-    rows = K.dim_size(k + 1)
-    cols = K.dim_size(k)
-    terms = np.empty((rows, k + 2, 4), dtype=np.int64)
+    rows, cols = K.dim_size(k + 1), K.dim_size(k)
+    pairs = []
     if rows:
+        import scipy.sparse
+
         facet = K.facets(k + 1)[:, ::-1]
-        terms[:, :, 0] = np.arange(rows)[:, None]
-        terms[:, :, 1] = facet
-        terms[:, :, 2] = (-1) ** np.arange(k + 1, -1, -1)
-        terms[:, :, 3] = K.levels[k + 1][:, None] - K.levels[k][facet]
-    out = MonomialMatrix(rows, cols, terms.reshape(-1, 4))
-    K._coboundaries[k] = out
+        exps = K.levels[k + 1][:, None] - K.levels[k][facet]
+        signs = np.broadcast_to((-1) ** np.arange(k + 1, -1, -1), facet.shape)
+        for e in np.unique(exps).tolist():
+            pick = exps == e  # row-major, so each row keeps its facets ascending
+            indptr = np.zeros(rows + 1, dtype=np.int64)
+            np.cumsum(pick.sum(axis=1), out=indptr[1:])
+            M = scipy.sparse.csr_matrix((signs[pick], facet[pick], indptr), shape=(rows, cols))
+            pairs.append((e, M))
+    out = K._coboundaries[k] = MonomialMatrix(rows, cols, pairs)
     return out
 
 
@@ -183,7 +145,7 @@ def _gram_slices(d: MonomialMatrix, up: bool):
     """(a + b, D_a^T D_b) over pairs of d's exponent slices when ``up``, else
     (a + b, D_a D_b^T).  The (b, a) product, the transpose of the (a, b) one,
     comes right after it, so every slice sum is exactly symmetric."""
-    S = list(d._exponent_slices().items())
+    S = list(d.slices.items())
     T = {a: A.T.tocsr() for a, A in S}
     for i, (a, A) in enumerate(S):
         for b, B in S[i:]:
@@ -196,19 +158,19 @@ def _gram_slices(d: MonomialMatrix, up: bool):
 def laplacian_down(K: CliqueComplex, k: int) -> MonomialMatrix:
     """d^{k-1} followed by its adjoint; needs the complex built to k only."""
     d = coboundary(K, k - 1)
-    return MonomialMatrix._from_slices(d.rows, d.rows, _gram_slices(d, up=False))
+    return MonomialMatrix(d.rows, d.rows, _gram_slices(d, up=False))
 
 
 def laplacian_up(K: CliqueComplex, k: int) -> MonomialMatrix:
     """Adjoint of d^k followed by d^k; needs the complex built to k+1."""
     d = coboundary(K, k)
-    return MonomialMatrix._from_slices(d.cols, d.cols, _gram_slices(d, up=True))
+    return MonomialMatrix(d.cols, d.cols, _gram_slices(d, up=True))
 
 
 def laplacian(K: CliqueComplex, k: int) -> MonomialMatrix:
     below, above = coboundary(K, k - 1), coboundary(K, k)
     pairs = [*_gram_slices(below, up=False), *_gram_slices(above, up=True)]
-    return MonomialMatrix._from_slices(below.rows, below.rows, pairs)
+    return MonomialMatrix(below.rows, below.rows, pairs)
 
 
 # -- entrywise formula and sparse access --------------------------------------

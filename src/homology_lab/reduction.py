@@ -190,6 +190,8 @@ def schedule(g: float, t: int, m: int, c: float = 0.1) -> Schedule:
     if not 0 < lam < 1:
         raise ScheduleError(f"schedule gives lambda = {lam}, not in (0, 1)")
     threshold = c * lam ** (4 * m + 2) * g / t
+    if not threshold > 0:  # an underflowed E would certify any lambda_min
+        raise ScheduleError(f"schedule gives threshold E = {threshold}, not positive")
     return Schedule(g, t, m, c, lam, threshold)
 
 

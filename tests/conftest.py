@@ -140,6 +140,11 @@ def boundary_side_pairs(K, k) -> set[tuple[int, int]]:
     return {(face_at[min(col)], r) for r, col in zip(order, reduced) if col}
 
 
+def monomials(M) -> list[tuple[int, int, int, int]]:
+    """M's (row, col, coeff, exponent) monomials, sorted, read from its entries."""
+    return sorted((r, c, v, e) for (r, c), poly in M.entries.items() for e, v in poly.items())
+
+
 def pair_list(K, k) -> list[tuple[int, int]]:
     """d^k's persistence pairs (``coboundary_pairs``) as (k-simplex, coface)
     index tuples, in ascending (level, index) of the coface."""

@@ -55,19 +55,21 @@ def bound_functions(tracing):
     return out + [scipy.sparse.linalg.eigsh]
 
 
+def cells(M):
+    """The (row, col) cells that some exponent slice of M stores."""
+    return {rc for S in M.slices.values() for rc in zip(*S.nonzero())}
+
+
 def expected_counts(complexes, laplacians):
-    """Coboundary (row, col) pairs and Laplacian terms, from the library.
+    """Coboundary (row, col) cells and Laplacian monomials, counted on the
+    exponent slices rather than on the ``entries`` view the tracer reads.
 
     Every coboundary a call builds is cached on its complex, and the tracer
     counts each once; it counts the terms of every Laplacian built through a
     traced name, here each recorded (complex, degree) call.
     """
-    nnz = sum(
-        len({(r, c) for r, c, _v, _e in M.terms.tolist()})
-        for K in complexes
-        for M in K._coboundaries.values()
-    )
-    terms = sum(len(laplacian(K, k).terms) for K, k in laplacians)
+    nnz = sum(len(cells(M)) for K in complexes for M in K._coboundaries.values())
+    terms = sum(S.nnz for K, k in laplacians for S in laplacian(K, k).slices.values())
     return nnz, terms
 
 

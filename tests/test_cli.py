@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 
 from homology_lab import complexes
 from homology_lab.cli import main
+from homology_lab.complexes import clique_complex
 from homology_lab.fixtures import write_fixtures
+from homology_lab.graph import graph_to_json, join
+from homology_lab.homology import euler_characteristic
 from homology_lab.reduction import parse_hamiltonian, reduce_hamiltonian
 
-from conftest import complete_graph
+from conftest import complete_graph, graphs
 from test_parsers import GRAPH_DOCS, texts
 from test_tooling import parser_options
 
@@ -129,6 +132,30 @@ def test_the_graph_without_vertices_has_only_the_empty_simplex(tmp_path, capsys)
     assert run(capsys, "spectrum", str(path), "--k", "0", "--grid", "default") == (
         0, "branch,lam=0.3,lam=0.25,lam=0.2,lam=0.15,lam=0.1,slope,class\n", ""
     )
+
+
+def complete_graphs(prefix):
+    return st.integers(1, 6).map(lambda n: complete_graph([f"{prefix}{i}" for i in range(n)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    complete_graphs("c"),
+    graphs(max_vertices=7),
+    st.tuples(graphs(max_vertices=4), complete_graphs("c")).map(lambda pair: join(*pair)),
+))
+def test_betti_all_rows_sum_to_the_euler_characteristic(fixture_dir, g):
+    """The alternating sum of the printed dims is the reduced Euler
+    characteristic of the whole complex, also when every join factor is a
+    complete graph, whose top simplex lies in the join's top degree."""
+    path = fixture_dir / "drawn.json"
+    path.write_text(graph_to_json(g))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["betti", str(path), "--k", "all", "--format", "csv"]) == 0
+    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+    chi = sum((-1) ** (int(k) % 2) * int(dim) for k, dim, _rank, _betti in rows)
+    assert chi == euler_characteristic([clique_complex(g, g.n_vertices)]).reduced
 
 
 @pytest.mark.parametrize("extra", [()], ids=["derived"])
@@ -496,6 +523,10 @@ REJECTED_ARGS = {
     "spectrum-max-dim": (("spectrum", "@hexagon", "--k", "1", "--grid", "default", "--max-dim", "2"), 1),
     "specseq-max-dim": (("specseq", "@hexagon", "--max-dim", "5"), 1),
     "verify-gadget-m": (("verify-gadget", '{"00": 1}', "--m", "2"), 1),
+    # lambda lies in (0, 1) but the threshold E underflows to 0.0
+    "decide-threshold-underflows-c": (("decide", "@h-2q-inconclusive", "--c", "1e-60"), 2),
+    "decide-threshold-underflows-g": (("decide", "@h-1q-no", "--g", "1e-300"), 2),
+    "reduce-threshold-underflows": (("reduce", "@h-2q-inconclusive", "--c", "1e-60"), 2),
     # an empty grid is a bad grid, not the default one
     "spectrum-empty-grid": (("spectrum", "@hexagon", "--k", "1", "--grid", ""), 1),
     "specseq-forman-empty-grid": (("specseq", "@hexagon", "--k", "1", "--forman", "--grid", ""), 1),
@@ -509,6 +540,21 @@ def test_bad_arguments_fail_without_traceback(fixture_dir, capsys, case):
     assert code == want
     assert err.startswith("usage error: " if want == 1 else "error: ")
     assert out == ""
+
+
+def test_out_of_memory_is_a_computation_error(fixture_dir, capsys, monkeypatch):
+    """A MemoryError from the library ends in exit 2 and one line, like the
+    padded 12q YES under a 700 MB address-space limit; the library call is
+    made to raise rather than the host's memory exhausted."""
+    from homology_lab import cli
+
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "decide", exhausted)
+    assert run(capsys, *with_files(fixture_dir, ["decide", "@h-1q-no"])) == (
+        2, "", "error: out of memory\n"
+    )
 
 
 def test_unknown_fixture_is_usage_error(tmp_path, capsys):

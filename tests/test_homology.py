@@ -54,7 +54,7 @@ K3 = complete_graph(["a", "b", "c"])
 def float_rank_betti(K, k):
     """Independent oracle: numeric SVD ranks of the coboundary maps."""
     def rank(mat):
-        if mat.rows == 0 or mat.cols == 0 or len(mat.terms) == 0:
+        if mat.rows == 0 or mat.cols == 0 or not mat.slices:
             return 0
         return np.linalg.matrix_rank(mat.evaluate_dense(1.0))
 
@@ -230,7 +230,7 @@ def test_ranks_and_pairs_equal_the_homology_direction_reference(g):
 def test_facet_array_columns_are_the_transpose_of_the_coboundary_rows(g, data):
     """Both layouts of ``exact_columns`` hold the entries of
     ``coboundary(K, k).int_rows_at_one()``, an independent path through the
-    stored terms: the boundary layout is its rows, and the coboundary layout
+    exponent slices: the boundary layout is its rows, and the coboundary layout
     at the k-simplices in descending (level, index) is its columns, each
     coface numbered by its place in ascending (level, index).  On a
     truncated complex d^{max_dim} needs the degree above and raises, in

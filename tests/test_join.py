@@ -297,13 +297,15 @@ def test_join_spectrum_matches_the_whole_dense_spectrum(factors):
 
 def whole_table(K, reduced):
     """The Betti table of the whole complex K, read off its own ranks: rows
-    (k, dim C^k, rank d^k, beta_k) below max_dim; unreduced, degree 0 has
-    no d^{-1} to quotient by and degree -1 no row."""
-    rank = {k: coboundary_rank(K, k) for k in range(-2, K.max_dim)}
+    (k, dim C^k, rank d^k, beta_k) below max_dim and through the top degree,
+    which reaches max_dim on a complete graph; unreduced, degree 0 has no
+    d^{-1} to quotient by and degree -1 no row."""
+    last = max(K.max_dim - 1, K.top_dimension())
+    rank = {k: coboundary_rank(K, k) for k in range(-2, last + 1)}
     return [
         (k, K.dim_size(k), rank[k],
          K.dim_size(k) - rank[k] - (rank[k - 1] if reduced or k else 0))
-        for k in range(-1 if reduced else 0, K.max_dim)
+        for k in range(-1 if reduced else 0, last + 1)
     ]
 
 

@@ -1,12 +1,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 
-from homology_lab.complexes import clique_complex, kunneth_embed
+from homology_lab.complexes import CliqueComplex, clique_complex, factor_complexes, kunneth_embed
 from homology_lab.errors import GraphFormatError, HomologyLabError
 from homology_lab.fixtures import gadget_graph, named_fixtures
 from homology_lab.gadgets import IntegerState
@@ -29,10 +31,10 @@ from homology_lab.operators import (
     laplacian_up,
     poly_eval_float,
 )
-from homology_lab.reduction import parse_hamiltonian, reduce_hamiltonian
-from homology_lab.spectra import DEFAULT_GRID
+from homology_lab.reduction import decide, parse_hamiltonian, reduce_hamiltonian
+from homology_lab.spectra import DEFAULT_GRID, join_lambda_min, spectrum, sweep
 
-from conftest import built, complete_graph, graphs, positions, seeded_graphs
+from conftest import built, complete_graph, graphs, monomials, positions, seeded_graphs
 from test_cli import HAMILTONIANS
 
 K3 = complete_graph(["a", "b", "c"])
@@ -56,7 +58,7 @@ def test_weighted_augmentation():
 def test_bowtie_top_coboundary_is_zero_map():
     d = coboundary(built(bowtie(), 2), 1)
     assert d.rows == 0 and d.cols == 8
-    assert len(d.terms) == 0
+    assert not d.slices and d.entries == {}
 
 
 @settings(max_examples=20, deadline=None)
@@ -76,21 +78,22 @@ def test_chain_complex_law(g):
 
 
 def assert_stored_form(M):
-    """int64 (n, 4) read-only terms in bounds, strictly ascending in
-    (row, col, exponent) (so no monomial repeats), and no zero coefficient."""
-    t = M.terms
-    assert t.dtype == np.int64 and t.shape == (len(t), 4) and not t.flags.writeable
-    keys = [(r, c, e) for r, c, _v, e in t.tolist()]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
-    assert (t[:, 2] != 0).all()
-    assert ((0 <= t[:, 0]) & (t[:, 0] < M.rows) & (0 <= t[:, 1]) & (t[:, 1] < M.cols)).all()
+    """Read-only slices, exponents ascending, each an integer CSR matrix of
+    M's shape with no stored zero and no (row, col) stored twice."""
+    assert isinstance(M.slices, MappingProxyType)
+    assert list(M.slices) == sorted(M.slices)
+    for S in M.slices.values():
+        assert S.format == "csr" and S.shape == (M.rows, M.cols)
+        assert np.issubdtype(S.dtype, np.integer) and S.data.all()
+        C = S.tocoo()
+        assert len(set(zip(C.row.tolist(), C.col.tolist()))) == S.nnz
 
 
 @settings(max_examples=40, deadline=None)
 @given(graphs(max_vertices=7, wmax=3))
 def test_operators_are_built_in_stored_form(g):
-    """The constructor trusts its terms, so every builder must hand them over
-    sorted, unique and nonzero."""
+    """The constructor checks only format, shape and dtype, so every builder
+    must hand its slices over without stored zeros or repeated cells."""
     K = clique_complex(g, g.n_vertices - 1)
     for k in range(-2, K.max_dim + 1):
         assert_stored_form(coboundary(K, k))
@@ -102,15 +105,16 @@ def test_operators_are_built_in_stored_form(g):
 @given(graphs(max_vertices=7, wmax=3))
 def test_levels_and_coboundary_exponents_are_vertex_exponent_sums(g):
     """Each recorded level is its simplex's exponent sum, and each coboundary
-    term carries the exponent of the vertex its row adds to its column."""
+    entry is one monomial with the exponent of the vertex its row adds to its
+    column."""
     K = clique_complex(g, g.n_vertices - 1)
     for k in range(-1, K.max_dim + 1):
         assert K.levels[k].tolist() == [sum(map(g.exponent, s)) for s in K.simplices(k)]
     for k in range(-1, K.max_dim):
         rows, cols = K.simplices(k + 1), K.simplices(k)
-        for r, c, _coeff, e in coboundary(K, k).terms.tolist():
+        for (r, c), poly in coboundary(K, k).entries.items():
             (v,) = set(rows[r]) - set(cols[c])
-            assert set(cols[c]) < set(rows[r]) and e == g.exponent(v)
+            assert set(cols[c]) < set(rows[r]) and list(poly) == [g.exponent(v)]
 
 
 def test_boundary_of_vertex_is_weighted_empty_simplex():
@@ -147,15 +151,15 @@ def test_square_laplacian_has_zero_mode():
 
 
 def test_parts_sum_and_psd():
-    """laplacian's terms are the monomial sums of the down and up terms."""
+    """laplacian's monomials are the sums of the down and up monomials."""
     K = built(qubit_graph(1), 2)
     for k in (0, 1):
         down, up = laplacian_down(K, k), laplacian_up(K, k)
         summed = Counter()
         for part in (down, up):
-            for r, c, v, e in part.terms.tolist():
+            for r, c, v, e in monomials(part):
                 summed[r, c, e] += v
-        total = {(r, c, e): v for r, c, v, e in laplacian(K, k).terms.tolist()}
+        total = {(r, c, e): v for r, c, v, e in monomials(laplacian(K, k))}
         assert total == {key: v for key, v in summed.items() if v}
         for part in (down, up):
             vals = np.linalg.eigvalsh(part.evaluate_dense(0.7))
@@ -183,11 +187,11 @@ def test_every_assembled_laplacian_is_exactly_symmetric():
 def test_laplacians_below_degree_zero(g):
     K = built(g, 2)
     down = laplacian_down(K, -1)
-    assert (down.rows, down.cols) == (1, 1) and len(down.terms) == 0
+    assert (down.rows, down.cols) == (1, 1) and not down.slices
     assert laplacian(K, -1).entries == laplacian_up(K, -1).entries
     for part in (laplacian, laplacian_up, laplacian_down):
         M = part(K, -2)
-        assert (M.rows, M.cols) == (0, 0) and len(M.terms) == 0
+        assert (M.rows, M.cols) == (0, 0) and not M.slices
 
 
 def test_energy_formula():
@@ -247,14 +251,13 @@ def test_laplacian_respects_join_splitting():
 
 
 def test_row_sparsity_bound():
-    # distinct (row, col) pairs of the symbolic terms, not the entries of an
+    # the (row, col) cells of the symbolic entries, not those of an
     # evaluation, where a cancellation would hide one
     for g in seeded_graphs(5, 9, wmax=1, seed=21):
         K = clique_complex(g, min(g.n_vertices, 5))
         for k in range(0, K.max_dim):
             L = laplacian(K, k)
-            pairs = {(r, c) for r, c, _v, _e in L.terms.tolist()}
-            per_row = Counter(r for r, _c in pairs)
+            per_row = Counter(r for r, _c in L.entries)
             assert max(per_row.values(), default=0) <= (k + 2) * g.n_vertices + 1
 
 
@@ -319,15 +322,26 @@ def test_lower_adjacent_not_upper_entry():
     assert entry != {}
 
 
+def csr(rows, dtype=np.int64):
+    return scipy.sparse.csr_matrix(np.array(rows, dtype=dtype))
+
+
 def test_evaluate_identity_and_arithmetic():
-    m = MonomialMatrix(1, 1, [(0, 0, -1, 0), (0, 0, 3, 2)])
+    m = MonomialMatrix(1, 1, [(2, csr([[3]])), (0, csr([[-1]]))])
+    assert list(m.slices) == [0, 2]
     assert m.entries.get((0, 0), {}) == {2: 3, 0: -1}
     assert m.evaluate(1.0)[0, 0] == 2.0
     assert m.evaluate(0.5)[0, 0] == -0.25
     assert m.int_rows_at_one() == {0: {0: 2}}
-    assert MonomialMatrix(1, 1, [(0, 0, -1, 0), (0, 0, 1, 2)]).int_rows_at_one() == {}
-    m2 = MonomialMatrix(2, 2, [(0, 1, -1, 1), (1, 0, 3, 0)])
-    assert (m2.rows, m2.cols) == (2, 2) and not m2.terms.flags.writeable
+    # the monomials cancel at lam := 1
+    assert MonomialMatrix(1, 1, [(0, csr([[-1]])), (2, csr([[1]]))]).int_rows_at_one() == {}
+    # slices of one exponent are summed
+    assert MonomialMatrix(1, 1, [(1, csr([[2]])), (1, csr([[5]]))]).entries == {(0, 0): {1: 7}}
+    m2 = MonomialMatrix(2, 2, [(1, csr([[0, -1], [0, 0]])), (0, csr([[0, 0], [3, 0]]))])
+    assert (m2.rows, m2.cols) == (2, 2) and m2.entries == {(0, 1): {1: -1}, (1, 0): {0: 3}}
+    assert m2.int_rows_at_one() == {0: {1: -1}, 1: {0: 3}}
+    with pytest.raises(TypeError):
+        m2.slices[2] = csr([[1, 0], [0, 1]])
     with pytest.raises(GraphFormatError):
         m.evaluate(0.0)
     with pytest.raises(GraphFormatError):
@@ -335,21 +349,50 @@ def test_evaluate_identity_and_arithmetic():
 
 
 @pytest.mark.parametrize(
-    "shape, terms",
+    "shape, pairs",
     [
-        ((2, 2), [(1, 0, 5, 0), (0, 1, 7, 0)]),  # rows out of order
-        ((1, 2), [(0, 1, 1, 0), (0, 0, 1, 0)]),  # columns out of order
-        ((1, 1), [(0, 0, 1, 2), (0, 0, 1, 0)]),  # exponents out of order
-        ((1, 1), [(0, 0, 1, 0), (0, 0, 2, 0)]),  # a repeated monomial
-        ((1, 1), [(0, 0, 0, 0)]),  # a zero coefficient
-        ((1, 1), [(0, 1, 1, 0)]),  # a column outside the shape
-        ((1, 1), [(-1, 0, 1, 0)]),  # a negative row
+        ((2, 2), [(0, csr([[1, 0]]))]),
+        ((1, 1), [(0, csr([[1, 0]]))]),
+        ((2, 1), [(0, csr([[1, 0]]))]),
+        ((1, 1), [(0, csr([[1]])), (1, csr([[1, 0]]))]),
+        ((1, 1), [(0, csr([[0.5]], np.float64))]),
+        ((1, 1), [(0, csr([[1]])), (0, csr([[1.0]], np.float64))]),
+        ((1, 1), [(0, csr([[True]], np.bool_))]),
+        ((1, 1), [(0, np.array([[1]]))]),
     ],
+    ids=["rows-short", "cols-long", "transposed", "second-slice", "float", "float-summand", "bool",
+         "dense"],
 )
-def test_monomial_matrix_refuses_terms_not_in_the_stored_form(shape, terms):
-    """Unsorted terms would make ``evaluate`` disagree with ``entries``."""
+def test_monomial_matrix_refuses_a_slice_not_an_integer_csr_matrix_of_its_shape(shape, pairs):
+    """A slice of another shape or format, or with float coefficients, would
+    make ``evaluate`` fail or disagree with ``entries``."""
     with pytest.raises(HomologyLabError):
-        MonomialMatrix(*shape, terms)
+        MonomialMatrix(*shape, pairs)
+
+
+def test_the_float_path_never_builds_the_entries_view(monkeypatch):
+    """spectrum, sweep, join_lambda_min and decide read only the slices, so
+    every coboundary they leave cached still has ``entries`` unbuilt.  The
+    benchmark's tracer wraps or reads the other views, which stay."""
+    assert {"entries", "int_rows_at_one", "evaluate", "evaluate_dense"} <= set(vars(MonomialMatrix))
+    built_ = []
+    init = CliqueComplex.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built_.append(self)
+
+    monkeypatch.setattr(CliqueComplex, "__init__", recording_init)
+    fixtures = named_fixtures()
+    for name, k in (("bowtie", 1), ("gadget-0", 1), ("two-gadgets-1q", 2)):
+        K = clique_complex(fixtures[name], k + 1)
+        spectrum(K, k, 0.5)
+        sweep(K, k)
+        join_lambda_min(factor_complexes(fixtures[name], k), k, 0.3)
+    for name in ("h-1q-no", "h-2q-yes", "h-3q-no"):
+        decide(parse_hamiltonian(HAMILTONIANS[name]))
+    cached = [M for K in built_ for M in K._coboundaries.values()]
+    assert len(cached) > 10 and all(M._entries is None for M in cached)
 
 
 def test_embedded_entry_cases():

@@ -69,6 +69,15 @@ def test_schedule_rejects_bad_constants():
         schedule(20.0, 1, 1, 0.5)  # lambda >= 1
 
 
+@pytest.mark.parametrize("g, t, m, c", [(1.0, 4, 2, 1e-60), (1e-300, 2, 1, 0.1)])
+def test_schedule_rejects_an_underflowed_threshold(g, t, m, c):
+    """lambda lies in (0, 1) but E = c lam^(4m+2) g / t rounds to 0.0, and
+    every clipped lambda_min = 0 would pass lambda_min >= E."""
+    assert 0 < c * g / t < 1
+    with pytest.raises(ScheduleError, match="threshold E = 0.0, not positive"):
+        schedule(g, t, m, c)
+
+
 def test_pad_identity_at_full_support():
     bp = gadget(IntegerState.from_dict(1, {"0": 1}))
     assert pad(bp, 1).added_edges == bp.added_edges
