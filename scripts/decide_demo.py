@@ -36,7 +36,7 @@ def main() -> None:
             line += f", lambda_min={dec.lam_min:.3e}"
         print(line + ")")
         if dec.harmonic_overlaps:
-            for z, row in sorted(dec.harmonic_overlaps.items()):
+            for z, row in dec.harmonic_overlaps.items():
                 print(f"  Gram row <{z}|P|w> of the harmonic projector: {row}")
         print()
 

@@ -253,7 +253,7 @@ def cmd_decide(args) -> int:
     if dec.lam_min is not None:
         print(f"lambda_min={_fmt(dec.lam_min)}")
     if dec.harmonic_overlaps:
-        for z, row in sorted(dec.harmonic_overlaps.items()):
+        for z, row in dec.harmonic_overlaps.items():
             print(f"overlap |{z}>: " + " ".join(_fmt(v) for v in row))
     return 0
 

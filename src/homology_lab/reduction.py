@@ -6,18 +6,19 @@ gadget per term under a per-term prefix with no cross-gadget edges, and
 decides satisfiability at desk scale: the YES branch is exact homology, the
 NO branch a numeric smallest-eigenvalue certificate against the scheduled
 threshold.  SciPy is imported where a float solve runs (``_factor_gram``'s
-least squares and the eigensolves it calls), so ``reduce`` never loads it.
+least squares and the NO branch's eigensolves), so ``reduce`` never loads it.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .complexes import CliqueComplex, clique_complex, factor_complexes
-from .errors import GapAmbiguityError, GraphFormatError, ScheduleError
+from .errors import GraphFormatError, ScheduleError
 from .gadgets import GadgetBlueprint, IntegerState, basis_state_matrix, gadget, glue
 from .graph import (
     BOWTIE_LOOPS,
@@ -31,10 +32,10 @@ from .homology import HARMONIC_TOL, betti, harmonic_basis, join_betti
 from .operators import coboundary
 from .spectra import join_lambda_min, lambda_min
 
-# bench/tracing.py wraps betti, lambda_min and clique_complex by their names
-# in this module; decide reaches the first two per factor and degree through
-# join_betti and join_lambda_min, and builds its factors by factor_complexes
-_TRACED = (betti, lambda_min, clique_complex)
+# bench/tracing.py wraps these by their names in this module; decide calls
+# none of them here: betti and lambda_min are reached per factor through
+# join_betti and join_lambda_min, and the factors built by factor_complexes
+_TRACED = (betti, lambda_min, clique_complex, harmonic_basis)
 
 
 @dataclass(frozen=True)
@@ -195,14 +196,42 @@ def schedule(g: float, t: int, m: int, c: float = 0.1) -> Schedule:
     return Schedule(g, t, m, c, lam, threshold)
 
 
+@dataclass(frozen=True, eq=False)
+class Overlaps(Mapping):
+    """Read-only Gram rows <z|P|w>, keyed by the n-bit strings z in ascending
+    order.  ``factors`` holds each join factor's qubits Q_j and Gram matrix
+    G_j; row z is formed when it is read, as prod_j G_j[z|Q_j, w|Q_j] over
+    the factors in order, rounded once to 10 digits, so the memory held is
+    O(sum_j 4^|Q_j|) and a read adds one row."""
+
+    n: int
+    factors: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return 2 ** self.n
+
+    def __iter__(self):
+        return (format(i, f"0{self.n}b") for i in range(2 ** self.n))
+
+    def __getitem__(self, z: str) -> list[float]:
+        if not isinstance(z, str) or len(z) != self.n or z.strip("01"):
+            raise KeyError(z)
+        w = np.arange(2 ** self.n)
+        row = np.ones(2 ** self.n)
+        for qubits, gram in self.factors:  # w|Q_j: the bits of w on Q_j, the last lowest
+            cols = sum(((w >> (self.n - q)) & 1) << t for t, q in enumerate(reversed(qubits)))
+            row *= gram[int("".join(z[q - 1] for q in qubits), 2)][cols]
+        return [round(x, 10) + 0.0 for x in row.tolist()]  # + 0.0 turns -0.0 into 0.0
+
+
 @dataclass(frozen=True)
 class Decision:
     """One answer of ``decide`` with its evidence.
 
     ``lam_min`` is the smallest eigenvalue behind a NO or INCONCLUSIVE; on a
     YES from a reduction, ``harmonic_overlaps`` maps each basis bitstring z
-    to its Gram row <z|P|w> under the harmonic projector P, computed factor
-    by factor on the join factors (``_kernel_overlaps``).
+    to its Gram row <z|P|w> under the harmonic projector P, formed when read
+    from the join factors' Gram matrices (``Overlaps``), or is None.
     """
 
     answer: str  # YES / NO / INCONCLUSIVE
@@ -210,7 +239,7 @@ class Decision:
     betti: int
     schedule: Schedule
     lam_min: float | None
-    harmonic_overlaps: dict | None
+    harmonic_overlaps: Overlaps | None
 
 
 def decide(H: Hamiltonian, g: float = 1.0, c: float = 0.1) -> Decision:
@@ -220,13 +249,14 @@ def decide(H: Hamiltonian, g: float = 1.0, c: float = 0.1) -> Decision:
     (``factor_complexes``), and the answer comes from the factors:
     ``join_betti`` (Kunneth) and ``join_lambda_min``.  A graph of one factor
     is its own complex; no complex of the whole graph is built.  The YES
-    branch is purely topological (no tolerance); its overlap rows are
-    products of the factors' Gram rows.  The NO branch evaluates the weighted Laplacians at
-    the scheduled lambda and compares the smallest eigenvalue against the
-    scheduled threshold.  Thresholds scale like lam**(4m+2): once they sink
-    below what double-precision eigensolves resolve (about 1e-13 relative
-    to the operator norm), the answer degrades honestly to INCONCLUSIVE; a
-    larger c brings the certificate back into numeric range.
+    branch is purely topological (no tolerance); its overlap rows stay
+    products of the factors' Gram rows.  The NO branch evaluates the
+    weighted Laplacians at the scheduled lambda and compares the smallest
+    eigenvalue against the scheduled threshold.  Thresholds scale like
+    lam**(4m+2): once they sink below what double-precision eigensolves
+    resolve (about 1e-13 relative to the operator norm), the answer degrades
+    honestly to INCONCLUSIVE; a larger c brings the certificate back into
+    numeric range.
     """
     if not H.terms:
         sched = schedule(g, 1, 1, c)
@@ -243,7 +273,7 @@ def decide(H: Hamiltonian, g: float = 1.0, c: float = 0.1) -> Decision:
     return Decision("INCONCLUSIVE", res.k, 0, sched, lm, None)
 
 
-def _kernel_overlaps(Ks: list[CliqueComplex], n: int):
+def _kernel_overlaps(Ks: list[CliqueComplex], n: int) -> Overlaps | None:
     """Gram rows <z|P|w> = (PB)^T (PB) of the basis-state cycles B under the
     orthogonal projector P onto the harmonic space at lambda = 0.5, from the
     join factors ``Ks`` of the reduction graph.
@@ -253,27 +283,17 @@ def _kernel_overlaps(Ks: list[CliqueComplex], n: int):
     chain has two vertices per simplex; the factors' harmonic spaces and
     inner products multiply across the join (Kunneth), so
     G[z, w] = prod_j G_j[z|Q_j, w|Q_j] with Q_j the qubits of factor j and
-    G_j its Gram matrix in degree 2|Q_j| - 1 (``_factor_gram``).  The rows
-    are rounded once, after the product.
-
-    Purely informational evidence; returns None when a factor's fallback
-    finds the numeric kernel not cleanly separated.
+    G_j its Gram matrix in degree 2|Q_j| - 1 (``_factor_gram``), kept in
+    that factored form (``Overlaps``).  Purely informational evidence;
+    None when a factor's projection fails its check.
     """
-    zs = [format(i, f"0{n}b") for i in range(2 ** n)]
-    gram = np.ones((2 ** n, 2 ** n))
-    for K in Ks:
-        qubits = sorted({int(v[1 : v.index(".")]) for v in K.graph.vertices if v[0] == "q"})
-        factor = _factor_gram(K, qubits)
-        if factor is None:
-            return None
-        rows = [int("".join(z[q - 1] for q in qubits), 2) for z in zs]
-        gram *= factor[np.ix_(rows, rows)]
-    return {  # + 0.0 turns a rounded -0.0 into 0.0
-        z: [round(float(x), 10) + 0.0 for x in gram[i]] for i, z in enumerate(zs)
-    }
+    Qs = [tuple(sorted({int(v[1 : v.index(".")]) for v in K.graph.vertices if v[0] == "q"}))
+          for K in Ks]
+    grams = [_factor_gram(K, qubits) for K, qubits in zip(Ks, Qs)]
+    return None if any(G is None for G in grams) else Overlaps(n, tuple(zip(Qs, grams)))
 
 
-def _factor_gram(K: CliqueComplex, qubits: list[int]) -> np.ndarray | None:
+def _factor_gram(K: CliqueComplex, qubits: tuple[int, ...]) -> np.ndarray | None:
     """Gram matrix (PB)^T (PB) of the basis cycles on ``qubits`` in degree
     k = 2|qubits| - 1 of the factor complex K, P the orthogonal projector
     onto ker d^k ∩ ker ∂_k.
@@ -282,9 +302,8 @@ def _factor_gram(K: CliqueComplex, qubits: list[int]) -> np.ndarray | None:
     cycle at every lambda; by Hodge, ker ∂_k = ker L_k ⊕ im d^{k*}, so
     P B = B - d^{k*} Y with Y the least-squares solution of d^{k*} Y = B.
     The projection is checked: lsqr must stop on a solution, and d^k (P B)
-    must vanish to HARMONIC_TOL times d^k's largest absolute row sum.  When
-    it does not, the Gram matrix comes from an eigenbasis of the factor's
-    numeric kernel, and is None when that kernel is not cleanly separated.
+    must vanish to HARMONIC_TOL times d^k's largest absolute row sum; the
+    result is None when it does not.
     """
     import scipy.sparse.linalg
 
@@ -297,11 +316,4 @@ def _factor_gram(K: CliqueComplex, qubits: list[int]) -> np.ndarray | None:
     R = B - D.T @ np.stack([out[0] for out in solves], axis=1)
     # a factor at its top degree has no (k+1)-simplex: d^k has no rows
     bound = HARMONIC_TOL * abs(D).sum(axis=1).max() if D.nnz else 0.0
-    if converged and abs(D @ R).max(initial=0.0) <= bound:
-        return R.T @ R
-    # bench/tracing.py wraps reduction.harmonic_basis, so this call stays
-    try:
-        overlap = B.T @ harmonic_basis(K, k, lam=0.5).basis
-    except GapAmbiguityError:
-        return None
-    return overlap @ overlap.T
+    return R.T @ R if converged and abs(D @ R).max(initial=0.0) <= bound else None

@@ -196,33 +196,21 @@ def sweep(K: CliqueComplex, k: int, grid: tuple[float, ...] = DEFAULT_GRID) -> B
     traj = join_spectrum(_join_complexes(K, k), k, grid)  # branch x grid
     lams = np.array(grid)
     low = traj < KERNEL_FLOOR
-    fitted = ~low.any(axis=1)
-    logy = np.log(traj[fitted]).T  # grid x fitted branch
-    slope = _fit_slopes(lams, logy)
-    fit = np.full(n, np.nan)
-    fit[fitted] = slope
-    slopes: list[float | None] = []
-    classes: list[str] = []
-    problems: list[str] = []
-    for i in range(n):
-        s = None if low[i].any() else float(fit[i])
-        slopes.append(s)
-        even = 0 if s is None else round(s / 2.0) * 2
-        if low[i].all():
-            classes.append("kernel")
-        elif s is None:
-            problems.append(
-                f"branch {i}: eigenvalue underflows at part of the grid: {traj[i].tolist()}"
-            )
-            classes.append("ambiguous")
-        elif abs(s - even) <= SLOPE_TOL and even >= 0:
-            classes.append(str(int(even)))
-        else:
-            problems.append(f"branch {i}: fitted slope {s:.3f} is not near an even integer")
-            classes.append("ambiguous")
+    fitted, kernel = ~low.any(axis=1), low.all(axis=1)
+    fit = np.zeros(n)
+    fit[fitted] = _fit_slopes(lams, np.log(traj[fitted]).T)  # grid x fitted branch
+    even = np.round(fit / 2.0) * 2  # half to even, as Python's round
+    near = (np.abs(fit - even) <= SLOPE_TOL) & (even >= 0)
+    problems = [
+        f"branch {i}: fitted slope {fit[i]:.3f} is not near an even integer" if fitted[i]
+        else f"branch {i}: eigenvalue underflows at part of the grid: {traj[i].tolist()}"
+        for i in np.flatnonzero(fitted & ~near | ~fitted & ~kernel)
+    ]
     if problems:
         raise BranchMatchingError("; ".join(problems))
-    return BranchTable(k, grid, traj, tuple(slopes), tuple(classes))
+    slopes = tuple(s if f else None for s, f in zip(fit.tolist(), fitted.tolist()))
+    classes = tuple(np.where(kernel, "kernel", even.astype(int).astype(str)).tolist())
+    return BranchTable(k, grid, traj, slopes, classes)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,18 @@ within LAMBDA_MIN_ULPS * eps * ||L||, ||L|| the whole Laplacian's largest
 absolute row sum, and the rounded overlap rows exactly.
 """
 
+import os
+import subprocess
+import sys
+import time
 from itertools import combinations, product
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homology_lab import complexes, homology, reduction, spectra
@@ -50,7 +56,7 @@ from homology_lab.spectra import (
 
 from conftest import graphs
 from test_cli import HAMILTONIANS
-from test_reduction import H_of, assert_rows_match
+from test_reduction import H_of
 
 LAMBDA_MIN_ULPS = 16
 # a whole dense solve of dimension 1,801 (the 3q-no graph in degree 2) is
@@ -503,6 +509,43 @@ def test_padded_16q_no_has_the_3q_lambda_min():
     assert sixteen.lam_min == three.lam_min
 
 
+def test_padded_16q_yes_answers_in_under_a_second():
+    """Fifteen idle bowtie factors: the YES keeps each factor's 2 x 2 Gram
+    matrix, not 4^16 overlap entries, and forms a row when it is read."""
+    start = time.perf_counter()
+    dec = decide(H_of(16, ([0], {"0": 1})))
+    assert time.perf_counter() - start < 1.0
+    assert (dec.answer, dec.k, dec.betti) == ("YES", 31, 2 ** 15)
+    qubits = sorted(qubits for qubits, _gram in dec.harmonic_overlaps.factors)
+    assert qubits == [(i,) for i in range(1, 17)]
+    assert dec.harmonic_overlaps["0" * 16] == [0.0] * 2 ** 16
+
+
+# decide on the padded 12q YES in a process whose address space is capped
+CAPPED_DECIDE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (700 * 2 ** 20, 700 * 2 ** 20))
+from homology_lab.gadgets import IntegerState
+from homology_lab.reduction import Hamiltonian, decide
+dec = decide(Hamiltonian(12, (((0,), IntegerState.from_dict(1, {"0": 1})),)))
+print(dec.answer, dec.betti, len(dec.harmonic_overlaps["0" * 12]))
+"""
+
+
+def test_padded_12q_yes_answers_under_a_700_mb_address_space():
+    """The dense 4^n overlap rows ended in a MemoryError here; the factored
+    rows need each factor's Gram matrix and one row.  The limit is set in
+    the child only."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED_DECIDE],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["YES", "2048", "4096"]
+
+
 def test_one_factor_asks_betti_and_lambda_min_once(monkeypatch):
     calls = []
     for module, name in ((homology, "betti"), (spectra, "lambda_min")):
@@ -565,6 +608,60 @@ def whole_overlaps(H):
     return reduction._kernel_overlaps([clique_complex(res.graph, max_dim=res.k + 1)], H.n)
 
 
+def dense_overlaps(H):
+    """The overlap rows as one dense 2^n x 2^n product of the factors' Gram
+    matrices, each factor multiplied in over np.ix_ in factor order and the
+    product rounded once: the rows decide formed before they were kept
+    factored."""
+    res = reduce_hamiltonian(H)
+    zs = [format(i, f"0{H.n}b") for i in range(2 ** H.n)]
+    gram = np.ones((2 ** H.n, 2 ** H.n))
+    for K in factor_complexes(res.graph, res.k):
+        qubits = sorted({int(v[1 : v.index(".")]) for v in K.graph.vertices if v[0] == "q"})
+        rows = [int("".join(z[q - 1] for q in qubits), 2) for z in zs]
+        gram *= reduction._factor_gram(K, qubits)[np.ix_(rows, rows)]
+    return {z: [round(float(x), 10) + 0.0 for x in gram[i]] for i, z in enumerate(zs)}
+
+
+@st.composite
+def yes_hamiltonians(draw):
+    """One or two 1- or 2-local terms, each a basis state or a signed
+    two-state superposition, on up to three of the qubits; the other zero
+    to three qubits are idle."""
+    active = draw(st.integers(1, 3))
+    n = active + draw(st.integers(0, 3))
+    qubits = draw(st.lists(st.integers(0, n - 1), min_size=active, max_size=active, unique=True))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        m = draw(st.integers(1, min(2, active)))
+        support = sorted(draw(st.permutations(qubits))[:m])
+        states = draw(st.lists(st.sampled_from(["".join(b) for b in product("01", repeat=m)]),
+                               min_size=1, max_size=2, unique=True))
+        signs = [1] + draw(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=1))
+        terms.append((support, dict(zip(states, signs))))
+    return H_of(n, *terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(yes_hamiltonians())
+def test_overlap_rows_are_the_dense_factor_product_bit_for_bit(H):
+    """Each row formed when read has the bits of the dense product, and the
+    rows behave as the dict they replace: 2^n n-bit keys, ascending, and a
+    KeyError for any other key."""
+    dec = decide(H)
+    assume(dec.answer == "YES")
+    rows, oracle = dec.harmonic_overlaps, dense_overlaps(H)
+    zs = [format(i, f"0{H.n}b") for i in range(2 ** H.n)]
+    assert len(rows) == 2 ** H.n and list(rows) == zs == list(oracle)
+    for z in zs:
+        assert np.array(rows[z]).tobytes() == np.array(oracle[z]).tobytes(), z
+    assert rows == oracle and dict(rows.items()) == oracle
+    for key in ("0" * (H.n + 1), "0" * (H.n - 1), "2" * H.n, " " * H.n, 0, None):
+        assert key not in rows
+        with pytest.raises(KeyError):
+            rows[key]
+
+
 @pytest.mark.parametrize("case", sorted(YES_CASES))
 def test_yes_overlap_rows_from_the_factors_equal_the_whole_complex(case):
     H, sizes = YES_CASES[case]
@@ -594,36 +691,48 @@ def stop_code_7(A, b, **_kwargs):
     return np.zeros(A.shape[1]), 7
 
 
+def refuse(*_args, **_kwargs):
+    raise AssertionError("eigenbasis solved for the YES overlaps")
+
+
 def test_failed_projection_falls_back_to_each_factors_eigenbasis(monkeypatch):
-    H = YES_CASES["3q-yes-padded"][0]
-    oracle = whole_overlaps(H)
-    calls = []
-    real = reduction.harmonic_basis
-
-    def counted(K, k, **kwargs):
-        calls.append((K.graph.n_vertices, k))
-        return real(K, k, **kwargs)
-
+    """There is no eigenbasis fallback: a factor whose lsqr stops unconverged
+    has no Gram matrix, and the YES keeps its exact Betti number with no
+    rows, without solving any eigenbasis in place of the projection."""
     monkeypatch.setattr("scipy.sparse.linalg.lsqr", stop_code_7)
-    monkeypatch.setattr(reduction, "harmonic_basis", counted)
-    dec = decide(H)
-    assert calls == [(33, 3), (7, 1)]
-    assert_rows_match(dec.harmonic_overlaps, oracle)
+    monkeypatch.setattr(reduction, "harmonic_basis", refuse)
+    monkeypatch.setattr(homology, "eigensolve", refuse)
+    monkeypatch.setattr(spectra, "eigensolve", refuse)
+    dec = decide(YES_CASES["3q-yes-padded"][0])
+    assert (dec.answer, dec.betti) == ("YES", 6)
+    assert dec.harmonic_overlaps is None
 
 
 def test_gap_ambiguity_in_one_factor_leaves_no_overlaps(monkeypatch):
-    real = reduction.harmonic_basis
+    """Only the idle bowtie's projection fails, and its eigenbasis would be
+    gap-ambiguous: the 33-vertex factor's checked projection still runs, the
+    bowtie is never solved, and one factor without a Gram matrix leaves the
+    YES with no rows."""
+    real, solved = scipy.sparse.linalg.lsqr, []
+
+    def stop_on_the_bowtie(A, b, **kwargs):
+        solved.append(A.shape)
+        # the bowtie factor in degree 1: d^1 has no rows and 8 columns, its edges
+        return stop_code_7(A, b) if A.shape == (8, 0) else real(A, b, **kwargs)
 
     def ambiguous_bowtie(K, k, **kwargs):
         if K.graph.n_vertices == 7:
             raise GapAmbiguityError("forced")
-        return real(K, k, **kwargs)
+        refuse()
 
-    monkeypatch.setattr("scipy.sparse.linalg.lsqr", stop_code_7)
+    monkeypatch.setattr("scipy.sparse.linalg.lsqr", stop_on_the_bowtie)
     monkeypatch.setattr(reduction, "harmonic_basis", ambiguous_bowtie)
+    monkeypatch.setattr(homology, "eigensolve", refuse)
+    monkeypatch.setattr(spectra, "eigensolve", refuse)
     dec = decide(YES_CASES["3q-yes-padded"][0])
     assert (dec.answer, dec.betti) == ("YES", 6)
     assert dec.harmonic_overlaps is None
+    assert sorted(set(solved)) == [(8, 0), (568, 208)]
 
 
 # -- complete complexes above their top degree ----------------------------------

@@ -332,26 +332,26 @@ def test_overlaps_equal_an_eigenbasis_reference(case):
     assert_rows_match(dec.harmonic_overlaps, eigenbasis_overlaps(H))
 
 
-def test_overlaps_fall_back_to_the_eigenbasis_when_the_projection_fails(monkeypatch):
-    """lsqr returning y = 0 leaves B itself, which d^k does not annihilate."""
+def test_overlaps_are_none_when_the_projection_fails_its_check(monkeypatch):
+    """lsqr returning y = 0 leaves B itself, which d^k does not annihilate:
+    the check fails, and no eigenbasis is solved in its place."""
+    import homology_lab.homology as homology_mod
     import homology_lab.reduction as reduction_mod
+    import homology_lab.spectra as spectra_mod
 
-    H = H_of(2, ([0, 1], {"00": 1, "11": -1}))
-    calls = []
-    real = reduction_mod.harmonic_basis
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:])
-        return real(*args, **kwargs)
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("eigenbasis solved for a failed projection")
 
     def no_step(A, b, **_kwargs):
         return np.zeros(A.shape[1]), 1
 
     monkeypatch.setattr("scipy.sparse.linalg.lsqr", no_step)
-    monkeypatch.setattr(reduction_mod, "harmonic_basis", counted)
-    dec = decide(H)
-    assert calls == [(3,)]
-    assert_rows_match(dec.harmonic_overlaps, eigenbasis_overlaps(H))
+    for module, name in ((reduction_mod, "harmonic_basis"), (homology_mod, "eigensolve"),
+                         (spectra_mod, "eigensolve")):
+        monkeypatch.setattr(module, name, refuse)
+    dec = decide(H_of(2, ([0, 1], {"00": 1, "11": -1})))
+    assert (dec.answer, dec.betti) == ("YES", 3)
+    assert dec.harmonic_overlaps is None
 
 
 def test_yes_branch_runs_no_eigensolve(monkeypatch):

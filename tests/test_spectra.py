@@ -8,6 +8,7 @@ import scipy.sparse.linalg
 from homology_lab import homology, spectra
 from homology_lab.complexes import clique_complex
 from homology_lab.errors import (
+    BranchMatchingError,
     DimensionError,
     GapAmbiguityError,
     GraphFormatError,
@@ -28,6 +29,7 @@ from homology_lab.operators import laplacian
 from homology_lab.reduction import Hamiltonian, reduce_hamiltonian
 from homology_lab.spectra import (
     DEFAULT_GRID,
+    KERNEL_FLOOR,
     SLOPE_TOL,
     lambda_min,
     pairing_check,
@@ -124,6 +126,62 @@ def test_sweep_slopes_match_one_fit_per_branch():
     slopes = spectra._fit_slopes(lams, np.log(vals))
     for j in range(vals.shape[1]):
         assert slopes[j] == _one_branch_fit(lams, vals[:, j])
+
+
+def classified_branch_by_branch(traj, grid):
+    """Slopes and classes of the trajectories, one branch at a time: the
+    reference for sweep's array classification; raises the same error."""
+    low = traj < KERNEL_FLOOR
+    fit = np.full(len(traj), np.nan)
+    fit[~low.any(axis=1)] = spectra._fit_slopes(np.array(grid), np.log(traj[~low.any(axis=1)]).T)
+    slopes, classes, problems = [], [], []
+    for i in range(len(traj)):
+        s = None if low[i].any() else float(fit[i])
+        slopes.append(s)
+        even = 0 if s is None else round(s / 2.0) * 2
+        if low[i].all():
+            classes.append("kernel")
+        elif s is None:
+            problems.append(
+                f"branch {i}: eigenvalue underflows at part of the grid: {traj[i].tolist()}"
+            )
+        elif abs(s - even) <= SLOPE_TOL and even >= 0:
+            classes.append(str(int(even)))
+        else:
+            problems.append(f"branch {i}: fitted slope {s:.3f} is not near an even integer")
+    if problems:
+        raise BranchMatchingError("; ".join(problems))
+    return tuple(slopes), tuple(classes)
+
+
+@pytest.mark.parametrize("with_problems", [False, True])
+def test_sweep_classifies_as_branch_by_branch(monkeypatch, with_problems):
+    """Power laws with slopes near and away from even exponents and below
+    zero, kernel rows and part-underflowing rows."""
+    rng = np.random.default_rng(3)
+    lams = np.array(DEFAULT_GRID)
+    if with_problems:
+        exps = rng.uniform(-3, 9, size=60)
+    else:
+        exps = rng.choice([0, 2, 4, 6], size=60) + rng.uniform(-SLOPE_TOL, SLOPE_TOL, size=60)
+    traj = rng.uniform(0.5, 2, size=(60, 1)) * lams[None] ** exps[:, None]
+    traj[[5, 17]] = 0.0
+    if with_problems:
+        traj[[8, 40], 3:] = 1e-20
+    monkeypatch.setattr(spectra, "_join_complexes", lambda K, k: [K])
+    monkeypatch.setattr(spectra, "join_spectrum", lambda Ks, k, grid: traj)
+    K = clique_complex(make_graph({str(i): 0 for i in range(60)}, []), max_dim=0)
+    if with_problems:
+        with pytest.raises(BranchMatchingError) as want:
+            classified_branch_by_branch(traj, DEFAULT_GRID)
+        with pytest.raises(BranchMatchingError) as got:
+            sweep(K, 0)
+        assert str(got.value) == str(want.value)
+        assert "underflows" in str(got.value) and "not near" in str(got.value)
+    else:
+        table = sweep(K, 0)
+        assert (table.slopes, table.classes) == classified_branch_by_branch(traj, DEFAULT_GRID)
+        assert table.count_class("kernel") == 2 and len(set(table.classes)) == 5
 
 
 def test_pairing_on_fixtures():
