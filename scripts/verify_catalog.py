@@ -24,8 +24,7 @@ def main() -> None:
             print(f"{name:12} {state.label():>28}: m={state.m} (skipped: extension point)")
             continue
         t0 = time.perf_counter()
-        bp = gadget(state)
-        g = glue(qubit_graph(state.m), bp)
+        g = glue(qubit_graph(state.m), gadget(state))
         K = clique_complex(g, 2 * state.m + 4)
         table = betti_table([K]).as_dict()
         want = 2 ** state.m - 1

@@ -3,7 +3,6 @@ Hamiltonian-to-graph gadget reductions at desk scale."""
 
 from .complexes import CliqueComplex, clique_complex, factor_complexes, kunneth_embed
 from .gadgets import (
-    GadgetBlueprint,
     IntegerState,
     apply_f,
     basis_cycle,

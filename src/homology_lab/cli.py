@@ -273,10 +273,11 @@ def cmd_verify_gadget(args) -> int:
             raise GraphFormatError(f"inline state must be a nonempty JSON object, got {amps!r}")
         state = IntegerState.from_dict(len(next(iter(amps))), amps)
     print(f"state: {state.label()} on m={state.m} qubits")
-    bp = gadget(state)  # raises on any internal verification failure
-    print(f"gadget: {len(bp.added_vertex_names)} added vertices, "
-          f"{len(bp.added_edges)} added edges [construction checks PASS]")
-    glued = glue(qubit_graph(state.m), bp)
+    g = gadget(state)  # raises on any internal verification failure
+    added = {v for v, e in zip(g.vertices, g.exponents) if e}
+    print(f"gadget: {len(added)} added vertices, {sum(u in added or v in added for u, v in g.edges)}"
+          " added edges [construction checks PASS]")
+    glued = glue(qubit_graph(state.m), g)
     K = clique_complex(glued, max_dim=2 * state.m + 2)
     want = 2 ** state.m - 1
     ok = True

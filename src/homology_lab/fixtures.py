@@ -28,8 +28,7 @@ def cycle_graph(n: int) -> WeightedGraph:
 def hexagon() -> WeightedGraph:
     """Filled hexagon: thicken a 6-cycle, cone it off, glue back (identity)."""
     ring = cycle_graph(6)
-    bp = fill_cycle(ring, ring, {v: v for v in ring.vertices})
-    return glue(ring, bp)
+    return glue(ring, fill_cycle(ring, ring, {v: v for v in ring.vertices}))
 
 
 @lru_cache(maxsize=None)

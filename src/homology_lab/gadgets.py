@@ -3,11 +3,14 @@
 The pipeline is generic: build a sphere triangulation K with a vertex
 relation R onto the target cycle, thicken K into a two-layer shell, cone the
 inner layer off with a central vertex, quotient the outer layer through R,
-and glue the result onto the qubit graph.  Native constructions cover every
-basis state (K is the cycle itself) and the superpositions on 1 and 2
-qubits (rings of cut-open basis cycles glued on shared dummy vertices);
-superpositions on more qubits pass through the same pipeline once a (K, R)
-pair is supplied externally.
+and glue the result onto the qubit graph.  A gadget is that quotient graph
+alone: the cycle's vertices, named as ``qubit_graph`` names them, keep
+exponent 0 and the filling carries exponent 1, so the exponents tell the
+parts apart wherever a gadget is glued, padded or placed.  Native
+constructions cover every basis state (K is the cycle itself) and the
+superpositions on 1 and 2 qubits (rings of cut-open basis cycles glued on
+shared dummy vertices); superpositions on more qubits pass through the same
+pipeline once a (K, R) pair is supplied externally.
 
 Every construction is verified on the spot: the quotient must be
 2-determined, the quotient image of Cl(K) must equal the target cycle's
@@ -38,7 +41,7 @@ from .errors import (
     OrientationAlignmentError,
     UnsupportedStateError,
 )
-from .graph import BOWTIE_LOOPS, WeightedGraph, layer_vertex, make_graph, thicken
+from .graph import BOWTIE_LOOPS, WeightedGraph, layer_vertex, make_graph, qubit_vertex, thicken
 from .homology import exact_columns
 from . import rational
 
@@ -100,7 +103,7 @@ class IntegerState:
 
 def _loop_labels(q: int, bit: str) -> tuple[str, ...]:
     """Qubit q's bowtie loop for one bit, in traversal order."""
-    return tuple(f"q{q}.{v}" for v in BOWTIE_LOOPS[int(bit)])
+    return tuple(qubit_vertex(q, v) for v in BOWTIE_LOOPS[int(bit)])
 
 
 def basis_cycle(m: int, z: str) -> WeightedGraph:
@@ -239,8 +242,8 @@ def _copy_list(state: IntegerState) -> list[tuple[str, int, int]]:
 
 
 def _mid(q: int, letter: str, num: int, copy_idx: int) -> str:
-    base = f"q{q}.{letter}{num}"
-    return base if copy_idx == 0 else f"{base}_{copy_idx}"
+    base = f"{letter}{num}"
+    return qubit_vertex(q, base if copy_idx == 0 else f"{base}_{copy_idx}")
 
 
 def _dummy_key(name: str) -> int:
@@ -275,7 +278,7 @@ def build_K(state: IntegerState) -> tuple[WeightedGraph, Relation, list[str] | N
 
 def _build_ring_1q(state: IntegerState, copies):
     n = len(copies)
-    x = "q1.x"
+    x = qubit_vertex(1, "x")
     endpoints = [x] + [f"x{i}" for i in range(1, n)]
     weights: dict[str, int] = {v: 0 for v in endpoints}
     edges: list[tuple[str, str]] = []
@@ -288,7 +291,7 @@ def _build_ring_1q(state: IntegerState, copies):
         c3, c2, c4 = (_mid(1, letter, i, occ) for i in (3, 2, 4))
         for v, base_num in ((c3, 3), (c2, 2), (c4, 4)):
             weights[v] = 0
-            relation[v] = f"q1.{letter}{base_num}"
+            relation[v] = _mid(1, letter, base_num, 0)
         lo, hi = endpoints[j], endpoints[(j + 1) % n]
         first, last = (c3, c4) if sign > 0 else (c4, c3)
         edges += [(lo, first), (first, c2), (c2, last), (last, hi)]
@@ -299,7 +302,7 @@ def _build_ring_1q(state: IntegerState, copies):
 
 def _build_ring_2q(state: IntegerState, copies):
     n = len(copies)
-    x1, x2 = "q1.x", "q2.x"
+    x1, x2 = qubit_vertex(1, "x"), qubit_vertex(2, "x")
     pairs = [(f"x{2 * j + 1}", f"x{2 * j + 2}") for j in range(n)]
     weights: dict[str, int] = {x1: 0, x2: 0}
     relation: Relation = {x1: x1, x2: x2}
@@ -325,7 +328,7 @@ def _build_ring_2q(state: IntegerState, copies):
                 v = _mid(q, letters[q - 1], i, occ)
                 mids[q][i] = v
                 weights[v] = 0
-                relation[v] = f"q{q}.{letters[q - 1]}{i}"
+                relation[v] = _mid(q, letters[q - 1], i, 0)
         # basis-cycle edges minus the removed [x1 x2] edge
         for q, xq in ((1, x1), (2, x2)):
             add_edge(xq, mids[q][3])
@@ -373,31 +376,6 @@ def _build_ring_2q(state: IntegerState, copies):
 # -- the fill pipeline ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GadgetBlueprint:
-    """One filled cycle as a graph: the cycle plus the vertices filling it.
-
-    Base vertices of ``graph`` keep weight exponent 0 and must already exist
-    in the graph the blueprint is glued onto: the ``boundary_vertices`` of
-    the cycle and, once padded, the qubit copies outside the support.  Every
-    added vertex carries exponent 1, so the exponents tell the parts apart.
-    """
-
-    m: int
-    graph: WeightedGraph
-    boundary_vertices: tuple[str, ...]
-
-    @property
-    def added_vertex_names(self) -> tuple[str, ...]:
-        g = self.graph
-        return tuple(v for v, e in zip(g.vertices, g.exponents) if e)
-
-    @property
-    def added_edges(self) -> frozenset[tuple[str, str]]:
-        added = set(self.added_vertex_names)
-        return frozenset(e for e in self.graph.edges if e[0] in added or e[1] in added)
-
-
 def ring_thickening_order(
     k_graph: WeightedGraph, dummies: list[str], reals: list[str]
 ) -> list[str]:
@@ -423,21 +401,19 @@ def fill_cycle(
     relation: Relation,
     state: IntegerState | None = None,
     order: list[str] | None = None,
-) -> GadgetBlueprint:
+) -> WeightedGraph:
     """Thicken K, cone it off, quotient the outer layer onto the cycle.
 
+    The gadget is the quotient graph: the cycle's vertices keep exponent 0
+    and the filling (the inner layer and the center) carries exponent 1.
     ``relation`` must be functional on K's vertices and surjective onto the
     cycle's vertex set.  When ``state`` is given, the cycle is its target
     cycle and the pushed fundamental cycle of K must equal its
-    ``target_chain`` exactly up to one global sign; the blueprint keeps
-    only the state's qubit count.  ``order`` steers the thickening's
-    diagonals (``thicken``'s default is label order).
+    ``target_chain`` exactly up to one global sign.  ``order`` steers the
+    thickening's diagonals (``thicken``'s default is label order).
     """
-    j0 = set(j_graph.vertices)
-    if {relation.get(v) for v in k_graph.vertices} != j0:
-        raise GraphFormatError(
-            "relation must map K's vertices onto the cycle's vertices"
-        )
+    if {relation.get(v) for v in k_graph.vertices} != set(j_graph.vertices):
+        raise GraphFormatError("relation must map K's vertices onto the cycle's vertices")
     K = clique_complex(k_graph, max_dim=k_graph.n_vertices - 1)
     top = K.top_dimension()
     # apply_f checks that f(Cl(K)) is the clique complex J of its image
@@ -464,8 +440,7 @@ def fill_cycle(
     if coned.dim_size(top + 2):
         raise HomologyLabError("coned shell has unexpected high-dimensional cliques")
     mu = {layer_vertex(v, 0): relation[v] for v in k_graph.vertices} | added
-    m = state.m if state else (top + 1) // 2
-    return GadgetBlueprint(m, apply_f(coned, mu).graph, tuple(sorted(j0)))
+    return apply_f(coned, mu).graph
 
 
 def target_cycle_graph(state: IntegerState) -> WeightedGraph:
@@ -491,21 +466,23 @@ def target_chain(state: IntegerState, complex_: CliqueComplex) -> Chain:
     return out
 
 
-def gadget(state: IntegerState) -> GadgetBlueprint:
-    """Blueprint implementing the rank-1 projector onto an integer state."""
+def gadget(state: IntegerState) -> WeightedGraph:
+    """The gadget graph implementing the rank-1 projector onto an integer
+    state: its target cycle (exponent 0) and the filling (exponent 1)."""
     k_graph, relation, order = build_K(state)
     return fill_cycle(target_cycle_graph(state), k_graph, relation, state, order)
 
 
-def glue(base: WeightedGraph, bp: GadgetBlueprint) -> WeightedGraph:
-    """Union of the base graph and the blueprint's graph.
+def glue(base: WeightedGraph, g: WeightedGraph) -> WeightedGraph:
+    """Union of the base graph and a gadget graph.
 
-    The blueprint's exponent-0 vertices must exist in the base with weight
-    exponent 0, the cycle's edges must already be present and the added
-    vertices must be new; no edges are induced between base vertices.
+    The gadget's exponent-0 vertices must exist in the base with weight
+    exponent 0, the edges among them (the cycle's) must already be present
+    and its added vertices, those of nonzero exponent, must be new; no edges
+    are induced between base vertices.
     """
     base_vs = set(base.vertices)
-    for v, e in zip(bp.graph.vertices, bp.graph.exponents):
+    for v, e in zip(g.vertices, g.exponents):
         if e:
             if v in base_vs:
                 raise GraphFormatError(f"gadget vertex {v!r} collides with base graph")
@@ -513,10 +490,10 @@ def glue(base: WeightedGraph, bp: GadgetBlueprint) -> WeightedGraph:
             raise GraphFormatError(f"base vertex {v!r} missing from base graph")
         elif base.exponent(v) != 0:
             raise GraphFormatError(f"base vertex {v!r} must have weight exponent 0")
-    missing = bp.graph.edges - bp.added_edges - base.edges
+    missing = {(u, v) for u, v in g.edges if not (g.exponent(u) or g.exponent(v))} - base.edges
     if missing:
         raise GraphFormatError(f"base graph is missing cycle edges {sorted(missing)[:4]}")
-    return make_graph(base.weight_map() | bp.graph.weight_map(), base.edges | bp.graph.edges)
+    return make_graph(base.weight_map() | g.weight_map(), base.edges | g.edges)
 
 
 # -- projector catalog ---------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphFormatError
@@ -228,14 +229,24 @@ def join_factors(g: WeightedGraph) -> tuple[WeightedGraph, ...]:
     return tuple(induced_subgraph(g, part) for part in parts)
 
 
+def qubit_vertex(q: int, v: str) -> str:
+    """``q{q}.{v}``: vertex v of copy q (from 1) of ``join_all`` and ``qubit_graph``."""
+    return f"q{q}.{v}"
+
+
+def qubit_of(label: str) -> tuple[int, str] | None:
+    """(q, v) for the label ``qubit_vertex(q, v)``; None for any other label."""
+    head, dot, v = label.partition(".")
+    return (int(head[1:]), v) if dot and head[:1] == "q" and head[1:].isdecimal() else None
+
+
 def join_all(graphs: Sequence[WeightedGraph]) -> WeightedGraph:
-    """n-fold join with deterministic per-factor namespacing ``q{i}.``."""
+    """n-fold join, copy i's vertices named ``qubit_vertex(i, v)``."""
     if not graphs:
         raise GraphFormatError("join_all of zero graphs")
-    out = relabel(graphs[0], {v: f"q1.{v}" for v in graphs[0].vertices})
-    for i, h in enumerate(graphs[1:], start=2):
-        out = join(out, relabel(h, {v: f"q{i}.{v}" for v in h.vertices}))
-    return out
+    copies = (relabel(g, {v: qubit_vertex(i, v) for v in g.vertices})
+              for i, g in enumerate(graphs, start=1))
+    return reduce(join, copies)
 
 
 def two_points() -> WeightedGraph:

@@ -1,8 +1,9 @@
 """Hamiltonian data model and the full graph reduction with its schedule.
 
 A Hamiltonian is a sum of rank-1 projectors onto integer states with stated
-qubit supports.  The reduction builds the n-qubit graph, glues one padded
-gadget per term under a per-term prefix with no cross-gadget edges, and
+qubit supports.  The reduction builds the n-qubit graph, places each term's
+gadget by one relabeling (qubit copies onto the support, filling under a
+per-term prefix), pads and glues it on with no cross-gadget edges, and
 decides satisfiability at desk scale: the YES branch is exact homology, the
 NO branch a numeric smallest-eigenvalue certificate against the scheduled
 threshold.  SciPy is imported where a float solve runs (``_factor_gram``'s
@@ -13,19 +14,22 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .complexes import CliqueComplex, clique_complex, factor_complexes
 from .errors import GraphFormatError, ScheduleError
-from .gadgets import GadgetBlueprint, IntegerState, basis_state_matrix, gadget, glue
+from .gadgets import IntegerState, basis_state_matrix, gadget, glue
 from .graph import (
     BOWTIE_LOOPS,
     WeightedGraph,
     graph_to_json,
     make_graph,
     qubit_graph,
+    qubit_of,
+    qubit_vertex,
     relabel,
 )
 from .homology import HARMONIC_TOL, betti, harmonic_basis, join_betti
@@ -100,20 +104,22 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
 # -- padding -------------------------------------------------------------------
 
 
-def pad(bp: GadgetBlueprint, n: int) -> GadgetBlueprint:
-    """Join the gadget onto the qubit copies outside its support.
+def pad(g: WeightedGraph, n: int) -> WeightedGraph:
+    """Join a gadget's filling onto the qubit copies outside its support.
 
-    Every added vertex gains an edge to every vertex of the n - m qubit
-    copies the boundary cycle does not touch, named as ``qubit_graph(n)``
-    names them; the cycle is unchanged.
+    The support is the m qubit copies among the exponent-0 vertices.  Every
+    added vertex gains an edge to every vertex of the other n - m copies,
+    named as ``qubit_graph(n)`` names them; the cycle is unchanged.
     """
-    if n < bp.m:
-        raise GraphFormatError(f"cannot pad an m={bp.m} gadget down to n={n}")
-    support = {v.partition(".")[0] for v in bp.boundary_vertices}
+    boundary = (v for v, e in zip(g.vertices, g.exponents) if not e)
+    support = {q for q, _v in filter(None, map(qubit_of, boundary))}
+    if n < len(support):
+        raise GraphFormatError(f"cannot pad an m={len(support)} gadget down to n={n}")
     labels = dict.fromkeys(v for loop in BOWTIE_LOOPS for v in loop)
-    outside = [f"q{j}.{v}" for j in range(1, n + 1) if f"q{j}" not in support for v in labels]
-    edges = set(bp.graph.edges) | {(g, v) for g in bp.added_vertex_names for v in outside}
-    return replace(bp, graph=make_graph(bp.graph.weight_map() | dict.fromkeys(outside, 0), edges))
+    outside = [qubit_vertex(j, v) for j in range(1, n + 1) if j not in support for v in labels]
+    added = [v for v, e in zip(g.vertices, g.exponents) if e]
+    edges = g.edges | {(a, v) for a in added for v in outside}
+    return make_graph(g.weight_map() | dict.fromkeys(outside, 0), edges)
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,7 @@ class ReductionResult:
     graph: WeightedGraph
     k: int
     term_prefixes: tuple[str, ...]
-    blueprints: tuple[GadgetBlueprint, ...]
+    gadgets: tuple[WeightedGraph, ...]
 
     def to_json(self, lam: float | None = None, threshold: float | None = None) -> str:
         meta = {
@@ -138,32 +144,29 @@ class ReductionResult:
 def reduce_hamiltonian(H: Hamiltonian) -> ReductionResult:
     """Qubit graph plus one padded gadget per term.
 
-    Term i's gadget is placed by one relabeling: its local qubit ``q{j}.``
+    Term i's gadget is placed by one relabeling: its local qubit copy j
     goes to the j-th support qubit and its added vertices take the prefix
     ``t{i}.``, so gadgets share only qubit-graph vertices and no edge joins
-    two of them.
+    two of them.  The result keeps each placed gadget before padding, so a
+    term's cycle is its exponent-0 vertices.
     """
     out = qubit_graph(H.n)
-    prefixes = []
-    blueprints = []
+    prefixes, placed = [], []
     for i, (support, state) in enumerate(H.terms, start=1):
-        bp = gadget(state)
+        g = gadget(state)
         prefix = f"t{i}."
-        qubit = {f"q{j}": f"q{q + 1}" for j, q in enumerate(support, start=1)}
-        names = {v: prefix + v for v in bp.added_vertex_names}
-        for v in bp.boundary_vertices:
-            head, _, rest = v.partition(".")
-            names[v] = f"{qubit[head]}.{rest}"
-        bp = replace(
-            bp,
-            graph=relabel(bp.graph, names),
-            boundary_vertices=tuple(sorted(names[v] for v in bp.boundary_vertices)),
-        )
-        bp = pad(bp, H.n)
-        out = glue(out, bp)
+        names = {}
+        for v, e in zip(g.vertices, g.exponents):
+            if e:
+                names[v] = prefix + v
+            else:
+                q, local = qubit_of(v)
+                names[v] = qubit_vertex(support[q - 1] + 1, local)
+        g = relabel(g, names)
+        out = glue(out, pad(g, H.n))
         prefixes.append(prefix)
-        blueprints.append(bp)
-    return ReductionResult(out, 2 * H.n - 1, tuple(prefixes), tuple(blueprints))
+        placed.append(g)
+    return ReductionResult(out, 2 * H.n - 1, tuple(prefixes), tuple(placed))
 
 
 # -- schedule and decision -------------------------------------------------------
@@ -201,8 +204,10 @@ class Overlaps(Mapping):
     """Read-only Gram rows <z|P|w>, keyed by the n-bit strings z in ascending
     order.  ``factors`` holds each join factor's qubits Q_j and Gram matrix
     G_j; row z is formed when it is read, as prod_j G_j[z|Q_j, w|Q_j] over
-    the factors in order, rounded once to 10 digits, so the memory held is
-    O(sum_j 4^|Q_j|) and a read adds one row."""
+    the factors in order: the Kronecker product of their rows z|Q_j, read
+    through one column map built on the first read, each distinct product
+    rounded once to 10 digits.  The memory held is O(sum_j 4^|Q_j|) and the
+    map, and a read adds one row."""
 
     n: int
     factors: tuple[tuple[tuple[int, ...], np.ndarray], ...]
@@ -213,15 +218,22 @@ class Overlaps(Mapping):
     def __iter__(self):
         return (format(i, f"0{self.n}b") for i in range(2 ** self.n))
 
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """w's position in the Kronecker product: the bits w|Q_1 w|Q_2 ..."""
+        w = np.arange(2 ** self.n)
+        order = [q for qubits, _gram in self.factors for q in qubits]
+        return sum(((w >> (self.n - q)) & 1) << (self.n - 1 - t) for t, q in enumerate(order))
+
     def __getitem__(self, z: str) -> list[float]:
         if not isinstance(z, str) or len(z) != self.n or z.strip("01"):
             raise KeyError(z)
-        w = np.arange(2 ** self.n)
-        row = np.ones(2 ** self.n)
-        for qubits, gram in self.factors:  # w|Q_j: the bits of w on Q_j, the last lowest
-            cols = sum(((w >> (self.n - q)) & 1) << t for t, q in enumerate(reversed(qubits)))
-            row *= gram[int("".join(z[q - 1] for q in qubits), 2)][cols]
-        return [round(x, 10) + 0.0 for x in row.tolist()]  # + 0.0 turns -0.0 into 0.0
+        row = np.ones(1)
+        for qubits, gram in self.factors:
+            row = np.multiply.outer(row, gram[int("".join(z[q - 1] for q in qubits), 2)]).ravel()
+        values, inverse = np.unique(row, return_inverse=True)
+        rounded = np.array([round(x, 10) + 0.0 for x in values.tolist()])  # + 0.0: -0.0 to 0.0
+        return rounded[inverse][self._columns].tolist()
 
 
 @dataclass(frozen=True)
@@ -287,7 +299,7 @@ def _kernel_overlaps(Ks: list[CliqueComplex], n: int) -> Overlaps | None:
     that factored form (``Overlaps``).  Purely informational evidence;
     None when a factor's projection fails its check.
     """
-    Qs = [tuple(sorted({int(v[1 : v.index(".")]) for v in K.graph.vertices if v[0] == "q"}))
+    Qs = [tuple(sorted({q for q, _v in filter(None, map(qubit_of, K.graph.vertices))}))
           for K in Ks]
     grams = [_factor_gram(K, qubits) for K, qubits in zip(Ks, Qs)]
     return None if any(G is None for G in grams) else Overlaps(n, tuple(zip(Qs, grams)))

@@ -317,8 +317,8 @@ def test_c14_end_to_end_decision():
     for _ in range(3):
         psi = rng.standard_normal(K.dim_size(res.k))
         total = 0.0
-        for bp in res.blueprints:
-            g1 = glue(qubit_graph(1), bp)
+        for g in res.gadgets:
+            g1 = glue(qubit_graph(1), g)
             K1 = built(g1, res.k + 1)
             up1 = laplacian_up(K1, res.k).evaluate_dense(lam)
             idx = positions(K, K1.simplices(res.k))

@@ -40,6 +40,9 @@ HAMILTONIANS = {
     '{"support":[0],"amps":{"0":1}}]}',
     # q2 idle: join factors of 33 and 7 vertices, the first holding q1 and q3
     "h-3q-yes-padded": '{"n":3,"terms":[{"support":[0,2],"amps":{"00":1,"11":-1}}]}',
+    # a two-amplitude term on the non-contiguous q1, q3, a 1-local term on q4, q2 idle
+    "h-4q-mixed-idle": '{"n":4,"terms":[{"support":[0,2],"amps":{"01":1,"10":-1}},'
+    '{"support":[3],"amps":{"1":1}}]}',
 }
 
 
@@ -315,6 +318,8 @@ GOLDEN_RUNS = {
     # the reduced graph's JSON: support placement, term prefixes and padding
     "reduce-2q-yes": ("reduce", "@h-2q-yes"),
     "reduce-3q-mixed-support": ("reduce", "@h-3q-mixed-support"),
+    "reduce-2q-four-projectors": ("reduce", "@h-2q-inconclusive"),
+    "reduce-4q-mixed-idle": ("reduce", "@h-4q-mixed-idle"),
 }
 
 

@@ -279,12 +279,17 @@ def test_fill_cycle_rejects_an_image_other_than_the_cycle(case):
 # -- full gadgets -----------------------------------------------------------------
 
 
-def test_zero_gadget_blueprint():
-    bp = gadget(IntegerState.from_dict(1, {"0": 1}))
-    assert len(bp.added_vertex_names) == 5  # four inner vertices plus the center
-    assert CENTER in bp.added_vertex_names
-    assert set(bp.boundary_vertices) == {"q1.x", "q1.a2", "q1.a3", "q1.a4"}
-    assert all(bp.graph.exponent(v) == (v not in bp.boundary_vertices) for v in bp.graph.vertices)
+def added_vertices(g):
+    return {v for v in g.vertices if g.exponent(v)}
+
+
+def test_zero_gadget_graph():
+    g = gadget(IntegerState.from_dict(1, {"0": 1}))
+    added = added_vertices(g)
+    assert len(added) == 5  # four inner vertices plus the center
+    assert CENTER in added
+    assert set(g.vertices) - added == {"q1.x", "q1.a2", "q1.a3", "q1.a4"}
+    assert set(g.exponents) == {0, 1}
 
 
 @pytest.mark.parametrize(
@@ -306,9 +311,9 @@ def test_gadget_enumerates_four_clique_complexes(monkeypatch, m, amps):
     assert len(calls) == 4
 
 
-def test_two_qubit_basis_gadget_blueprint():
-    bp = gadget(IntegerState.from_dict(2, {"00": 1}))
-    assert len(bp.added_vertex_names) == 9  # thickened shell interior + center
+def test_two_qubit_basis_gadget_graph():
+    g = gadget(IntegerState.from_dict(2, {"00": 1}))
+    assert len(added_vertices(g)) == 9  # thickened shell interior + center
 
 
 GADGET_CASES = [
@@ -395,8 +400,8 @@ def test_hexagon_fixture_shape():
 
 def test_hexagon_is_gadget_pipeline_output():
     ring = cycle_graph(6)
-    bp = fill_cycle(ring, ring, {v: v for v in ring.vertices})
-    assert len(bp.added_vertex_names) == 7
+    g = fill_cycle(ring, ring, {v: v for v in ring.vertices})
+    assert len(added_vertices(g)) == 7
 
 
 def test_harmonic_angle_decays_linearly():

@@ -662,6 +662,31 @@ def test_overlap_rows_are_the_dense_factor_product_bit_for_bit(H):
             rows[key]
 
 
+def per_element_row(rows, z):
+    """Row z formed element by element: every factor's columns recomputed
+    from the bits of w, and one Python round per element."""
+    w = np.arange(2 ** rows.n)
+    row = np.ones(2 ** rows.n)
+    for qubits, gram in rows.factors:  # w|Q_j: the bits of w on Q_j, the last lowest
+        cols = sum(((w >> (rows.n - q)) & 1) << t for t, q in enumerate(reversed(qubits)))
+        row *= gram[int("".join(z[q - 1] for q in qubits), 2)][cols]
+    return [round(x, 10) + 0.0 for x in row.tolist()]
+
+
+@pytest.mark.parametrize("term", [([0], {"0": 1}), ([0, 2], {"00": 1, "01": -1})],
+                         ids=["0-on-q1", "00-minus-01-on-q1q3"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_overlap_rows_are_the_per_element_rows_on_padded_yes(n, term):
+    """Rows through the Kronecker product and one rounding per distinct
+    product are the per-element rows, float for float; decide builds no
+    column map, and the first read does."""
+    rows = decide(H_of(n, term)).harmonic_overlaps
+    assert "_columns" not in vars(rows)
+    for z in rows:
+        assert [x.hex() for x in rows[z]] == [x.hex() for x in per_element_row(rows, z)], z
+    assert "_columns" in vars(rows)
+
+
 @pytest.mark.parametrize("case", sorted(YES_CASES))
 def test_yes_overlap_rows_from_the_factors_equal_the_whole_complex(case):
     H, sizes = YES_CASES[case]

@@ -2,11 +2,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homology_lab.complexes import clique_complex
 from homology_lab.errors import GraphFormatError, ScheduleError, UnsupportedStateError
 from homology_lab.gadgets import IntegerState, basis_state_matrix, gadget, glue
-from homology_lab.graph import qubit_graph
+from homology_lab.graph import induced_subgraph, join, make_graph, qubit_graph, relabel
 from homology_lab.homology import betti, coboundary_rank, harmonic_basis
 from homology_lab.operators import laplacian_up
 from homology_lab.reduction import (
@@ -79,23 +81,24 @@ def test_schedule_rejects_an_underflowed_threshold(g, t, m, c):
 
 
 def test_pad_identity_at_full_support():
-    bp = gadget(IntegerState.from_dict(1, {"0": 1}))
-    assert pad(bp, 1).added_edges == bp.added_edges
+    g = gadget(IntegerState.from_dict(1, {"0": 1}))
+    assert pad(g, 1) == g
 
 
 def test_pad_adds_all_to_all_edges():
-    bp = gadget(IntegerState.from_dict(1, {"0": 1}))
-    padded = pad(bp, 2)
-    new = padded.added_edges - bp.added_edges
+    g = gadget(IntegerState.from_dict(1, {"0": 1}))
+    padded = pad(g, 2)
+    new = padded.edges - g.edges
     # each of the 5 gadget vertices gains one edge per vertex of the other copy
     assert len(new) == 5 * 7
     assert all(any(v.startswith("q2.") for v in e) for e in new)
+    assert all(padded.exponent(u) or padded.exponent(v) for u, v in new)
 
 
 def test_pad_rejects_fewer_qubits_than_the_gadget():
-    bp = gadget(IntegerState.from_dict(2, {"00": 1}))
-    with pytest.raises(GraphFormatError, match="cannot pad"):
-        pad(bp, 1)
+    g = gadget(IntegerState.from_dict(2, {"00": 1}))
+    with pytest.raises(GraphFormatError, match="cannot pad an m=2 gadget down to n=1"):
+        pad(g, 1)
 
 
 def test_reduce_builds_the_qubit_graph_once(monkeypatch):
@@ -157,14 +160,58 @@ def test_padded_kernel_dimensions():
         assert betti(K, res.k) == (2 ** m - 1) * 2 ** (n - m)
 
 
+@st.composite
+def native_hamiltonians(draw):
+    """1-4 qubits, 1-3 terms, each a 1- or 2-qubit state with amplitudes in
+    {-2, -1, 1, 2}: every state the native gadget constructions cover."""
+    n = draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, min(2, n)))
+        support = sorted(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True)))
+        bits = draw(st.lists(st.sampled_from([format(i, f"0{m}b") for i in range(2**m)]),
+                             min_size=1, unique=True))
+        terms.append((support, {z: draw(st.sampled_from([-2, -1, 1, 2])) for z in bits}))
+    return H_of(n, *terms)
+
+
+def assembled_reduction_graph(H):
+    """The reduction graph from graph operations alone: the qubit graph united
+    with each term's gadget, placed with its copy ``q{j}.`` on the j-th support
+    qubit and its filling under ``t{i}.``, and its filling joined onto the
+    qubit copies outside the support.  Labels are split here by hand, not by
+    the library's helpers."""
+    Q = qubit_graph(H.n)
+    weights, edges = Q.weight_map(), set(Q.edges)
+    for i, (support, state) in enumerate(H.terms, start=1):
+        g = gadget(state)
+        names = {}
+        for v, e in zip(g.vertices, g.exponents):
+            head, _, rest = v.partition(".")
+            names[v] = f"t{i}.{v}" if e else f"q{support[int(head[1:]) - 1] + 1}.{rest}"
+        placed = relabel(g, names)
+        filling = induced_subgraph(placed, [v for v in placed.vertices if placed.exponent(v)])
+        idle = [v for v in Q.vertices if int(v[1 : v.index(".")]) - 1 not in support]
+        for part in (placed, join(filling, induced_subgraph(Q, idle))):
+            weights |= part.weight_map()
+            edges |= part.edges
+    return make_graph(weights, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(native_hamiltonians())
+def test_reduction_graph_is_the_assembled_graph(H):
+    assert reduce_hamiltonian(H).graph == assembled_reduction_graph(H)
+
+
 def test_support_relabeling():
     H = H_of(2, ([1], {"0": 1}))
     res = reduce_hamiltonian(H)
     K = built(res.graph, res.k + 1)
     assert betti(K, res.k) == 2
-    # the gadget boundary sits on the second qubit copy
-    bp = res.blueprints[0]
-    assert all(v.startswith("q2.") for v in bp.boundary_vertices)
+    # the placed gadget's cycle, its exponent-0 vertices, sits on the second qubit copy
+    g = res.gadgets[0]
+    assert {v for v in g.vertices if not g.exponent(v)} == {"q2.x", "q2.a2", "q2.a3", "q2.a4"}
 
 
 def test_up_laplacian_additivity():
@@ -175,8 +222,8 @@ def test_up_laplacian_additivity():
     rng = np.random.default_rng(12)
     psi = rng.standard_normal(K.dim_size(res.k))
     total = 0.0
-    for bp in res.blueprints:
-        g1 = glue(qubit_graph(1), bp)
+    for g in res.gadgets:
+        g1 = glue(qubit_graph(1), g)
         K1 = built(g1, res.k + 1)
         up1 = laplacian_up(K1, res.k).evaluate_dense(lam)
         idx = positions(K, K1.simplices(res.k))

@@ -2,8 +2,9 @@
 its CLI block names every option, no module of the library, tests/ or scripts/
 imports a name it never uses, every public library name has a reader
 outside the tests, every private helper has a reader in the library, every
-name a module holds for the benchmark's tracer is one it wraps, and the
-exact readers never reach the float-side operators."""
+name a module holds for the benchmark's tracer is one it wraps, the exact
+readers never reach the float-side operators, and only graph.py writes or
+reads a qubit-copy label."""
 
 import argparse
 import ast
@@ -271,3 +272,46 @@ def test_exact_readers_never_reach_the_float_operators():
         assert set(names) <= defined, (module, set(names) - defined)
     roots = [name for names in EXACT_READERS.values() for name in names]
     assert reads_through(sources, roots).isdisjoint({"coboundary", "MonomialMatrix"})
+
+
+def qubit_label_sites(source: str) -> list[int]:
+    """Lines that write or read a qubit-copy label ``q{j}.{v}`` by hand: an
+    f-string starting ``q{``, a string starting ``q<digits>.`` (an f-string's
+    literal head included), or a ``partition``, ``rpartition``, ``split`` or
+    ``index`` call on ``"."``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.JoinedStr):
+            head = node.values[:2]
+            if (len(head) == 2 and isinstance(head[0], ast.Constant) and head[0].value == "q"
+                    and isinstance(head[1], ast.FormattedValue)):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.match(r"q\d+\.", node.value):
+                lines.add(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("partition", "rpartition", "split", "index")
+              and [ast.unparse(a) for a in node.args] == ["'.'"]):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_qubit_label_check_sees_each_form():
+    source = (
+        'a = f"q{j}.{v}"\n'
+        'b = "q1.x"\n'
+        'c = f"q2.{v}"\n'
+        'd = v.partition(".")[0]\n'
+        'e = v[1 : v.index(".")]\n'
+        'f = f"t{i}." + "g.center" + "q.x"\n'
+        'g = v.partition(":")\n'
+    )
+    assert qubit_label_sites(source) == [1, 2, 3, 4, 5]
+
+
+def test_only_graph_writes_or_reads_qubit_labels():
+    """``graph.qubit_vertex`` and ``graph.qubit_of`` are the one place where
+    the label format of a qubit copy's vertex is written or read."""
+    sites = {path.name: qubit_label_sites(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert sites.pop("graph.py")
+    assert {name: lines for name, lines in sites.items() if lines} == {}
