@@ -254,7 +254,9 @@ def cmd_decide(args) -> int:
         print(f"lambda_min={_fmt(dec.lam_min)}")
     if dec.harmonic_overlaps:
         for z, row in dec.harmonic_overlaps.items():
-            print(f"overlap |{z}>: " + " ".join(_fmt(v) for v in row))
+            # a row holds few distinct values (and no -0.0): format each once
+            text = {v: _fmt(v) for v in set(row)}
+            print(f"overlap |{z}>: " + " ".join(map(text.__getitem__, row)))
     return 0
 
 

@@ -3,17 +3,18 @@
 Simplices are stored once, as rows of integer vertex ids strictly ascending
 in the graph's canonical vertex order, which is label order; the sign of any
 other vertex ordering is the parity of the permutation relative to the
-ascending representative.  Labels appear only at the edges: chains key
-simplices by tuples of labels in the same order, which ``locate`` maps back
-to ids, and ``simplices(k)`` is a label view derived on its first read.  The
-empty simplex () is always present in dimension -1 (reduced convention).
+ascending representative.  Labels appear only at the edges: the exact
+witnesses' chains key simplices by tuples of labels in the same order, which
+``locate`` maps back to ids, and ``simplices(k)`` is a label view derived on
+its first read.  The empty simplex () is always present in dimension -1
+(reduced convention).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import CapExceededError, DimensionError
 from .graph import WeightedGraph, join_factors
 
 Simplex = tuple[str, ...]
-# The library's own chains carry int coefficients; exact witnesses are Fractions.
+# A caller's chain carries int or Fraction coefficients; exact witnesses are Fractions.
 Chain = dict[Simplex, int | Fraction]
 
 DEFAULT_CAP = 2_000_000
@@ -226,61 +227,6 @@ def factor_complexes(g: WeightedGraph | tuple, k: int, cap: int = DEFAULT_CAP) -
     factors = g if isinstance(g, tuple) else join_factors(g)
     # clique_complex is looked up on the module, where bench/tracing.py wraps it
     return [clique_complex(f, max(min(k + 1, f.n_vertices - 1), 0), cap) for f in factors]
-
-
-# -- oriented-simplex utilities ----------------------------------------------
-
-def sort_with_sign(vertices: Iterable[str]) -> tuple[Simplex, int]:
-    """Sort into canonical (label) order; returns (tuple, permutation sign).
-
-    Sign is 0 when a vertex repeats (the simplex collapses).
-    """
-    vs = list(vertices)
-    sign = 1
-    # insertion sort, counting swaps; simplices are tiny
-    for i in range(1, len(vs)):
-        j = i
-        while j > 0 and vs[j] < vs[j - 1]:
-            vs[j], vs[j - 1] = vs[j - 1], vs[j]
-            sign = -sign
-            j -= 1
-    for a, b in zip(vs, vs[1:]):
-        if a == b:
-            return tuple(vs), 0
-    return tuple(vs), sign
-
-
-def kunneth_embed(
-    psi: Chain,
-    phi: Chain,
-    *,
-    into: CliqueComplex,
-) -> Chain:
-    """Bilinear embedding C^i(K) x C^j(L) -> C^{i+j+1}(K * L).
-
-    ``psi`` and ``phi`` are chains on the two factors (simplices keyed by
-    their own labels, which must be disjoint and present in the join).  The
-    image of a basis pair |sigma> (x) |tau> is the merged simplex with the
-    shuffle-parity sign.  The empty simplex acts as the unit.  Coefficients
-    multiply as given, so integer chains give an integer chain.
-    """
-    out: Chain = {}
-    for sigma, c in psi.items():
-        if c == 0:
-            continue
-        for tau, d in phi.items():
-            if d == 0:
-                continue
-            merged, sign = sort_with_sign(sigma + tau)
-            if sign == 0:
-                raise DimensionError(
-                    f"factors share vertices: {sigma!r} and {tau!r}"
-                )
-            out[merged] = out.get(merged, 0) + sign * c * d
-    for merged, at in zip(out, into.locate(list(out))):
-        if at < 0:
-            raise DimensionError(f"{merged!r} is not a simplex of the join")
-    return {s: v for s, v in out.items() if v != 0}
 
 
 def chain_dimension(chain: Chain) -> int:

@@ -16,7 +16,9 @@ Every construction is verified on the spot: the quotient must be
 2-determined, the quotient image of Cl(K) must equal the target cycle's
 simplex set, and the pushed fundamental cycle of K must reproduce the
 amplitude sign pattern exactly (up to one global sign).  A failure raises
-instead of silently flipping orientations.
+instead of silently flipping orientations.  Chains here are integer vectors
+over one degree of a complex, pushed and compared on vertex ids; a basis
+cycle's labels are read once, to locate its loop vertices.
 """
 
 from __future__ import annotations
@@ -28,14 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexes import (
-    Chain,
-    CliqueComplex,
-    clique_complex,
-    kunneth_embed,
-    sort_with_sign,
-)
+from .complexes import CliqueComplex, clique_complex
 from .errors import (
+    DimensionError,
     GraphFormatError,
     HomologyLabError,
     OrientationAlignmentError,
@@ -120,27 +117,32 @@ def basis_cycle(m: int, z: str) -> WeightedGraph:
     return make_graph({v: 0 for loop in loops for v in loop}, edges)
 
 
-def _loop_edge_chain(loop: tuple[str, ...]) -> Chain:
-    """The loop traversed in order, each edge signed by its direction."""
-    return dict(sort_with_sign((loop[i], loop[(i + 1) % 4])) for i in range(4))
+def _cycle_vector(K: CliqueComplex, qubits: Sequence[int], z: str) -> np.ndarray:
+    """The basis cycle |z> on the copies ``q{qubits[i]}.``, bit z[i] each, as
+    an int64 vector over degree 2m - 1 of K: the join of the copies' loops,
+    each traversed in order.
 
-
-def basis_chain(K: CliqueComplex, z: str) -> Chain:
-    """Canonical (2m-1)-cycle chain for |z> inside a complex containing it.
-
-    The chain is the join (``kunneth_embed``) of the per-qubit oriented loop
-    chains, with shuffle-parity signs; coefficients are +-1 and the squared
-    norm is 4^m in the orthonormal simplex basis.
+    A simplex takes one loop edge per copy.  A copy's vertices form one
+    contiguous block in label order, which is id order, and each edge holds
+    two of them, so the join adds no shuffle sign: a simplex's sign is the
+    product of its edges' traversal signs, every entry is +-1 and the norm
+    is exactly 2^m.
     """
-    return _joined_loops(K, range(1, len(z) + 1), z)
-
-
-def _joined_loops(K: CliqueComplex, qubits: Sequence[int], z: str) -> Chain:
-    """The join of the loops of copies ``q{qubits[i]}.`` for the bits z[i]."""
-    chain: Chain = {(): 1}
-    for q, bit in zip(qubits, z):
-        chain = kunneth_embed(chain, _loop_edge_chain(_loop_labels(q, bit)), into=K)
-    return chain
+    m = len(qubits)
+    # a vertex missing from K is located at -1, and no row holding it is found
+    loops = K.locate([(v,) for q, bit in zip(qubits, z) for v in _loop_labels(q, bit)])
+    loops = loops.reshape(m, 4)
+    ahead = np.roll(loops, -1, axis=1)
+    edges = np.stack([np.minimum(loops, ahead), np.maximum(loops, ahead)], axis=2)
+    signs = np.where(loops < ahead, 1, -1)
+    pick = np.indices((4,) * m).reshape(m, -1).T  # each simplex's edge of each copy
+    copy = np.arange(m)
+    at = K.find(np.sort(edges[copy, pick].reshape(len(pick), 2 * m), axis=1))
+    if (at < 0).any():
+        raise DimensionError(f"|{z}> on copies {list(qubits)} leaves the complex")
+    out = np.zeros(K.dim_size(2 * m - 1), dtype=np.int64)
+    out[at] = signs[copy, pick].prod(axis=1)
+    return out
 
 
 # -- relation / quotient -------------------------------------------------------
@@ -182,27 +184,24 @@ def apply_f(K: CliqueComplex, relation: Relation) -> CliqueComplex:
     new = mapped < len(qpos)
     new[:, 1:] &= mapped[:, 1:] != mapped[:, :-1]
     sizes = new.sum(axis=1)
+    # the quotient's edges are the images of K's uncollapsed edges and it is
+    # built at least as deep as K, so every image is one of its simplices;
+    # 2-determined means that every simplex of it is an image
     hit = {k: np.zeros(len(a), bool) for k, a in q_complex.ids.items() if k >= 0 and len(a)}
-    unfound: list[list[int]] = []
     for size in set(sizes.tolist()):
         pick = sizes == size
-        image = mapped[pick][new[pick]].reshape(-1, size)
-        at = q_complex.find(image)
-        hit[size - 1][at[at >= 0]] = True
-        unfound += image[at < 0].tolist()
-    if unfound or not all(h.all() for h in hit.values()):
+        hit[size - 1][q_complex.find(mapped[pick][new[pick]].reshape(-1, size))] = True
+    if not all(h.all() for h in hit.values()):
         vs = q_complex.graph.vertices
         unhit = [row for k, h in hit.items() for row in q_complex.ids[k][~h].tolist()]
         extra = sorted(tuple(vs[i] for i in row) for row in unhit)[:4]
-        miss = sorted({tuple(vs[i] for i in row) for row in unfound})[:4]
-        raise HomologyLabError(
-            f"quotient is not 2-determined: extra={extra} missing={miss}"
-        )
+        raise HomologyLabError(f"quotient is not 2-determined: extra={extra}")
     return q_complex
 
 
-def fundamental_cycle(K: CliqueComplex) -> Chain:
-    """Generator of the top-dimensional cycle space of a sphere triangulation.
+def fundamental_cycle(K: CliqueComplex) -> dict[int, int]:
+    """Generator of the top-dimensional cycle space of a sphere triangulation,
+    as {index of a top simplex: coefficient}.
 
     Computed as the kernel of the boundary map restricted to top simplices;
     must be one-dimensional.  The kernel vector has coprime integer
@@ -214,19 +213,27 @@ def fundamental_cycle(K: CliqueComplex) -> Chain:
         raise HomologyLabError(
             f"expected a 1-dimensional top cycle space, got {len(kernel)}"
         )
-    return dict(zip(K._labels(top, list(kernel[0])), kernel[0].values()))
+    return kernel[0]
 
 
-def push_chain(chain: Chain, relation: Relation) -> Chain:
-    """Image of a chain under the vertex identification map (signed)."""
-    out: Chain = {}
-    for sigma, cof in chain.items():
-        mapped = tuple(relation[v] for v in sigma)
-        if len(set(mapped)) != len(mapped):
-            continue
-        srt, sign = sort_with_sign(mapped)
-        out[srt] = out.get(srt, 0) + cof * sign
-    return {s: v for s, v in out.items() if v}
+def _pushed_cycle(K: CliqueComplex, J: CliqueComplex, relation: Relation) -> np.ndarray:
+    """K's fundamental cycle pushed through the relation's vertex-id map into
+    the same degree of J, its quotient (``apply_f``), as an int64 vector:
+    each image row takes the sign of its sort, and a collapsed row drops out.
+    """
+    top = K.top_dimension()
+    cycle = fundamental_cycle(K)
+    at = {v: i for i, v in enumerate(J.graph.vertices)}
+    to_j = np.array([at[relation[v]] for v in K.graph.vertices], dtype=np.int64)
+    rows = to_j[K.ids[top][list(cycle)]]
+    before, after = np.triu_indices(top + 1, 1)
+    signs = 1 - 2 * ((rows[:, before] > rows[:, after]).sum(axis=1) % 2)
+    rows.sort(axis=1)
+    keep = (rows[:, 1:] != rows[:, :-1]).all(axis=1)
+    pushed = np.zeros(J.dim_size(top), dtype=np.int64)
+    coefs = signs * np.array(list(cycle.values()), dtype=np.int64)
+    np.add.at(pushed, J.find(rows[keep]), coefs[keep])
+    return pushed
 
 
 # -- native K constructions ----------------------------------------------------
@@ -408,9 +415,10 @@ def fill_cycle(
     and the filling (the inner layer and the center) carries exponent 1.
     ``relation`` must be functional on K's vertices and surjective onto the
     cycle's vertex set.  When ``state`` is given, the cycle is its target
-    cycle and the pushed fundamental cycle of K must equal its
-    ``target_chain`` exactly up to one global sign.  ``order`` steers the
-    thickening's diagonals (``thicken``'s default is label order).
+    cycle and the pushed fundamental cycle of K must equal the sum of its
+    amplitudes times their basis cycles exactly, up to one global sign.
+    ``order`` steers the thickening's diagonals (``thicken``'s default is
+    label order).
     """
     if {relation.get(v) for v in k_graph.vertices} != set(j_graph.vertices):
         raise GraphFormatError("relation must map K's vertices onto the cycle's vertices")
@@ -422,9 +430,9 @@ def fill_cycle(
     if J.graph.edges != j_graph.edges:
         raise HomologyLabError("f(K) does not reproduce the target cycle's edges")
     if state is not None:
-        expected = target_chain(state, J)
-        pushed = push_chain(fundamental_cycle(K), relation)
-        if pushed != expected and pushed != {s: -c for s, c in expected.items()}:
+        expected = sum(a * _cycle_vector(J, range(1, state.m + 1), z) for z, a in state.amps)
+        pushed = _pushed_cycle(K, J, relation)
+        if not (np.array_equal(pushed, expected) or np.array_equal(pushed, -expected)):
             raise OrientationAlignmentError(
                 "pushed fundamental cycle does not match the amplitude pattern"
             )
@@ -452,18 +460,6 @@ def target_cycle_graph(state: IntegerState) -> WeightedGraph:
         weights |= dict.fromkeys(cyc.vertices, 0)
         edges |= cyc.edges
     return make_graph(weights, edges)
-
-
-def target_chain(state: IntegerState, complex_: CliqueComplex) -> Chain:
-    out: Chain = {}
-    for z, a in state.amps:
-        for s, c in basis_chain(complex_, z).items():
-            w = out.get(s, 0) + a * c
-            if w:
-                out[s] = w
-            elif s in out:
-                del out[s]
-    return out
 
 
 def gadget(state: IntegerState) -> WeightedGraph:
@@ -526,19 +522,12 @@ def catalog() -> dict[str, IntegerState]:
 
 
 def basis_state_matrix(K: CliqueComplex, qubits: Sequence[int]) -> np.ndarray:
-    """Columns: normalized basis-cycle chains over C^{2m-1} on the m qubit
-    copies ``q{i}.`` for i in ``qubits``, one per bitstring over them in
-    that order."""
+    """Columns: normalized basis cycles over C^{2m-1} on the m qubit copies
+    ``q{i}.`` for i in ``qubits``, one per bitstring over them in that
+    order; each cycle vector has norm 2^m."""
     m = len(qubits)
-    k = 2 * m - 1
-    n = K.dim_size(k)
-    cols = []
-    for i in range(2 ** m):
-        chain = _joined_loops(K, qubits, format(i, f"0{m}b"))
-        v = np.zeros(n)
-        v[K.locate(list(chain))] = list(chain.values())
-        cols.append(v / np.linalg.norm(v))
-    return np.stack(cols, axis=1)
+    cycles = [_cycle_vector(K, qubits, format(i, f"0{m}b")) for i in range(2 ** m)]
+    return np.stack(cycles, axis=1) / 2 ** m
 
 
 def orthogonal_cycle_span(K: CliqueComplex, state: IntegerState) -> np.ndarray:

@@ -400,10 +400,9 @@ def cycle_is_boundary(
         k = chain_dimension(chain)
     if not is_cycle(K, chain, k):
         raise NotACycleError("chain has nonzero boundary")
-    if k + 1 > K.max_dim:
-        raise DimensionError("complex not built to k+1")
     b = {i: c for i, c in zip(K.locate(list(chain)).tolist(), chain.values()) if c}
     x = rational.solve(exact_columns(K, k), K.dim_size(k), b)
     if x is None:
         return False, None
-    return True, dict(zip(K._labels(k + 1, list(x)), x.values()))
+    # a zero cycle bounds the empty chain, also above a complete complex's top
+    return True, dict(zip(K._labels(k + 1, list(x)), x.values())) if x else {}

@@ -12,13 +12,7 @@ import scipy.linalg
 
 from homology_lab.complexes import clique_complex
 from homology_lab.fixtures import gadget_graph, hexagon
-from homology_lab.gadgets import (
-    IntegerState,
-    basis_chain,
-    glue,
-    orthogonal_cycle_span,
-    target_chain,
-)
+from homology_lab.gadgets import IntegerState, glue, orthogonal_cycle_span
 from homology_lab.graph import (
     bowtie,
     join,
@@ -40,6 +34,7 @@ from homology_lab.specseq import filtration, forman_compare, page_dims
 from homology_lab.spectra import DEFAULT_GRID, pairing_check, sweep
 
 from conftest import built, complete_graph, positions, record_acceptance, seeded_graphs
+from reference import basis_chain, target_chain
 
 K3 = complete_graph(["a", "b", "c"])
 

@@ -8,13 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homology_lab import complexes, gadgets, reduction
-from homology_lab.complexes import (
-    clique_complex,
-    kunneth_embed,
-    sort_with_sign,
-)
+from homology_lab.complexes import clique_complex
 from homology_lab.errors import CapExceededError
-from homology_lab.gadgets import IntegerState, basis_chain
+from homology_lab.gadgets import IntegerState
 from homology_lab.graph import (
     bowtie,
     join,
@@ -29,6 +25,7 @@ from homology_lab.operators import coboundary
 from homology_lab.specseq import filtration, page_dims
 
 from conftest import built, complete_graph, graphs, monomials
+from reference import basis_chain, kunneth_embed, sort_with_sign
 
 
 def brute_force_counts(g, max_dim):

@@ -4,8 +4,11 @@ from math import gcd
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homology_lab.complexes import clique_complex, kunneth_embed
+from homology_lab import gadgets
+from homology_lab.complexes import clique_complex
 from homology_lab.errors import (
     GraphFormatError,
     HomologyLabError,
@@ -19,7 +22,6 @@ from homology_lab.gadgets import (
     IntegerState,
     apply_f,
     basis_cycle,
-    basis_chain,
     build_K,
     catalog,
     fill_cycle,
@@ -27,11 +29,9 @@ from homology_lab.gadgets import (
     gadget,
     glue,
     orthogonal_cycle_span,
-    push_chain,
-    target_chain,
     target_cycle_graph,
 )
-from homology_lab.graph import induced_subgraph, make_graph, qubit_graph
+from homology_lab.graph import induced_subgraph, make_graph, qubit_graph, relabel
 from homology_lab.homology import (
     betti,
     betti_table,
@@ -40,7 +40,8 @@ from homology_lab.homology import (
     harmonic_basis,
 )
 
-from conftest import built, complete_graph
+from conftest import built, complete_graph, graphs
+from reference import basis_chain, chain_vector, kunneth_embed, push_chain, target_chain
 
 
 # -- integer states and the catalog ---------------------------------------------
@@ -199,17 +200,39 @@ def test_quotient_that_breaks_2_determinedness_is_rejected():
         apply_f(K, rel)
 
 
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_vertices=7), st.data())
+def test_every_simplex_maps_onto_a_simplex_of_the_quotient(g, data):
+    """The quotient graph's edges are the images of K's uncollapsed edges and
+    its complex is built at least as deep as K, so every simplex of K maps
+    onto one of its simplices: apply_f checks only that each is hit."""
+    targets = data.draw(st.lists(st.integers(0, 3), min_size=g.n_vertices, max_size=g.n_vertices))
+    relation = {v: f"t{t}" for v, t in zip(g.vertices, targets)}
+    K = clique_complex(g, data.draw(st.integers(0, g.n_vertices - 1)))
+    edges = {tuple(sorted((relation[u], relation[v]))) for u, v in g.edges}
+    quotient = make_graph(dict.fromkeys(relation.values(), 0), {(u, v) for u, v in edges if u != v})
+    Q = clique_complex(quotient, max(K.max_dim, 1))
+    for k in range(K.max_dim + 1):
+        for s in K.simplices(k):
+            assert Q.has(tuple(sorted({relation[v] for v in s})))
+    try:
+        image = apply_f(K, relation)
+    except HomologyLabError as err:
+        assert str(err).startswith("quotient is not 2-determined: extra=[(")
+    else:
+        assert image.graph == quotient
+
+
 def test_fundamental_cycle_of_octahedron():
-    K = built(qubit_graph(1), 2)
     # the whole bowtie complex is not a sphere; use a basis cycle instead
-    c = basis_cycle(1, "0")
-    Kc = built(c, 2)
+    Kc = built(basis_cycle(1, "0"), 2)
     fc = fundamental_cycle(Kc)
     assert len(fc) == 4
     assert all(abs(v) == 1 for v in fc.values())
-    pushed = push_chain(fc, {v: v for v in c.vertices})
-    tgt = basis_chain(built(qubit_graph(1), 2), "0")
-    assert pushed == tgt or pushed == {s: -v for s, v in tgt.items()}
+    vec = np.zeros(Kc.dim_size(1))
+    vec[list(fc)] = list(fc.values())
+    tgt = chain_vector(Kc, 1, basis_chain(Kc, "0"))
+    assert np.array_equal(vec, tgt) or np.array_equal(vec, -tgt)
 
 
 def test_library_chains_carry_integers():
@@ -221,9 +244,11 @@ def test_library_chains_carry_integers():
     state = IntegerState.from_dict(2, {"00": 1, "11": -1})
     assert integer(target_chain(state, built(target_cycle_graph(state), 4)))
     c = basis_cycle(1, "0")
-    fc = fundamental_cycle(built(c, 2))
+    Kc = built(c, 2)
+    fc = fundamental_cycle(Kc)
     assert integer(fc)
-    assert integer(push_chain(fc, {v: v for v in c.vertices}))
+    assert integer(push_chain(dict(zip(Kc._labels(1, list(fc)), fc.values())),
+                              {v: v for v in c.vertices}))
     q1 = basis_chain(built(qubit_graph(1), 2), "0")
     q2 = {tuple(v.replace("q1.", "q2.") for v in s): x for s, x in q1.items()}
     joined = kunneth_embed(q1, q2, into=K2)
@@ -233,6 +258,42 @@ def test_library_chains_carry_integers():
     ok, witness = cycle_is_boundary(K3, {("b", "c"): 1, ("a", "c"): -1, ("a", "b"): 1}, 1)
     assert ok and witness == {("a", "b", "c"): 1}
     assert all(type(v) is Fraction for v in witness.values())
+
+
+@st.composite
+def native_states(draw):
+    """A 1- or 2-qubit state with amplitudes in {-2, -1, 1, 2}: every
+    superposition build_K covers."""
+    m = draw(st.integers(1, 2))
+    bits = draw(st.lists(st.sampled_from([format(i, f"0{m}b") for i in range(2**m)]),
+                         min_size=1, unique=True))
+    return IntegerState.from_dict(m, {z: draw(st.sampled_from([-2, -1, 1, 2])) for z in bits})
+
+
+@settings(max_examples=20, deadline=None)
+@given(native_states(), st.data())
+def test_orientation_check_vectors_match_the_label_oracle(state, data):
+    """The two sides of fill_cycle's orientation check, against label
+    chains: K's fundamental cycle pushed through the relation, and the
+    amplitudes times their basis cycles on the quotient J.  K's vertices
+    are renamed in a random order, so that pushing a simplex permutes its
+    vertices (the native relations keep every simplex's order)."""
+    k_graph, relation, _order = build_K(state)
+    names = [f"k{i:03d}" for i in range(k_graph.n_vertices)]
+    rename = dict(zip(k_graph.vertices, data.draw(st.permutations(names))))
+    k_graph = relabel(k_graph, rename)
+    relation = {rename[v]: t for v, t in relation.items()}
+    K = clique_complex(k_graph, k_graph.n_vertices - 1)
+    J = apply_f(K, relation)
+    top = K.top_dimension()
+    cycle = fundamental_cycle(K)
+    pushed = gadgets._pushed_cycle(K, J, relation)
+    labelled = dict(zip(K._labels(top, list(cycle)), cycle.values()))
+    assert np.array_equal(pushed, chain_vector(J, top, push_chain(labelled, relation)))
+    qubits = range(1, state.m + 1)
+    target = sum(a * gadgets._cycle_vector(J, qubits, z) for z, a in state.amps)
+    assert np.array_equal(target, chain_vector(J, top, target_chain(state, J)))
+    assert np.array_equal(pushed, target) or np.array_equal(pushed, -target)
 
 
 def test_push_alignment_failure_is_reported():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from homology_lab.complexes import clique_complex
 from homology_lab.errors import DimensionError, NotACycleError
 from homology_lab.fixtures import gadget_graph
-from homology_lab.gadgets import IntegerState, basis_chain
+from homology_lab.gadgets import IntegerState
 from homology_lab.graph import (
     bowtie,
     join,
@@ -44,9 +44,9 @@ from conftest import (
     dense_rank,
     graphs,
     pair_list,
-    positions,
     seeded_graphs,
 )
+from reference import basis_chain, chain_vector
 
 K3 = complete_graph(["a", "b", "c"])
 
@@ -409,19 +409,13 @@ def test_harmonic_basis_of_bowtie_spans_loops():
     assert hb.dimension == 2
     loops = np.stack(
         [
-            _chain_vec(K, 1, basis_chain(K, z))
+            chain_vector(K, 1, basis_chain(K, z))
             for z in ("0", "1")
         ],
         axis=1,
     )
     overlap = loops.T @ hb.basis
     assert np.linalg.matrix_rank(overlap, tol=1e-8) == 2
-
-
-def _chain_vec(K, k, chain):
-    v = np.zeros(K.dim_size(k))
-    v[positions(K, chain)] = [float(c) for c in chain.values()]
-    return v
 
 
 def test_harmonic_basis_of_triangle_is_empty():
@@ -450,6 +444,17 @@ def test_cycle_is_boundary_in_triangle():
     assert witness == {tri: Fraction(1)}
     # the empty chain is the boundary of the empty chain
     assert cycle_is_boundary(K, {}) == (True, {})
+
+
+def test_cycle_is_boundary_follows_the_package_truncation_rule():
+    # complete at degree 2: d^2 has no rows, and the zero chain bounds
+    assert cycle_is_boundary(built(K3, 2), {("a", "b", "c"): 0}, 2) == (True, {})
+    # the tetrahedron built to degree 2 is truncated below its 3-simplex
+    tetra = ("a", "b", "c", "d")
+    sphere = {tetra[:i] + tetra[i + 1 :]: (-1) ** i for i in range(4)}
+    with pytest.raises(DimensionError, match="needs the complex built to 3"):
+        cycle_is_boundary(built(complete_graph(tetra), 2), sphere, 2)
+    assert cycle_is_boundary(built(complete_graph(tetra), 3), sphere, 2) == (True, {tetra: 1})
 
 
 def test_bowtie_loop_is_not_boundary():

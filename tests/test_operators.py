@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings
 
-from homology_lab.complexes import CliqueComplex, clique_complex, factor_complexes, kunneth_embed
+from homology_lab.complexes import CliqueComplex, clique_complex, factor_complexes
 from homology_lab.errors import GraphFormatError, HomologyLabError
 from homology_lab.fixtures import gadget_graph, named_fixtures
 from homology_lab.gadgets import IntegerState
@@ -35,6 +35,7 @@ from homology_lab.reduction import decide, parse_hamiltonian, reduce_hamiltonian
 from homology_lab.spectra import DEFAULT_GRID, join_lambda_min, spectrum, sweep
 
 from conftest import built, complete_graph, graphs, monomials, positions, seeded_graphs
+from reference import chain_vector, kunneth_embed
 from test_cli import HAMILTONIANS
 
 K3 = complete_graph(["a", "b", "c"])
@@ -227,15 +228,10 @@ def test_laplacian_respects_join_splitting():
     phi = {s: Fraction(rng.randint(-2, 2)) for s in KR.simplices(j)}
     emb = kunneth_embed(psi, phi, into=K)
 
-    def as_vec(KK, k, ch):
-        v = np.zeros(KK.dim_size(k))
-        v[positions(KK, ch)] = [float(c) for c in ch.values()]
-        return v
-
     k = i + j + 1
-    lhs = laplacian(K, k).evaluate_dense(lam) @ as_vec(K, k, emb)
-    Lpsi = laplacian(KL, i).evaluate_dense(lam) @ as_vec(KL, i, psi)
-    Lphi = laplacian(KR, j).evaluate_dense(lam) @ as_vec(KR, j, phi)
+    lhs = laplacian(K, k).evaluate_dense(lam) @ chain_vector(K, k, emb)
+    Lpsi = laplacian(KL, i).evaluate_dense(lam) @ chain_vector(KL, i, psi)
+    Lphi = laplacian(KR, j).evaluate_dense(lam) @ chain_vector(KR, j, phi)
     t1 = kunneth_embed(
         {s: Fraction(x).limit_denominator(10**12) for s, x in zip(KL.simplices(i), Lpsi)},
         phi,
@@ -246,7 +242,7 @@ def test_laplacian_respects_join_splitting():
         {s: Fraction(x).limit_denominator(10**12) for s, x in zip(KR.simplices(j), Lphi)},
         into=K,
     )
-    rhs = as_vec(K, k, t1) + as_vec(K, k, t2)
+    rhs = chain_vector(K, k, t1) + chain_vector(K, k, t2)
     assert np.linalg.norm(lhs - rhs) <= 1e-10
 
 

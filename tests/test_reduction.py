@@ -2,13 +2,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homology_lab.complexes import clique_complex
+from homology_lab.complexes import clique_complex, factor_complexes
 from homology_lab.errors import GraphFormatError, ScheduleError, UnsupportedStateError
 from homology_lab.gadgets import IntegerState, basis_state_matrix, gadget, glue
-from homology_lab.graph import induced_subgraph, join, make_graph, qubit_graph, relabel
+from homology_lab.graph import induced_subgraph, join, make_graph, qubit_graph, qubit_of, relabel
 from homology_lab.homology import betti, coboundary_rank, harmonic_basis
 from homology_lab.operators import laplacian_up
 from homology_lab.reduction import (
@@ -21,6 +21,7 @@ from homology_lab.reduction import (
 )
 
 from conftest import built, positions
+from reference import chain_vector, joined_loops
 
 
 def H_of(n, *terms):
@@ -161,12 +162,13 @@ def test_padded_kernel_dimensions():
 
 
 @st.composite
-def native_hamiltonians(draw):
-    """1-4 qubits, 1-3 terms, each a 1- or 2-qubit state with amplitudes in
-    {-2, -1, 1, 2}: every state the native gadget constructions cover."""
-    n = draw(st.integers(1, 4))
+def native_hamiltonians(draw, max_qubits=4, max_terms=3):
+    """1 to max_qubits qubits, 1 to max_terms terms, each a 1- or 2-qubit
+    state with amplitudes in {-2, -1, 1, 2}: every state the native gadget
+    constructions cover."""
+    n = draw(st.integers(1, max_qubits))
     terms = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, max_terms))):
         m = draw(st.integers(1, min(2, n)))
         support = sorted(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True)))
         bits = draw(st.lists(st.sampled_from([format(i, f"0{m}b") for i in range(2**m)]),
@@ -202,6 +204,27 @@ def assembled_reduction_graph(H):
 @given(native_hamiltonians())
 def test_reduction_graph_is_the_assembled_graph(H):
     assert reduce_hamiltonian(H).graph == assembled_reduction_graph(H)
+
+
+@settings(max_examples=20, deadline=None)
+@given(native_hamiltonians(max_qubits=12, max_terms=2))
+@example(H_of(11, ([1, 9], {"00": 1, "11": -1}), ([10], {"1": 1})))
+@example(H_of(11, ([1, 10], {"01": -1, "10": 2})))
+@example(H_of(11, ([0, 10], {"01": 1}), ([1, 9], {"10": 1})))
+def test_basis_cycles_match_the_label_oracle_on_every_factor(H):
+    """basis_state_matrix on each join factor of a reduction, column by
+    column and bit for bit, against the loops' label chains joined by the
+    Künneth oracle and normalized.  The examples put q2 with q10 or q11 and
+    q1 with q11 in one factor, where copies sort in another order by label
+    than by number."""
+    res = reduce_hamiltonian(H)
+    for K in factor_complexes(res.graph, res.k):
+        qubits = sorted({q for q, _v in filter(None, map(qubit_of, K.graph.vertices))})
+        m = len(qubits)
+        B = basis_state_matrix(K, qubits)
+        for i in range(2 ** m):
+            v = chain_vector(K, 2 * m - 1, joined_loops(K, qubits, format(i, f"0{m}b")))
+            assert np.array_equal(B[:, i], v / np.linalg.norm(v))
 
 
 def test_support_relabeling():

@@ -3,8 +3,8 @@ its CLI block names every option, no module of the library, tests/ or scripts/
 imports a name it never uses, every public library name has a reader
 outside the tests, every private helper has a reader in the library, every
 name a module holds for the benchmark's tracer is one it wraps, the exact
-readers never reach the float-side operators, and only graph.py writes or
-reads a qubit-copy label."""
+readers never reach the float-side operators, the pipelines build no label
+chains, and only graph.py writes or reads a qubit-copy label."""
 
 import argparse
 import ast
@@ -272,6 +272,23 @@ def test_exact_readers_never_reach_the_float_operators():
         assert set(names) <= defined, (module, set(names) - defined)
     roots = [name for names in EXACT_READERS.values() for name in names]
     assert reads_through(sources, roots).isdisjoint({"coboundary", "MonomialMatrix"})
+
+
+# the label-chain algebra that tests/reference.py keeps as the oracle, and the
+# alias that keys a label chain
+LABEL_CHAINS = {"kunneth_embed", "sort_with_sign", "push_chain", "basis_chain", "target_chain",
+                "Chain"}
+
+
+def test_the_pipelines_build_no_label_chains():
+    """``decide``, the reduction, the gadget build with its orientation check
+    and the basis-cycle columns run on vertex ids: none of them, nor any
+    library function they read, reaches a label chain.  ``_labels`` is not
+    in the set, since every root reads it through the ``CliqueComplex`` class
+    its annotations name."""
+    sources = [path.read_text() for path in PACKAGE.glob("*.py")]
+    roots = ["decide", "reduce_hamiltonian", "gadget", "fill_cycle", "basis_state_matrix"]
+    assert reads_through(sources, roots).isdisjoint(LABEL_CHAINS)
 
 
 def qubit_label_sites(source: str) -> list[int]:
