@@ -29,18 +29,11 @@ from .homology import (
     BettiTable,
     betti,
     betti_table,
-    cycle_is_boundary,
     euler_characteristic,
     harmonic_basis,
     join_betti,
 )
-from .operators import (
-    MonomialMatrix,
-    coboundary,
-    embedded_entry,
-    laplacian,
-    laplacian_entry,
-)
+from .operators import MonomialMatrix, coboundary, laplacian
 from .reduction import (
     Hamiltonian,
     decide,
@@ -50,13 +43,6 @@ from .reduction import (
     schedule,
 )
 from .specseq import filtration, forman_compare, page_dims, stabilized_dims
-from .spectra import (
-    join_lambda_min,
-    join_spectrum,
-    lambda_min,
-    pairing_check,
-    spectrum,
-    sweep,
-)
+from .spectra import join_lambda_min, join_spectrum, lambda_min, spectrum, sweep
 
 __version__ = "0.1.0"

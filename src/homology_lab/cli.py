@@ -265,9 +265,10 @@ def cmd_verify_gadget(args) -> int:
     if args.state in cat:
         state = cat[args.state]
     else:
+        # JSONDecodeError and an integer literal past the digit limit are ValueErrors
         try:
             amps = json.loads(args.state)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise UsageError(
                 f"{args.state!r} is neither a catalog name ({', '.join(sorted(cat))}) nor JSON"
             ) from exc

@@ -3,16 +3,15 @@
 Simplices are stored once, as rows of integer vertex ids strictly ascending
 in the graph's canonical vertex order, which is label order; the sign of any
 other vertex ordering is the parity of the permutation relative to the
-ascending representative.  Labels appear only at the edges: the exact
-witnesses' chains key simplices by tuples of labels in the same order, which
-``locate`` maps back to ids, and ``simplices(k)`` is a label view derived on
-its first read.  The empty simplex () is always present in dimension -1
-(reduced convention).
+ascending representative.  Labels appear only at the edges: a label
+simplex is the tuple of its labels in the same order, which ``locate`` maps
+back to ids, and ``simplices(k)`` is a label view derived on its first read.
+The empty simplex () is always present in dimension -1 (reduced
+convention).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -22,8 +21,6 @@ from .errors import CapExceededError, DimensionError
 from .graph import WeightedGraph, join_factors
 
 Simplex = tuple[str, ...]
-# A caller's chain carries int or Fraction coefficients; exact witnesses are Fractions.
-Chain = dict[Simplex, int | Fraction]
 
 DEFAULT_CAP = 2_000_000
 
@@ -181,18 +178,6 @@ class CliqueComplex:
             found[pick] = self.find(np.array(ids, dtype=np.int64).reshape(len(pick), size))
         return found
 
-    def has(self, sigma: Simplex) -> bool:
-        return self.locate([sigma])[0] >= 0
-
-    def up_vertices(self, sigma: Simplex) -> tuple[str, ...]:
-        """Vertices v with sigma + {v} a simplex (all cofacet extensions)."""
-        if not sigma:
-            return self.graph.vertices
-        common = self.graph.neighbors(sigma[0])
-        for v in sigma[1:]:
-            common = common & self.graph.neighbors(v)
-        return tuple(sorted(common))
-
     def counts(self) -> dict[int, int]:
         return {k: len(a) for k, a in sorted(self.ids.items())}
 
@@ -228,9 +213,3 @@ def factor_complexes(g: WeightedGraph | tuple, k: int, cap: int = DEFAULT_CAP) -
     # clique_complex is looked up on the module, where bench/tracing.py wraps it
     return [clique_complex(f, max(min(k + 1, f.n_vertices - 1), 0), cap) for f in factors]
 
-
-def chain_dimension(chain: Chain) -> int:
-    ks = {len(s) - 1 for s in chain}
-    if len(ks) > 1:
-        raise DimensionError(f"mixed-dimension chain: {sorted(ks)}")
-    return ks.pop() if ks else -2

@@ -28,10 +28,6 @@ class GapAmbiguityError(HomologyLabError):
     """Numeric eigenvalue cluster straddles the kernel tolerance."""
 
 
-class NotACycleError(HomologyLabError):
-    """A chain expected to be a cycle has nonzero boundary."""
-
-
 class UnsupportedStateError(HomologyLabError):
     """Gadget construction is not implemented for this (m, term-structure).
 

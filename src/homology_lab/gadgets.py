@@ -529,17 +529,3 @@ def basis_state_matrix(K: CliqueComplex, qubits: Sequence[int]) -> np.ndarray:
     cycles = [_cycle_vector(K, qubits, format(i, f"0{m}b")) for i in range(2 ** m)]
     return np.stack(cycles, axis=1) / 2 ** m
 
-
-def orthogonal_cycle_span(K: CliqueComplex, state: IntegerState) -> np.ndarray:
-    """Orthonormal basis of span{basis cycles} orthogonal to the state."""
-    mat = basis_state_matrix(K, range(1, state.m + 1))
-    amp = np.zeros(2 ** state.m)
-    for z, a in state.amps:
-        amp[int(z, 2)] = a
-    amp = amp / np.linalg.norm(amp)
-    # complete amp to an orthonormal basis; drop the amp direction
-    q, _ = np.linalg.qr(
-        np.concatenate([amp[:, None], np.eye(2 ** state.m)], axis=1)
-    )
-    comp = q[:, 1 : 2 ** state.m]
-    return mat @ comp

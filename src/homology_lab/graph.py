@@ -80,9 +80,6 @@ class WeightedGraph:
     def neighbors(self, v: str) -> frozenset[str]:
         return self._adj[v]
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return _edge(u, v) in self.edges
-
     def weight_map(self) -> dict[str, int]:
         return dict(zip(self.vertices, self.exponents))
 
@@ -113,6 +110,19 @@ def unweighted(vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -
 
 # -- JSON interface ---------------------------------------------------------
 
+def load_json(text: str):
+    """The document a JSON input holds; GraphFormatError "malformed JSON: ..."
+    when there is none.  json's own errors and an integer literal beyond
+    Python's int-conversion digit limit are ValueErrors; nesting beyond the
+    recursion limit is a RecursionError."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise GraphFormatError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphFormatError("malformed JSON: nested too deeply") from exc
+
+
 def parse_graph(text: str) -> WeightedGraph:
     """Parse the graph JSON schema.
 
@@ -121,12 +131,7 @@ def parse_graph(text: str) -> WeightedGraph:
     weights and weights above MAX_EXPONENT are rejected.  Extra top-level
     keys (e.g. metadata blocks) are ignored.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"malformed JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise GraphFormatError("malformed JSON: nested too deeply") from exc
+    doc = load_json(text)
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise GraphFormatError("expected an object with a 'vertices' key")
     vertices, edges = doc["vertices"], doc.get("edges", [])

@@ -3,6 +3,10 @@
 Betti numbers are computed from exact coboundary ranks over the rationals at
 lam := 1 (weights never change the homology).  Cohomology and homology Betti
 numbers agree since coefficients form a field; torsion is out of scope.
+``exact_columns`` gives d^k's integer columns straight from the facet
+arrays, for the persistence pairs here, the spectral-sequence pages and the
+gadgets' fundamental cycles; chains inside the library are integer vectors,
+and the cycle and boundary witnesses on label chains are test oracles.
 
 ``eigensolve`` is the package's one eigensolver dispatch: every numeric
 spectrum, here and in ``spectra``, comes from it.  SciPy is imported inside
@@ -13,21 +17,14 @@ loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul
 from typing import Sequence
 
 import numpy as np
 
 from . import rational
-from .complexes import Chain, CliqueComplex, chain_dimension
-from .errors import (
-    DimensionError,
-    GapAmbiguityError,
-    GraphFormatError,
-    HomologyLabError,
-    NotACycleError,
-)
+from .complexes import CliqueComplex
+from .errors import DimensionError, GapAmbiguityError, GraphFormatError, HomologyLabError
 from .operators import coboundary, laplacian
 
 DENSE_EIG_CAP = 4000
@@ -366,43 +363,3 @@ def harmonic_basis(K: CliqueComplex, k: int, lam: float = 1.0) -> HarmonicBasis:
         )
     return HarmonicBasis(vecs[:, keep], float(tol))
 
-
-# -- exact cycle membership ----------------------------------------------------
-
-
-def is_cycle(K: CliqueComplex, chain: Chain, k: int | None = None) -> bool:
-    if k is None:
-        k = chain_dimension(chain)
-    if k <= -1:
-        return True
-    at = K.locate(list(chain))
-    foreign = [s for s, i in zip(chain, at) if i < 0 or len(s) != k + 1]
-    if foreign:
-        raise DimensionError(f"{foreign[0]!r} is not a {k}-simplex of the complex")
-    # the rows of d^{k-1} at lam := 1 are the columns of boundary_k
-    cols = exact_columns(K, k - 1)
-    acc: dict[int, int | Fraction] = {}
-    for coef, i in zip(chain.values(), at.tolist()):
-        for r, v in cols[i].items():
-            acc[r] = acc.get(r, 0) + coef * v
-    return not any(acc.values())
-
-
-def cycle_is_boundary(
-    K: CliqueComplex, chain: Chain, k: int | None = None
-) -> tuple[bool, Chain | None]:
-    """Exact test c in im(boundary_{k+1}) over Q, with a preimage witness.
-
-    Raises NotACycleError unless boundary_k(c) = 0.  The columns of
-    boundary_{k+1} are the rows of d^k.
-    """
-    if k is None:
-        k = chain_dimension(chain)
-    if not is_cycle(K, chain, k):
-        raise NotACycleError("chain has nonzero boundary")
-    b = {i: c for i, c in zip(K.locate(list(chain)).tolist(), chain.values()) if c}
-    x = rational.solve(exact_columns(K, k), K.dim_size(k), b)
-    if x is None:
-        return False, None
-    # a zero cycle bounds the empty chain, also above a complete complex's top
-    return True, dict(zip(K._labels(k + 1, list(x)), x.values())) if x else {}

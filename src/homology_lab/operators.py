@@ -23,14 +23,10 @@ import numpy as np
 if TYPE_CHECKING:  # annotations only: SciPy is imported where a sparse matrix is built
     import scipy.sparse
 
-from .complexes import CliqueComplex, Simplex
+from .complexes import CliqueComplex
 from .errors import DimensionError, GraphFormatError, HomologyLabError
 
 Poly = dict[int, int]
-
-
-def poly_eval_float(a: Poly, lam: float) -> float:
-    return float(sum(float(c) * lam**e for e, c in a.items()))
 
 
 class MonomialMatrix:
@@ -155,98 +151,8 @@ def _gram_slices(d: MonomialMatrix, up: bool):
                 yield a + b, P.T.tocsr()
 
 
-def laplacian_down(K: CliqueComplex, k: int) -> MonomialMatrix:
-    """d^{k-1} followed by its adjoint; needs the complex built to k only."""
-    d = coboundary(K, k - 1)
-    return MonomialMatrix(d.rows, d.rows, _gram_slices(d, up=False))
-
-
-def laplacian_up(K: CliqueComplex, k: int) -> MonomialMatrix:
-    """Adjoint of d^k followed by d^k; needs the complex built to k+1."""
-    d = coboundary(K, k)
-    return MonomialMatrix(d.cols, d.cols, _gram_slices(d, up=True))
-
-
 def laplacian(K: CliqueComplex, k: int) -> MonomialMatrix:
     below, above = coboundary(K, k - 1), coboundary(K, k)
     pairs = [*_gram_slices(below, up=False), *_gram_slices(above, up=True)]
     return MonomialMatrix(below.rows, below.rows, pairs)
 
-
-# -- entrywise formula and sparse access --------------------------------------
-
-
-def laplacian_entry(K: CliqueComplex, k: int, sigma: Simplex, tau: Simplex) -> Poly:
-    """Laplacian entry from the local four-way rule, without assembly.
-
-    Off-diagonal: lower-adjacent non-upper-adjacent pairs contribute
-    ``+- w(v_sigma) w(v_tau)`` with the sign given by orientation similarity
-    of the common lower simplex; upper-adjacent and non-adjacent pairs give
-    zero.  The diagonal is the direct-assembly value
-    ``sum_up w(u)^2 + sum_members w(v)^2`` (the published rule's trailing
-    "+1" only reproduces assembly at k = 0, where it is the augmentation
-    term for an unweighted vertex; see README).
-    """
-    if not K.has(sigma) or not K.has(tau):
-        raise DimensionError("simplex not present in the complex")
-    if len(sigma) != k + 1 or len(tau) != k + 1:
-        raise DimensionError("dimension mismatch")
-    g = K.graph
-    if sigma == tau:
-        out: Poly = {}
-        for u in K.up_vertices(sigma):
-            e = 2 * g.exponent(u)
-            out[e] = out.get(e, 0) + 1
-        for v in sigma:
-            e = 2 * g.exponent(v)
-            out[e] = out.get(e, 0) + 1
-        return {e: c for e, c in out.items() if c}
-    shared = set(sigma) & set(tau)
-    if len(shared) != k:
-        return {}
-    v_sigma = next(v for v in sigma if v not in shared)
-    v_tau = next(v for v in tau if v not in shared)
-    union = tuple(sorted(set(sigma) | set(tau)))
-    if K.has(union):
-        return {}
-    s = (-1) ** (sigma.index(v_sigma) + tau.index(v_tau))
-    return {g.exponent(v_sigma) + g.exponent(v_tau): s}
-
-
-def _bits_to_simplex(K: CliqueComplex, bits: str) -> tuple[Simplex, bool]:
-    vs = K.graph.vertices
-    if len(bits) != len(vs):
-        raise DimensionError(
-            f"bitstring length {len(bits)} != vertex count {len(vs)}"
-        )
-    sel = tuple(v for v, b in zip(vs, bits) if b == "1")
-    is_clique = all(
-        K.graph.has_edge(u, v) for i, u in enumerate(sel) for v in sel[i + 1 :]
-    )
-    return sel, is_clique
-
-
-def embedded_entry(
-    K: CliqueComplex,
-    k: int,
-    x: str,
-    y: str,
-    penalty: float,
-    lam: float = 1.0,
-) -> float:
-    """Entry <x| of the embedded operator acting on all vertex subsets.
-
-    Returns the Laplacian entry when both indicator bitstrings are
-    (k+1)-cliques, the penalty on non-clique diagonal entries, and zero
-    otherwise.  Computed from the entrywise rule; the full matrix is never
-    materialized.
-    """
-    sx, cx = _bits_to_simplex(K, x)
-    sy, cy = _bits_to_simplex(K, y)
-    x_ok = cx and len(sx) == k + 1
-    y_ok = cy and len(sy) == k + 1
-    if x_ok and y_ok:
-        return poly_eval_float(laplacian_entry(K, k, sx, sy), lam)
-    if x == y:
-        return float(penalty)
-    return 0.0

@@ -207,7 +207,9 @@ def nullspace(cols: Columns, nrows: int) -> list[IntVec]:
 
 
 def solve(cols: Columns, nrows: int, b: Mapping[int, Fraction]) -> Optional[dict[int, Fraction]]:
-    """A solution {column index: value} of A x = b, or None if there is none.
+    """A solution {column index: value} of A x = b, or None if there is none;
+    unused here, kept for the tests' boundary witness (``cycle_is_boundary``
+    in tests/reference.py) and as bench/tracing.py wraps it.
 
     A is given by its integer columns, b as {row: rational value}.  b is
     scaled to integers, appended as the last column and reduced with the tag

@@ -12,7 +12,6 @@ least squares and the NO branch's eigensolves), so ``reduce`` never loads it.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +25,7 @@ from .graph import (
     BOWTIE_LOOPS,
     WeightedGraph,
     graph_to_json,
+    load_json,
     make_graph,
     qubit_graph,
     qubit_of,
@@ -73,12 +73,7 @@ class Hamiltonian:
 
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Schema: {"n":int,"terms":[{"support":[int...],"amps":{bits:int}}...]}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"malformed JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise GraphFormatError("malformed JSON: nested too deeply") from exc
+    doc = load_json(text)
     if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
         raise GraphFormatError("expected an object with 'n' and 'terms'")
     n = doc["n"]

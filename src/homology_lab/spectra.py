@@ -1,13 +1,15 @@
 """Numeric spectra of weighted Laplacians and lambda-sweep branch analysis.
 
-Every eigensolve goes through ``homology.eigensolve``.  Full spectra
-(``spectrum``, ``sweep``, ``pairing_check``) are dense, solved one connected
-block of the Laplacian at a time.  ``spectrum`` and ``sweep`` split the graph
-into its join factors (``graph.join_factors``) and take the spectrum of the
-join from the factors' (``join_spectrum``), so the Laplacians they solve are
-the factors'; ``spectrum`` and ``sweep`` refuse a factor Laplacian above
-DENSE_EIG_CAP, while ``lambda_min`` switches to shift-invert Lanczos (from
-a fixed start vector) there.
+Every eigensolve goes through ``homology.eigensolve``.  ``spectrum`` and
+``sweep`` take whole spectra densely, one connected block of the Laplacian
+at a time.  They split the graph into its join factors
+(``graph.join_factors``) and take the spectrum of the join from the
+factors' (``join_spectrum``), so the Laplacians they solve are the
+factors'; they refuse a factor Laplacian above DENSE_EIG_CAP, while
+``lambda_min`` switches to shift-invert Lanczos (from a fixed start vector)
+there.  Only the whole Laplacian is solved here: the up and down halves
+and their supersymmetric pairing are read from the coboundaries by the
+tests.
 
 A sweep tracks eigenvalue branches across a geometric lambda grid (matched
 by sorted index), fits the log-log slopes of all branches in one
@@ -18,7 +20,7 @@ every grid point are classified as exact kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 from typing import Sequence
 
@@ -28,13 +30,12 @@ from .complexes import CliqueComplex, factor_complexes
 from .errors import BranchMatchingError, DimensionError, GraphFormatError
 from .graph import join_factors
 from .homology import DENSE_EIG_CAP, betti, eigensolve, join_series
-from .operators import laplacian, laplacian_down, laplacian_up
+from .operators import laplacian
 
 DEFAULT_GRID = (0.3, 0.25, 0.2, 0.15, 0.1)
 KERNEL_FLOOR = 1e-13
 SLOPE_TOL = 0.5  # how far a fitted slope may sit from its even decay exponent
 ZERO_TOL = 1e-10  # the zero threshold of a full spectrum's eigenvalues
-PAIRING_TOL = 1e-8  # relative mismatch allowed between paired up/down eigenvalues
 
 
 @dataclass(frozen=True)
@@ -212,45 +213,3 @@ def sweep(K: CliqueComplex, k: int, grid: tuple[float, ...] = DEFAULT_GRID) -> B
     classes = tuple(np.where(kernel, "kernel", even.astype(int).astype(str)).tolist())
     return BranchTable(k, grid, traj, slopes, classes)
 
-
-@dataclass(frozen=True)
-class PairingReport:
-    lam: float
-    max_mismatch: float
-    counts: dict = field(default_factory=dict)
-
-    @property
-    def paired(self) -> bool:
-        return self.max_mismatch <= PAIRING_TOL
-
-
-def pairing_check(K: CliqueComplex, lam: float = 1.0) -> PairingReport:
-    """Supersymmetric pairing: positive spectra of up/down parts match.
-
-    For each level k, the positive eigenvalues of the up Laplacian at k must
-    equal (as multisets, within relative PAIRING_TOL) the positive eigenvalues
-    of the down Laplacian at k+1; this exhausts the positive spectrum into
-    doublets, with singlets exactly the harmonic states.
-    """
-    top = K.max_dim  # levels (k, k+1) for k = -1 .. max_dim - 1
-    max_mismatch = 0.0
-    counts = {}
-    for k in range(-1, top):
-        up = laplacian_up(K, k)
-        down_next = laplacian_down(K, k + 1)
-        pos_up = _positive(eigensolve(up.evaluate(lam)))
-        pos_down = _positive(eigensolve(down_next.evaluate(lam)))
-        if len(pos_up) != len(pos_down):
-            return PairingReport(
-                lam, float("inf"), {"level": k, "up": len(pos_up), "down": len(pos_down)}
-            )
-        if len(pos_up):
-            denom = np.maximum(np.abs(pos_up), 1e-300)
-            mism = float(np.max(np.abs(pos_up - pos_down) / denom))
-            max_mismatch = max(max_mismatch, mism)
-        counts[k] = len(pos_up)
-    return PairingReport(lam, max_mismatch, counts)
-
-
-def _positive(vals: np.ndarray) -> np.ndarray:
-    return np.sort(vals[vals > ZERO_TOL])

@@ -493,6 +493,32 @@ def test_exponent_above_the_bound_is_format_error(tmp_path, capsys, case, argv):
     assert err.rstrip().endswith("above 2147483647")
 
 
+# an integer literal one digit past Python's int-conversion limit, in each
+# JSON input: (command, input in a file, exit code, stderr prefix)
+HUGE_LITERAL = "9" * 4301
+HUGE_LITERALS = {
+    "hamiltonian-qubit-count": (
+        "decide", '{"n": %s, "terms": []}' % HUGE_LITERAL, True, 2, "error: malformed JSON: "
+    ),
+    "graph-weight": (
+        "betti", '{"vertices": [{"id": "a", "w": %s}]}' % HUGE_LITERAL, True, 2, "error: malformed JSON: "
+    ),
+    "inline-amplitude": ("verify-gadget", '{"0": %s}' % HUGE_LITERAL, False, 1, "usage error: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_LITERALS))
+def test_huge_integer_literal_ends_in_one_error_line(tmp_path, capsys, case):
+    command, text, in_file, want, prefix = HUGE_LITERALS[case]
+    if in_file:
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        text = str(path)
+    code, out, err = run(capsys, command, text)
+    assert (code, out) == (want, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 def test_verify_gadget_catalog_name(capsys):
     code, out, _ = run(capsys, "verify-gadget", "Hclock1")
     assert code == 0

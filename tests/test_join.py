@@ -120,7 +120,7 @@ def complement_walk_factors(g):
     walked from each vertex in order, each induced on g."""
     co = {v: set() for v in g.vertices}
     for u, v in combinations(g.vertices, 2):
-        if not g.has_edge(u, v):
+        if (u, v) not in g.edges:
             co[u].add(v)
             co[v].add(u)
     seen, parts = set(), []

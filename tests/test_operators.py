@@ -21,21 +21,20 @@ from homology_lab.graph import (
     relabel,
     unweighted,
 )
-from homology_lab.operators import (
-    MonomialMatrix,
-    coboundary,
+from homology_lab.operators import MonomialMatrix, coboundary, laplacian
+from homology_lab.reduction import decide, parse_hamiltonian, reduce_hamiltonian
+from homology_lab.spectra import DEFAULT_GRID, join_lambda_min, spectrum, sweep
+
+from conftest import built, complete_graph, graphs, positions, seeded_graphs
+from reference import (
+    chain_vector,
     embedded_entry,
-    laplacian,
+    kunneth_embed,
     laplacian_down,
     laplacian_entry,
     laplacian_up,
     poly_eval_float,
 )
-from homology_lab.reduction import decide, parse_hamiltonian, reduce_hamiltonian
-from homology_lab.spectra import DEFAULT_GRID, join_lambda_min, spectrum, sweep
-
-from conftest import built, complete_graph, graphs, monomials, positions, seeded_graphs
-from reference import chain_vector, kunneth_embed
 from test_cli import HAMILTONIANS
 
 K3 = complete_graph(["a", "b", "c"])
@@ -98,8 +97,7 @@ def test_operators_are_built_in_stored_form(g):
     K = clique_complex(g, g.n_vertices - 1)
     for k in range(-2, K.max_dim + 1):
         assert_stored_form(coboundary(K, k))
-        for part in (laplacian, laplacian_up, laplacian_down):
-            assert_stored_form(part(K, k))
+        assert_stored_form(laplacian(K, k))
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,17 +150,20 @@ def test_square_laplacian_has_zero_mode():
 
 
 def test_parts_sum_and_psd():
-    """laplacian's monomials are the sums of the down and up monomials."""
+    """laplacian's slices are exactly those of the sum of the reference's
+    down and up parts, which take every ordered pair of coboundary slices
+    instead of laplacian's half of the pairs and their transposes; both
+    parts are positive semidefinite."""
+    for g in [*named_fixtures().values(), *seeded_graphs(12, 8, wmax=2, seed=51)]:
+        K = built(g, g.n_vertices)  # complete
+        for k in range(-1, K.top_dimension() + 1):
+            L, down, up = laplacian(K, k), laplacian_down(K, k), laplacian_up(K, k)
+            parts = MonomialMatrix(L.rows, L.cols, [*down.slices.items(), *up.slices.items()])
+            assert list(L.slices) == list(parts.slices)
+            assert all((L.slices[e] != parts.slices[e]).nnz == 0 for e in L.slices)
     K = built(qubit_graph(1), 2)
     for k in (0, 1):
-        down, up = laplacian_down(K, k), laplacian_up(K, k)
-        summed = Counter()
-        for part in (down, up):
-            for r, c, v, e in monomials(part):
-                summed[r, c, e] += v
-        total = {(r, c, e): v for r, c, v, e in monomials(laplacian(K, k))}
-        assert total == {key: v for key, v in summed.items() if v}
-        for part in (down, up):
+        for part in (laplacian_down(K, k), laplacian_up(K, k)):
             vals = np.linalg.eigvalsh(part.evaluate_dense(0.7))
             assert vals.min() > -1e-10
 
@@ -177,11 +178,10 @@ def test_every_assembled_laplacian_is_exactly_symmetric():
     for g in cases:
         K = built(g, g.n_vertices)  # complete
         for k in range(-1, K.top_dimension() + 1):
-            for part in (laplacian, laplacian_up, laplacian_down):
-                M = part(K, k)
-                for lam in (1.0, 0.5, 0.1):
-                    L = M.evaluate(lam)
-                    assert (L != L.T).nnz == 0, (g.n_vertices, k, part.__name__, lam)
+            M = laplacian(K, k)
+            for lam in (1.0, 0.5, 0.1):
+                L = M.evaluate(lam)
+                assert (L != L.T).nnz == 0, (g.n_vertices, k, lam)
 
 
 @pytest.mark.parametrize("g", [bowtie(), gadget_graph(IntegerState.from_dict(1, {"0": 1}))])
@@ -399,8 +399,8 @@ def test_embedded_entry_cases():
     bits[0] = bits[1] = "1"
     v0, v1 = K.graph.vertices[0], K.graph.vertices[1]
     x = "".join(bits)
-    expected = 4.25 if K.graph.has_edge(v0, v1) else None
-    if not K.graph.has_edge(v0, v1):
+    expected = 4.25 if v1 in K.graph.neighbors(v0) else None
+    if v1 not in K.graph.neighbors(v0):
         assert embedded_entry(K, 1, x, x, penalty=4.25) == 4.25
     # x != y with x not a clique: zero
     y = "0" * (n - 2) + "11"
@@ -420,7 +420,7 @@ def test_embedded_entry_matches_assembly_on_cliques():
         got = embedded_entry(K, 1, x, y, penalty=9.0)
         sx = tuple(v for v, b in zip(g.vertices, x) if b == "1")
         sy = tuple(v for v, b in zip(g.vertices, y) if b == "1")
-        if K.has(sx) and len(sx) == 2 and K.has(sy) and len(sy) == 2:
+        if len(sx) == len(sy) == 2 and min(K.locate([sx, sy])) >= 0:
             assert abs(got - L[tuple(positions(K, [sx, sy]))]) < 1e-12
             checked_clique_pairs += 1
         elif x == y:

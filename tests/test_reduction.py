@@ -10,7 +10,6 @@ from homology_lab.errors import GraphFormatError, ScheduleError, UnsupportedStat
 from homology_lab.gadgets import IntegerState, basis_state_matrix, gadget, glue
 from homology_lab.graph import induced_subgraph, join, make_graph, qubit_graph, qubit_of, relabel
 from homology_lab.homology import betti, coboundary_rank, harmonic_basis
-from homology_lab.operators import laplacian_up
 from homology_lab.reduction import (
     Hamiltonian,
     decide,
@@ -21,7 +20,7 @@ from homology_lab.reduction import (
 )
 
 from conftest import built, positions
-from reference import chain_vector, joined_loops
+from reference import chain_vector, joined_loops, laplacian_up
 
 
 def H_of(n, *terms):

@@ -27,17 +27,10 @@ from homology_lab.graph import (
 from homology_lab.homology import betti, eigensolve, harmonic_basis
 from homology_lab.operators import laplacian
 from homology_lab.reduction import Hamiltonian, reduce_hamiltonian
-from homology_lab.spectra import (
-    DEFAULT_GRID,
-    KERNEL_FLOOR,
-    SLOPE_TOL,
-    lambda_min,
-    pairing_check,
-    spectrum,
-    sweep,
-)
+from homology_lab.spectra import DEFAULT_GRID, KERNEL_FLOOR, SLOPE_TOL, lambda_min, spectrum, sweep
 
 from conftest import built, complete_graph, seeded_graphs
+from reference import pairing_check
 
 K3 = complete_graph(["a", "b", "c"])
 

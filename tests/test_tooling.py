@@ -2,9 +2,11 @@
 its CLI block names every option, no module of the library, tests/ or scripts/
 imports a name it never uses, every public library name has a reader
 outside the tests, every private helper has a reader in the library, every
-name a module holds for the benchmark's tracer is one it wraps, the exact
-readers never reach the float-side operators, the pipelines build no label
-chains, and only graph.py writes or reads a qubit-copy label."""
+name a module holds for the benchmark's tracer is one it wraps, everything
+in the library is reached from the CLI, scripts/ or bench/, the library
+imports nothing from tests/, the exact readers never reach the float-side
+operators, the pipelines build no label chains, and only graph.py writes or
+reads a qubit-copy label."""
 
 import argparse
 import ast
@@ -95,14 +97,9 @@ def test_module_uses_every_name_it_imports(path):
 
 
 # public library names, and Class.member for methods and properties, whose only
-# readers are tests, each with the reason it stays
-READ_ONLY_BY_TESTS = {
-    "cycle_is_boundary": "acceptance criterion 08: a filled cycle is a boundary over Q",
-    "pairing_check": "acceptance criterion 06: supersymmetric pairing of up/down spectra",
-    "PairingReport.paired": "acceptance criterion 06: supersymmetric pairing of up/down spectra",
-    "orthogonal_cycle_span": "acceptance criterion 12: harmonic states span the cycle space",
-    "embedded_entry": "acceptance criterion 15: the operator embedded on all vertex subsets",
-}
+# readers are tests, each with the reason it stays; code that only tests read
+# belongs in tests/reference.py
+READ_ONLY_BY_TESTS: dict[str, str] = {}
 
 
 def public_definitions() -> dict[str, str]:
@@ -221,16 +218,29 @@ def test_every_traced_name_is_wrapped_in_its_module(monkeypatch):
     assert held <= wrapped, held - wrapped
 
 
+def bound_names(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def reads_through(sources, roots) -> set[str]:
-    """Names read by the top-level functions and classes ``roots`` of the
-    sources and, transitively, by every top-level definition of the sources
-    that one of them reads by name (a name defined in two sources follows
-    both)."""
+    """Names read by the top-level functions, classes and assignments
+    ``roots`` of the sources and, transitively, by every top-level definition
+    of the sources that one of them reads by name (a name defined in two
+    sources follows both)."""
     defs: dict[str, list[str]] = {}
     for source in sources:
         for stmt in ast.parse(source).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(stmt.name, []).append(ast.unparse(stmt))
+            for name in bound_names(stmt):
+                defs.setdefault(name, []).append(ast.unparse(stmt))
     read, seen, todo = set(), set(), list(roots)
     while todo:
         name = todo.pop()
@@ -253,31 +263,95 @@ def test_exact_path_check_follows_helpers():
     assert "MonomialMatrix" not in reads_through([source], ["a"])
 
 
-# the exact readers of d^k at lam := 1, by module
+def unreached(sources, roots) -> set[str]:
+    """The top-level definitions of the sources, and ``Class.method`` for
+    each method of a reached class, that ``roots`` does not name and nothing
+    they read through (``reads_through``) reads by name."""
+    read = set(roots) | reads_through(sources, roots)
+    out = set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            out.update(name for name in bound_names(stmt) if name not in read)
+            if isinstance(stmt, ast.ClassDef) and stmt.name in read:
+                out.update(f"{stmt.name}.{m.name}" for m in stmt.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+                           and m.name not in read)
+    return out
+
+
+def test_reachability_check_sees_an_unread_definition():
+    source = (
+        "def a():\n    return b()\n"
+        "def b():\n    return C().m()\n"
+        "class C:\n    def m(self):\n        return 1\n    def n(self):\n        return 2\n"
+        "def dead():\n    return a()\n"
+        "X = 1\n"
+        "Y = (a,)\n"
+    )
+    assert unreached([source], {"a"}) == {"dead", "X", "Y", "C.n"}
+    assert unreached([source], {"Y"}) == {"dead", "X", "C.n"}
+
+
+def test_the_library_is_what_the_pipelines_reach(monkeypatch):
+    """Every top-level definition in src/, and every method of a class so
+    reached, is read by the CLI, scripts/ or bench/, directly or through
+    other definitions.  bench/tests counts with the rest of bench/, which
+    changes only with the benchmark.  The only names left over are
+    ``__version__``, the ``_TRACED`` tuples and what the functions that
+    bench/tracing.py wraps (``BOUNDARIES``) read: when the tracer drops one,
+    the code only it reached has to leave the library too."""
+    entry = [PACKAGE / "cli.py", PACKAGE / "__main__.py", *(ROOT / "scripts").glob("*.py"),
+             *(ROOT / "bench").rglob("*.py")]
+    roots = set().union(*(names_read(path.read_text()) for path in entry))
+    wrapped = {attr for module, _, attr, _, _ in load_tracing(monkeypatch).BOUNDARIES
+               if module.startswith("homology_lab.")}
+    sources = [path.read_text() for path in PACKAGE.glob("*.py")]
+    assert unreached(sources, roots | wrapped) <= {"__version__", "_TRACED"}
+
+
+def test_the_library_imports_nothing_from_the_tests():
+    """tests/reference.py reads the library; no file under src/ imports a
+    module of tests/."""
+    test_modules = {"tests"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            assert test_modules.isdisjoint(m.partition(".")[0] for m in modules), path.name
+
+
+# the exact readers of d^k at lam := 1, by file: the library's and the
+# witnesses that tests/reference.py keeps
 EXACT_READERS = {
-    "homology": ("coboundary_pairs", "is_cycle", "cycle_is_boundary"),
-    "gadgets": ("fundamental_cycle",),
-    "specseq": ("Filtration",),
+    PACKAGE / "homology.py": ("coboundary_pairs",),
+    PACKAGE / "gadgets.py": ("fundamental_cycle",),
+    PACKAGE / "specseq.py": ("Filtration",),
+    ROOT / "tests" / "reference.py": ("is_cycle", "cycle_is_boundary"),
 }
 
 
 def test_exact_readers_never_reach_the_float_operators():
     """Pairs, ranks, pages and witnesses take d^k's integer columns from the
-    facet arrays: none of them, nor any library function they read, reads
-    ``coboundary`` or ``MonomialMatrix``, which serve the float Laplacians."""
-    sources = [path.read_text() for path in PACKAGE.glob("*.py")]
-    for module, names in EXACT_READERS.items():
-        defined = {stmt.name for stmt in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+    facet arrays: none of them, nor any library or reference function they
+    read, reads ``coboundary`` or ``MonomialMatrix``, which serve the float
+    Laplacians."""
+    sources = [path.read_text() for path in (*PACKAGE.glob("*.py"), ROOT / "tests" / "reference.py")]
+    for path, names in EXACT_READERS.items():
+        defined = {stmt.name for stmt in ast.parse(path.read_text()).body
                    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
-        assert set(names) <= defined, (module, set(names) - defined)
+        assert set(names) <= defined, (path.name, set(names) - defined)
     roots = [name for names in EXACT_READERS.values() for name in names]
     assert reads_through(sources, roots).isdisjoint({"coboundary", "MonomialMatrix"})
 
 
-# the label-chain algebra that tests/reference.py keeps as the oracle, and the
-# alias that keys a label chain
+# what tests/reference.py keeps as the label-chain oracle: the algebra, the
+# witnesses that take label chains, and the alias that keys one
 LABEL_CHAINS = {"kunneth_embed", "sort_with_sign", "push_chain", "basis_chain", "target_chain",
-                "Chain"}
+                "is_cycle", "cycle_is_boundary", "chain_dimension", "Chain"}
 
 
 def test_the_pipelines_build_no_label_chains():
