@@ -2,8 +2,10 @@
 
 Commands: fixtures, betti, spectrum, specseq, reduce, decide, verify-gadget.
 Exit codes: 0 success (including NO answers), 1 usage error, 2 computation
-error (out of memory included).  Numeric text output is rounded to 10
-significant digits so output bytes are deterministic for fixed inputs.
+error (out of memory, a size past what the machine can index and an integer
+past Python's int-to-str digit limit included).  Numeric text output is
+rounded to 10 significant digits so output bytes are deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -54,6 +56,16 @@ def _load_graph(path: str):
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
+
+
+def _named(name: str, n: int) -> str:
+    """``name=n``; HomologyLabError when n has more digits than Python's
+    int-to-str limit converts."""
+    try:
+        return f"{name}={n}"
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise HomologyLabError(f"{name} has more than {limit} digits, too many to print") from exc
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -248,15 +260,17 @@ def cmd_reduce(args) -> int:
 def cmd_decide(args) -> int:
     H = parse_hamiltonian(_read_text(args.hamiltonian))
     dec = decide(H, g=args.g, c=args.c)
-    print(dec.answer)
-    print(f"k={dec.k} betti={dec.betti} lambda={_fmt(dec.schedule.lam)} E={_fmt(dec.schedule.threshold)}")
+    # every line is formatted before any is printed, so a failure prints none
+    lines = [dec.answer, f"{_named('k', dec.k)} {_named('betti', dec.betti)} "
+                         f"lambda={_fmt(dec.schedule.lam)} E={_fmt(dec.schedule.threshold)}"]
     if dec.lam_min is not None:
-        print(f"lambda_min={_fmt(dec.lam_min)}")
+        lines.append(f"lambda_min={_fmt(dec.lam_min)}")
     if dec.harmonic_overlaps:
         for z, row in dec.harmonic_overlaps.items():
             # a row holds few distinct values (and no -0.0): format each once
             text = {v: _fmt(v) for v in set(row)}
-            print(f"overlap |{z}>: " + " ".join(map(text.__getitem__, row)))
+            lines.append(f"overlap |{z}>: " + " ".join(map(text.__getitem__, row)))
+    print("\n".join(lines))
     return 0
 
 
@@ -325,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError:  # a computation too large for this machine, not a usage error
         print("error: out of memory", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a size past what this machine can index
+        print(f"error: too large: {exc}", file=sys.stderr)
         return 2
 
 

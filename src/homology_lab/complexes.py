@@ -3,24 +3,18 @@
 Simplices are stored once, as rows of integer vertex ids strictly ascending
 in the graph's canonical vertex order, which is label order; the sign of any
 other vertex ordering is the parity of the permutation relative to the
-ascending representative.  Labels appear only at the edges: a label
-simplex is the tuple of its labels in the same order, which ``locate`` maps
-back to ids, and ``simplices(k)`` is a label view derived on its first read.
-The empty simplex () is always present in dimension -1 (reduced
-convention).
+ascending representative.  The complex holds vertex ids only: a label
+becomes an id in the graph (``WeightedGraph.ids``), and ``find`` looks rows
+of ids up.  The empty simplex () is always present in dimension -1
+(reduced convention).
 """
 
 from __future__ import annotations
-
-from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceededError, DimensionError
 from .graph import WeightedGraph, join_factors
-
-Simplex = tuple[str, ...]
 
 DEFAULT_CAP = 2_000_000
 
@@ -32,12 +26,10 @@ class CliqueComplex:
     (dim C^k, k + 1): each row lists a simplex's vertex ids (positions in
     ``graph.vertices``, so id order is label order) ascending, and the rows
     are in lexicographic order.  ``levels[k]`` holds their weight levels
-    (vertex exponent sums), recorded at enumeration.  The label view
-    (``by_dim``, ``simplices``) is derived on its first read and memoized;
-    the exact core never reads it, and ``locate`` finds label simplices by
-    their vertex ids.  Immutable after construction; each degree's facet
-    indices, ascending (level, index) order, coboundary and the persistence
-    pairs of its exact reduction (its rank is their count) are memoized.
+    (vertex exponent sums), recorded at enumeration.  Immutable after
+    construction; each degree's facet indices, ascending (level, index)
+    order, coboundary and the persistence pairs of its exact reduction (its
+    rank is their count) are memoized.
     """
 
     def __init__(self, graph: WeightedGraph, max_dim: int, cap: int = DEFAULT_CAP):
@@ -61,9 +53,8 @@ class CliqueComplex:
         # next level in lexicographic order, and a coface adds its vertex's
         # exponent to its face's level.
         up = np.zeros((n, n), dtype=bool)
-        self._pos = {v: i for i, v in enumerate(graph.vertices)}
-        for u, v in graph.edges:
-            up[self._pos[u], self._pos[v]] = True
+        ends = graph.ids(v for edge in graph.edges for v in edge).reshape(-1, 2)
+        up[ends[:, 0], ends[:, 1]] = True
         cand = up
         for k in range(1, max_dim + 1):
             total += int(np.count_nonzero(cand))
@@ -87,25 +78,7 @@ class CliqueComplex:
         self._ascending: dict[int, np.ndarray] = {}  # k -> degree k in (level, index)
         self._coboundaries: dict = {}
 
-    # -- the label view, derived on first read ---------------------------------
-
-    @cached_property
-    def by_dim(self) -> dict[int, tuple[Simplex, ...]]:
-        return {k: self._labels(k) for k in self.ids}
-
-    def _labels(self, k: int, rows=slice(None)) -> tuple[Simplex, ...]:
-        """The k-simplices at ``rows`` (index list; all by default) as label
-        tuples: an exact witness labels only the rows it returns."""
-        vs = self.graph.vertices
-        return tuple(tuple(vs[i] for i in row) for row in self.ids[k][rows].tolist())
-
     # -- queries -------------------------------------------------------------
-
-    def simplices(self, k: int) -> tuple[Simplex, ...]:
-        """The k-simplices; none below -1, and none above max_dim when complete."""
-        if self.dim_size(k) == 0:
-            return ()
-        return self.by_dim[k]
 
     def dim_size(self, k: int) -> int:
         """dim C^k; 0 below -1, and above max_dim when complete."""
@@ -164,18 +137,6 @@ class CliqueComplex:
             at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
             ok &= keys[at] == want
         found[ok] = at[ok]
-        return found
-
-    def locate(self, simplices: Sequence[Simplex]) -> np.ndarray:
-        """``find`` for label simplices of any sizes; the label view is not
-        built."""
-        found = np.full(len(simplices), -1)
-        by_size: dict[int, list[int]] = {}
-        for i, s in enumerate(simplices):
-            by_size.setdefault(len(s), []).append(i)
-        for size, pick in by_size.items():
-            ids = [[self._pos.get(v, -1) for v in simplices[i]] for i in pick]
-            found[pick] = self.find(np.array(ids, dtype=np.int64).reshape(len(pick), size))
         return found
 
     def counts(self) -> dict[int, int]:

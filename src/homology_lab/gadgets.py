@@ -17,8 +17,9 @@ Every construction is verified on the spot: the quotient must be
 simplex set, and the pushed fundamental cycle of K must reproduce the
 amplitude sign pattern exactly (up to one global sign).  A failure raises
 instead of silently flipping orientations.  Chains here are integer vectors
-over one degree of a complex, pushed and compared on vertex ids; a basis
-cycle's labels are read once, to locate its loop vertices.
+over one degree of a complex, pushed and compared on vertex ids.  Labels
+become ids in the graph (``WeightedGraph.ids``): a basis cycle's loop
+labels once, and a relation's targets once per quotient.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ def _cycle_vector(K: CliqueComplex, qubits: Sequence[int], z: str) -> np.ndarray
     is exactly 2^m.
     """
     m = len(qubits)
-    # a vertex missing from K is located at -1, and no row holding it is found
-    loops = K.locate([(v,) for q, bit in zip(qubits, z) for v in _loop_labels(q, bit)])
+    # a vertex missing from K has id -1, and no row holding it is found
+    loops = K.graph.ids(v for q, bit in zip(qubits, z) for v in _loop_labels(q, bit))
     loops = loops.reshape(m, 4)
     ahead = np.roll(loops, -1, axis=1)
     edges = np.stack([np.minimum(loops, ahead), np.maximum(loops, ahead)], axis=2)
@@ -172,16 +173,16 @@ def apply_f(K: CliqueComplex, relation: Relation) -> CliqueComplex:
     # each simplex's image: its vertex ids mapped into the quotient, sorted,
     # repeats collapsed, found among the quotient's simplices of its size;
     # rows are padded with the quotient's vertex count, above every id
-    qpos = {v: i for i, v in enumerate(q_complex.graph.vertices)}
-    to_q = np.array([qpos[relation[v]] for v in K.graph.vertices], dtype=np.int64)
+    nq = q_complex.graph.n_vertices
+    to_q = q_complex.graph.ids(relation[v] for v in K.graph.vertices)
     levels = [ids for ids in K.ids.values() if ids.size]
-    mapped = np.full((sum(map(len, levels)), len(levels)), len(qpos))
+    mapped = np.full((sum(map(len, levels)), len(levels)), nq)
     row = 0
     for ids in levels:
         mapped[row : row + len(ids), : ids.shape[1]] = to_q[ids]
         row += len(ids)
     mapped.sort(axis=1)
-    new = mapped < len(qpos)
+    new = mapped < nq
     new[:, 1:] &= mapped[:, 1:] != mapped[:, :-1]
     sizes = new.sum(axis=1)
     # the quotient's edges are the images of K's uncollapsed edges and it is
@@ -223,8 +224,7 @@ def _pushed_cycle(K: CliqueComplex, J: CliqueComplex, relation: Relation) -> np.
     """
     top = K.top_dimension()
     cycle = fundamental_cycle(K)
-    at = {v: i for i, v in enumerate(J.graph.vertices)}
-    to_j = np.array([at[relation[v]] for v in K.graph.vertices], dtype=np.int64)
+    to_j = J.graph.ids(relation[v] for v in K.graph.vertices)
     rows = to_j[K.ids[top][list(cycle)]]
     before, after = np.triu_indices(top + 1, 1)
     signs = 1 - 2 * ((rows[:, before] > rows[:, after]).sum(axis=1) % 2)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import GraphFormatError
 
 Edge = tuple[str, str]
@@ -35,6 +37,8 @@ class WeightedGraph:
 
     ``vertices`` is sorted lexicographically and defines the canonical vertex
     order used for oriented simplices.  Edges are stored as sorted pairs.
+    A vertex's id is its position in ``vertices``, so id order is label
+    order; ``ids`` is the one place where labels become ids.
     """
 
     vertices: tuple[str, ...]
@@ -76,6 +80,11 @@ class WeightedGraph:
 
     def exponent(self, v: str) -> int:
         return self.exponents[self._pos[v]]
+
+    def ids(self, labels: Iterable[str]) -> np.ndarray:
+        """Each label's vertex id as an int64 array; -1 for a label that is
+        not a vertex."""
+        return np.fromiter((self._pos.get(v, -1) for v in labels), dtype=np.int64)
 
     def neighbors(self, v: str) -> frozenset[str]:
         return self._adj[v]

@@ -15,6 +15,8 @@ from homology_lab.graph import WeightedGraph, make_graph, unweighted
 from homology_lab.homology import coboundary_pairs
 from homology_lab.operators import coboundary
 
+from reference import locate
+
 # -- shared complex cache ------------------------------------------------------
 
 
@@ -28,9 +30,9 @@ def build():
     return built
 
 
-def positions(K: CliqueComplex, simplices) -> list[int]:
+def positions(K: CliqueComplex, sims) -> list[int]:
     """Each label simplex's index in its degree of K, which must hold it."""
-    at = K.locate(list(simplices)).tolist()
+    at = locate(K, list(sims)).tolist()
     assert min(at, default=0) >= 0, "not a simplex of the complex"
     return at
 

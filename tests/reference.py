@@ -1,6 +1,10 @@
 """Reference oracles that the tests check the library against, built on
 its public id API.
 
+- The label view of a complex: ``simplices`` lists a degree's simplices as
+  label tuples, and ``locate`` finds label tuples among them, through the
+  graph's ``ids`` and the complex's ``find``.  The library itself holds
+  vertex ids only.
 - The label-chain algebra, an independent Künneth oracle for the library's
   integer chains.  A chain here is a dict from label simplices (tuples of
   vertex labels in canonical order) to int or Fraction coefficients.
@@ -26,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from homology_lab import rational
-from homology_lab.complexes import CliqueComplex, Simplex
+from homology_lab.complexes import CliqueComplex
 from homology_lab.errors import DimensionError, HomologyLabError
 from homology_lab.gadgets import IntegerState, basis_state_matrix
 from homology_lab.graph import BOWTIE_LOOPS, qubit_vertex
@@ -34,12 +38,36 @@ from homology_lab.homology import exact_columns
 from homology_lab.operators import MonomialMatrix, Poly, coboundary
 from homology_lab.spectra import ZERO_TOL
 
+Simplex = tuple[str, ...]
 Chain = dict[Simplex, int | Fraction]
 PAIRING_TOL = 1e-8  # relative mismatch allowed between paired up/down eigenvalues
 
 
 class NotACycleError(HomologyLabError):
     """A chain expected to be a cycle has nonzero boundary."""
+
+
+def simplices(K: CliqueComplex, k: int, rows=slice(None)) -> tuple[Simplex, ...]:
+    """The k-simplices of K at ``rows`` (an index list; all by default) as
+    label tuples, in index order; none below -1, nor above max_dim when
+    complete."""
+    if K.dim_size(k) == 0:
+        return ()
+    vs = K.graph.vertices
+    return tuple(tuple(vs[i] for i in row) for row in K.ids[k][rows].tolist())
+
+
+def locate(K: CliqueComplex, sims: Sequence[Simplex]) -> np.ndarray:
+    """Each label simplex's index in its degree of K, -1 where it is not one;
+    the simplices may have any sizes."""
+    found = np.full(len(sims), -1)
+    by_size: dict[int, list[int]] = {}
+    for i, s in enumerate(sims):
+        by_size.setdefault(len(s), []).append(i)
+    for size, pick in by_size.items():
+        ids = K.graph.ids(v for i in pick for v in sims[i])
+        found[pick] = K.find(ids.reshape(len(pick), size))
+    return found
 
 
 def sort_with_sign(vertices: Iterable[str]) -> tuple[Simplex, int]:
@@ -82,7 +110,7 @@ def kunneth_embed(psi: Chain, phi: Chain, *, into: CliqueComplex) -> Chain:
             if sign == 0:
                 raise DimensionError(f"factors share vertices: {sigma!r} and {tau!r}")
             out[merged] = out.get(merged, 0) + sign * c * d
-    for merged, at in zip(out, into.locate(list(out))):
+    for merged, at in zip(out, locate(into, list(out))):
         if at < 0:
             raise DimensionError(f"{merged!r} is not a simplex of the join")
     return {s: v for s, v in out.items() if v != 0}
@@ -131,7 +159,7 @@ def push_chain(chain: Chain, relation: dict[str, str]) -> Chain:
 def chain_vector(K: CliqueComplex, k: int, chain: Chain, dtype=float) -> np.ndarray:
     """A chain of k-simplices of K as a dense vector over degree k: float, or
     the exact coefficients with ``dtype=object``."""
-    at = K.locate(list(chain))
+    at = locate(K, list(chain))
     for s, i in zip(chain, at):
         if i < 0 or len(s) != k + 1:
             raise DimensionError(f"{s!r} is not a {k}-simplex of the complex")
@@ -177,7 +205,7 @@ def cycle_is_boundary(
     if x is None:
         return False, None
     # a zero cycle bounds the empty chain, also above a complete complex's top
-    return True, dict(zip(K._labels(k + 1, list(x)), x.values())) if x else {}
+    return True, dict(zip(simplices(K, k + 1, list(x)), x.values())) if x else {}
 
 
 def orthogonal_cycle_span(K: CliqueComplex, state: IntegerState) -> np.ndarray:
@@ -257,7 +285,7 @@ def laplacian_entry(K: CliqueComplex, k: int, sigma: Simplex, tau: Simplex) -> P
     augmentation contribution and arises only at k = 0 for an unweighted
     vertex, so the assembled matrix is taken as ground truth here.
     """
-    if min(K.locate([sigma, tau]).tolist()) < 0:
+    if min(locate(K, [sigma, tau]).tolist()) < 0:
         raise DimensionError("simplex not present in the complex")
     if len(sigma) != k + 1 or len(tau) != k + 1:
         raise DimensionError("dimension mismatch")
@@ -286,6 +314,6 @@ def embedded_entry(
     if len(x) != len(vs) or len(y) != len(vs):
         raise DimensionError(f"bitstring lengths {len(x)}, {len(y)} != vertex count {len(vs)}")
     sx, sy = (tuple(v for v, bit in zip(vs, bits) if bit == "1") for bits in (x, y))
-    if len(sx) == len(sy) == k + 1 and min(K.locate([sx, sy]).tolist()) >= 0:
+    if len(sx) == len(sy) == k + 1 and min(locate(K, [sx, sy]).tolist()) >= 0:
         return poly_eval_float(laplacian_entry(K, k, sx, sy), lam)
     return float(penalty) if x == y else 0.0

@@ -519,6 +519,36 @@ def test_huge_integer_literal_ends_in_one_error_line(tmp_path, capsys, case):
     assert err.startswith(prefix) and err.count("\n") == 1
 
 
+# answers too large to write: (command, qubit count, terms, stderr prefix).  A
+# term-less Hamiltonian on n qubits has betti 2^n, past the int-to-str digit
+# limit from n = 14,285 on; 10^20 qubit copies do not fit an index
+ONE_TERM = [{"support": [0], "amps": {"0": 1}}]
+TOO_LARGE = {
+    "decide-betti-past-the-digit-limit": ("decide", 14285, [], "error: betti has more than "),
+    "decide-qubits-past-an-index": ("decide", 10**20, ONE_TERM, "error: too large: "),
+    "reduce-qubits-past-an-index": ("reduce", 10**20, ONE_TERM, "error: too large: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_LARGE))
+def test_too_large_an_answer_ends_in_one_error_line(tmp_path, capsys, case):
+    command, n, terms, prefix = TOO_LARGE[case]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"n": n, "terms": terms}))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_betti_at_the_digit_limit_still_prints(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text('{"n": 14284, "terms": []}')
+    code, out, _ = run(capsys, "decide", str(path))
+    answer, numbers = out.splitlines()
+    assert (code, answer) == (0, "YES")
+    assert numbers.startswith("k=28567 betti=") and numbers.split()[1] == f"betti={2 ** 14284}"
+
+
 def test_verify_gadget_catalog_name(capsys):
     code, out, _ = run(capsys, "verify-gadget", "Hclock1")
     assert code == 0

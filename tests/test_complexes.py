@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homology_lab import complexes, gadgets, reduction
 from homology_lab.complexes import clique_complex
 from homology_lab.errors import CapExceededError
-from homology_lab.gadgets import IntegerState
 from homology_lab.graph import (
     bowtie,
     join,
@@ -20,24 +18,23 @@ from homology_lab.graph import (
     relabel,
     unweighted,
 )
-from homology_lab.homology import betti_table, exact_columns
+from homology_lab.homology import exact_columns
 from homology_lab.operators import coboundary
-from homology_lab.specseq import filtration, page_dims
 
 from conftest import built, complete_graph, graphs, monomials
-from reference import basis_chain, cycle_is_boundary, is_cycle, kunneth_embed, sort_with_sign
+from reference import basis_chain, is_cycle, kunneth_embed, locate, simplices, sort_with_sign
+
+
+def brute_force_cliques(g, max_dim):
+    """Independent oracle: the cliques of each size by brute force over
+    subsets, as label tuples in lexicographic order."""
+    return {k: [s for s in combinations(g.vertices, k + 1)
+                if all(e in g.edges for e in combinations(s, 2))]
+            for k in range(-1, max_dim + 1)}
 
 
 def brute_force_counts(g, max_dim):
-    """Independent oracle: enumerate cliques by brute force over subsets."""
-    counts = {-1: 1}
-    for k in range(0, max_dim + 1):
-        c = 0
-        for subset in combinations(g.vertices, k + 1):
-            if all(e in g.edges for e in combinations(subset, 2)):
-                c += 1
-        counts[k] = c
-    return counts
+    return {k: len(sims) for k, sims in brute_force_cliques(g, max_dim).items()}
 
 
 def test_triangle_counts():
@@ -52,15 +49,15 @@ def test_bowtie_has_no_triangles():
 
 def test_octahedron_3_simplex_counts():
     K = built(octahedron(3), 3)
-    assert len(K.simplices(2)) == 8
-    assert len(K.simplices(3)) == 0
+    assert len(simplices(K, 2)) == 8
+    assert len(simplices(K, 3)) == 0
 
 
 def test_octahedron_counts_are_binomial():
     for n in range(1, 6):
         K = built(octahedron(n), n)
         for k in range(0, n):
-            assert len(K.simplices(k)) == comb(n, k + 1) * 2 ** (k + 1)
+            assert len(simplices(K, k)) == comb(n, k + 1) * 2 ** (k + 1)
 
 
 @settings(max_examples=10, deadline=None)
@@ -78,7 +75,7 @@ def test_independence_complex_of_triangle():
 
 def test_independence_complex_of_empty_graph_is_full_simplex():
     K = clique_complex(complete_graph(["a", "b", "c"]), 2)
-    assert len(K.simplices(2)) == 1
+    assert len(simplices(K, 2)) == 1
 
 
 @settings(max_examples=10, deadline=None)
@@ -86,9 +83,9 @@ def test_independence_complex_of_empty_graph_is_full_simplex():
 def test_face_closure(g):
     K = clique_complex(g, min(g.n_vertices, 5))
     for k in range(1, K.max_dim + 1):
-        for sigma in K.simplices(k):
+        for sigma in simplices(K, k):
             for i in range(len(sigma)):
-                assert K.locate([sigma[:i] + sigma[i + 1 :]])[0] >= 0
+                assert locate(K, [sigma[:i] + sigma[i + 1 :]])[0] >= 0
 
 
 def inversion_parity(vs) -> int:
@@ -101,7 +98,7 @@ def inversion_parity(vs) -> int:
 def test_canonical_order_is_label_order(g, rng):
     K = clique_complex(g, min(g.n_vertices, 5))
     for k in range(-1, K.max_dim + 1):
-        sims = K.simplices(k)
+        sims = simplices(K, k)
         assert list(sims) == sorted(sims)
         for s in sims:
             assert all(u < w for u, w in zip(s, s[1:]))
@@ -119,9 +116,11 @@ def test_deterministic_enumeration():
     g = qubit_graph(2)
     a = clique_complex(g, 4)
     b = clique_complex(g, 4)
-    assert a.by_dim == b.by_dim
-    for k, sims in b.by_dim.items():  # each label simplex is found where it is listed
-        assert a.locate(sims).tolist() == list(range(len(sims)))
+    assert a.ids.keys() == b.ids.keys()
+    for k in b.ids:  # each label simplex is found where it is listed
+        sims = simplices(b, k)
+        assert simplices(a, k) == sims
+        assert locate(a, sims).tolist() == list(range(len(sims)))
 
 
 def test_cap_exceeded_reports_dimension():
@@ -186,16 +185,16 @@ def label_enumeration(g, max_dim, cap):
     weight = g.weight_map()
     cands = [tuple(sorted(u for u in g.neighbors(v) if u > v)) for v in g.vertices]
     for k in range(1, max_dim + 1):
-        simplices, level, new_cands = [], [], []
+        found, level, new_cands = [], [], []
         for sigma, l, after in zip(by_dim[k - 1], levels[k - 1], cands):
             total += len(after)
             if total > cap:
                 raise CapExceededError(k, cap)
             for i, w in enumerate(after):
-                simplices.append(sigma + (w,))
+                found.append(sigma + (w,))
                 level.append(l + weight[w])
                 new_cands.append(tuple(w2 for w2 in after[i + 1 :] if w2 in g.neighbors(w)))
-        by_dim[k], levels[k], cands = simplices, level, new_cands
+        by_dim[k], levels[k], cands = found, level, new_cands
     return by_dim, levels
 
 
@@ -243,7 +242,7 @@ def test_integer_enumeration_and_assembly_match_the_label_reference(g, data):
         assert (err.value.dimension, str(err.value)) == (ref.dimension, str(ref))
         return
     K = clique_complex(g, max_dim, cap=cap)
-    assert {k: list(K.simplices(k)) for k in by_dim} == by_dim
+    assert {k: list(simplices(K, k)) for k in by_dim} == by_dim
     assert {k: K.levels[k].tolist() for k in by_dim} == levels
     assert K.counts() == {k: len(v) for k, v in by_dim.items()}
     for k in range(-1, max_dim):
@@ -278,53 +277,33 @@ def test_locate_finds_exactly_the_simplices(g, data):
     vertex, a non-clique, and anything above max_dim."""
     max_dim = data.draw(st.integers(0, g.n_vertices), label="max_dim")
     K = clique_complex(g, max_dim)
-    where = {s: i for k in range(-1, max_dim + 1) for i, s in enumerate(K.simplices(k))}
+    where = {s: i for k in range(-1, max_dim + 1) for i, s in enumerate(simplices(K, k))}
     vertices = st.sampled_from([*g.vertices, "z"])
     asked = data.draw(st.lists(st.lists(vertices, max_size=6).map(tuple), max_size=30))
     asked += list(where)
-    assert K.locate(asked).tolist() == [where.get(s, -1) for s in asked]
+    assert locate(K, asked).tolist() == [where.get(s, -1) for s in asked]
 
 
-def test_labels_stay_at_the_io_edge(monkeypatch):
-    """Ranks, filtration pages, decide and gadget builds read the integer
-    rows only, and an exact witness labels only the rows it returns: the
-    lazy label view of every complex involved stays unbuilt."""
+@settings(max_examples=60, deadline=None)
+@given(labelled_graphs(), st.data())
+def test_labels_and_simplices_round_trip_through_vertex_ids(g, data):
+    """On labels drawn out of sorted order, every degree's label view is
+    located at its own indices; a label that is not a vertex has id -1."""
+    K = clique_complex(g, data.draw(st.integers(0, g.n_vertices), label="max_dim"))
+    for k in range(-1, K.max_dim + 1):
+        assert np.array_equal(locate(K, simplices(K, k)), np.arange(K.dim_size(k)))
+    assert g.ids(g.vertices).tolist() == list(range(g.n_vertices))
+    stranger = data.draw(st.text("abcz", min_size=1, max_size=4).filter(lambda v: v not in g.vertices))
+    assert g.ids([*g.vertices[:1], stranger]).tolist() == [0, -1]
+    none = g.ids([])
+    assert none.dtype == np.int64 and none.shape == (0,)
 
-    def labels_built(K):
-        return {"by_dim"} & vars(K).keys()
 
-    K = clique_complex(qubit_graph(1), 6)
-    betti_table([K])
-    F = filtration(clique_complex(octahedron(3), 5))
-    for j in range(5):
-        page_dims(F, j)
-    assert labels_built(K) == set() and labels_built(F.K) == set()
-    built_by_decide = []
-
-    def recording(*args, **kwargs):
-        built_by_decide.append(clique_complex(*args, **kwargs))
-        return built_by_decide[-1]
-
-    monkeypatch.setattr(complexes, "clique_complex", recording)
-    four = ",".join(f'{{"support":[0,1],"amps":{{"{z}":1}}}}' for z in ("00", "01", "10", "11"))
-    dec = reduction.decide(reduction.parse_hamiltonian(f'{{"n":2,"terms":[{four}]}}'), c=0.5)
-    assert dec.answer == "NO" and built_by_decide
-    assert [labels_built(factor) for factor in built_by_decide] == [set()] * len(built_by_decide)
-    built_by_gadget = []
-
-    def recording_gadget(*args, **kwargs):
-        built_by_gadget.append(clique_complex(*args, **kwargs))
-        return built_by_gadget[-1]
-
-    monkeypatch.setattr(gadgets, "clique_complex", recording_gadget)
-    gadgets.gadget(IntegerState.from_dict(1, {"0": 1, "1": -1}))  # a fundamental cycle
-    assert built_by_gadget
-    assert [labels_built(G) for G in built_by_gadget] == [set()] * len(built_by_gadget)
-    T = clique_complex(complete_graph(["a", "b", "c"]), 2)
-    filled, witness = cycle_is_boundary(T, {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): -1})
-    assert filled and witness == {("a", "b", "c"): 1} and labels_built(T) == set()
-    K.simplices(1)  # a label read builds the view, so the check above can fail
-    assert labels_built(K) == {"by_dim"}
+@pytest.mark.parametrize("g", [make_graph({}), unweighted(["c", "a", "b"])], ids=["empty", "edgeless"])
+def test_graphs_without_edges_enumerate_as_brute_force(g):
+    for max_dim in range(4):
+        K = clique_complex(g, max_dim)
+        assert {k: list(simplices(K, k)) for k in K.ids} == brute_force_cliques(g, max_dim)
 
 
 # -- kunneth embedding ---------------------------------------------------------
@@ -365,8 +344,8 @@ def test_embed_preserves_norm():
 
     rng = random.Random(5)
     K2 = built(qubit_graph(2), 4)
-    edges1 = [s for s in K2.simplices(1) if all(v.startswith("q1.") for v in s)]
-    edges2 = [s for s in K2.simplices(1) if all(v.startswith("q2.") for v in s)]
+    edges1 = [s for s in simplices(K2, 1) if all(v.startswith("q1.") for v in s)]
+    edges2 = [s for s in simplices(K2, 1) if all(v.startswith("q2.") for v in s)]
     for _ in range(5):
         psi = {s: Fraction(rng.randint(-3, 3)) for s in edges1}
         phi = {s: Fraction(rng.randint(-3, 3)) for s in edges2}

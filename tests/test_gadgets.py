@@ -39,8 +39,10 @@ from reference import (
     chain_vector,
     cycle_is_boundary,
     kunneth_embed,
+    locate,
     orthogonal_cycle_span,
     push_chain,
+    simplices,
     target_chain,
 )
 
@@ -103,8 +105,8 @@ def test_basis_cycle_two_qubit_is_g4():
     c = basis_cycle(2, "00")
     assert c.n_vertices == 8
     K = built(c, 4)
-    assert len(K.simplices(3)) == 16  # 2^4 maximal simplices of the 16-cell
-    assert len(K.simplices(4)) == 0
+    assert len(simplices(K, 3)) == 16  # 2^4 maximal simplices of the 16-cell
+    assert len(simplices(K, 4)) == 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -183,7 +185,8 @@ def test_apply_f_on_octagon_gives_cycle_simplices():
     kg, rel, _ = build_K(st)
     K = built(kg, 2)
     expect = clique_complex(target_cycle_graph(st), 2)
-    assert apply_f(K, rel).by_dim == expect.by_dim
+    Q = apply_f(K, rel)
+    assert {k: simplices(Q, k) for k in Q.ids} == {k: simplices(expect, k) for k in expect.ids}
 
 
 def test_quotient_that_breaks_2_determinedness_is_rejected():
@@ -214,8 +217,8 @@ def test_every_simplex_maps_onto_a_simplex_of_the_quotient(g, data):
     quotient = make_graph(dict.fromkeys(relation.values(), 0), {(u, v) for u, v in edges if u != v})
     Q = clique_complex(quotient, max(K.max_dim, 1))
     for k in range(K.max_dim + 1):
-        for s in K.simplices(k):
-            assert Q.locate([tuple(sorted({relation[v] for v in s}))])[0] >= 0
+        for s in simplices(K, k):
+            assert locate(Q, [tuple(sorted({relation[v] for v in s}))])[0] >= 0
     try:
         image = apply_f(K, relation)
     except HomologyLabError as err:
@@ -248,7 +251,7 @@ def test_library_chains_carry_integers():
     Kc = built(c, 2)
     fc = fundamental_cycle(Kc)
     assert integer(fc)
-    assert integer(push_chain(dict(zip(Kc._labels(1, list(fc)), fc.values())),
+    assert integer(push_chain(dict(zip(simplices(Kc, 1, list(fc)), fc.values())),
                               {v: v for v in c.vertices}))
     q1 = basis_chain(built(qubit_graph(1), 2), "0")
     q2 = {tuple(v.replace("q1.", "q2.") for v in s): x for s, x in q1.items()}
@@ -289,7 +292,7 @@ def test_orientation_check_vectors_match_the_label_oracle(state, data):
     top = K.top_dimension()
     cycle = fundamental_cycle(K)
     pushed = gadgets._pushed_cycle(K, J, relation)
-    labelled = dict(zip(K._labels(top, list(cycle)), cycle.values()))
+    labelled = dict(zip(simplices(K, top, list(cycle)), cycle.values()))
     assert np.array_equal(pushed, chain_vector(J, top, push_chain(labelled, relation)))
     qubits = range(1, state.m + 1)
     target = sum(a * gadgets._cycle_vector(J, qubits, z) for z, a in state.amps)

@@ -55,6 +55,7 @@ from homology_lab.spectra import (
 )
 
 from conftest import graphs
+from reference import simplices
 from test_cli import HAMILTONIANS
 from test_reduction import H_of
 
@@ -765,7 +766,7 @@ def test_gap_ambiguity_in_one_factor_leaves_no_overlaps(monkeypatch):
 
 def test_complete_complex_answers_above_its_top_degree():
     K = complete(bowtie())  # 7 vertices, built to 6: complete, top degree 1
-    assert K.complete and K.simplices(9) == ()
+    assert K.complete and simplices(K, 9) == ()
     assert betti(K, 6) == betti(K, 7) == 0
     assert coboundary_rank(K, 6) == coboundary_rank(K, 7) == 0
     assert (coboundary(K, 6).rows, coboundary(K, 6).cols) == (0, 0)

@@ -20,7 +20,7 @@ from homology_lab.reduction import (
 )
 
 from conftest import built, positions
-from reference import chain_vector, joined_loops, laplacian_up
+from reference import chain_vector, joined_loops, laplacian_up, simplices
 
 
 def H_of(n, *terms):
@@ -146,7 +146,7 @@ def test_reduce_keeps_gadgets_disconnected():
 def test_chainspace_decomposition():
     res = reduce_hamiltonian(H_of(1, ([0], {"0": 1}), ([0], {"1": 1})))
     K = built(res.graph, res.k + 1)
-    for s in K.simplices(res.k):
+    for s in simplices(K, res.k):
         touched = {p for p in res.term_prefixes if any(v.startswith(p) for v in s)}
         assert len(touched) <= 1
 
@@ -248,7 +248,7 @@ def test_up_laplacian_additivity():
         g1 = glue(qubit_graph(1), g)
         K1 = built(g1, res.k + 1)
         up1 = laplacian_up(K1, res.k).evaluate_dense(lam)
-        idx = positions(K, K1.simplices(res.k))
+        idx = positions(K, simplices(K1, res.k))
         psi1 = psi[idx]
         total += psi1 @ up1 @ psi1
     assert abs(psi @ up_full @ psi - total) < 1e-10

@@ -5,8 +5,8 @@ outside the tests, every private helper has a reader in the library, every
 name a module holds for the benchmark's tracer is one it wraps, everything
 in the library is reached from the CLI, scripts/ or bench/, the library
 imports nothing from tests/, the exact readers never reach the float-side
-operators, the pipelines build no label chains, and only graph.py writes or
-reads a qubit-copy label."""
+operators, the pipelines build no label chains, only graph.py maps labels to
+vertex ids, and only graph.py writes or reads a qubit-copy label."""
 
 import argparse
 import ast
@@ -349,20 +349,65 @@ def test_exact_readers_never_reach_the_float_operators():
 
 
 # what tests/reference.py keeps as the label-chain oracle: the algebra, the
-# witnesses that take label chains, and the alias that keys one
+# witnesses that take label chains, the aliases that key one, and the label
+# view of a complex
 LABEL_CHAINS = {"kunneth_embed", "sort_with_sign", "push_chain", "basis_chain", "target_chain",
-                "is_cycle", "cycle_is_boundary", "chain_dimension", "Chain"}
+                "is_cycle", "cycle_is_boundary", "chain_dimension", "Chain", "Simplex",
+                "simplices", "locate"}
 
 
 def test_the_pipelines_build_no_label_chains():
     """``decide``, the reduction, the gadget build with its orientation check
     and the basis-cycle columns run on vertex ids: none of them, nor any
-    library function they read, reaches a label chain.  ``_labels`` is not
-    in the set, since every root reads it through the ``CliqueComplex`` class
-    its annotations name."""
+    library function they read, reaches a label chain or lists a complex's
+    simplices as labels."""
     sources = [path.read_text() for path in PACKAGE.glob("*.py")]
     roots = ["decide", "reduce_hamiltonian", "gadget", "fill_cycle", "basis_state_matrix"]
     assert reads_through(sources, roots).isdisjoint(LABEL_CHAINS)
+
+
+def label_position_sites(source: str) -> list[int]:
+    """Lines that map labels to vertex positions by hand: a dict
+    comprehension or ``dict(...)`` call over ``enumerate(<x>.vertices)``, or
+    a ``<x>.vertices.index(...)`` call."""
+
+    def enumerates_vertices(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "enumerate" and len(node.args) == 1
+                and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "vertices")
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.DictComp) or (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict"):
+            if any(map(enumerates_vertices, ast.walk(node))):
+                lines.add(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "index" and isinstance(node.func.value, ast.Attribute)
+              and node.func.value.attr == "vertices"):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_label_position_check_sees_each_form():
+    source = (
+        "a = {v: i for i, v in enumerate(g.vertices)}\n"
+        "b = dict((v, i) for i, v in enumerate(K.graph.vertices))\n"
+        "c = K.graph.vertices.index(v)\n"
+        "d = [v for i, v in enumerate(g.vertices)]\n"
+        "e = {v: i for i, v in enumerate(order)}\n"
+        "f = g.ids([v])\n"
+        "h = {i: v for i, v in enumerate(vertices)}\n"
+    )
+    assert label_position_sites(source) == [1, 2, 3]
+
+
+def test_only_graph_maps_labels_to_ids():
+    """``WeightedGraph.ids`` is the one place where labels become vertex
+    ids: no other module of the library builds its own label -> position map."""
+    sites = {path.name: label_position_sites(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert sites.pop("graph.py")
+    assert {name: lines for name, lines in sites.items() if lines} == {}
 
 
 def qubit_label_sites(source: str) -> list[int]:
