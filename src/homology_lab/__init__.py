@@ -16,7 +16,6 @@ from .graph import (
     WeightedGraph,
     bowtie,
     graph_to_json,
-    join,
     join_all,
     join_factors,
     make_graph,

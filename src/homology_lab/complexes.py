@@ -4,9 +4,10 @@ Simplices are stored once, as rows of integer vertex ids strictly ascending
 in the graph's canonical vertex order, which is label order; the sign of any
 other vertex ordering is the parity of the permutation relative to the
 ascending representative.  The complex holds vertex ids only: a label
-becomes an id in the graph (``WeightedGraph.ids``), and ``find`` looks rows
-of ids up.  The empty simplex () is always present in dimension -1
-(reduced convention).
+becomes an id in the graph (``WeightedGraph.ids``), enumeration reads the
+graph's id adjacency matrix (``WeightedGraph.adjacency``), and ``find``
+looks rows of ids up.  The empty simplex () is always present in dimension
+-1 (reduced convention).
 """
 
 from __future__ import annotations
@@ -47,15 +48,13 @@ class CliqueComplex:
         # _keys[k]: each k-simplex's flat cell in level k-1's candidate matrix,
         # parent * n + last vertex, ascending; the facet lookup searches them
         self._keys = {0: np.arange(n)}
-        # up[v, w]: v < w are adjacent.  Level by level, cand[i, w] says that
-        # simplex i extends by w: w lies after its last vertex and is adjacent
-        # to all of its vertices.  Row-major nonzeros of cand are then the
-        # next level in lexicographic order, and a coface adds its vertex's
-        # exponent to its face's level.
-        up = np.zeros((n, n), dtype=bool)
-        ends = graph.ids(v for edge in graph.edges for v in edge).reshape(-1, 2)
-        up[ends[:, 0], ends[:, 1]] = True
-        cand = up
+        # up[v, w]: v < w are adjacent, the upper triangle of the graph's
+        # adjacency.  Level by level, cand[i, w] says that simplex i extends
+        # by w: w lies after its last vertex and is adjacent to all of its
+        # vertices.  Row-major nonzeros of cand are then the next level in
+        # lexicographic order, and a coface adds its vertex's exponent to its
+        # face's level.
+        up = cand = np.triu(graph.adjacency)
         for k in range(1, max_dim + 1):
             total += int(np.count_nonzero(cand))
             if total > cap:

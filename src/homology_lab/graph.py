@@ -5,14 +5,16 @@ A vertex weight is stored as an integer exponent ``e_v`` in
 for an evaluation parameter ``lam`` in (0, 1].  Every construction in the
 pipeline uses exponents in {0, 1} but the representation is general.
 
-All values here are immutable and hashable; operations are pure functions.
+Labels are a graph's interface; inside, a vertex is its id, and a graph's
+one adjacency is its id matrix ``WeightedGraph.adjacency``.  All values here
+are immutable and hashable; operations are pure functions.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,7 +40,8 @@ class WeightedGraph:
     ``vertices`` is sorted lexicographically and defines the canonical vertex
     order used for oriented simplices.  Edges are stored as sorted pairs.
     A vertex's id is its position in ``vertices``, so id order is label
-    order; ``ids`` is the one place where labels become ids.
+    order; ``ids`` is the one place where labels become ids, and
+    ``adjacency`` holds the edges over ids.
     """
 
     vertices: tuple[str, ...]
@@ -68,13 +71,6 @@ class WeightedGraph:
             if v < u:
                 raise GraphFormatError("edges must be stored as sorted pairs")
         object.__setattr__(self, "_pos", pos)
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(
-            self, "_adj", {v: frozenset(s) for v, s in adj.items()}
-        )
 
     # -- accessors ---------------------------------------------------------
 
@@ -86,8 +82,16 @@ class WeightedGraph:
         not a vertex."""
         return np.fromiter((self._pos.get(v, -1) for v in labels), dtype=np.int64)
 
-    def neighbors(self, v: str) -> frozenset[str]:
-        return self._adj[v]
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only (n, n) bool matrix over vertex ids: entry [u, v] says
+        that u and v are adjacent.  Built from the edges on first read."""
+        n = self.n_vertices
+        out = np.zeros((n, n), dtype=bool)
+        ends = self.ids(v for edge in self.edges for v in edge).reshape(-1, 2)
+        out[ends[:, 0], ends[:, 1]] = out[ends[:, 1], ends[:, 0]] = True
+        out.flags.writeable = False
+        return out
 
     def weight_map(self) -> dict[str, int]:
         return dict(zip(self.vertices, self.exponents))
@@ -201,46 +205,36 @@ def relabel(g: WeightedGraph, mapping: Mapping[str, str]) -> WeightedGraph:
 
 
 def induced_subgraph(g: WeightedGraph, keep: Iterable[str]) -> WeightedGraph:
-    keep_set = set(keep)
-    missing = keep_set - set(g.vertices)
-    if missing:
-        raise GraphFormatError(f"unknown vertices {sorted(missing)}")
-    edges = {e for e in g.edges if e[0] in keep_set and e[1] in keep_set}
-    return make_graph({v: g.exponent(v) for v in keep_set}, edges)
-
-
-def join(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
-    """Disjoint union plus all cross edges; labels must not collide."""
-    overlap = set(g.vertices) & set(h.vertices)
-    if overlap:
-        raise GraphFormatError(f"label collision on join: {sorted(overlap)}")
-    weights = g.weight_map() | h.weight_map()
-    edges = set(g.edges) | set(h.edges)
-    edges.update(_edge(u, v) for u in g.vertices for v in h.vertices)
-    return make_graph(weights, edges)
+    keep = sorted(set(keep))
+    ids = g.ids(keep)
+    if (ids < 0).any():
+        raise GraphFormatError(f"unknown vertices {[v for v, i in zip(keep, ids) if i < 0]}")
+    pairs = np.argwhere(np.triu(g.adjacency[np.ix_(ids, ids)])).tolist()
+    return make_graph({v: g.exponents[i] for v, i in zip(keep, ids.tolist())},
+                      [(keep[u], keep[v]) for u, v in pairs])
 
 
 def join_factors(g: WeightedGraph) -> tuple[WeightedGraph, ...]:
     """The factors of g as a join: the subgraphs induced on the connected
     components of its complement, in the order of their first vertices;
-    ``(g,)`` when g is not a join.  The complement is walked, not built:
-    u's complement neighbours are the vertices not adjacent to it."""
-    unseen = set(g.vertices)
-    parts = []
-    for v in g.vertices:
-        if v not in unseen:
+    ``(g,)`` when g is not a join.  The complement is walked over vertex ids,
+    not built: u's complement neighbours are the vertices not adjacent to
+    it, ``~adjacency[u]``."""
+    part = np.full(g.n_vertices, -1)
+    count = 0
+    for v in range(g.n_vertices):
+        if part[v] >= 0:
             continue
-        unseen.remove(v)
-        part, stack = [v], [v]
+        part[v], stack = count, [v]
         while stack:
-            found = unseen - g.neighbors(stack.pop())
-            unseen -= found
-            part += found
-            stack += found
-        parts.append(part)
-    if len(parts) <= 1:
+            found = np.flatnonzero((part < 0) & ~g.adjacency[stack.pop()])
+            part[found] = count
+            stack += found.tolist()
+        count += 1
+    if count <= 1:
         return (g,)
-    return tuple(induced_subgraph(g, part) for part in parts)
+    return tuple(induced_subgraph(g, [g.vertices[i] for i in np.flatnonzero(part == p)])
+                 for p in range(count))
 
 
 def qubit_vertex(q: int, v: str) -> str:
@@ -255,12 +249,16 @@ def qubit_of(label: str) -> tuple[int, str] | None:
 
 
 def join_all(graphs: Sequence[WeightedGraph]) -> WeightedGraph:
-    """n-fold join, copy i's vertices named ``qubit_vertex(i, v)``."""
+    """n-fold join, copy i's vertices named ``qubit_vertex(i, v)``: each
+    copy's own edges plus every edge between two copies, built in one pass."""
     if not graphs:
         raise GraphFormatError("join_all of zero graphs")
-    copies = (relabel(g, {v: qubit_vertex(i, v) for v in g.vertices})
-              for i, g in enumerate(graphs, start=1))
-    return reduce(join, copies)
+    names = [{v: qubit_vertex(i, v) for v in g.vertices} for i, g in enumerate(graphs, start=1)]
+    weights = {name[v]: e for g, name in zip(graphs, names) for v, e in zip(g.vertices, g.exponents)}
+    edges = [(name[u], name[v]) for g, name in zip(graphs, names) for u, v in g.edges]
+    edges += [(u, v) for i, a in enumerate(names) for b in names[i + 1:] for u in a.values()
+              for v in b.values()]
+    return make_graph(weights, edges)
 
 
 def two_points() -> WeightedGraph:

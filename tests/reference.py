@@ -25,15 +25,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from homology_lab import rational
 from homology_lab.complexes import CliqueComplex
-from homology_lab.errors import DimensionError, HomologyLabError
+from homology_lab.errors import DimensionError, GraphFormatError, HomologyLabError
 from homology_lab.gadgets import IntegerState, basis_state_matrix
-from homology_lab.graph import BOWTIE_LOOPS, qubit_vertex
+from homology_lab.graph import BOWTIE_LOOPS, WeightedGraph, make_graph, qubit_vertex
 from homology_lab.homology import exact_columns
 from homology_lab.operators import MonomialMatrix, Poly, coboundary
 from homology_lab.spectra import ZERO_TOL
@@ -45,6 +46,17 @@ PAIRING_TOL = 1e-8  # relative mismatch allowed between paired up/down eigenvalu
 
 class NotACycleError(HomologyLabError):
     """A chain expected to be a cycle has nonzero boundary."""
+
+
+def join(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
+    """Disjoint union plus all cross edges; labels must not collide.  The
+    join of two graphs at a time: ``graph.join_all`` builds an n-fold join
+    in one pass."""
+    overlap = set(g.vertices) & set(h.vertices)
+    if overlap:
+        raise GraphFormatError(f"label collision on join: {sorted(overlap)}")
+    edges = [*g.edges, *h.edges, *product(g.vertices, h.vertices)]
+    return make_graph(g.weight_map() | h.weight_map(), edges)
 
 
 def simplices(K: CliqueComplex, k: int, rows=slice(None)) -> tuple[Simplex, ...]:
@@ -291,13 +303,13 @@ def laplacian_entry(K: CliqueComplex, k: int, sigma: Simplex, tau: Simplex) -> P
         raise DimensionError("dimension mismatch")
     g = K.graph
     if sigma == tau:
-        up = set(g.vertices).intersection(*map(g.neighbors, sigma))
+        up = [g.vertices[i] for i in np.flatnonzero(g.adjacency[g.ids(sigma)].all(axis=0))]
         return dict(Counter(2 * g.exponent(v) for v in [*up, *sigma]))
     shared = set(sigma) & set(tau)
     if len(shared) != k:
         return {}
     (v_sigma,), (v_tau,) = set(sigma) - shared, set(tau) - shared
-    if v_tau in g.neighbors(v_sigma):  # upper adjacent
+    if g.adjacency[tuple(g.ids([v_sigma, v_tau]))]:  # upper adjacent
         return {}
     s = (-1) ** (sigma.index(v_sigma) + tau.index(v_tau))
     return {g.exponent(v_sigma) + g.exponent(v_tau): s}

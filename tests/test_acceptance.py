@@ -15,7 +15,6 @@ from homology_lab.fixtures import gadget_graph, hexagon
 from homology_lab.gadgets import IntegerState, glue
 from homology_lab.graph import (
     bowtie,
-    join,
     octahedron,
     qubit_graph,
     relabel,
@@ -32,6 +31,7 @@ from reference import (
     basis_chain,
     cycle_is_boundary,
     embedded_entry,
+    join,
     laplacian_entry,
     laplacian_up,
     locate,

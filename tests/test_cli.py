@@ -14,11 +14,12 @@ from homology_lab import complexes
 from homology_lab.cli import main
 from homology_lab.complexes import clique_complex
 from homology_lab.fixtures import write_fixtures
-from homology_lab.graph import graph_to_json, join
+from homology_lab.graph import graph_to_json
 from homology_lab.homology import euler_characteristic
 from homology_lab.reduction import parse_hamiltonian, reduce_hamiltonian
 
 from conftest import complete_graph, graphs
+from reference import join
 from test_parsers import GRAPH_DOCS, texts
 from test_tooling import parser_options
 

@@ -11,7 +11,6 @@ from homology_lab.complexes import clique_complex
 from homology_lab.errors import CapExceededError
 from homology_lab.graph import (
     bowtie,
-    join,
     make_graph,
     octahedron,
     qubit_graph,
@@ -22,7 +21,15 @@ from homology_lab.homology import exact_columns
 from homology_lab.operators import coboundary
 
 from conftest import built, complete_graph, graphs, monomials
-from reference import basis_chain, is_cycle, kunneth_embed, locate, simplices, sort_with_sign
+from reference import (
+    basis_chain,
+    is_cycle,
+    join,
+    kunneth_embed,
+    locate,
+    simplices,
+    sort_with_sign,
+)
 
 
 def brute_force_cliques(g, max_dim):
@@ -175,15 +182,19 @@ def test_join_associativity_on_counts():
 
 
 def label_enumeration(g, max_dim, cap):
-    """Reference: the ordered DFS on label tuples.  Returns (simplices,
-    levels) by degree; raises CapExceededError as the library must."""
+    """Reference: the ordered DFS on label tuples, each vertex's later
+    neighbours read off the label edges.  Returns (simplices, levels) by
+    degree; raises CapExceededError as the library must."""
     by_dim = {-1: [()], 0: [(v,) for v in g.vertices]}
     levels = {-1: [0], 0: list(g.exponents)}
     total = 1 + len(g.vertices)
     if total > cap:
         raise CapExceededError(0, cap)
     weight = g.weight_map()
-    cands = [tuple(sorted(u for u in g.neighbors(v) if u > v)) for v in g.vertices]
+    later = {v: set() for v in g.vertices}  # each edge is stored (u, v) with u < v
+    for u, v in g.edges:
+        later[u].add(v)
+    cands = [tuple(sorted(later[v])) for v in g.vertices]
     for k in range(1, max_dim + 1):
         found, level, new_cands = [], [], []
         for sigma, l, after in zip(by_dim[k - 1], levels[k - 1], cands):
@@ -193,7 +204,7 @@ def label_enumeration(g, max_dim, cap):
             for i, w in enumerate(after):
                 found.append(sigma + (w,))
                 level.append(l + weight[w])
-                new_cands.append(tuple(w2 for w2 in after[i + 1 :] if w2 in g.neighbors(w)))
+                new_cands.append(tuple(w2 for w2 in after[i + 1 :] if w2 in later[w]))
         by_dim[k], levels[k], cands = found, level, new_cands
     return by_dim, levels
 

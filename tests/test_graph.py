@@ -1,7 +1,10 @@
 import json
+from functools import reduce
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homology_lab.complexes import clique_complex
 from homology_lab.errors import GraphFormatError
@@ -9,12 +12,12 @@ from homology_lab.graph import (
     MAX_EXPONENT,
     bowtie,
     graph_to_json,
-    join,
     join_all,
     make_graph,
     octahedron,
     parse_graph,
     qubit_graph,
+    qubit_vertex,
     relabel,
     thicken,
     two_points,
@@ -22,6 +25,7 @@ from homology_lab.graph import (
 )
 
 from conftest import graphs
+from reference import join
 
 
 def test_parse_smallest_graph():
@@ -73,7 +77,7 @@ def test_join_of_two_point_graphs_is_square():
     assert g == octahedron(2)
     assert g.n_vertices == 4 and g.n_edges == 4
     # a 4-cycle: every vertex has degree 2
-    assert all(len(g.neighbors(v)) == 2 for v in g.vertices)
+    assert (g.adjacency.sum(axis=1) == 2).all()
 
 
 def test_join_with_empty_graph_is_identity():
@@ -84,6 +88,30 @@ def test_join_with_empty_graph_is_identity():
 def test_join_rejects_label_collision():
     with pytest.raises(GraphFormatError):
         join(bowtie(), bowtie())
+
+
+@settings(max_examples=100)
+@given(graphs(max_vertices=8))
+def test_adjacency_is_the_edge_set_over_ids(g):
+    """``adjacency`` is a read-only symmetric bool matrix with a zero
+    diagonal, whose upper triangle lists each edge once, by its ids."""
+    A = g.adjacency
+    assert A.dtype == bool and A.shape == (g.n_vertices, g.n_vertices)
+    assert (A == A.T).all() and not A.diagonal().any()
+    assert A.sum() == 2 * g.n_edges
+    pairs = sorted(tuple(g.ids(e).tolist()) for e in g.edges)
+    assert np.argwhere(np.triu(A)).tolist() == [list(p) for p in pairs]
+    with pytest.raises(ValueError):
+        A[...] = False
+
+
+@settings(max_examples=60)
+@given(st.lists(graphs(max_vertices=4, wmax=1), min_size=1, max_size=4))
+@example([two_points()] * 11)  # copy q10 sorts between q1 and q2
+def test_join_all_is_the_fold_of_pairwise_joins(gs):
+    copies = [relabel(g, {v: qubit_vertex(i, v) for v in g.vertices})
+              for i, g in enumerate(gs, start=1)]
+    assert join_all(gs) == reduce(join, copies)
 
 
 def test_folded_join_gives_octahedron():
@@ -104,7 +132,8 @@ def test_bowtie_shape():
     assert g.n_edges == 8
     for loop in (("x", "a3", "a2", "a4"), ("x", "b3", "b2", "b4")):
         for i in range(4):
-            assert loop[(i + 1) % 4] in g.neighbors(loop[i])
+            u, v = g.ids([loop[i], loop[(i + 1) % 4]])
+            assert g.adjacency[u, v]
 
 
 def test_qubit_graph_1_is_namespaced_bowtie():

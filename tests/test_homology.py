@@ -12,7 +12,6 @@ from homology_lab.fixtures import gadget_graph
 from homology_lab.gadgets import IntegerState
 from homology_lab.graph import (
     bowtie,
-    join,
     make_graph,
     octahedron,
     qubit_graph,
@@ -50,6 +49,7 @@ from reference import (
     chain_vector,
     cycle_is_boundary,
     is_cycle,
+    join,
     simplices,
 )
 

@@ -28,7 +28,6 @@ from homology_lab.complexes import clique_complex, factor_complexes
 from homology_lab.errors import DimensionError, GapAmbiguityError, HomologyLabError
 from homology_lab.graph import (
     bowtie,
-    induced_subgraph,
     join_all,
     join_factors,
     make_graph,
@@ -118,7 +117,8 @@ def test_join_factors_split_off_a_cone_point():
 
 def complement_walk_factors(g):
     """Reference: the complement's edges listed pair by pair, its components
-    walked from each vertex in order, each induced on g."""
+    walked from each vertex in order, each induced on g by filtering g's
+    label edges."""
     co = {v: set() for v in g.vertices}
     for u, v in combinations(g.vertices, 2):
         if (u, v) not in g.edges:
@@ -134,7 +134,11 @@ def complement_walk_factors(g):
                 stack += new
             seen |= part
             parts.append(part)
-    return (g,) if len(parts) <= 1 else tuple(induced_subgraph(g, p) for p in parts)
+    if len(parts) <= 1:
+        return (g,)
+    weight = g.weight_map()
+    return tuple(make_graph({v: weight[v] for v in p}, [e for e in g.edges if set(e) <= p])
+                 for p in parts)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,6 @@
+import importlib.util
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,14 @@ from hypothesis import strategies as st
 from homology_lab.complexes import clique_complex, factor_complexes
 from homology_lab.errors import GraphFormatError, ScheduleError, UnsupportedStateError
 from homology_lab.gadgets import IntegerState, basis_state_matrix, gadget, glue
-from homology_lab.graph import induced_subgraph, join, make_graph, qubit_graph, qubit_of, relabel
+from homology_lab.graph import (
+    WeightedGraph,
+    induced_subgraph,
+    make_graph,
+    qubit_graph,
+    qubit_of,
+    relabel,
+)
 from homology_lab.homology import betti, coboundary_rank, harmonic_basis
 from homology_lab.reduction import (
     Hamiltonian,
@@ -20,7 +29,7 @@ from homology_lab.reduction import (
 )
 
 from conftest import built, positions
-from reference import chain_vector, joined_loops, laplacian_up, simplices
+from reference import chain_vector, join, joined_loops, laplacian_up, simplices
 
 
 def H_of(n, *terms):
@@ -119,6 +128,23 @@ def test_reduce_builds_the_qubit_graph_once(monkeypatch):
     assert calls == [3]
 
 
+def test_reduce_builds_as_many_graphs_at_every_qubit_count(monkeypatch):
+    """The qubit graph is joined in one pass: the graphs that the reduction
+    of the same two terms builds do not grow in number with n."""
+    counts = []
+    real = WeightedGraph.__post_init__
+
+    def counting(self):
+        counts[-1] += 1
+        real(self)
+
+    monkeypatch.setattr(WeightedGraph, "__post_init__", counting)
+    for n in (2, 10, 40):
+        counts.append(0)
+        reduce_hamiltonian(H_of(n, ([0], {"0": 1}), ([0], {"1": 1})))
+    assert counts[0] == counts[1] == counts[2]
+
+
 def test_reduce_single_term_graph():
     res = reduce_hamiltonian(H_of(1, ([0], {"0": 1})))
     assert res.graph.n_vertices == 12
@@ -161,9 +187,9 @@ def test_padded_kernel_dimensions():
 
 
 @st.composite
-def native_hamiltonians(draw, max_qubits=4, max_terms=3):
+def native_hamiltonians(draw, max_qubits=4, max_terms=3, amps=(-2, -1, 1, 2)):
     """1 to max_qubits qubits, 1 to max_terms terms, each a 1- or 2-qubit
-    state with amplitudes in {-2, -1, 1, 2}: every state the native gadget
+    state with amplitudes drawn from ``amps``: every state the native gadget
     constructions cover."""
     n = draw(st.integers(1, max_qubits))
     terms = []
@@ -172,7 +198,7 @@ def native_hamiltonians(draw, max_qubits=4, max_terms=3):
         support = sorted(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True)))
         bits = draw(st.lists(st.sampled_from([format(i, f"0{m}b") for i in range(2**m)]),
                              min_size=1, unique=True))
-        terms.append((support, {z: draw(st.sampled_from([-2, -1, 1, 2])) for z in bits}))
+        terms.append((support, {z: draw(st.sampled_from(amps)) for z in bits}))
     return H_of(n, *terms)
 
 
@@ -322,6 +348,35 @@ def test_decide_inconclusive_when_threshold_too_optimistic():
     # an aggressive schedule puts E above the true smallest eigenvalue
     dec = decide(H_of(1, ([0], {"0": 1}), ([0], {"1": 1})), g=9.0, c=0.2)
     assert dec.answer == "INCONCLUSIVE"
+
+
+ORACLES = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+
+
+def load_oracles():
+    spec = importlib.util.spec_from_file_location("bench_oracles", ORACLES)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles
+
+
+@settings(max_examples=50, deadline=None)
+@given(native_hamiltonians(max_qubits=3, amps=(-2, -1, 1, 3)))
+def test_decide_finds_the_ground_space(H):
+    """The reduction's claim: the harmonic cochains of the reduction graph in
+    degree 2n - 1 are the ground space of H.  decide's betti is dim ker H,
+    taken by the benchmark oracle from the padded term vectors by exact
+    elimination; on a YES the overlap Gram matrix has rank betti, and every
+    padded term vector lies in its kernel."""
+    oracles = load_oracles()
+    dec = decide(H)
+    assert dec.betti == oracles.ground_dim(H)
+    if dec.answer == "YES":
+        assert dec.harmonic_overlaps is not None
+        G = np.array([dec.harmonic_overlaps[z] for z in dec.harmonic_overlaps])
+        assert np.linalg.matrix_rank(G, tol=1e-6) == dec.betti
+        V = np.array(oracles.padded_vectors(H), dtype=float).reshape(-1, 2 ** H.n)
+        assert abs(G @ V.T).max(initial=0.0) <= 1e-8
 
 
 def test_decide_trivial_hamiltonian():

@@ -410,6 +410,39 @@ def test_only_graph_maps_labels_to_ids():
     assert {name: lines for name, lines in sites.items() if lines} == {}
 
 
+def edge_id_sites(source: str) -> list[int]:
+    """Lines that turn edge labels into vertex ids by hand: an ``.ids(...)``
+    call whose argument reads an ``<x>.edges``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "ids"
+                and any(isinstance(sub, ast.Attribute) and sub.attr == "edges"
+                        for arg in node.args for sub in ast.walk(arg))):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_edge_id_check_sees_each_form():
+    source = (
+        "a = g.ids(v for edge in g.edges for v in edge)\n"
+        "b = K.graph.ids([u for u, _v in sorted(K.graph.edges)])\n"
+        "c = graph.ids(list(chain.from_iterable(graph.edges)))\n"
+        "d = g.ids(g.vertices)\n"
+        "e = sorted(g.edges)\n"
+        "f = g.adjacency[g.ids(sigma)]\n"
+    )
+    assert edge_id_sites(source) == [1, 2, 3]
+
+
+def test_only_graph_reads_edges_into_ids():
+    """``WeightedGraph.adjacency`` is the one place where edge labels become
+    vertex ids: every other module of the library reads the id matrix."""
+    sites = {path.name: edge_id_sites(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert sites.pop("graph.py")
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+
+
 def qubit_label_sites(source: str) -> list[int]:
     """Lines that write or read a qubit-copy label ``q{j}.{v}`` by hand: an
     f-string starting ``q{``, a string starting ``q<digits>.`` (an f-string's
