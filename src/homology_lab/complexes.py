@@ -76,6 +76,8 @@ class CliqueComplex:
         self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # k -> d^k's pairs
         self._ascending: dict[int, np.ndarray] = {}  # k -> degree k in (level, index)
         self._coboundaries: dict = {}
+        self._group = None  # spectra's loop-reflection group, an element per row
+        self._blocks: dict = {}  # k -> spectra's symmetry blocks of L_k
 
     # -- queries -------------------------------------------------------------
 

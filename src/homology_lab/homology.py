@@ -9,9 +9,9 @@ gadgets' fundamental cycles; chains inside the library are integer vectors,
 and the cycle and boundary witnesses on label chains are test oracles.
 
 ``eigensolve`` is the package's one eigensolver dispatch: every numeric
-spectrum, here and in ``spectra``, comes from it.  SciPy is imported inside
-it and ``_dense_by_block``, where a float solve runs, so the exact side never
-loads it.
+spectrum comes from it, ``spectra``'s from a Laplacian's symmetry blocks,
+which ``_dense_by_block`` solves apart.  SciPy is imported in these two,
+where a float solve runs, so the exact side never loads it.
 """
 
 from __future__ import annotations
@@ -113,12 +113,20 @@ def _dense_by_block(S, solve, vectors: bool):
     # isolated rows form one diagonal block: one solve for all, not one each
     labels[np.bincount(labels)[labels] == 1] = n_blocks
     rows = np.argsort(labels, kind="stable")  # grouped by block, ascending in each
-    P = S[rows][:, rows]  # block diagonal: each block a square P[s:e, s:e]
     sizes = np.bincount(labels)
     sizes = sizes[sizes > 0]
     ends = np.cumsum(sizes)
     spans = list(zip(ends - sizes, ends))
-    solved = [solve(P[s:e, s:e].toarray()) for s, e in spans]
+    place = np.argsort(rows)  # the sorted place of each row and column
+    S = S.tocsr()
+    S.sum_duplicates()
+    i, j = place[np.repeat(np.arange(n), np.diff(S.indptr))], place[S.indices]
+    by = np.argsort(i, kind="stable")  # S's entries, grouped by block
+    solved = []
+    for (s, e), at in zip(spans, np.split(by, np.searchsorted(i[by], ends[:-1]))):
+        A = np.zeros((e - s, e - s))
+        A[i[at] - s, j[at] - s] = S.data[at]
+        solved.append(solve(A))
     merged = np.concatenate([w for w, _ in solved])
     order = np.argsort(merged, kind="stable")
     if not vectors:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -340,13 +341,9 @@ def test_fixture_golden_json(tmp_path, capsys, name):
     assert Path(out.strip()).read_text() == (GOLDEN / f"fixture-{name}.json").read_text()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("name", sorted(n for n in GOLDEN_RUNS if n.startswith("decide-")))
-def test_decide_golden_output_at_blas_threads(fixture_dir, name, threads):
-    """The decide goldens hold byte for byte at one and at two BLAS threads.
-
-    BLAS fixes its thread count at import, so each run is its own process.
-    """
+def assert_golden_at_blas_threads(fixture_dir, name, threads):
+    """The golden run ``name`` in its own process, as BLAS fixes its thread
+    count at import, with that many BLAS threads."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
     done = subprocess.run(
@@ -355,6 +352,34 @@ def test_decide_golden_output_at_blas_threads(fixture_dir, name, threads):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN_RUNS if n.startswith("decide-")))
+def test_decide_golden_output_at_blas_threads(fixture_dir, name, threads):
+    """The decide goldens hold byte for byte at one and at two BLAS threads."""
+    assert_golden_at_blas_threads(fixture_dir, name, threads)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN_RUNS if n.startswith("spectrum-")))
+def test_spectrum_golden_output_at_blas_threads(fixture_dir, name, threads):
+    """The spectrum goldens hold byte for byte at one and at two BLAS
+    threads: the symmetry blocks change the sizes that LAPACK sees."""
+    assert_golden_at_blas_threads(fixture_dir, name, threads)
+
+
+def test_spectrum_on_the_unfactorable_3q_no_solves_blocks_below_the_cap(tmp_path, capsys):
+    """One join factor with dim C^5 = 7,344 above DENSE_EIG_CAP: its symmetry
+    blocks, at most 1,220, are below it, so spectrum answers."""
+    H = parse_hamiltonian(HAMILTONIANS["h-3q-no-unfactorable"])
+    graph = tmp_path / "reduced-3q-no-unfactorable.json"
+    graph.write_text(reduce_hamiltonian(H).to_json())
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", str(graph), "--k", "5", "--lambda", "0.05")
+    assert time.perf_counter() - start < 15
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()[0].split()) == 7344 and "near-zero multiplicity 0" in out
 
 
 # runs main on its argv (none: the import alone), then prints main's exit code

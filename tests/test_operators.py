@@ -396,13 +396,12 @@ def test_the_float_path_never_builds_the_entries_view(monkeypatch):
 def test_embedded_entry_cases():
     K = built(bowtie(), 3)
     n = K.graph.n_vertices
-    # x = y not a 2-clique: the penalty
+    # x = y on two vertices that are not adjacent, so no 1-simplex: the penalty
+    u, v = np.argwhere(~K.graph.adjacency & ~np.eye(n, dtype=bool))[0]
     bits = ["0"] * n
-    bits[0] = bits[1] = "1"
+    bits[u] = bits[v] = "1"
     x = "".join(bits)
-    expected = 4.25 if K.graph.adjacency[0, 1] else None
-    if not K.graph.adjacency[0, 1]:
-        assert embedded_entry(K, 1, x, x, penalty=4.25) == 4.25
+    assert embedded_entry(K, 1, x, x, penalty=4.25) == 4.25
     # x != y with x not a clique: zero
     y = "0" * (n - 2) + "11"
     assert embedded_entry(K, 1, "1" * n, y, penalty=4.25) == 0.0

@@ -231,19 +231,31 @@ def test_shift_invert_is_reproducible(monkeypatch):
 
 
 def test_sweep_refuses_a_factor_laplacian_above_the_dense_cap(monkeypatch):
-    """sweep applies spectrum's cap to each factor Laplacian, before any solve."""
+    """sweep applies spectrum's cap to the largest symmetry block of each
+    factor Laplacian, before any solve."""
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("eigensolve called above the dense cap")
 
     K = built(gadget_graph(IntegerState.from_dict(1, {"0": 1})), 2)
     assert len(join_factors(K.graph)) == 1
-    monkeypatch.setattr(spectra, "DENSE_EIG_CAP", K.dim_size(1) - 1)
+    largest = int(spectra._symmetry_blocks(K, 1)[3].max())
+    assert largest < K.dim_size(1)
+    monkeypatch.setattr(spectra, "DENSE_EIG_CAP", largest - 1)
     monkeypatch.setattr(spectra, "eigensolve", refuse)
     with pytest.raises(DimensionError, match="above the dense cap"):
         sweep(K, 1)
     with pytest.raises(DimensionError, match="above the dense cap"):
         spectrum(K, 1, 0.3)
+
+
+def test_the_cap_bounds_the_largest_symmetry_block_not_the_factor(monkeypatch):
+    """A factor Laplacian above the cap sweeps when its blocks are below it."""
+    K = built(gadget_graph(IntegerState.from_dict(1, {"0": 1})), 2)
+    want = sweep(K, 1)
+    largest = int(spectra._symmetry_blocks(K, 1)[3].max())
+    monkeypatch.setattr(spectra, "DENSE_EIG_CAP", largest)
+    assert largest < K.dim_size(1) and sweep(K, 1).classes == want.classes
 
 
 def test_sweep_caps_the_factors_not_the_whole_chain_group(monkeypatch):
@@ -397,13 +409,15 @@ def test_multi_block_fixtures_agree_with_whole_matrix(monkeypatch, name, k):
     blocks = sweep(K, k)
     L = laplacian(K, k)
     scale = max([1.0] + [np.linalg.norm(_dense_sym(L.evaluate(x)), 2) for x in DEFAULT_GRID])
-    # one factor and one component seen everywhere: the whole-matrix solve
+    # one factor, no symmetry blocks and one component seen everywhere: the
+    # whole-matrix solve
     monkeypatch.setattr(spectra, "join_factors", lambda g: (g,))
+    monkeypatch.setattr(spectra, "_loop_group", lambda g: np.arange(g.n_vertices)[None])
     monkeypatch.setattr(
         scipy.sparse.csgraph,
         "connected_components",
         lambda S, **_: (1, np.zeros(S.shape[0], dtype=np.int32)),
     )
-    whole = sweep(K, k)
+    whole = sweep(clique_complex(K.graph, k + 1), k)  # nothing memoized on it
     assert blocks.classes == whole.classes
     assert np.abs(blocks.trajectories - whole.trajectories).max() <= 1e-12 * scale
