@@ -78,6 +78,7 @@ class CliqueComplex:
         self._coboundaries: dict = {}
         self._group = None  # spectra's loop-reflection group, an element per row
         self._blocks: dict = {}  # k -> spectra's symmetry blocks of L_k
+        self._images: dict = {}  # k -> the group generators' signed images of C^k
 
     # -- queries -------------------------------------------------------------
 

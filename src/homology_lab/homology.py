@@ -9,8 +9,9 @@ gadgets' fundamental cycles; chains inside the library are integer vectors,
 and the cycle and boundary witnesses on label chains are test oracles.
 
 ``eigensolve`` is the package's one eigensolver dispatch: every numeric
-spectrum comes from it, ``spectra``'s from a Laplacian's symmetry blocks,
-which ``_dense_by_block`` solves apart.  SciPy is imported in these two,
+spectrum comes from it, ``spectra``'s (``spectrum``, ``sweep`` and
+``lambda_min``) from a Laplacian's symmetry blocks, which
+``_dense_by_block`` solves apart below DENSE_EIG_CAP.  SciPy is imported in these two,
 where a float solve runs, so the exact side never loads it.
 """
 
@@ -42,9 +43,12 @@ def eigensolve(L, count: int | None = None, vectors: bool = False, sigma: float 
     package assembles is: each exponent slice of d^T d or d d^T is an integer
     sum of D_a^T D_b with its transpose D_b^T D_a (or of D_a D_b^T with
     D_b D_a^T), so entries (i, j) and (j, i) add the same floats in the same
-    order.  ``count=None`` asks for the whole spectrum and always solves
+    order; ``spectra`` hands over a factor Laplacian's symmetry blocks
+    instead where it has them, integer slices B^T M_e B scaled by s_i s_j.
+    ``count=None`` asks for the whole spectrum and always solves
     densely; a count of smallest eigenpairs switches to shift-invert Lanczos
-    about ``sigma`` (from a fixed start vector) above DENSE_EIG_CAP, and below
+    about ``sigma`` (from a fixed start vector) above DENSE_EIG_CAP, which
+    bounds the matrix given, block-diagonal or not, and below
     it the dense solve still returns the whole spectrum.  A dense solve runs
     once per connected block of the matrix (``_dense_by_block``), in place
     in the block's one n x n buffer.  With

@@ -12,6 +12,7 @@ least squares and the NO branch's eigensolves), so ``reduce`` never loads it.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import CliqueComplex, clique_complex, factor_complexes
-from .errors import GraphFormatError, ScheduleError
+from .errors import GraphFormatError, HomologyLabError, ScheduleError
 from .gadgets import IntegerState, basis_state_matrix, gadget, glue
 from .graph import (
     BOWTIE_LOOPS,
@@ -263,9 +264,15 @@ def decide(H: Hamiltonian, g: float = 1.0, c: float = 0.1) -> Decision:
     lam**(4m+2): once they sink below what double-precision eigensolves
     resolve (about 1e-13 relative to the operator norm), the answer degrades
     honestly to INCONCLUSIVE; a larger c brings the certificate back into
-    numeric range.
+    numeric range.  A Hamiltonian with no terms answers YES with betti 2^n,
+    refused before it is formed when it has more decimal digits than
+    Python's int-to-str limit converts.
     """
     if not H.terms:
+        # 2^n < 10^limit exactly when n < the bit length of 10^limit
+        if (limit := sys.get_int_max_str_digits()) and H.n >= (10 ** limit).bit_length():
+            raise HomologyLabError(f"betti has more than {limit} digits, too many to print: "
+                                   f"2^{H.n}, of a Hamiltonian with no terms")
         sched = schedule(g, 1, 1, c)
         return Decision("YES", 2 * H.n - 1, 2 ** H.n, sched, None, None)
     sched = schedule(g, H.t, H.max_locality, c)

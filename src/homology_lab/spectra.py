@@ -2,12 +2,15 @@
 
 Every eigensolve goes through ``homology.eigensolve``.  ``spectrum`` and
 ``sweep`` take whole spectra densely, from the join factors of the graph
-(``join_spectrum``), each factor Laplacian split into the blocks of a group
-of automorphisms: the qubit loops' reflections, completed and checked
-exactly (``_symmetry_blocks``).  They refuse a block above DENSE_EIG_CAP;
-``lambda_min`` solves the whole Laplacian, by shift-invert Lanczos (from a
-fixed start vector) above the cap.  The up and down halves and their
-supersymmetric pairing are read from the coboundaries by the tests.
+(``join_spectrum``), and ``decide``'s ``join_lambda_min`` the least
+eigenvalue from the same factors, equal ones solved once.  Each factor
+Laplacian is split into the blocks of a group of automorphisms: the qubit
+loops' reflections, completed and checked exactly (``_symmetry_blocks``,
+``_block_laplacian``).  ``spectrum`` and ``sweep`` refuse a block above
+DENSE_EIG_CAP; ``lambda_min`` solves the whole Laplacian there, and above
+the cap it solves by shift-invert Lanczos (from a fixed start vector).  The
+up and down halves and their supersymmetric pairing are read from the
+coboundaries by the tests.
 
 A sweep tracks eigenvalue branches across a geometric lambda grid (matched
 by sorted index), fits the log-log slopes of all branches in one
@@ -69,10 +72,18 @@ def spectrum(K: CliqueComplex, k: int, lam: float) -> SpectrumReport:
 
 
 def lambda_min(K: CliqueComplex, k: int, lam: float) -> float:
-    """Smallest Laplacian eigenvalue; exact 0 when the Betti number is positive."""
+    """Smallest Laplacian eigenvalue; exact 0 when the Betti number is positive.
+
+    L_k is solved as ``join_spectrum`` solves it: on its symmetry blocks
+    (``_block_laplacian``), or whole where ``_symmetry_blocks`` gives no B.
+    ``eigensolve`` takes the matrix as assembled, densely up to
+    DENSE_EIG_CAP and by shift-invert above it, which then factors the
+    block-diagonal matrix.
+    """
     if betti(K, k) >= 1 or K.dim_size(k) == 0:
         return 0.0
-    return float(eigensolve(laplacian(K, k).evaluate(lam), 1)[0])
+    L, scale = _block_laplacian(K, k)
+    return float(eigensolve(_scaled(L.evaluate(lam), scale), 1)[0])
 
 
 def join_lambda_min(Ks: Sequence[CliqueComplex], k: int, lam: float) -> float:
@@ -81,11 +92,14 @@ def join_lambda_min(Ks: Sequence[CliqueComplex], k: int, lam: float) -> float:
     The join's Laplacian is the direct sum, over the degree splits, of
     L_{i_1}(K_1) (x) 1 + ... + 1 (x) L_{i_f}(K_f) in the normalized weighted
     basis, so its lambda_min is the (min, +) ``join_series`` coefficient of
-    the factors' ``lambda_min``, each (factor, degree) solved once; an empty
-    C^k gives 0.0.  Rounding is monotone, fl(min(a, b) + c) = min(fl(a + c),
-    fl(b + c)), so these are the bits of the least split sum added in order.
+    the factors' ``lambda_min``, each (factor, degree) solved once and equal
+    factors (``_one_per_equal``) once; an empty C^k gives 0.0.  Rounding is
+    monotone, fl(min(a, b) + c) = min(fl(a + c), fl(b + c)), so these are
+    the bits of the least split sum added in order.
     """
-    return join_series(Ks, k, lambda j, i: lambda_min(Ks[j], i, lam), add, min) or 0.0
+    Ks = _one_per_equal(Ks)
+    value = _once(Ks, lambda K, i: lambda_min(K, i, lam))
+    return join_series(Ks, k, value, add, min) or 0.0
 
 
 def join_spectrum(Ks: Sequence[CliqueComplex], k: int, grid: Sequence[float]) -> np.ndarray:
@@ -95,41 +109,52 @@ def join_spectrum(Ks: Sequence[CliqueComplex], k: int, grid: Sequence[float]) ->
     spectrum at lambda = grid[g].  Over each degree split the join's
     Laplacian is the Kronecker sum of the L_{i_j}(K_j), whose spectrum is
     the outer sum of theirs: the (concatenate, outer sum) ``join_series``
-    coefficient.  Each (factor, degree) is split (``_symmetry_blocks``) and
+    coefficient.  Each (factor, degree) is split (``_block_laplacian``) and
     solved once per lambda, also if repeated; each is complete or built to k + 1.
     """
-    solved = {}
-
-    def solve(j, i):
-        if (id(Ks[j]), i) not in solved:
-            L, (Bt, B, scale, _) = laplacian(Ks[j], i), _symmetry_blocks(Ks[j], i)
-            if Bt is not None:  # the integer block slices B^T M_e B
-                L = MonomialMatrix(L.rows, L.rows, [(e, Bt @ M @ B) for e, M in L.slices.items()])
-            solved[id(Ks[j]), i] = np.stack(
-                [eigensolve(_scaled(L.evaluate(lam), scale)) for lam in grid], axis=1)
-        return solved[id(Ks[j]), i]
+    def solve(K, i):
+        L, scale = _block_laplacian(K, i)
+        return np.stack([eigensolve(_scaled(L.evaluate(lam), scale)) for lam in grid], axis=1)
 
     def outer(a, b):
         return (a[:, None] + b[None]).reshape(-1, len(grid))
 
-    vals = join_series(Ks, k, solve, outer, lambda a, b: np.concatenate((a, b)))
+    vals = join_series(Ks, k, _once(Ks, solve), outer, lambda a, b: np.concatenate((a, b)))
     return np.zeros((0, len(grid))) if vals is None else np.sort(vals, axis=0)
+
+
+def _once(Ks: Sequence[CliqueComplex], solve):
+    """``join_series``'s value(j, i) as solve(Ks[j], i), once per (complex, degree)."""
+    solved = {}
+
+    def value(j, i):
+        if (id(Ks[j]), i) not in solved:
+            solved[id(Ks[j]), i] = solve(Ks[j], i)
+        return solved[id(Ks[j]), i]
+
+    return value
+
+
+def _one_per_equal(Ks: Sequence[CliqueComplex]) -> list[CliqueComplex]:
+    """Ks with each factor replaced by the first one equal to it: the same
+    exponents, adjacency and depth, as the idle qubit copies are."""
+    same = {}
+    return [same.setdefault((K.graph.exponents, K.graph.adjacency.tobytes(), K.max_dim), K)
+            for K in Ks]
 
 
 def _join_complexes(K: CliqueComplex, k: int) -> list[CliqueComplex]:
     """The complexes of the join factors of K's graph (``factor_complexes``),
-    one for equal factors (same exponents and adjacency: idle qubit copies),
-    or ``[K]`` for one factor; K is complete or built to k + 1 either way.
-    Refused when a block that ``join_spectrum`` solves is above DENSE_EIG_CAP."""
+    one for equal factors (``_one_per_equal``), or ``[K]`` for one factor;
+    K is complete or built to k + 1 either way.  Refused when a block that
+    ``join_spectrum`` solves is above DENSE_EIG_CAP."""
     factors = join_factors(K.graph)
     if len(factors) == 1:
         Ks = [K]
     elif k + 1 > K.max_dim and not K.complete:
         raise DimensionError(f"degree {k} needs the complex built to {k + 1}")
     else:
-        same = {}
-        Ks = [same.setdefault((F.graph.exponents, F.graph.adjacency.tobytes()), F)
-              for F in factor_complexes(factors, k)]
+        Ks = _one_per_equal(factor_complexes(factors, k))
     block = join_series(Ks, k, lambda j, i: _symmetry_blocks(Ks[j], i)[3].max(), max, max)
     if (block or 0) > DENSE_EIG_CAP:
         raise DimensionError(
@@ -187,15 +212,20 @@ def _loop_group(g: WeightedGraph) -> np.ndarray:
     return group
 
 
-def _signed_images(K: CliqueComplex, k: int, perms: np.ndarray):
-    """(index, sign of the sort) of each k-simplex's image under each row."""
-    img = perms[:, K.ids[k]]
+def _signed_images(K: CliqueComplex, k: int):
+    """(index, sign of the sort) of each k-simplex's image under each
+    generator of K's ``_loop_group``, a row per generator; memoized per
+    complex and degree, as the splits of degrees k - 1, k and k + 1 read them."""
+    if k in K._images:
+        return K._images[k]
+    group = K._group
+    img = group[1 << np.arange(len(group).bit_length() - 1)][:, K.ids[k]]
     flips = sum((img[..., i] > img[..., j] for i, j in combinations(range(k + 1), 2)),
                 np.zeros(img.shape[:2], dtype=np.int64))
     idx = K.find(np.sort(img, axis=2).reshape(flips.size, k + 1)).reshape(flips.shape)
     if (idx < 0).any():
         raise HomologyLabError(f"a graph automorphism sends a {k}-simplex off the complex")
-    return idx, 1 - 2 * (flips % 2)
+    return K._images.setdefault(k, (idx, 1 - 2 * (flips % 2)))
 
 
 def _commutes(d: MonomialMatrix, below, above) -> bool:
@@ -225,10 +255,10 @@ def _symmetry_blocks(K: CliqueComplex, k: int):
     if k in K._blocks:
         return K._blocks[k]
     group = K._group = _loop_group(K.graph) if K._group is None else K._group
-    n, gens = K.dim_size(k), group[1 << np.arange(len(group).bit_length() - 1)]
+    n, ngens = K.dim_size(k), len(group).bit_length() - 1
     if (least := -(-n // len(group))) > DENSE_EIG_CAP:  # refused before any image is taken
         return K._blocks.setdefault(k, (None, None, None, np.array([least])))
-    idx, sign = _signed_images(K, k, gens)
+    idx, sign = _signed_images(K, k)
     if (idx == np.arange(n)).all() and (sign == 1).all():
         return K._blocks.setdefault(k, (None, None, None, np.array([n])))
     # each orbit's least simplex, in one pass: an element is a product of distinct generators
@@ -237,7 +267,7 @@ def _symmetry_blocks(K: CliqueComplex, k: int):
     at, sg = reps[None], np.ones((1, len(reps)), dtype=np.int64)  # each element's image of reps
     for g, s in zip(idx, sign):
         at, sg = np.vstack((at, g[at])), np.vstack((sg, sg * s[at]))
-    bits = np.arange(len(group))[:, None] >> np.arange(len(gens)) & 1
+    bits = np.arange(len(group))[:, None] >> np.arange(ngens) & 1
     chi = 1 - 2 * (bits @ bits.T % 2)  # chi[c, t]: character c at element t
     # chi has a column on an orbit when it agrees with the signs on the stabilizer
     stab = at.T == reps[:, None]
@@ -249,7 +279,7 @@ def _symmetry_blocks(K: CliqueComplex, k: int):
     for lo in (k - 1, k):  # degree k - 1 checked d^{k-1} if it built its B
         d = coboundary(K, lo)
         if d.slices and (lo == k or K._blocks.get(lo, (None,))[0] is None) and not _commutes(
-                d, *((idx, sign) if j == k else _signed_images(K, j, gens) for j in (lo, lo + 1))):
+                d, _signed_images(K, lo), _signed_images(K, lo + 1)):
             raise HomologyLabError(f"a loop reflection does not commute with d^{lo}")
     h = (at[:, orbit] == np.arange(n)).argmax(axis=0)  # takes tau's orbit's first to tau
     size = np.bincount(orbit)
@@ -261,6 +291,16 @@ def _symmetry_blocks(K: CliqueComplex, k: int):
 
     Bt = scipy.sparse.csr_matrix((data, tau, ptr), shape=(n, n))
     return K._blocks.setdefault(k, (Bt, Bt.T.tocsr(), 1 / np.sqrt(size[js]), sizes))
+
+
+def _block_laplacian(K: CliqueComplex, k: int):
+    """(L_k, scale) to solve: the integer block slices B^T M_e B of
+    ``_symmetry_blocks``, exactly zero between characters, or L_k itself
+    and None where it gives no B."""
+    L, (Bt, B, scale, _) = laplacian(K, k), _symmetry_blocks(K, k)
+    if Bt is not None:
+        L = MonomialMatrix(L.rows, L.rows, [(e, Bt @ M @ B) for e, M in L.slices.items()])
+    return L, scale
 
 
 def _scaled(A, scale: np.ndarray | None):

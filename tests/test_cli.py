@@ -566,6 +566,35 @@ def test_too_large_an_answer_ends_in_one_error_line(tmp_path, capsys, case):
     assert err.startswith(prefix) and err.count("\n") == 1
 
 
+# main on argv in a process whose address space is capped at 2 GB
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 2 ** 30, 2 * 2 ** 30))
+from homology_lab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_termless_decide_refuses_2_to_the_n_before_forming_it(tmp_path):
+    """betti = 2^n of a Hamiltonian with no terms is refused when it has more
+    digits than Python's int-to-str limit, before 2^n is formed: at 10^20
+    qubits that ran 16 s into an out-of-memory error under this limit.  The
+    limit is set in the child only; n = 14,284 still answers (next test)."""
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"n": 10**20, "terms": []}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "decide", str(path)],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: betti has more than 4300 digits, too many to print: 2^")
+    assert done.stderr.count("\n") == 1
+
+
 def test_betti_at_the_digit_limit_still_prints(tmp_path, capsys):
     path = tmp_path / "h.json"
     path.write_text('{"n": 14284, "terms": []}')

@@ -32,6 +32,7 @@ from homology_lab.graph import (
     join_factors,
     make_graph,
     qubit_graph,
+    unweighted,
 )
 from homology_lab.homology import (
     EulerCharacteristic,
@@ -223,30 +224,62 @@ def test_the_product_over_the_factors_matches_the_sums_over_the_splits(case):
 def asked_pairs(monkeypatch, Ks, k):
     """The (factor, degree) pairs ``join_lambda_min`` solves, in call order."""
     asked, real = [], spectra.lambda_min
-    index = {id(K): j for j, K in enumerate(Ks)}
+    index = {id(K): j for j, K in reversed(list(enumerate(Ks)))}  # the first of repeats
 
     def counted(K, i, lam):
         asked.append((index[id(K)], i))
         return real(K, i, lam)
 
-    monkeypatch.setattr(spectra, "lambda_min", counted)
-    join_lambda_min(Ks, k, 0.05)
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "lambda_min", counted)
+        join_lambda_min(Ks, k, 0.05)
     return asked
+
+
+def first_equal(Ks):
+    """Each factor's index of the first factor of the same graph (exponents
+    and adjacency) and depth."""
+    def same(F, K):
+        return (F.max_dim == K.max_dim and F.graph.exponents == K.graph.exponents
+                and np.array_equal(F.graph.adjacency, K.graph.adjacency))
+
+    return [next(j for j, F in enumerate(Ks) if same(F, K)) for K in Ks]
 
 
 @pytest.mark.parametrize("case", ["3q-no", "bowties-39", "bowties-38"])
 def test_join_lambda_min_solves_each_pair_some_split_uses_once(monkeypatch, case):
     """Twenty bowties in degree 2 * 20 - 1 have one split, each at its top
     degree 1, and in degree 2 * 20 - 2 twenty: the product asks only their
-    pairs, where the product of the degree lists has 3^20 tuples."""
+    pairs, where the product of the degree lists has 3^20 tuples, and equal
+    factors (all twenty bowties, or the 3q NO's two idle ones) as one."""
     if case == "3q-no":
         Ks, _, k = reduction_complexes(HAMILTONIANS["h-3q-no"])
     else:
         Ks, k = [complete(bowtie()) for _ in range(20)], int(case[-2:])
-    asked = asked_pairs(monkeypatch, Ks, k)
-    expected = {(j, i) for s in product_splits(Ks, k) for j, i in enumerate(s)}
+    asked, first = asked_pairs(monkeypatch, Ks, k), first_equal(Ks)
+    expected = {(first[j], i) for s in product_splits(Ks, k) for j, i in enumerate(s)}
     assert sorted(asked) == sorted(expected)
     assert len(product_splits(Ks, k)) == {"3q-no": 3, "bowties-39": 1, "bowties-38": 20}[case]
+    assert first == {"3q-no": [0, 1, 1]}.get(case, [0] * 20)
+
+
+def test_equal_factors_ask_lambda_min_once_per_degree(monkeypatch):
+    """Two equal idle bowties are one factor to ``join_lambda_min``; a path
+    and four points, of equal exponents, are not, nor one graph built to two
+    depths; the value is the sums over the splits either way."""
+    bowties = [complete(bowtie()), complete(bowtie())]
+    path = complete(unweighted("abcd", [("a", "b"), ("b", "c"), ("c", "d")]))
+    points = [complete(unweighted("abcd")) for _ in range(2)]
+    for Ks, k, first in ((bowties, 2, [0, 0]), ([path, *points], 3, [0, 1, 1])):
+        asked = asked_pairs(monkeypatch, Ks, k)
+        assert first_equal(Ks) == first and len(asked) == len(set(asked))
+        assert set(asked) == {(first[j], i) for s in product_splits(Ks, k) for j, i in enumerate(s)}
+        assert join_lambda_min(Ks, k, 0.05) == split_sums(Ks, k, 0.05)[1]
+    # the same path built to 1 is another factor: it still refuses degree 2
+    shallow = [path, clique_complex(path.graph, 1)]
+    assert first_equal(shallow) == [0, 1]
+    with pytest.raises(DimensionError):
+        join_lambda_min(shallow, 2, 0.05)
 
 
 def test_join_series_forms_only_partial_sums_that_can_still_reach_the_degree():
@@ -379,12 +412,17 @@ def test_reduction_graphs_split_as_the_whole_complex(text, sizes, lam):
 
 
 def test_3q_no_whole_matrix_value_lies_within_the_bound():
-    """The whole-matrix eigensolve's 1.555664243e-08 and the factors' exact
-    1q value 1.555664141e-08 differ by about 1e-15, inside eps * ||L||."""
+    """The whole-matrix eigensolve's 1.555664243e-08, the whole complex's
+    symmetry blocks' 1.555664208e-08 (``lambda_min``) and the factors'
+    1.555664228e-08 differ by at most 4e-16, inside 16 eps ||L||; a 40-digit
+    solve of the 1q factor's L_1 gives 1.5556642445e-08."""
     Ks, K, k = reduction_complexes(HAMILTONIANS["h-3q-no"])
-    whole, [joined] = assert_join_matches_whole([Ks], K, k, 0.05)
-    assert f"{whole:.10g}" == "1.555664243e-08"
-    assert f"{joined:.10g}" == "1.555664141e-08"
+    blocks, [joined] = assert_join_matches_whole([Ks], K, k, 0.05)
+    whole = homology.eigensolve(laplacian(K, k).evaluate(0.05), 1)[0]
+    assert abs(whole - joined) <= LAMBDA_MIN_ULPS * EPS * whole_row_sum(K, k, 0.05)
+    assert [f"{x:.10g}" for x in (whole, blocks, joined)] == [
+        "1.555664243e-08", "1.555664208e-08", "1.555664228e-08"
+    ]
 
 
 def whole_sweep(monkeypatch, K, k):

@@ -4,11 +4,14 @@ The oracles: the blocks' dimensions add up to dim C^k; every kept generator
 is a graph automorphism whose signed simplex permutation, built here from a
 dict of the simplices, commutes with every coboundary slice in SciPy's
 integer products; a completion that is not an automorphism raises; the
-union of the block spectra is the whole Laplacian's within n eps ||L||_inf;
-and a graph without qubit loops keeps the whole solve, bit for bit.
+union of the block spectra, and the least block eigenvalue that
+``lambda_min`` gives ``decide``, are the whole Laplacian's within
+n eps ||L||_inf; and a graph without qubit loops keeps the whole solve, bit
+for bit.
 """
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from homology_lab.errors import DimensionError, HomologyLabError
 from homology_lab.fixtures import hexagon, named_fixtures
 from homology_lab.gadgets import IntegerState
 from homology_lab.graph import join_all, join_factors, parse_graph, qubit_vertex, unweighted
-from homology_lab.homology import eigensolve
+from homology_lab.homology import betti, eigensolve
 from homology_lab.operators import coboundary, laplacian
 from homology_lab.reduction import Hamiltonian, decide, parse_hamiltonian, reduce_hamiltonian
 from homology_lab.spectra import DEFAULT_GRID, join_spectrum, spectrum, sweep
@@ -153,18 +156,30 @@ def test_a_generator_that_does_not_commute_raises(monkeypatch):
     """The exact commutation check on the coboundary slices is not skipped:
     signed images with one sign flipped fail it."""
     K = clique_complex(named_fixtures()["gadget-0"], 2)
-    real = spectra._signed_images
+    monkeypatch.setattr(spectra, "_signed_images", flipped_images(spectra._signed_images))
+    for _ in range(2):  # nothing is memoized on the way to the error
+        with pytest.raises(HomologyLabError, match="does not commute"):
+            spectra._symmetry_blocks(K, 1)
 
-    def flipped(K_, j, perms):
-        idx, sign = real(K_, j, perms)
+
+def flipped_images(real):
+    """``_signed_images`` with the sign of simplex 0's image flipped under
+    every generator."""
+    def flipped(K, j):
+        idx, sign = real(K, j)
         sign = sign.copy()
         sign[:, 0] *= -1
         return idx, sign
 
-    monkeypatch.setattr(spectra, "_signed_images", flipped)
-    for _ in range(2):  # nothing is memoized on the way to the error
-        with pytest.raises(HomologyLabError, match="does not commute"):
-            spectra._symmetry_blocks(K, 1)
+    return flipped
+
+
+def test_a_generator_that_does_not_commute_raises_on_the_decide_path(monkeypatch):
+    """``decide``'s lambda_min splits the factor Laplacian through the same
+    exact check, so the flipped sign raises there too."""
+    monkeypatch.setattr(spectra, "_signed_images", flipped_images(spectra._signed_images))
+    with pytest.raises(HomologyLabError, match="does not commute"):
+        decide(parse_hamiltonian(HAMILTONIANS["h-1q-no"]))
 
 
 def test_a_split_above_the_cap_is_neither_checked_nor_built(monkeypatch):
@@ -305,3 +320,62 @@ def test_unfactorable_3q_no_blocks_agree_with_the_shift_invert_lambda_min():
     norm = float(abs(laplacian(K, res.k).evaluate(lam)).sum(axis=1).max())
     got = spectrum(K, res.k, lam).lambda_min
     assert abs(got - decision.lam_min) <= K.dim_size(res.k) * EPS * norm
+
+
+# -- lambda_min on the blocks ------------------------------------------------------------
+
+
+def assert_asked_lambda_mins_are_whole(H):
+    """H is not YES, and every factor lambda_min that ``decide`` asks (0.0
+    where the factor's Betti number is positive) is the least eigenvalue of
+    the whole evaluated Laplacian within n eps ||L||_inf; at least one of
+    them is solved on blocks."""
+    asked, real = [], spectra.lambda_min
+
+    def recording(K, i, lam):
+        asked.append((K, i, lam, real(K, i, lam)))
+        return asked[-1][-1]
+
+    with mock.patch.object(spectra, "lambda_min", recording):
+        assert decide(H).answer != "YES"
+    assert any(spectra._symmetry_blocks(K, i)[0] is not None for K, i, _, _ in asked)
+    for K, i, lam, got in asked:
+        if betti(K, i):
+            assert got == 0.0
+            continue
+        whole = laplacian(K, i).evaluate(lam)
+        bound = K.dim_size(i) * EPS * float(abs(whole).sum(axis=1).max())
+        assert abs(got - eigensolve(whole, 1)[0]) <= bound, (K.graph.n_vertices, i, got)
+
+
+@st.composite
+def no_hamiltonians(draw):
+    """1 or 2 qubits of native basis projectors that leave no basis state at
+    energy 0, so never YES: on one qubit |0> and |1>; on two, at most two
+    drawn 1q projectors, then 2q projectors on (0, 1) onto every basis
+    state they leave and perhaps one more.  The 2q sets come out
+    flip-closed (all four, or the two that one 1q projector leaves) or not."""
+    amp = st.sampled_from((1, -1, 2))
+    n = draw(st.sampled_from((1, 2)))
+    if n == 1:
+        return hamiltonian(1, [((0,), {z: draw(amp)}) for z in BITS[1]])
+    ones = draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(BITS[1])),
+                         max_size=2, unique=True))
+    left = {z for z in BITS[2] if not any(z[q] == b for q, b in ones)}
+    twos = sorted(left | set(draw(st.lists(st.sampled_from(BITS[2]), max_size=1))))
+    terms = [((q,), {b: draw(amp)}) for q, b in ones] + [((0, 1), {z: draw(amp)}) for z in twos]
+    return hamiltonian(2, terms)
+
+
+@settings(max_examples=10, deadline=None)
+@given(no_hamiltonians())
+def test_block_lambda_min_is_the_whole_solve_on_random_no_hamiltonians(H):
+    assert_asked_lambda_mins_are_whole(H)
+
+
+@pytest.mark.parametrize("name", ["h-1q-no", "h-3q-no", "h-3q-no-unfactorable"])
+def test_block_lambda_min_is_the_whole_solve_on_the_no_goldens(name):
+    """The unfactorable factor's whole L_5 (7,344 rows) is solved by
+    shift-invert, its blocks (at most 1,220) by shift-invert on the
+    block-diagonal matrix."""
+    assert_asked_lambda_mins_are_whole(parse_hamiltonian(HAMILTONIANS[name]))
