@@ -22,7 +22,7 @@ from .graph import parse_graph, qubit_graph
 from .homology import betti_table, euler_characteristic, join_betti
 from .reduction import decide, parse_hamiltonian, reduce_hamiltonian, schedule
 from .specseq import filtration, forman_compare, page_dims, stabilized_dims
-from .spectra import DEFAULT_GRID, spectrum, sweep
+from .spectra import DEFAULT_GRID, check_grid, spectrum, sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,12 +69,15 @@ def _named(name: str, n: int) -> str:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
+    """The ``--grid`` text as ``sweep`` takes it; any fault is a usage error."""
     if text == "default":
         return DEFAULT_GRID
     try:
-        return tuple(float(t) for t in text.split(","))
+        return check_grid(float(t) for t in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}") from exc
+    except GraphFormatError as exc:
+        raise UsageError(f"bad grid {text!r}: {exc}") from exc
 
 
 def build_parser() -> _Parser:
@@ -184,6 +187,7 @@ def cmd_spectrum(args) -> int:
         raise UsageError("give exactly one of --lambda or --grid (or --grid default)")
     if args.lam is not None and not 0 < args.lam <= 1:
         raise UsageError(f"lambda must be in (0, 1], got {args.lam}")
+    grid = None if args.grid is None else _parse_grid(args.grid)
     K = _complex_for(g, args.k, args.cap)
     if args.lam is not None:
         rep = spectrum(K, args.k, args.lam)
@@ -195,7 +199,7 @@ def cmd_spectrum(args) -> int:
             print(" ".join(_fmt(v) for v in rep.eigenvalues))
             print(f"lambda_min {_fmt(rep.lambda_min)}  near-zero multiplicity {rep.near_zero_multiplicity}")
         return 0
-    table = sweep(K, args.k, _parse_grid(args.grid))
+    table = sweep(K, args.k, grid)
     for line in table.csv_lines():
         print(line)
     return 0
@@ -205,11 +209,11 @@ def cmd_specseq(args) -> int:
     if args.j_max < 0:
         raise UsageError(f"--j-max must be >= 0, got {args.j_max}")
     g = _load_graph(args.graph)
+    if args.forman and args.k is None:
+        raise UsageError("--forman needs --k")
+    grid = _parse_grid(args.grid) if args.forman and args.grid is not None else DEFAULT_GRID
     K = _complex_for(g, None, args.cap)
     if args.forman:
-        if args.k is None:
-            raise UsageError("--forman needs --k")
-        grid = DEFAULT_GRID if args.grid is None else _parse_grid(args.grid)
         rep = forman_compare(K, args.k, grid)
         print("j,algebraic_dim,branch_count,equal")
         for row in rep.rows:

@@ -7,7 +7,9 @@ per-term prefix), pads and glues it on with no cross-gadget edges, and
 decides satisfiability at desk scale: the YES branch is exact homology, the
 NO branch a numeric smallest-eigenvalue certificate against the scheduled
 threshold.  SciPy is imported where a float solve runs (``_factor_gram``'s
-least squares and the NO branch's eigensolves), so ``reduce`` never loads it.
+projection, a sparse LU of the normal equations on factors of up to
+DIRECT_GRAM_QUBITS qubits and least squares above, and the NO branch's
+eigensolves), so ``reduce`` never loads it.
 """
 
 from __future__ import annotations
@@ -33,9 +35,13 @@ from .graph import (
     qubit_vertex,
     relabel,
 )
-from .homology import HARMONIC_TOL, betti, harmonic_basis, join_betti
+from .homology import HARMONIC_TOL, betti, coboundary_pairs, harmonic_basis, join_betti
 from .operators import coboundary
 from .spectra import join_lambda_min, lambda_min
+
+# _factor_gram's solver by factor size: one sparse LU of the normal equations
+# up to this many qubits, lsqr above, where the LU's fill outgrows lsqr's work
+DIRECT_GRAM_QUBITS = 2
 
 # bench/tracing.py wraps these by their names in this module; decide calls
 # none of them here: betti and lambda_min are reached per factor through
@@ -314,20 +320,35 @@ def _factor_gram(K: CliqueComplex, qubits: tuple[int, ...]) -> np.ndarray | None
 
     B lies on the qubit graph, whose vertices all have exponent 0, so B is a
     cycle at every lambda; by Hodge, ker ∂_k = ker L_k ⊕ im d^{k*}, so
-    P B = B - d^{k*} Y with Y the least-squares solution of d^{k*} Y = B.
-    The projection is checked: lsqr must stop on a solution, and d^k (P B)
-    must vanish to HARMONIC_TOL times d^k's largest absolute row sum; the
-    result is None when it does not.
+    P B = B - d^{k*} Y with Y a least-squares solution of d^{k*} Y = B.  Up
+    to DIRECT_GRAM_QUBITS qubits, Y solves the normal equations on d^k's
+    rows R at the cofaces of its persistence pairs (``coboundary_pairs``),
+    an exact basis of its row space since the weights only rescale rows and
+    columns: D_R D_R^T Y = D_R B, positive definite, by one sparse LU for
+    all columns.  Above it, where that LU fills in faster than lsqr
+    iterates, each column is one lsqr.  The projection is checked: the LU
+    must not be singular, lsqr must stop on a solution, and d^k (P B) must
+    vanish to HARMONIC_TOL times d^k's largest absolute row sum; the result
+    is None when it does not.
     """
     import scipy.sparse.linalg
 
     k = 2 * len(qubits) - 1
     B = basis_state_matrix(K, qubits)
     D = coboundary(K, k).evaluate(0.5)
-    solves = [scipy.sparse.linalg.lsqr(D.T, b, atol=1e-15, btol=1e-15) for b in B.T]
-    # istop 0: d^k b = 0 already, so y = 0 solves; 1 and 2: lsqr converged
-    converged = all(out[1] in (0, 1, 2) for out in solves)
-    R = B - D.T @ np.stack([out[0] for out in solves], axis=1)
+    if len(qubits) <= DIRECT_GRAM_QUBITS:
+        DR = D[coboundary_pairs(K, k)[1]]
+        try:
+            lu = scipy.sparse.linalg.splu((DR @ DR.T).tocsc())
+        except RuntimeError:  # SuperLU found the matrix singular
+            return None
+        R = B - DR.T @ lu.solve(DR @ B)
+    else:
+        solves = [scipy.sparse.linalg.lsqr(D.T, b, atol=1e-15, btol=1e-15) for b in B.T]
+        # istop 0: d^k b = 0 already, so y = 0 solves; 1 and 2: lsqr converged
+        if not all(out[1] in (0, 1, 2) for out in solves):
+            return None
+        R = B - D.T @ np.stack([out[0] for out in solves], axis=1)
     # a factor at its top degree has no (k+1)-simplex: d^k has no rows
     bound = HARMONIC_TOL * abs(D).sum(axis=1).max() if D.nnz else 0.0
-    return R.T @ R if converged and abs(D @ R).max(initial=0.0) <= bound else None
+    return R.T @ R if abs(D @ R).max(initial=0.0) <= bound else None

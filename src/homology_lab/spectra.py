@@ -352,6 +352,19 @@ def _fit_slopes(lams: np.ndarray, logy: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(A, logy, rcond=None)[0][0]
 
 
+def check_grid(grid) -> tuple[float, ...]:
+    """The grid as a tuple, checked as ``sweep`` needs it: at least 4 points,
+    each in (0, 0.5] (so no nan), strictly decreasing; GraphFormatError if not."""
+    grid = tuple(grid)
+    if len(grid) < 4:
+        raise GraphFormatError("sweep needs a grid of at least 4 points")
+    if any(not 0 < x <= 0.5 for x in grid):
+        raise GraphFormatError("sweep grid must lie in (0, 0.5]")
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise GraphFormatError("sweep grid must be strictly decreasing")
+    return grid
+
+
 def sweep(K: CliqueComplex, k: int, grid: tuple[float, ...] = DEFAULT_GRID) -> BranchTable:
     """Eigenvalue branches over a decreasing lambda grid with fitted slopes.
 
@@ -364,13 +377,7 @@ def sweep(K: CliqueComplex, k: int, grid: tuple[float, ...] = DEFAULT_GRID) -> B
     of an even integer is reported as a matching ambiguity rather than
     silently classified.
     """
-    grid = tuple(grid)
-    if len(grid) < 4:
-        raise GraphFormatError("sweep needs a grid of at least 4 points")
-    if any(not 0 < x <= 0.5 for x in grid):
-        raise GraphFormatError("sweep grid must lie in (0, 0.5]")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise GraphFormatError("sweep grid must be strictly decreasing")
+    grid = check_grid(grid)
     n = K.dim_size(k)
     if n == 0:
         return BranchTable(k, grid, np.zeros((0, len(grid))), (), ())

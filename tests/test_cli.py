@@ -646,6 +646,18 @@ REJECTED_ARGS = {
     # an empty grid is a bad grid, not the default one
     "spectrum-empty-grid": (("spectrum", "@hexagon", "--k", "1", "--grid", ""), 1),
     "specseq-forman-empty-grid": (("specseq", "@hexagon", "--k", "1", "--forman", "--grid", ""), 1),
+    # a grid sweep would reject is a usage error too, as an out-of-range --lambda is
+    **{
+        f"{name}-grid-{fault}": ((*argv, "--grid", grid), 1)
+        for name, argv in (("spectrum", ("spectrum", "@hexagon", "--k", "1")),
+                           ("specseq-forman", ("specseq", "@hexagon", "--k", "1", "--forman")))
+        for fault, grid in (("of-three-points", "0.3,0.2,0.1"),
+                            ("increasing", "0.1,0.15,0.2,0.25"),
+                            ("repeating-a-point", "0.3,0.2,0.2,0.1"),
+                            ("above-one-half", "0.6,0.3,0.2,0.1"),
+                            ("reaching-zero", "0.3,0.2,0.1,0"),
+                            ("holding-nan", "0.3,nan,0.2,0.1"))
+    },
 }
 
 
@@ -656,6 +668,23 @@ def test_bad_arguments_fail_without_traceback(fixture_dir, capsys, case):
     assert code == want
     assert err.startswith("usage error: " if want == 1 else "error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "@hexagon", "--k", "1"),
+                                  ("specseq", "@hexagon", "--k", "1", "--forman")],
+                         ids=["spectrum", "specseq-forman"])
+def test_a_bad_grid_is_refused_before_the_complex_is_built(fixture_dir, capsys, monkeypatch,
+                                                           argv):
+    from homology_lab import cli
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("complex built for a bad grid")
+
+    monkeypatch.setattr(cli, "clique_complex", refuse)
+    code, out, err = run(capsys, *with_files(fixture_dir, [*argv, "--grid", "0.3,0.2,0.1"]))
+    assert (code, out) == (1, "")
+    assert err == ("usage error: bad grid '0.3,0.2,0.1': "
+                   "sweep needs a grid of at least 4 points\n")
 
 
 def test_out_of_memory_is_a_computation_error(fixture_dir, capsys, monkeypatch):

@@ -759,15 +759,21 @@ def stop_code_7(A, b, **_kwargs):
     return np.zeros(A.shape[1]), 7
 
 
+def singular(_A, **_kwargs):
+    """SuperLU finding the normal matrix singular."""
+    raise RuntimeError("Factor is exactly singular")
+
+
 def refuse(*_args, **_kwargs):
     raise AssertionError("eigenbasis solved for the YES overlaps")
 
 
-def test_failed_projection_falls_back_to_each_factors_eigenbasis(monkeypatch):
-    """There is no eigenbasis fallback: a factor whose lsqr stops unconverged
-    has no Gram matrix, and the YES keeps its exact Betti number with no
-    rows, without solving any eigenbasis in place of the projection."""
-    monkeypatch.setattr("scipy.sparse.linalg.lsqr", stop_code_7)
+def test_failed_projection_leaves_no_overlaps_and_solves_no_eigenbasis(monkeypatch):
+    """There is no eigenbasis fallback: a factor whose direct solve finds its
+    normal matrix singular has no Gram matrix, and the YES keeps its exact
+    Betti number with no rows, without solving any eigenbasis in place of
+    the projection."""
+    monkeypatch.setattr("scipy.sparse.linalg.splu", singular)
     monkeypatch.setattr(reduction, "harmonic_basis", refuse)
     monkeypatch.setattr(homology, "eigensolve", refuse)
     monkeypatch.setattr(spectra, "eigensolve", refuse)
@@ -781,26 +787,75 @@ def test_gap_ambiguity_in_one_factor_leaves_no_overlaps(monkeypatch):
     gap-ambiguous: the 33-vertex factor's checked projection still runs, the
     bowtie is never solved, and one factor without a Gram matrix leaves the
     YES with no rows."""
-    real, solved = scipy.sparse.linalg.lsqr, []
+    real, solved = scipy.sparse.linalg.splu, []
 
-    def stop_on_the_bowtie(A, b, **kwargs):
+    def singular_on_the_bowtie(A, **kwargs):
         solved.append(A.shape)
-        # the bowtie factor in degree 1: d^1 has no rows and 8 columns, its edges
-        return stop_code_7(A, b) if A.shape == (8, 0) else real(A, b, **kwargs)
+        # the bowtie factor in degree 1: d^1 has no rows, so D_R D_R^T is empty
+        return singular(A) if A.shape == (0, 0) else real(A, **kwargs)
 
     def ambiguous_bowtie(K, k, **kwargs):
         if K.graph.n_vertices == 7:
             raise GapAmbiguityError("forced")
         refuse()
 
-    monkeypatch.setattr("scipy.sparse.linalg.lsqr", stop_on_the_bowtie)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", singular_on_the_bowtie)
     monkeypatch.setattr(reduction, "harmonic_basis", ambiguous_bowtie)
     monkeypatch.setattr(homology, "eigensolve", refuse)
     monkeypatch.setattr(spectra, "eigensolve", refuse)
     dec = decide(YES_CASES["3q-yes-padded"][0])
     assert (dec.answer, dec.betti) == ("YES", 6)
     assert dec.harmonic_overlaps is None
-    assert sorted(set(solved)) == [(8, 0), (568, 208)]
+    # the 2-qubit factor: d^3 has 208 rows, all of them independent
+    assert sorted(set(solved)) == [(0, 0), (208, 208)]
+
+
+def test_factors_up_to_two_qubits_take_the_direct_solve_and_larger_ones_lsqr(monkeypatch):
+    """The 3-qubit factor of |00> on q0q1 plus |01> on q1q2 runs one lsqr
+    per basis cycle on d^{5*}, with unchanged arguments, and no LU; a
+    2-qubit factor runs one LU of D_R D_R^T and no lsqr."""
+    calls = []
+    real_lsqr, real_splu = scipy.sparse.linalg.lsqr, scipy.sparse.linalg.splu
+
+    def lsqr(A, b, **kwargs):
+        calls.append(("lsqr", A.shape, kwargs))
+        return real_lsqr(A, b, **kwargs)
+
+    def splu(A, **kwargs):
+        calls.append(("splu", A.shape, kwargs))
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr("scipy.sparse.linalg.lsqr", lsqr)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", splu)
+    assert reduction.DIRECT_GRAM_QUBITS == 2
+    H = H_of(3, ([0, 1], {"00": 1}), ([1, 2], {"01": 1}))
+    Ks = factor_complexes(reduce_hamiltonian(H).graph, 5)
+    assert len(Ks) == 1 and len(homology.coboundary_pairs(Ks[0], 5)[1]) == 1279
+    assert decide(H).harmonic_overlaps is not None
+    shape = (Ks[0].dim_size(5), Ks[0].dim_size(6))
+    assert calls == [("lsqr", shape, {"atol": 1e-15, "btol": 1e-15})] * 8
+    calls.clear()
+    assert decide(H_of(2, ([0, 1], {"00": 1, "11": -1}))).harmonic_overlaps is not None
+    assert calls == [("splu", (208, 208), {})]
+
+
+@settings(max_examples=25, deadline=None)
+@given(yes_hamiltonians())
+def test_direct_and_lsqr_projections_give_the_same_gram_matrices(H):
+    """Each path forced on every factor: the Gram matrices agree to 1e-12."""
+    res = reduce_hamiltonian(H)
+    Ks = factor_complexes(res.graph, res.k)
+    assume(join_betti(Ks, res.k) >= 1)
+    for K in Ks:
+        qubits = tuple(sorted({int(v[1 : v.index(".")])
+                               for v in K.graph.vertices if v[0] == "q"}))
+        grams = []
+        for cap in (len(qubits), len(qubits) - 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reduction, "DIRECT_GRAM_QUBITS", cap)
+                grams.append(reduction._factor_gram(K, qubits))
+        assert grams[0] is not None and grams[1] is not None
+        assert np.allclose(grams[0], grams[1], rtol=0, atol=1e-12), qubits
 
 
 # -- complete complexes above their top degree ----------------------------------

@@ -456,9 +456,22 @@ def test_overlaps_equal_an_eigenbasis_reference(case):
     assert_rows_match(dec.harmonic_overlaps, eigenbasis_overlaps(H))
 
 
-def test_overlaps_are_none_when_the_projection_fails_its_check(monkeypatch):
-    """lsqr returning y = 0 leaves B itself, which d^k does not annihilate:
-    the check fails, and no eigenbasis is solved in its place."""
+class NoStepLU:
+    """A SuperLU factor whose every solve returns Y = 0."""
+
+    def __init__(self, _A, **_kwargs):
+        pass
+
+    def solve(self, rhs):
+        return np.zeros_like(rhs)
+
+
+def no_step(A, b, **_kwargs):
+    """lsqr stopping on y = 0 as if it had converged."""
+    return np.zeros(A.shape[1]), 1
+
+
+def refuse_eigenbases(monkeypatch):
     import homology_lab.homology as homology_mod
     import homology_lab.reduction as reduction_mod
     import homology_lab.spectra as spectra_mod
@@ -466,15 +479,30 @@ def test_overlaps_are_none_when_the_projection_fails_its_check(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("eigenbasis solved for a failed projection")
 
-    def no_step(A, b, **_kwargs):
-        return np.zeros(A.shape[1]), 1
-
-    monkeypatch.setattr("scipy.sparse.linalg.lsqr", no_step)
     for module, name in ((reduction_mod, "harmonic_basis"), (homology_mod, "eigensolve"),
                          (spectra_mod, "eigensolve")):
         monkeypatch.setattr(module, name, refuse)
+
+
+def test_overlaps_are_none_when_the_projection_fails_its_check(monkeypatch):
+    """The direct solve returning Y = 0 leaves B itself, which d^k does not
+    annihilate: the check fails, and no eigenbasis is solved in its place."""
+    monkeypatch.setattr("scipy.sparse.linalg.splu", NoStepLU)
+    refuse_eigenbases(monkeypatch)
     dec = decide(H_of(2, ([0, 1], {"00": 1, "11": -1})))
     assert (dec.answer, dec.betti) == ("YES", 3)
+    assert dec.harmonic_overlaps is None
+
+
+def test_overlaps_are_none_when_lsqr_fails_the_check_on_three_qubits(monkeypatch):
+    """On a 3-qubit factor, lsqr's path: lsqr returning y = 0 leaves B
+    itself, the check fails, and no eigenbasis is solved in its place."""
+    monkeypatch.setattr("scipy.sparse.linalg.lsqr", no_step)
+    refuse_eigenbases(monkeypatch)
+    H = H_of(3, ([0, 1], {"00": 1}), ([1, 2], {"01": 1}))
+    assert [K.graph.n_vertices for K in factor_complexes(reduce_hamiltonian(H).graph, 5)] == [39]
+    dec = decide(H)
+    assert (dec.answer, dec.betti) == ("YES", 5)
     assert dec.harmonic_overlaps is None
 
 
